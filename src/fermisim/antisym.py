@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from fermisim.state import (
     InvariantViolation,
     QuantumState,
@@ -604,16 +606,11 @@ def transposition_test(
     if w_i != w_j:
         raise ValueError("word slots have mismatched widths")
     mask = (1 << w_i) - 1
-
-    def swap(b: int) -> int:
-        vi = (b >> off_i) & mask
-        vj = (b >> off_j) & mask
-        b &= ~((mask << off_i) | (mask << off_j))
-        return b | (vj << off_i) | (vi << off_j)
-
+    keys, amps = state.gather()
+    swapped = (
+        (keys & ~((mask << off_i) | (mask << off_j)))
+        | (((keys >> off_j) & mask) << off_i)
+        | (((keys >> off_i) & mask) << off_j)
+    )
     sign = -1.0 if mode == "fermi" else 1.0
-    worst = 0.0
-    for b in state.support():
-        violation = abs(state.amplitude(swap(b)) - sign * state.amplitude(b))
-        worst = max(worst, violation)
-    return worst
+    return float(np.abs(state.gather(swapped)[1] - sign * amps).max(initial=0.0))

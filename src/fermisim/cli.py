@@ -273,11 +273,10 @@ def parse_config(raw) -> RunConfig:
 def _evaluate(entry, state, layout, params, lattice, plan):
     kind = entry["kind"]
     if kind == "charge_density":
-        exact = charge_density(state, layout)
         if plan is None:
             values = [
                 {"index": s + 1, "exact": float(x), "sampled": None, "stderr": None}
-                for s, x in enumerate(exact)
+                for s, x in enumerate(charge_density(state, layout))
             ]
         else:
             values = [

@@ -141,10 +141,12 @@ def evolve_potential_fq(
     reg = state.layout
     for k in range(layout.n):
         for l in range(k + 1, layout.n):
-            def coincide(b, pk=f"pos{k}", pl=f"pos{l}", sk=f"spin{k}", sl=f"spin{l}"):
-                return reg.field(b, pk) == reg.field(b, pl) and reg.field(b, sk) != reg.field(b, sl)
+            def coincide(keys, pk=f"pos{k}", pl=f"pos{l}", sk=f"spin{k}", sl=f"spin{l}"):
+                return (reg.field(keys, pk) == reg.field(keys, pl)) & (
+                    reg.field(keys, sk) != reg.field(keys, sl)
+                )
 
-            state.apply_phase_if(coincide, -params.v0 * dt)
+            state.apply_phase_where(coincide, -params.v0 * dt)
 
 
 def _t1_table(m: int) -> list[int]:
@@ -170,13 +172,6 @@ def _t2_table(m: int) -> list[int]:
     return table
 
 
-def _invert(table: list[int]) -> list[int]:
-    inverse = [0] * len(table)
-    for src, dst in enumerate(table):
-        inverse[dst] = src
-    return inverse
-
-
 def evolve_kinetic_particle(
     state: QuantumState, layout: FirstQuantizedLayout, k: int, params: HubbardParams, dt: float
 ) -> None:
@@ -199,27 +194,20 @@ def evolve_kinetic_particle(
     mix = np.array([[c, -1j * s], [-1j * s, c]])
 
     table = _t1_table(m)
-    _permute_position(state, pos_name, table)
+    state.permute_register(pos_name, table)
     state.apply_single_qubit_unitary(bit0, mix)
-    _permute_position(state, pos_name, _invert(table))
+    state.permute_register(pos_name, np.argsort(table))
 
     if m == 2:
         return  # T2 has no pairs on a two-site chain
     table = _t2_table(m)
-    _permute_position(state, pos_name, table)
+    state.permute_register(pos_name, table)
     state.apply_single_qubit_unitary(bit0, mix)
     # Undo the mix where the block index is zero: that block holds the
     # unpaired sites 1 and m, which the kinetic half leaves alone.
     controls = tuple((bit0 + p, 0) for p in range(1, b))
     state.apply_controlled_unitary(controls, bit0, mix.conj().T)
-    _permute_position(state, pos_name, _invert(table))
-
-
-def _permute_position(state: QuantumState, pos_name: str, table: list[int]) -> None:
-    reg = state.layout
-    state.apply_basis_permutation(
-        lambda basis: reg.with_field(basis, pos_name, table[reg.field(basis, pos_name)])
-    )
+    state.permute_register(pos_name, np.argsort(table))
 
 
 def trotter_step_fq(

@@ -116,19 +116,25 @@ def required_trials(epsilon: float) -> int:
 # ------------------------------------------------------------- basis readouts
 
 
-def _site_counts(basis: int, layout) -> list[int]:
-    """Particles per site for one basis string, under either encoding."""
+def _site_counts(keys: np.ndarray, layout) -> np.ndarray:
+    """(len(keys), m) particles per site for a key array, under either encoding."""
+    counts = np.zeros((len(keys), layout.m), dtype=np.uint8)
     if isinstance(layout, ModeLayout):
-        return [
-            sum((basis >> layout.mode(site, spin)) & 1 for spin in SPINS)
-            for site in range(1, layout.m + 1)
-        ]
-    counts = [0] * layout.m
-    w = layout.word_bits
-    mask = (1 << w) - 1
+        for site in range(1, layout.m + 1):
+            for spin in SPINS:
+                counts[:, site - 1] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
+        return counts
+    rows = np.arange(len(keys))
+    reg = layout.register_layout()
     for k in range(layout.n):
-        counts[((basis >> (k * w)) & mask) >> 1] += 1
+        counts[rows, reg.field(keys, f"pos{k}")] += 1
     return counts
+
+
+def _born(state: QuantumState) -> tuple[np.ndarray, np.ndarray]:
+    """Support keys and their Born weights, in ascending key order."""
+    keys, amps = state.gather()
+    return keys, np.abs(amps) ** 2
 
 
 def _check_layout(state: QuantumState, layout) -> None:
@@ -149,12 +155,9 @@ def charge_density(
     _check_layout(state, layout)
     if plan is not None:
         return _sampled_density(state, layout, plan)
-    density = np.zeros(layout.m)
-    for b in state.support():
-        p = abs(state.amplitude(b)) ** 2
-        occupied = np.asarray([1.0 if c > 0 else 0.0 for c in _site_counts(b, layout)])
-        density += p * occupied
-    return density
+    keys, probs = _born(state)
+    occupied = _site_counts(keys, layout) > 0
+    return np.array([probs[occupied[:, s]].sum() for s in range(layout.m)])
 
 
 def k_point_correlation(
@@ -170,20 +173,17 @@ def k_point_correlation(
     for s in sites:
         if not 1 <= s <= layout.m:
             raise ValueError(f"site {s} out of range 1..{layout.m}")
-    total = 0.0
-    for b in state.support():
-        counts = _site_counts(b, layout)
-        if all(counts[s - 1] > 0 for s in sites):
-            total += abs(state.amplitude(b)) ** 2
+    columns = [s - 1 for s in sites]
+
+    def indicator(keys):
+        return (_site_counts(keys, layout)[:, columns] > 0).all(axis=1)
+
+    keys, probs = _born(state)
+    total = float(probs[indicator(keys)].sum())
     if plan is None:
         return total
-
-    def indicator(b):
-        counts = _site_counts(b, layout)
-        return [1.0 if all(counts[s - 1] > 0 for s in sites) else 0.0]
-
-    mean, stderr = _sampled_vector(state, plan, indicator, 1)
-    return Estimate(float(total), float(mean[0]), float(stderr[0]))
+    mean, stderr = _sampled_vector(state, plan, indicator)
+    return Estimate(total, float(mean), float(stderr))
 
 
 def pair_correlation(
@@ -210,23 +210,21 @@ def momentum_distribution(
     if not 0 <= particle < layout.n:
         raise ValueError(f"particle index {particle} out of range 0..{layout.n - 1}")
     transformed = state.copy()
-    transformed.qft_register(f"pos{particle}")
-    w = layout.word_bits
-    shift = particle * w + 1  # skip the spin bit
-    pos_mask = layout.m - 1
+    register = f"pos{particle}"
+    transformed.qft_register(register)
 
     if plan is None:
-        freqs = {k: 0.0 for k in range(layout.m)}
-        for b in transformed.support():
-            freqs[(b >> shift) & pos_mask] += abs(transformed.amplitude(b)) ** 2
+        keys, probs = _born(transformed)
+        freqs = np.bincount(transformed.layout.field(keys, register), weights=probs, minlength=layout.m)
         # The state norm is only held to 1e-10, looser than the histogram
         # invariant, so renormalize the Born weights explicitly.
-        weight = sum(freqs.values())
-        return Histogram(frequencies={k: f / weight for k, f in freqs.items()})
+        weight = sum(freqs.tolist())
+        return Histogram(frequencies={k: f / weight for k, f in enumerate(freqs.tolist())})
 
-    counts = {k: 0 for k in range(layout.m)}
-    for b, c in transformed.sample(plan.seed, plan.n_trials).items():
-        counts[(b >> shift) & pos_mask] += c
+    drawn = transformed.sample(plan.seed, plan.n_trials)
+    bins = transformed.layout.field(transformed.layout.keys(list(drawn)), register)
+    counts = np.bincount(bins, weights=list(drawn.values()), minlength=layout.m)
+    counts = {k: int(c) for k, c in enumerate(counts.tolist())}
     freqs = {k: c / plan.n_trials for k, c in counts.items()}
     return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials)
 
@@ -266,11 +264,9 @@ def expected_energy(
 
 
 def _sq_energy(state, layout, params, lattice) -> tuple[float, float]:
-    potential = 0.0
-    for b in state.support():
-        p = abs(state.amplitude(b)) ** 2
-        doubly = sum(1 for c in _site_counts(b, layout) if c == 2)
-        potential += params.v0 * p * doubly
+    keys, amps = state.gather()
+    doubly = (_site_counts(keys, layout) == 2).sum(axis=1)
+    potential = params.v0 * float(np.abs(amps) ** 2 @ doubly)
 
     kinetic = 0.0
     for i, j in lattice.adjacency:
@@ -278,62 +274,48 @@ def _sq_energy(state, layout, params, lattice) -> tuple[float, float]:
             mode_a = layout.mode(min(i, j), spin)
             mode_b = layout.mode(max(i, j), spin)
             mask = (1 << mode_a) | (1 << mode_b)
-            for b in state.support():
-                occ = b & mask
-                if occ == 0 or occ == mask:
-                    continue
-                partner = b ^ mask
-                if b > partner:
-                    continue  # count each unordered pair once
-                sign = -1.0 if jw_parity(b, mode_a, mode_b) else 1.0
-                overlap = state.amplitude(b).conjugate() * state.amplitude(partner)
-                kinetic += 2.0 * params.t0 * sign * overlap.real
+            # Each unordered pair once, from its member with mode_a occupied.
+            low = (keys & mask) == (1 << mode_a)
+            sign = 1.0 - 2.0 * jw_parity(keys[low], mode_a, mode_b)
+            overlap = amps[low].conj() * state.gather(keys[low] ^ mask)[1]
+            kinetic += 2.0 * params.t0 * float(sign @ overlap.real)
     return potential, kinetic
 
 
 def _fq_energy(state, layout, params, lattice) -> tuple[float, float]:
-    w = layout.word_bits
-    mask = (1 << w) - 1
-    neighbors: dict[int, list[int]] = {s: [] for s in range(1, layout.m + 1)}
-    for i, j in lattice.adjacency:
-        neighbors[i].append(j)
-        neighbors[j].append(i)
+    reg = state.layout
+    keys, amps = state.gather()
+    sites = [reg.field(keys, f"pos{k}") for k in range(layout.n)]
+    spins = [reg.field(keys, f"spin{k}") for k in range(layout.n)]
+    coincidences = sum(
+        (sites[k] == sites[l]) & (spins[k] != spins[l])
+        for k in range(layout.n)
+        for l in range(k + 1, layout.n)
+    )
+    potential = params.v0 * float(np.abs(amps) ** 2 @ np.asarray(coincidences, dtype=float))
 
-    potential = 0.0
     kinetic = 0j
-    for b in state.support():
-        amp = state.amplitude(b)
-        p = abs(amp) ** 2
-        words = [(b >> (k * w)) & mask for k in range(layout.n)]
-        coincidences = sum(
-            1
-            for k in range(layout.n)
-            for l in range(k + 1, layout.n)
-            if words[k] >> 1 == words[l] >> 1 and (words[k] ^ words[l]) & 1
-        )
-        potential += params.v0 * p * coincidences
-        for k, word in enumerate(words):
-            for target_site in neighbors[(word >> 1) + 1]:
-                moved = ((target_site - 1) << 1) | (word & 1)
-                partner = b ^ ((word ^ moved) << (k * w))
-                kinetic += params.t0 * amp.conjugate() * state.amplitude(partner)
+    for k in range(layout.n):
+        offset = reg.offset(f"pos{k}")
+        for i, j in lattice.adjacency:
+            # A hop between sites i and j flips the position bits (i-1) ^ (j-1).
+            flip = ((i - 1) ^ (j - 1)) << offset
+            on_edge = (sites[k] == i - 1) | (sites[k] == j - 1)
+            kinetic += params.t0 * np.vdot(amps[on_edge], state.gather(keys[on_edge] ^ flip)[1])
     return potential, float(kinetic.real)
 
 
 # ------------------------------------------------------------------- sampling
 
 
-def _sampled_vector(state, plan, per_basis, length) -> tuple[np.ndarray, np.ndarray]:
-    counts = state.sample(plan.seed, plan.n_trials)
+def _sampled_vector(state, plan, indicators) -> tuple[np.ndarray, np.ndarray]:
+    """Shot mean and standard error of indicators(keys), one row (or value) per key."""
+    drawn = state.sample(plan.seed, plan.n_trials)
+    counts = np.fromiter(drawn.values(), dtype=float, count=len(drawn))
+    vals = np.asarray(indicators(state.layout.keys(list(drawn))), dtype=float)
     total = plan.n_trials
-    mean = np.zeros(length)
-    second = np.zeros(length)
-    for b, c in counts.items():
-        vals = np.asarray(per_basis(b), dtype=float)
-        mean += c * vals
-        second += c * vals * vals
-    mean /= total
-    variance = np.maximum(second / total - mean * mean, 0.0)
+    mean = counts @ vals / total
+    variance = np.maximum(counts @ (vals * vals) / total - mean * mean, 0.0)
     stderr = np.sqrt(variance / total)
     return mean, stderr
 
@@ -341,8 +323,8 @@ def _sampled_vector(state, plan, per_basis, length) -> tuple[np.ndarray, np.ndar
 def _sampled_density(state, layout, plan) -> list[Estimate]:
     exact = charge_density(state, layout)
 
-    def indicators(b):
-        return [1.0 if c > 0 else 0.0 for c in _site_counts(b, layout)]
+    def indicators(keys):
+        return _site_counts(keys, layout) > 0
 
-    mean, stderr = _sampled_vector(state, plan, indicators, layout.m)
+    mean, stderr = _sampled_vector(state, plan, indicators)
     return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]

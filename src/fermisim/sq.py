@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fermisim.state import QuantumState, RegisterLayout
+from fermisim.state import QuantumState, RegisterLayout, distinct_keys
 
 UP = 0
 DOWN = 1
@@ -122,12 +122,15 @@ def encode_occupation(layout: ModeLayout, occupied: tuple[tuple[int, int], ...])
     return bits
 
 
-def jw_parity(bits: int, mode_a: int, mode_b: int) -> int:
-    """Parity of the number of occupied modes strictly between mode_a and mode_b."""
+def jw_parity(bits, mode_a: int, mode_b: int):
+    """Parity of the number of occupied modes strictly between mode_a and mode_b.
+
+    `bits` is one basis string or a key array; an array gives one parity per key.
+    """
     if mode_a >= mode_b:
         raise ValueError(f"expected mode_a < mode_b, got {mode_a} >= {mode_b}")
     between = ((1 << mode_b) - 1) & ~((1 << (mode_a + 1)) - 1)
-    return (bits & between).bit_count() & 1
+    return np.bitwise_count(bits & between) & 1
 
 
 def evolve_potential(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:
@@ -135,7 +138,7 @@ def evolve_potential(state: QuantumState, lattice: LatticeSpec, params: HubbardP
     layout = _mode_layout_for(state, lattice)
     for site in range(1, lattice.m + 1):
         mask = (1 << layout.mode(site, UP)) | (1 << layout.mode(site, DOWN))
-        state.apply_phase_if(lambda b, m=mask: (b & m) == m, -params.v0 * dt)
+        state.apply_phase_where(lambda keys, m=mask: (keys & m) == m, -params.v0 * dt)
 
 
 def evolve_hopping_pair(
@@ -158,28 +161,24 @@ def evolve_hopping_pair(
     mode_b = layout.mode(max(site_a, site_b), spin)
     mask = (1 << mode_a) | (1 << mode_b)
 
-    pairs_by_parity: tuple[list, list] = ([], [])
-    seen = set()
-    for bits in state.support():
-        occ = bits & mask
-        if occ == 0 or occ == mask:
-            continue
-        lo = min(bits, bits ^ mask)
-        if lo in seen:
-            continue
-        seen.add(lo)
-        # The modes between the endpoints agree for both pair members, so the
-        # parity may be read off either one.
-        pairs_by_parity[jw_parity(lo, mode_a, mode_b)].append((lo, lo ^ mask))
+    # Each pair is represented by its member with mode_a occupied; the modes
+    # between the endpoints agree for both members, so the parity may be read
+    # off that representative.
+    keys = state.gather()[0]
+    occ = keys & mask
+    single = keys[(occ != 0) & (occ != mask)]
+    low = distinct_keys((single & ~mask) | (1 << mode_a))
+    parity = jw_parity(low, mode_a, mode_b)
 
     theta = params.t0 * dt
     c, s = math.cos(theta), math.sin(theta)
-    for parity, pairs in enumerate(pairs_by_parity):
-        if not pairs:
+    for odd in (0, 1):
+        members = low[parity == odd]
+        if not members.size:
             continue
-        sign = -1.0 if parity else 1.0
+        sign = -1.0 if odd else 1.0
         gate = np.array([[c, -1j * s * sign], [-1j * s * sign, c]])
-        state.apply_two_level_mix(pairs, gate)
+        state.apply_two_level_mix(np.stack((members, members ^ mask), axis=1), gate)
 
 
 def trotter_step(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:

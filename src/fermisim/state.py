@@ -1,10 +1,32 @@
 """Quantum state backends and the elementary operations shared by every simulator module.
 
 Basis strings are plain ints; bit 0 is the least significant bit and belongs to
-the first register of the layout.  Two interchangeable backends are provided: a
-dense complex vector of length 2**Q and a sparse amplitude map that stores only
-nonzero entries.  Entries are removed from the sparse map only when they are
+the first register of the layout.
+
+Storage model.  A state is a set of (key, amplitude) entries, where a key is a
+basis string.  The dense backend keeps a complex vector `_vec` of length 2**Q;
+its support is the set of nonzero entries.  The sparse backend keeps two sorted
+parallel arrays, `_keys` and `_vals`, holding only the nonzero entries.  On
+both backends `_vals` is the amplitude store (the dense one aliases `_vec`), so
+the norm check is one dot product.  Each backend implements exactly two storage
+operations: `gather` reads the amplitudes at an array of keys (by default the
+whole support, in ascending key order), and `_scatter` writes (keys,
+amplitudes) back.  Every primitive (phase and sign, two-level mix, controlled
+gate, basis permutation, branch scatter, sampling) is written once on top of
+these two and works on the support's key array, never on all 2**Q strings.
+
+Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
+qubits wide; wider layouts use object arrays of Python ints, under the same
+code.
+
+Exact zeros.  An entry leaves the sparse arrays only when its amplitude is
 exactly zero; small amplitudes are never thresholded away.
+
+The array entry points `apply_phase_where`, `apply_basis_map` and
+`permute_register` take a function of the key array (or a value table) and make
+no Python call per basis string.  `apply_phase_if`, `apply_sign_if` and
+`apply_basis_permutation` keep their per-string callables: they evaluate the
+callable over the support and call the same kernel.
 """
 
 from __future__ import annotations
@@ -24,6 +46,8 @@ UNITARY_TOL = 1e-12
 DENSE_QUBIT_LIMIT = 26
 # Exhaustive bijection checks in validation mode are capped at this width.
 BIJECTION_CHECK_LIMIT = 20
+# Layouts up to this many qubits keep their keys in int64 arrays.
+KEY_BITS = 62
 
 BACKENDS = ("dense", "sparse")
 
@@ -67,15 +91,19 @@ class RegisterLayout:
     registers: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        seen = set()
+        spans = {}
+        offset = 0
         for name, width in self.registers:
             if not name or not isinstance(name, str):
                 raise ValueError(f"register name {name!r} must be a non-empty string")
             if not isinstance(width, int) or width < 0:
                 raise ValueError(f"register {name!r} has invalid width {width!r}")
-            if name in seen:
+            if name in spans:
                 raise ValueError(f"duplicate register name {name!r}")
-            seen.add(name)
+            spans[name] = (offset, width)
+            offset += width
+        object.__setattr__(self, "_spans", spans)
+        object.__setattr__(self, "_width", offset)
 
     @classmethod
     def of(cls, *registers: tuple[str, int]) -> RegisterLayout:
@@ -84,47 +112,83 @@ class RegisterLayout:
     @property
     def width(self) -> int:
         """Total number of qubits."""
-        return sum(w for _, w in self.registers)
+        return self._width
+
+    @property
+    def key_dtype(self):
+        """int64 up to KEY_BITS qubits, Python-int objects above."""
+        return np.int64 if self._width <= KEY_BITS else object
+
+    def keys(self, values) -> np.ndarray:
+        """Basis strings as a key array of this layout's key dtype."""
+        keys = np.asarray(values)
+        if keys.dtype == object:
+            keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # in-range Python ints
+        elif keys.size and keys.dtype.kind not in "iu":
+            raise ValueError(f"basis strings must be ints, got {keys.dtype}")
+        return keys.astype(self.key_dtype, copy=False)
 
     def names(self) -> tuple[str, ...]:
         return tuple(n for n, _ in self.registers)
 
+    def _span(self, name: str) -> tuple[int, int]:
+        try:
+            return self._spans[name]
+        except KeyError:
+            raise KeyError(f"no register named {name!r}") from None
+
     def offset(self, name: str) -> int:
-        off = 0
-        for reg, width in self.registers:
-            if reg == name:
-                return off
-            off += width
-        raise KeyError(f"no register named {name!r}")
+        return self._span(name)[0]
 
     def register_width(self, name: str) -> int:
-        for reg, width in self.registers:
-            if reg == name:
-                return width
-        raise KeyError(f"no register named {name!r}")
+        return self._span(name)[1]
 
     def qubits(self, name: str) -> range:
-        off = self.offset(name)
-        return range(off, off + self.register_width(name))
+        off, width = self._span(name)
+        return range(off, off + width)
 
-    def field(self, basis: int, name: str) -> int:
-        """Value held by the named register within a basis string."""
-        off = self.offset(name)
-        return (basis >> off) & ((1 << self.register_width(name)) - 1)
+    def field(self, basis, name: str):
+        """Value held by the named register within a basis string or a key array."""
+        off, width = self._span(name)
+        value = (basis >> off) & ((1 << width) - 1)
+        if isinstance(value, np.ndarray) and value.dtype == object and width <= KEY_BITS:
+            value = value.astype(np.int64)
+        return value
 
-    def with_field(self, basis: int, name: str, value: int) -> int:
-        off = self.offset(name)
-        width = self.register_width(name)
-        if not 0 <= value < (1 << width):
+    def with_field(self, basis, name: str, value):
+        """Basis string (or key array) with the named register set to `value`."""
+        off, width = self._span(name)
+        if isinstance(value, np.ndarray):
+            bad = value[(value < 0) | (value >= (1 << width))]
+            if bad.size:
+                raise ValueError(f"value {bad[0]} does not fit register {name!r} ({width} bits)")
+            if getattr(basis, "dtype", None) == object:
+                value = value.astype(object)
+        elif not 0 <= value < (1 << width):
             raise ValueError(f"value {value} does not fit register {name!r} ({width} bits)")
         mask = ((1 << width) - 1) << off
         return (basis & ~mask) | (value << off)
 
-    def check_basis(self, basis: int) -> None:
+    def check_basis(self, basis: int) -> int:
+        """`basis` as a Python int; ValueError unless it is an int within the layout."""
         if not isinstance(basis, (int, np.integer)):
             raise ValueError(f"basis string must be an int, got {type(basis).__name__}")
         if not 0 <= basis < (1 << self.width):
             raise ValueError(f"basis string {basis} out of range for {self.width} qubits")
+        return int(basis)
+
+
+def distinct_keys(keys: np.ndarray) -> np.ndarray:
+    """Sorted keys with duplicates removed (sort plus adjacent differences)."""
+    keys = np.sort(keys)
+    if keys.size > 1:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    return keys
+
+
+def _per_string(fn: Callable[[int], object], dtype=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Lift a per-basis-string callable to a function of the key array."""
+    return lambda keys: np.array([fn(b) for b in keys.tolist()], dtype=dtype)
 
 
 def _as_gate(matrix) -> np.ndarray:
@@ -144,9 +208,10 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_vec", "_amps")
+    __slots__ = ("layout", "_vec", "_keys", "_vals")
 
-    def __init__(self, layout: RegisterLayout, backend: str = "dense"):
+    def __init__(self, layout: RegisterLayout, backend: str = "dense", entries=None):
+        """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
         if backend == "dense" and layout.width > DENSE_QUBIT_LIMIT:
@@ -155,12 +220,14 @@ class QuantumState:
             )
         self.layout = layout
         if backend == "dense":
-            self._vec = np.zeros(1 << layout.width, dtype=complex)
-            self._vec[0] = 1.0
-            self._amps = None
+            self._vec = self._vals = np.zeros(1 << layout.width, dtype=complex)
+            self._keys = None
         else:
             self._vec = None
-            self._amps = {0: 1.0 + 0.0j}
+            self._keys, self._vals = layout.keys([]), np.zeros(0, dtype=complex)
+        if entries is None:
+            entries = (layout.keys([0]), np.ones(1, dtype=complex))
+        self._scatter(*entries)
 
     @property
     def backend(self) -> str:
@@ -170,51 +237,91 @@ class QuantumState:
     def num_qubits(self) -> int:
         return self.layout.width
 
+    # ------------------------------------------------------------------ storage
+
+    def gather(self, keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(keys, amplitudes at those keys); without keys, the support in ascending order.
+
+        The returned arrays may share memory with the state; do not modify them.
+        """
+        if keys is None:
+            if self._vec is None:
+                return self._keys, self._vals
+            keys = np.flatnonzero(self._vec)
+        else:
+            self._check_keys(keys, "basis string")
+        if self._vec is not None:
+            return keys, self._vec[keys]
+        pos, hit = self._locate(keys)
+        amps = np.zeros(len(keys), dtype=complex)
+        amps[hit] = self._vals[pos[hit]]
+        return keys, amps
+
+    def _scatter(self, keys: np.ndarray, amps) -> None:
+        """Write the amplitudes `amps` at distinct `keys`; other entries are untouched."""
+        if self._vec is not None:
+            self._vec[keys] = amps
+            return
+        # Sparse: update the keys already stored, insert the new nonzero ones
+        # in key order, then drop entries that became exactly zero.  The old
+        # arrays are never modified in place, since gather() hands them out.
+        pos, hit = self._locate(keys)
+        vals = self._vals.copy()
+        vals[pos[hit]] = amps[hit]
+        stored = self._keys
+        fresh = ~hit & (amps != 0)
+        if fresh.any():
+            order = np.argsort(keys[fresh], kind="stable")
+            at = pos[fresh][order]
+            stored = np.insert(stored, at, keys[fresh][order])
+            vals = np.insert(vals, at, amps[fresh][order])
+        keep = vals != 0
+        if not keep.all():
+            stored, vals = stored[keep], vals[keep]
+        self._keys, self._vals = stored, vals
+
+    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sparse insertion positions of `keys` and whether each is stored."""
+        pos = np.searchsorted(self._keys, keys)
+        if not len(self._keys):
+            return pos, np.zeros(len(pos), dtype=bool)
+        return pos, self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
+
     # ------------------------------------------------------------------ access
 
     def amplitude(self, basis: int) -> complex:
         self.layout.check_basis(basis)
-        if self._vec is not None:
-            return complex(self._vec[basis])
-        return complex(self._amps.get(basis, 0.0))
+        return complex(self.gather(self.layout.keys([basis]))[1][0])
 
     def support(self) -> list[int]:
         """Basis strings with nonzero amplitude, in increasing order."""
-        if self._vec is not None:
-            return [int(b) for b in np.flatnonzero(self._vec)]
-        return sorted(self._amps)
+        return self.gather()[0].tolist()
 
     def to_map(self) -> dict[int, complex]:
-        return {b: self.amplitude(b) for b in self.support()}
+        keys, amps = self.gather()
+        return dict(zip(keys.tolist(), amps.tolist()))
 
     def to_vector(self) -> np.ndarray:
-        if self._vec is not None:
-            return self._vec.copy()
         if self.layout.width > DENSE_QUBIT_LIMIT:
             raise ValueError("state too wide to densify")
+        keys, amps = self.gather()
         vec = np.zeros(1 << self.layout.width, dtype=complex)
-        for b, a in self._amps.items():
-            vec[b] = a
+        vec[keys] = amps
         return vec
 
     def norm(self) -> float:
-        if self._vec is not None:
-            return float(np.linalg.norm(self._vec))
-        return math.sqrt(sum(abs(a) ** 2 for a in self._amps.values()))
+        return float(np.linalg.norm(self._vals))
 
     def copy(self) -> QuantumState:
-        dup = object.__new__(QuantumState)
-        dup.layout = self.layout
-        dup._vec = None if self._vec is None else self._vec.copy()
-        dup._amps = None if self._amps is None else dict(self._amps)
-        return dup
+        return QuantumState(self.layout, self.backend, self.gather())
 
     def __repr__(self) -> str:
-        terms = []
-        for b in self.support()[:4]:
-            a = self.amplitude(b)
-            terms.append(f"({a:.3g})|{b:0{max(self.layout.width, 1)}b}>")
-        if len(self.support()) > 4:
+        keys, amps = self.gather()
+        terms = [
+            f"({a:.3g})|{b:0{max(self.layout.width, 1)}b}>"
+            for b, a in zip(keys[:4].tolist(), amps[:4].tolist())
+        ]
+        if len(keys) > 4:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"QuantumState({self.backend}, {self.layout.width} qubits, {body})"
@@ -238,47 +345,21 @@ class QuantumState:
                 raise ValueError(f"control value must be 0 or 1, got {v}")
         self._check_qubit(target)
         tbit = 1 << target
+        keys = self.gather()[0]
+        for q, v in controls:
+            keys = keys[((keys >> q) & 1) == v]
+        low = distinct_keys(keys & ~tbit)
+        self._mix(low, low | tbit, gate)
 
-        if self._vec is not None:
-            idx = np.arange(self._vec.size)
-            keep = np.ones(self._vec.size, dtype=bool)
-            for q, v in controls:
-                keep &= ((idx >> q) & 1) == v
-            i0 = idx[keep & ((idx & tbit) == 0)]
-            i1 = i0 | tbit
-            a0 = self._vec[i0]
-            a1 = self._vec[i1]
-            self._vec[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-            self._vec[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
-        else:
-            amps = self._amps
-            new = dict(amps)
-            seen = set()
-            for b in amps:
-                if any(((b >> q) & 1) != v for q, v in controls):
-                    continue
-                b0 = b & ~tbit
-                if b0 in seen:
-                    continue
-                seen.add(b0)
-                b1 = b0 | tbit
-                a0 = amps.get(b0, 0j)
-                a1 = amps.get(b1, 0j)
-                for bb, aa in ((b0, gate[0, 0] * a0 + gate[0, 1] * a1),
-                               (b1, gate[1, 0] * a0 + gate[1, 1] * a1)):
-                    if aa == 0:
-                        new.pop(bb, None)
-                    else:
-                        new[bb] = aa
-            self._amps = new
-        self._check_norm()
+    def apply_phase_where(self, mask_fn: Callable[[np.ndarray], np.ndarray], theta: float) -> None:
+        """Multiply amplitudes by exp(i*theta) where mask_fn(keys) is true."""
+        if not math.isfinite(theta):
+            raise ValueError(f"phase angle must be finite, got {theta}")
+        self._scale_where(mask_fn, complex(math.cos(theta), math.sin(theta)))
 
     def apply_phase_if(self, predicate: Callable[[int], bool], theta: float) -> None:
         """Multiply amplitudes of basis strings satisfying `predicate` by exp(i*theta)."""
-        if not math.isfinite(theta):
-            raise ValueError(f"phase angle must be finite, got {theta}")
-        factor = complex(math.cos(theta), math.sin(theta))
-        self._scale_if(predicate, factor)
+        self.apply_phase_where(_per_string(predicate, bool), theta)
 
     def apply_sign_if(self, predicate: Callable[[int], bool]) -> None:
         """Multiply amplitudes of matching basis strings by exactly -1.
@@ -286,73 +367,52 @@ class QuantumState:
         Dedicated sign flip so reversible pipelines stay exact; exp(i*pi)
         carries a stray 1e-16 imaginary part.
         """
-        self._scale_if(predicate, -1.0)
+        self._scale_where(_per_string(predicate, bool), -1.0)
 
-    def _scale_if(self, predicate, factor) -> None:
-        if self._vec is not None:
-            for b in np.flatnonzero(self._vec):
-                if predicate(int(b)):
-                    self._vec[b] *= factor
-        else:
-            for b, a in list(self._amps.items()):
-                if predicate(b):
-                    self._amps[b] = a * factor
+    def _scale_where(self, mask_fn, factor) -> None:
+        keys, amps = self.gather()
+        selected = np.asarray(mask_fn(keys), dtype=bool)
+        self._scatter(keys[selected], amps[selected] * factor)
         self._check_norm()
 
-    def apply_basis_permutation(self, mapping: Callable[[int], int]) -> None:
-        """Relabel basis strings: amplitude at b moves to mapping(b).
+    def apply_basis_map(self, map_fn: Callable[[np.ndarray], np.ndarray]) -> None:
+        """Relabel basis strings: the amplitude at each key moves to map_fn(keys).
 
-        `mapping` must be a bijection on the full basis; production mode checks
+        The map must be a bijection on the full basis; production mode checks
         injectivity on the support, validation mode checks the whole domain
-        (up to 20 qubits).
+        (up to BIJECTION_CHECK_LIMIT qubits).
         """
-        dim = 1 << self.layout.width
-        if validation_enabled() and self.layout.width <= BIJECTION_CHECK_LIMIT:
-            image = np.fromiter((mapping(b) for b in range(dim)), dtype=np.int64, count=dim)
-            order = np.sort(image)
-            if not np.array_equal(order, np.arange(dim)):
+        width = self.layout.width
+        if validation_enabled() and width <= BIJECTION_CHECK_LIMIT:
+            domain = np.arange(1 << width)
+            if not np.array_equal(np.sort(np.asarray(map_fn(domain))), domain):
                 raise ValueError("mapping is not a bijection on the basis")
-        self._move_support(mapping)
+        self._move_keys(map_fn)
+
+    def apply_basis_permutation(self, mapping: Callable[[int], int]) -> None:
+        """Per-string form of apply_basis_map: amplitude at b moves to mapping(b)."""
+        self.apply_basis_map(_per_string(mapping))
+
+    def permute_register(self, name: str, table: Sequence[int]) -> None:
+        """Relabel one register's values through `table`, a permutation of 0..2**w-1."""
+        table = np.asarray(table, dtype=np.int64)
+        layout = self.layout
+        self.apply_basis_map(lambda keys: layout.with_field(keys, name, table[layout.field(keys, name)]))
 
     def apply_two_level_mix(self, pairs: Iterable[tuple[int, int]], matrix) -> None:
         """Mix the amplitudes of each pair of basis strings by a 2x2 unitary.
 
-        Pairs must not overlap; basis strings outside every pair are untouched.
+        `pairs` is an iterable of (b0, b1) or an (N, 2) key array.  Pairs must
+        not overlap; basis strings outside every pair are untouched.
         """
         gate = _as_gate(matrix)
-        seen = set()
-        pair_list = []
-        for b0, b1 in pairs:
-            self.layout.check_basis(b0)
-            self.layout.check_basis(b1)
-            if b0 == b1 or b0 in seen or b1 in seen:
-                raise ValueError("two-level pairs overlap")
-            seen.add(b0)
-            seen.add(b1)
-            pair_list.append((b0, b1))
-
-        if self._vec is not None:
-            if pair_list:
-                i0 = np.array([p[0] for p in pair_list])
-                i1 = np.array([p[1] for p in pair_list])
-                a0 = self._vec[i0]
-                a1 = self._vec[i1]
-                self._vec[i0] = gate[0, 0] * a0 + gate[0, 1] * a1
-                self._vec[i1] = gate[1, 0] * a0 + gate[1, 1] * a1
-        else:
-            amps = self._amps
-            for b0, b1 in pair_list:
-                a0 = amps.get(b0, 0j)
-                a1 = amps.get(b1, 0j)
-                if a0 == 0 and a1 == 0:
-                    continue
-                for bb, aa in ((b0, gate[0, 0] * a0 + gate[0, 1] * a1),
-                               (b1, gate[1, 0] * a0 + gate[1, 1] * a1)):
-                    if aa == 0:
-                        amps.pop(bb, None)
-                    else:
-                        amps[bb] = aa
-        self._check_norm()
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        pairs = self.layout.keys(pairs).reshape(-1, 2)
+        flat = np.sort(pairs.ravel())
+        if (flat[1:] == flat[:-1]).any():
+            raise ValueError("two-level pairs overlap")
+        self._mix(pairs[:, 0], pairs[:, 1], gate)
 
     def qft_register(self, name: str) -> None:
         """Quantum Fourier transform of one register, other registers untouched.
@@ -373,48 +433,38 @@ class QuantumState:
                 phase = np.array([[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]])
                 self.apply_controlled_unitary(((offset + l, 1),), offset + j, phase)
         # The cascade leaves the output bits in reversed significance order.
-        table = [0] * (1 << width)
-        for x in range(1 << width):
-            rev = 0
-            for p in range(width):
-                if x & (1 << p):
-                    rev |= 1 << (width - 1 - p)
-            table[x] = rev
-        self.apply_basis_permutation(self._lift_field_map(name, table))
+        self.permute_register(name, [int(f"{x:0{width}b}"[::-1], 2) for x in range(1 << width)])
 
     # ------------------------------------------------------------------ readout
 
     def sample(self, seed: int, n_trials: int) -> dict[int, int]:
         """Draw `n_trials` basis strings from the Born distribution.
 
-        The stream is fully determined by the 64 bit seed (and the backend,
-        which fixes the enumeration order of the support).
+        The stream is fully determined by the 64 bit seed: outcomes are
+        indexed in ascending key order on both backends.
         """
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
             raise ValueError("n_trials must be a positive integer")
-        keys = self.support()
-        probs = np.array([abs(self.amplitude(b)) ** 2 for b in keys])
+        keys, amps = self.gather()
+        probs = np.abs(amps) ** 2
         total = probs.sum()
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"sampling a state with squared norm {total}")
         probs /= total
         rng = np.random.default_rng(int(seed))
         draws = rng.choice(len(keys), size=int(n_trials), p=probs)
-        counts: dict[int, int] = {}
-        for d in draws:
-            counts[keys[d]] = counts.get(keys[d], 0) + 1
-        return counts
+        counts = np.bincount(draws, minlength=len(keys))
+        drawn = np.flatnonzero(counts)
+        return dict(zip(keys[drawn].tolist(), counts[drawn].tolist()))
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""
         if self.layout != other.layout:
             raise ValueError("inner product requires identical register layouts")
-        return sum(
-            (self.amplitude(b).conjugate() * other.amplitude(b) for b in self.support()),
-            start=0j,
-        )
+        keys, amps = self.gather()
+        return complex(np.vdot(amps, other.gather(keys)[1]))
 
     # ------------------------------------------------------------------ plumbing
 
@@ -422,93 +472,75 @@ class QuantumState:
         if not isinstance(q, (int, np.integer)) or not 0 <= q < self.layout.width:
             raise ValueError(f"qubit index {q} out of range for {self.layout.width} qubits")
 
+    def _check_keys(self, keys: np.ndarray, what: str) -> None:
+        bad = keys[(keys < 0) | (keys >= (1 << self.layout.width))]
+        if bad.size:
+            raise ValueError(f"{what} {bad[0]} out of range for {self.layout.width} qubits")
+
     def _check_norm(self) -> None:
-        if self._vec is not None:
-            total = float(np.vdot(self._vec, self._vec).real)
-        else:
-            total = sum(abs(a) ** 2 for a in self._amps.values())
+        total = float(np.vdot(self._vals, self._vals).real)
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
-    def _lift_field_map(self, name: str, table: Sequence[int]) -> Callable[[int], int]:
-        """Turn a bijection on one register's values into a full basis mapping."""
-        layout = self.layout
-        return lambda b: layout.with_field(b, name, table[layout.field(b, name)])
+    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate: np.ndarray) -> None:
+        """Apply `gate` to each amplitude pair (k0[i], k1[i]); the pairs are disjoint."""
+        a0 = self.gather(k0)[1]
+        a1 = self.gather(k1)[1]
+        self._scatter(
+            np.concatenate((k0, k1)),
+            np.concatenate((gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1)),
+        )
+        self._check_norm()
+
+    def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:
+        """Swap the whole support for distinct (keys, amps)."""
+        stale = self.gather()[0]
+        self._scatter(stale, np.zeros(len(stale), dtype=complex))
+        self._scatter(keys, amps)
+        self._check_norm()
+
+    def _move_keys(self, map_fn) -> None:
+        """Relocate amplitudes along map_fn, requiring injectivity on the support."""
+        keys, amps = self.gather()
+        targets = self.layout.keys(map_fn(keys))
+        self._check_keys(targets, "mapping sent a basis string to")
+        if distinct_keys(targets).size != targets.size:
+            raise ValueError("mapping is not injective on the support")
+        self._replace(targets, amps)
 
     def _move_support(self, mapping: Callable[[int], int]) -> None:
-        """Relocate amplitudes along `mapping`, requiring injectivity on the support."""
-        dim = 1 << self.layout.width
-        if self._vec is not None:
-            new = np.zeros_like(self._vec)
-            count = 0
-            for b in np.flatnonzero(self._vec):
-                t = mapping(int(b))
-                if not 0 <= t < dim:
-                    raise ValueError(f"mapping sent {int(b)} out of range ({t})")
-                new[t] = self._vec[b]
-                count += 1
-            if int(np.count_nonzero(new)) != count:
-                raise ValueError("mapping is not injective on the support")
-            self._vec = new
-        else:
-            new_amps = {}
-            for b, a in self._amps.items():
-                t = mapping(b)
-                if not 0 <= t < dim:
-                    raise ValueError(f"mapping sent {b} out of range ({t})")
-                if t in new_amps:
-                    raise ValueError("mapping is not injective on the support")
-                new_amps[t] = a
-            self._amps = new_amps
-        self._check_norm()
+        """Per-string relocation with the support injectivity check only."""
+        self._move_keys(_per_string(mapping))
 
     def _scatter_support(self, expand: Callable[[int], Iterable[tuple[int, complex]]]) -> None:
         """Replace each support string b by the weighted strings expand(b) yields.
 
         Used for isometric branch splitting (rank-superposition preparation);
-        the norm check after the rewrite is the isometry guard.
+        weights landing on one string add up, and the norm check after the
+        rewrite is the isometry guard.
         """
-        if self._vec is not None:
-            new = np.zeros_like(self._vec)
-            for b in np.flatnonzero(self._vec):
-                a = self._vec[b]
-                for t, coeff in expand(int(b)):
-                    self.layout.check_basis(t)
-                    new[t] += a * coeff
-            self._vec = new
-        else:
-            new_amps: dict[int, complex] = {}
-            for b, a in self._amps.items():
-                for t, coeff in expand(b):
-                    self.layout.check_basis(t)
-                    val = new_amps.get(t, 0j) + a * coeff
-                    if val == 0:
-                        new_amps.pop(t, None)
-                    else:
-                        new_amps[t] = val
-            self._amps = new_amps
-        self._check_norm()
+        keys, amps = self.gather()
+        targets, weights = [], []
+        for b, a in zip(keys.tolist(), amps.tolist()):
+            for t, coeff in expand(b):
+                targets.append(t)
+                weights.append(a * coeff)
+        targets = self.layout.keys(targets)
+        self._check_keys(targets, "basis string")
+        order = np.argsort(targets, kind="stable")
+        targets = targets[order]
+        weights = np.asarray(weights, dtype=complex)[order]
+        starts = np.flatnonzero(np.concatenate(([True], targets[1:] != targets[:-1])))
+        self._replace(targets[starts], np.add.reduceat(weights, starts) if starts.size else weights)
 
     def _set_map(self, amplitudes: Mapping[int, complex]) -> None:
-        if self._vec is not None:
-            self._vec[:] = 0.0
-            for b, a in amplitudes.items():
-                self._vec[b] = a
-        else:
-            self._amps = {b: complex(a) for b, a in amplitudes.items() if a != 0}
-        self._check_norm()
+        self._replace(self.layout.keys(list(amplitudes)), np.asarray(list(amplitudes.values()), dtype=complex))
 
 
 def init_basis_state(layout: RegisterLayout, bits: int, backend: str = "dense") -> QuantumState:
     """State with amplitude 1 on the given basis string and 0 elsewhere."""
     layout.check_basis(bits)
-    state = QuantumState(layout, backend)
-    if state._vec is not None:
-        state._vec[0] = 0.0
-        state._vec[bits] = 1.0
-    else:
-        state._amps = {int(bits): 1.0 + 0.0j}
-    return state
+    return QuantumState(layout, backend, (layout.keys([bits]), np.ones(1, dtype=complex)))
 
 
 def inject_state(

@@ -1,0 +1,400 @@
+"""The array kernel of the state engine: array entry points, wide keys, sampling streams."""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import make_state, random_state_map, random_unitary
+
+from fermisim import cli
+from fermisim.sq import jw_parity
+from fermisim.state import (
+    BIJECTION_CHECK_LIMIT,
+    KEY_BITS,
+    RegisterLayout,
+    init_basis_state,
+    inject_state,
+    validation_mode,
+)
+
+BACKENDS = ("dense", "sparse")
+
+
+class TestRegisterLayoutArrays:
+    def test_field_and_with_field_accept_key_arrays(self):
+        layout = RegisterLayout.of(("a", 3), ("b", 2), ("c", 4))
+        keys = np.arange(1 << layout.width, dtype=np.int64)
+        for name in layout.names():
+            got = layout.field(keys, name)
+            assert got.tolist() == [layout.field(int(b), name) for b in keys.tolist()]
+        values = (keys * 7) % 4
+        got = layout.with_field(keys, "b", values)
+        want = [layout.with_field(int(b), "b", int(v)) for b, v in zip(keys, values)]
+        assert got.tolist() == want
+
+    def test_with_field_rejects_array_values_that_do_not_fit(self):
+        layout = RegisterLayout.of(("a", 2), ("b", 3))
+        keys = np.zeros(3, dtype=np.int64)
+        with pytest.raises(ValueError):
+            layout.with_field(keys, "a", np.array([0, 4, 1]))
+        with pytest.raises(ValueError):
+            layout.with_field(keys, "a", np.array([0, -1, 1]))
+
+    def test_key_dtype_switches_above_key_bits(self):
+        assert RegisterLayout.of(("r", KEY_BITS)).key_dtype is np.int64
+        assert RegisterLayout.of(("r", KEY_BITS + 1)).key_dtype is object
+
+    def test_jw_parity_on_arrays_matches_per_string(self):
+        keys = np.arange(1 << 8, dtype=np.int64)
+        for a, b in ((0, 2), (1, 7), (3, 4)):
+            want = [jw_parity(int(k), a, b) for k in keys.tolist()]
+            assert jw_parity(keys, a, b).tolist() == want
+
+
+# --------------------------------------------------------- array vs per string
+
+
+def _random_ops(rng, layout, n_ops):
+    """Op descriptions that have both an array and a per-string form."""
+    dim = 1 << layout.width
+    ops = []
+    for _ in range(n_ops):
+        kind = rng.choice(["phase", "perm", "register", "mix", "unitary"])
+        if kind == "phase":
+            mask = int(rng.integers(1, dim))
+            ops.append((kind, mask, int(rng.integers(dim)) & mask, float(rng.uniform(-np.pi, np.pi))))
+        elif kind == "perm":
+            ops.append((kind, rng.permutation(dim)))
+        elif kind == "register":
+            name = layout.names()[int(rng.integers(len(layout.names())))]
+            ops.append((kind, name, rng.permutation(1 << layout.register_width(name))))
+        elif kind == "mix":
+            flat = rng.permutation(dim)[: 2 * int(rng.integers(1, dim // 2))]
+            ops.append((kind, flat.reshape(-1, 2), random_unitary(rng)))
+        else:
+            ops.append((kind, int(rng.integers(layout.width)), random_unitary(rng)))
+    return ops
+
+
+def _run_array(state, ops):
+    for op in ops:
+        kind = op[0]
+        if kind == "phase":
+            _, mask, value, theta = op
+            state.apply_phase_where(lambda keys: (keys & mask) == value, theta)
+        elif kind == "perm":
+            table = op[1]
+            state.apply_basis_map(lambda keys: table[keys])
+        elif kind == "register":
+            state.permute_register(op[1], op[2])
+        elif kind == "mix":
+            state.apply_two_level_mix(op[1], op[2])
+        else:
+            state.apply_single_qubit_unitary(op[1], op[2])
+
+
+def _run_per_string(state, ops):
+    layout = state.layout
+    for op in ops:
+        kind = op[0]
+        if kind == "phase":
+            _, mask, value, theta = op
+            state.apply_phase_if(lambda b: (b & mask) == value, theta)
+        elif kind == "perm":
+            table = op[1].tolist()
+            state.apply_basis_permutation(lambda b: table[b])
+        elif kind == "register":
+            _, name, table = op
+            table = table.tolist()
+            state.apply_basis_permutation(
+                lambda b: layout.with_field(b, name, table[layout.field(b, name)])
+            )
+        elif kind == "mix":
+            state.apply_two_level_mix([(int(p), int(q)) for p, q in op[1]], op[2])
+        else:
+            state.apply_single_qubit_unitary(op[1], op[2])
+
+
+class TestArrayEntryPoints:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_array_and_per_string_forms_give_identical_states(self, backend):
+        layout = RegisterLayout.of(("r0", 2), ("r1", 3), ("r2", 1))
+        rng = np.random.default_rng(2718)
+        for trial in range(40):
+            amps = random_state_map(rng, layout.width, int(rng.integers(1, 24)))
+            ops = _random_ops(rng, layout, n_ops=10)
+            by_array = make_state(layout, amps, backend)
+            by_string = make_state(layout, amps, backend)
+            _run_array(by_array, ops)
+            _run_per_string(by_string, ops)
+            assert by_array.to_map() == by_string.to_map(), f"trial {trial} diverged"
+
+    def test_sparse_drops_exact_zeros_only(self):
+        layout = RegisterLayout.of(("q", 2))
+        s = 1 / math.sqrt(2)
+        state = inject_state(layout, {0: s, 1: s}, "sparse")
+        state.apply_single_qubit_unitary(0, np.array([[s, s], [s, -s]]))
+        assert state.support() == [0]  # s*s - s*s is exactly zero
+        state = inject_state(layout, {0: 1.0, 3: 1e-200}, "sparse")
+        state.apply_sign_if(lambda b: b == 3)
+        state.apply_basis_map(lambda keys: keys ^ 1)
+        assert state.support() == [1, 2]
+        assert state.amplitude(2) == -1e-200
+
+
+    def test_non_integer_basis_strings_rejected(self):
+        state = init_basis_state(RegisterLayout.of(("q", 2)), 0)
+        with pytest.raises(ValueError):
+            state.apply_two_level_mix([(0.5, 1)], np.eye(2))
+        with pytest.raises(ValueError):
+            state.apply_basis_permutation(lambda b: b + 0.5)
+        with pytest.raises(ValueError):
+            state.apply_basis_map(lambda keys: keys - 1)
+
+    @pytest.mark.parametrize("width", (4, KEY_BITS + 8))
+    def test_non_integer_objects_rejected_not_truncated(self, width):
+        layout = RegisterLayout.of(("q", width))
+        with pytest.raises(ValueError):
+            layout.keys(np.array([1.5, 2], dtype=object))
+        with pytest.raises(ValueError):
+            layout.keys([1 << 70, 2.0])
+        assert layout.keys(np.array([np.int64(3), 1], dtype=object)).tolist() == [3, 1]
+
+    def test_map_beyond_int64_raises_value_error(self):
+        state = init_basis_state(RegisterLayout.of(("q", 4)), 1, "sparse")
+        with pytest.raises(ValueError, match="out of range"):
+            state.apply_basis_map(lambda keys: keys.astype(object) + (1 << 64))
+        with pytest.raises(ValueError, match="out of range"):
+            RegisterLayout.of(("q", 4)).keys([-(1 << 70)])
+        assert state.support() == [1]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_gather_rejects_keys_out_of_range(self, backend):
+        layout = RegisterLayout.of(("q", 3))
+        state = inject_state(layout, {2: 0.6, 5: 0.8}, backend)
+        for bad in ([-1], [8], [2, 1 << 40]):
+            with pytest.raises(ValueError, match="out of range"):
+                state.gather(layout.keys(bad))
+        assert state.gather(layout.keys([5, 0, 7]))[1].tolist() == [0.8, 0, 0]
+
+
+class TestValidationOfArrayMaps:
+    def test_vectorized_map_checked_over_whole_domain(self):
+        state = init_basis_state(RegisterLayout.of(("q", 4)), 0)
+        seen = []
+
+        def clamp(keys):
+            seen.append(len(keys))
+            return np.minimum(keys, 2)
+
+        state.apply_basis_map(clamp)  # injective on the support {0}
+        assert seen == [1]
+        with validation_mode():
+            with pytest.raises(ValueError):
+                state.apply_basis_map(clamp)
+        assert seen[1] == 16
+
+    def test_bijection_passes_under_validation(self):
+        layout = RegisterLayout.of(("a", 2), ("b", 3))
+        state = inject_state(layout, {1: 0.6, 10: 0.8j}, "sparse")
+        with validation_mode():
+            state.permute_register("b", [3, 0, 7, 1, 2, 6, 4, 5])
+            state.apply_basis_map(lambda keys: keys ^ 0b10101)
+        # b = 0 -> 3 and b = 2 -> 7, then every key is XORed with 0b10101.
+        assert state.to_map() == {(1 | (3 << 2)) ^ 0b10101: 0.6, (2 | (7 << 2)) ^ 0b10101: 0.8j}
+
+    def test_whole_domain_check_stops_at_limit(self):
+        width = BIJECTION_CHECK_LIMIT + 1
+        state = init_basis_state(RegisterLayout.of(("q", width)), 0, "sparse")
+        seen = []
+
+        def clamp(keys):
+            seen.append(len(keys))
+            return np.minimum(keys, 2)
+
+        with validation_mode():
+            state.apply_basis_map(clamp)
+        assert seen == [1]
+
+
+# ------------------------------------------------------------------ wide keys
+
+WIDE = RegisterLayout.of(("lo", 3), ("mid", 60), ("hi", 7))
+HIGH = 1 << 66
+
+
+def _wide_amps():
+    rng = np.random.default_rng(99)
+    keys = [5, HIGH | 3, (1 << 69) | 1, HIGH | (1 << 67) | 6, (1 << 64) | 2]
+    vals = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    vals /= np.linalg.norm(vals)
+    return {k: complex(v) for k, v in zip(keys, vals)}
+
+
+def _ref_controlled(amps, controls, target, gate):
+    out = {}
+    tbit = 1 << target
+    for b, a in amps.items():
+        if any((b >> q) & 1 != v for q, v in controls):
+            out[b] = out.get(b, 0) + a
+            continue
+        col = (b >> target) & 1
+        for row in (0, 1):
+            t = (b & ~tbit) | (row << target)
+            out[t] = out.get(t, 0) + gate[row, col] * a
+    return out
+
+
+def _assert_maps_close(state, want, atol=1e-12):
+    got = state.to_map()
+    for k in set(got) | set(want):
+        assert abs(got.get(k, 0) - want.get(k, 0)) <= atol, k
+
+
+class TestWideKeys:
+    def test_keys_are_python_ints(self):
+        state = inject_state(WIDE, _wide_amps(), "sparse")
+        keys = state.gather()[0]
+        assert keys.dtype == object
+        assert all(type(k) is int for k in keys)
+        assert state.support() == sorted(_wide_amps())
+
+    def test_gates(self):
+        rng = np.random.default_rng(5)
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        for controls, target in (((), 66), (((69, 1),), 0), (((66, 1), (1, 1)), 67), (((64, 0),), 68)):
+            gate = random_unitary(rng)
+            state.apply_controlled_unitary(controls, target, gate)
+            amps = _ref_controlled(amps, controls, target, gate)
+            _assert_maps_close(state, amps)
+
+    def test_phase_and_sign(self):
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        state.apply_phase_where(lambda keys: (keys >> 66) & 1 == 1, 0.7)
+        state.apply_phase_if(lambda b: b & 1 == 1, -0.3)
+        state.apply_phase_where(lambda keys: keys > (1 << 68), math.pi)
+        state.apply_sign_if(lambda b: b & 2 == 2)
+        want = {}
+        for b, a in amps.items():
+            a *= complex(math.cos(0.7), math.sin(0.7)) if (b >> 66) & 1 else 1
+            a *= complex(math.cos(-0.3), math.sin(-0.3)) if b & 1 else 1
+            a *= complex(math.cos(math.pi), math.sin(math.pi)) if b > (1 << 68) else 1
+            a *= -1 if b & 2 else 1
+            want[b] = a
+        _assert_maps_close(state, want)
+
+    def test_permutations(self):
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        shift = (1 << 68) | 0b101
+        table = [(7 * v + 3) % 128 for v in range(128)]
+        state.apply_basis_map(lambda keys: keys ^ shift)
+        state.apply_basis_permutation(lambda b: b ^ (1 << 65))
+        state.permute_register("hi", table)
+        want = {}
+        for b, a in amps.items():
+            b = b ^ shift ^ (1 << 65)
+            want[WIDE.with_field(b, "hi", table[WIDE.field(b, "hi")])] = a
+        assert state.to_map() == want
+
+    def test_two_level_mix_and_qft(self):
+        rng = np.random.default_rng(8)
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        gate = random_unitary(rng)
+        pairs = [(HIGH | 3, (1 << 69) | 1), (5, HIGH | 5)]
+        state.apply_two_level_mix(pairs, gate)
+        want = dict(amps)
+        for b0, b1 in pairs:
+            a0, a1 = want.pop(b0, 0), want.pop(b1, 0)
+            want[b0] = gate[0, 0] * a0 + gate[0, 1] * a1
+            want[b1] = gate[1, 0] * a0 + gate[1, 1] * a1
+        _assert_maps_close(state, want)
+
+        state.qft_register("lo")
+        dft = np.exp(2j * np.pi * np.outer(np.arange(8), np.arange(8)) / 8) / math.sqrt(8)
+        after = {}
+        for b, a in want.items():
+            x = b & 7
+            for k in range(8):
+                t = (b & ~7) | k
+                after[t] = after.get(t, 0) + dft[k, x] * a
+        _assert_maps_close(state, after, 1e-10)
+
+    def test_branch_scatter(self):
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        c = 1 / math.sqrt(2)
+        state._scatter_support(lambda b: [(b, c), (b | (1 << 63), c)])
+        want = {}
+        for b, a in amps.items():
+            want[b] = want.get(b, 0) + a * c
+            want[b | (1 << 63)] = want.get(b | (1 << 63), 0) + a * c
+        _assert_maps_close(state, want)
+
+    def test_readout(self):
+        amps = _wide_amps()
+        state = inject_state(WIDE, amps, "sparse")
+        assert state.amplitude(HIGH | 3) == amps[HIGH | 3]
+        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(state.inner_product(state.copy()) - 1.0) < 1e-12
+        # Sampling indexes outcomes in ascending key order, so a narrow state
+        # holding the same amplitudes at keys 0..4 draws the same stream.
+        ordered = sorted(amps)
+        narrow = inject_state(
+            RegisterLayout.of(("q", 3)), {i: amps[k] for i, k in enumerate(ordered)}, "sparse"
+        )
+        drawn = state.sample(seed=31, n_trials=4000)
+        assert drawn == {ordered[i]: c for i, c in narrow.sample(seed=31, n_trials=4000).items()}
+
+
+# ------------------------------------------------------------------ sampling
+
+
+class TestSamplingStream:
+    """Counts captured before sampling moved to np.bincount; the seeded stream is unchanged."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counts_pinned_for_fixed_seed(self, backend):
+        layout = RegisterLayout.of(("q", 3))
+        amps = {0: 0.5, 2: 0.5j, 5: -0.5, 7: 0.5 * (1 + 1j) / math.sqrt(2)}
+        counts = inject_state(layout, amps, backend).sample(seed=2026, n_trials=1000)
+        assert counts == {0: 223, 2: 241, 5: 267, 7: 269}
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_counts_pinned_for_random_state(self, backend):
+        layout = RegisterLayout.of(("a", 2), ("b", 3))
+        amps = random_state_map(np.random.default_rng(17), 5, 12)
+        counts = make_state(layout, amps, backend).sample(seed=123456789, n_trials=5000)
+        assert counts == {
+            1: 534, 2: 709, 3: 566, 6: 522, 10: 832, 11: 153,
+            12: 426, 14: 44, 15: 312, 18: 185, 20: 596, 30: 121,
+        }
+
+
+class TestSampledDensity:
+    def test_cli_reads_density_once_when_sampling(self, monkeypatch):
+        calls = []
+        original = cli.charge_density
+
+        def counting(state, layout, plan=None):
+            calls.append(plan)
+            return original(state, layout, plan)
+
+        monkeypatch.setattr(cli, "charge_density", counting)
+        config = cli.parse_config({
+            "formalism": "second",
+            "lattice": {"m": 2, "boundary": "open"},
+            "params": {"V0": 4.0, "t0": 1.0},
+            "particles": [[1, "up"], [2, "down"]],
+            "plan": {"t": 0.5, "r": 4},
+            "observables": [{"kind": "charge_density"}],
+            "sampling": {"N": 500, "seed": 3},
+            "backend": "sparse",
+        })
+        document = cli.execute_run(config)
+        assert len(calls) == 1 and calls[0] is not None  # one sampled call, no exact one
+        values = document["observables"][0]["values"]
+        assert all(v["sampled"] is not None for v in values)
