@@ -8,7 +8,8 @@ to zero exactly:
   1. rank preparation: register B becomes a uniform superposition over
      "falling rank" tuples, B[i] in 1..n-i+1, one component per permutation;
   2. rank decode: each rank tuple is rewritten in place into the permutation
-     it indexes (B[i] becomes the B[i]-th natural number not used so far);
+     it indexes (B[i] becomes the B[i]-th natural number not used so far),
+     through an n!-entry table applied to the support only;
   3. identity assignment: register C is set to (1, 2, ..., n);
   4. record-keeping sort: a fixed compare-exchange schedule sorts B while
      co-moving A and C, writing one record bit per schedule slot and
@@ -23,9 +24,10 @@ against the constant 1..n, A is unsorted, and the final record is erased from
 the transcript of A itself, which is valid because A's branch content has the
 same order pattern as the key it was co-moved with.
 
-Every step is a branch-wise rewrite of basis strings plus one exact sign flip,
-so the pipeline runs on the sparse backend at any register width.  Labels are
-stored as value-minus-one in binary.
+Every step is a rewrite of the support's key array (register words are read
+as int64 arrays) plus one exact sign flip, so the pipeline runs on the sparse
+backend at any register width; its cost is the n! branches per input branch,
+which MAX_PARTICLES bounds.  Labels are stored as value-minus-one in binary.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from fermisim.state import (
+    KEY_BITS,
     InvariantViolation,
     QuantumState,
     RegisterLayout,
@@ -45,6 +48,10 @@ from fermisim.state import (
 )
 
 MODES = ("fermi", "bose")
+# Every input branch becomes n! branches carrying all three word registers:
+# n = 8 on m = 8 (40320 branches) takes about a minute and 1.6 GB end to end,
+# and each further particle multiplies that by n.
+MAX_PARTICLES = 8
 
 
 def oblivious_schedule(n: int) -> tuple[tuple[int, int], ...]:
@@ -87,8 +94,11 @@ class QuWordLayout:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"particle count must be a positive integer, got {self.n!r}")
-        if not isinstance(self.word_bits, int) or self.word_bits < 1:
-            raise ValueError(f"word width must be a positive integer, got {self.word_bits!r}")
+        if self.n > MAX_PARTICLES:
+            raise ValueError(f"{self.n} particles exceed the limit of {MAX_PARTICLES}")
+        # The stages read words as int64 arrays.
+        if not isinstance(self.word_bits, int) or not 1 <= self.word_bits <= KEY_BITS:
+            raise ValueError(f"word width must be an integer in 1..{KEY_BITS}, got {self.word_bits!r}")
         if self.n > self.capacity:
             raise ValueError(
                 f"{self.n} distinct labels cannot fit in {self.word_bits}-bit words"
@@ -138,10 +148,20 @@ class RegisterBank:
         """(offset, mask) of a whole register within the basis string."""
         return self.layout.offset(name), (1 << self.layout.register_width(name)) - 1
 
-    def get_words(self, basis: int, name: str) -> list[int]:
+    def get_words(self, basis, name: str) -> list:
+        """The register's words: ints for a basis string, int64 arrays for a key array."""
         off = self.layout.offset(name)
         w = self.word_bits
-        return [(basis >> (off + i * w)) & self._word_mask for i in range(self.n)]
+        words = [(basis >> (off + i * w)) & self._word_mask for i in range(self.n)]
+        return [v.astype(np.int64) for v in words] if isinstance(basis, np.ndarray) else words
+
+    def with_words(self, keys: np.ndarray, name: str, words) -> np.ndarray:
+        """Key array with the register's words replaced by the arrays `words`."""
+        off, mask = self.block(name)
+        keys = keys & ~(mask << off)
+        for i, v in enumerate(words):
+            keys = keys | (v.astype(keys.dtype) << (off + i * self.word_bits))
+        return keys
 
     def set_words(self, basis: int, name: str, values) -> int:
         return self.layout.with_field(basis, name, self.pack(values))
@@ -160,10 +180,9 @@ class RegisterBank:
         w = self.word_bits
         return [(off + i * w, w) for i in range(self.n)]
 
-    def ancillas_clear(self, basis: int) -> bool:
-        return all(
-            self.layout.field(basis, reg) == 0 for reg in ("B", "C", "rec", "par")
-        )
+    def ancillas_clear(self, basis):
+        """B, C, record and parity all zero (elementwise on a key array)."""
+        return (basis >> self.layout.offset("B")) == 0
 
     def identity_block(self) -> int:
         """Packed encoding of the constant tuple (1, 2, ..., n)."""
@@ -173,51 +192,31 @@ class RegisterBank:
         return _rank_blocks(self.n, self.word_bits)
 
 
+def _rank_tuples(n: int):
+    """Every falling-rank tuple (B[i] in 1..n-i), n! of them."""
+    return itertools.product(*(range(1, n - i + 1) for i in range(n)))
+
+
 @lru_cache(maxsize=None)
 def _rank_blocks(n: int, word_bits: int) -> tuple[int, ...]:
-    """Packed encodings of every falling-rank tuple (B[i] in 1..n-i), n! of them."""
-    w = word_bits
-    blocks = []
-    for ranks in itertools.product(*(range(n - i) for i in range(n))):
-        block = 0
-        for i, r in enumerate(ranks):
-            block |= r << (i * w)
-        blocks.append(block)
-    return tuple(blocks)
+    """Packed encodings of every falling-rank tuple."""
+    return tuple(encode_labels(ranks, word_bits) for ranks in _rank_tuples(n))
 
 
 @lru_cache(maxsize=None)
-def _rank_decode_table(n: int, word_bits: int) -> tuple[int, ...]:
-    """Total bijection on the B block extending the rank-tuple -> permutation decode.
+def _decode_table(n: int, word_bits: int, inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The rank decode (or its inverse) on the n! rank blocks: (sources ascending, targets).
 
-    Rank tuples map to the permutation they index; the remaining values are
-    matched to the remaining targets in increasing order, which keeps the map
-    a genuine basis permutation without affecting decoded branches.
+    The n! targets are checked distinct once, here, which makes the decode a
+    bijection between rank blocks and permutations.
     """
-    w = word_bits
-    mask = (1 << w) - 1
-    dim = 1 << (n * w)
-    if dim > (1 << 22):
-        raise ValueError("rank decode table too large for this label width")
-    table = [-1] * dim
-    taken = set()
-    for block in range(dim):
-        words = [(block >> (i * w)) & mask for i in range(n)]
-        ranks = [v + 1 for v in words]
-        if not all(1 <= ranks[i] <= n - i for i in range(n)):
-            continue
-        remaining = list(range(1, n + 1))
-        perm = [remaining.pop(r - 1) for r in ranks]
-        target = 0
-        for i, p in enumerate(perm):
-            target |= (p - 1) << (i * w)
-        table[block] = target
-        taken.add(target)
-    spare = iter(t for t in range(dim) if t not in taken)
-    for block in range(dim):
-        if table[block] < 0:
-            table[block] = next(spare)
-    return tuple(table)
+    blocks = _rank_blocks(n, word_bits)
+    perms = [encode_labels(decode_rank_tuple(ranks), word_bits) for ranks in _rank_tuples(n)]
+    if len(set(perms)) != len(perms):
+        raise InvariantViolation("rank decode sends two rank tuples to one permutation")
+    pairs = sorted(zip(perms, blocks) if inverse else zip(blocks, perms))
+    dtype = np.int64 if n * word_bits <= KEY_BITS else object
+    return tuple(np.array(column, dtype=dtype) for column in zip(*pairs))
 
 
 def decode_rank_tuple(ranks: tuple[int, ...]) -> tuple[int, ...]:
@@ -279,10 +278,9 @@ def _as_branches(configuration) -> list[tuple[tuple[int, ...], complex]]:
 
 def superpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
     """Split every branch into the uniform rank superposition on B (amplitude n!**-0.5 each)."""
-    off, mask = bank.block("B")
-    for b in state.support():
-        if (b >> off) & mask:
-            raise ValueError("register B must be zero before the rank preparation")
+    if bank.layout.field(state.gather()[0], "B").any():
+        raise ValueError("register B must be zero before the rank preparation")
+    off = bank.layout.offset("B")
     blocks = bank.rank_blocks()
     coeff = 1.0 / math.sqrt(len(blocks))
     state._scatter_support(lambda b: [(b | (blk << off), coeff) for blk in blocks])
@@ -306,37 +304,36 @@ def unsuperpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
 
 def ranks_to_permutation(state: QuantumState, bank: RegisterBank) -> None:
     """Rewrite each B rank tuple into the permutation of 1..n it indexes, in place."""
-    _apply_block_table(state, bank, _rank_decode_table(bank.n, bank.word_bits), check_ranks=True)
+    _relabel_b(state, bank, _decode_table(bank.n, bank.word_bits),
+               "register B holds an out-of-range rank component")
 
 
 def permutation_to_ranks(state: QuantumState, bank: RegisterBank) -> None:
-    table = _rank_decode_table(bank.n, bank.word_bits)
-    inverse = [0] * len(table)
-    for i, t in enumerate(table):
-        inverse[t] = i
-    _apply_block_table(state, bank, tuple(inverse), check_ranks=False)
+    _relabel_b(state, bank, _decode_table(bank.n, bank.word_bits, inverse=True),
+               "register B does not hold a permutation")
 
 
-def _apply_block_table(state, bank, table, check_ranks: bool) -> None:
-    off, mask = bank.block("B")
-    if check_ranks:
-        valid = frozenset(bank.rank_blocks())
-        for b in state.support():
-            if ((b >> off) & mask) not in valid:
-                raise ValueError("register B holds an out-of-range rank component")
-    state.apply_basis_permutation(
-        lambda b: (b & ~(mask << off)) | (table[(b >> off) & mask] << off)
-    )
+def _relabel_b(state, bank, table, error: str) -> None:
+    # B moves from sources[k] to targets[k]; the table covers the support only,
+    # so _move_keys checks injectivity there instead of on the full domain.
+    sources, targets = table
+    layout = bank.layout
+
+    def mapping(keys):
+        values = layout.field(keys, "B")
+        at = np.minimum(np.searchsorted(sources, values), len(sources) - 1)
+        if (sources[at] != values).any():
+            raise ValueError(error)
+        return layout.with_field(keys, "B", targets[at])
+
+    state._move_keys(mapping)
 
 
 def assign_identity(state: QuantumState, bank: RegisterBank) -> None:
     """Set register C to the constant tuple (1, 2, ..., n); C must be zero."""
-    off, mask = bank.block("C")
-    for b in state.support():
-        if (b >> off) & mask:
-            raise ValueError("register C is not zero (identity already assigned?)")
-    shift = bank.identity_block() << off
-    state.apply_basis_permutation(lambda b: b ^ shift)
+    if bank.layout.field(state.gather()[0], "C").any():
+        raise ValueError("register C is not zero (identity already assigned?)")
+    _xor_constant_block(state, bank, "C", bank.identity_block())
 
 
 def sort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved: tuple[str, ...]) -> None:
@@ -345,60 +342,18 @@ def sort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved
     Each executed exchange sets its record bit and flips the parity bit.  The
     record slots must be zero going in; keys are compared as whole words.
     """
-    schedule = bank.schedule
-    rec_off, rec_mask = bank.block("rec")
-    par_off, _ = bank.block("par")
-
-    def rewrite(b: int) -> int:
-        if (b >> rec_off) & rec_mask:
-            raise ValueError("exchange record is not zero before sorting")
-        keys = bank.get_words(b, key)
-        others = {reg: bank.get_words(b, reg) for reg in co_moved}
-        rec = 0
-        swaps = 0
-        for slot, (i, j) in enumerate(schedule):
-            if keys[i] > keys[j]:
-                keys[i], keys[j] = keys[j], keys[i]
-                for vals in others.values():
-                    vals[i], vals[j] = vals[j], vals[i]
-                rec |= 1 << slot
-                swaps += 1
-        b = bank.set_words(b, key, keys)
-        for reg, vals in others.items():
-            b = bank.set_words(b, reg, vals)
-        b |= rec << rec_off
-        b ^= (swaps & 1) << par_off
-        return b
-
-    state._move_support(rewrite)
+    if bank.layout.field(state.gather()[0], "rec").any():
+        raise ValueError("exchange record is not zero before sorting")
+    _erase_record_from(state, bank, key)  # the zero record becomes the key's transcript
+    _walk_record(state, bank, (key, *co_moved), forwards=True)
+    _clear_parity_bit(state, bank)
 
 
 def unsort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved: tuple[str, ...]) -> None:
-    """Exact inverse of sort_with_record: replay the record backwards and clear it."""
-    schedule = bank.schedule
-    rec_off, rec_mask = bank.block("rec")
-    par_off, _ = bank.block("par")
-
-    def rewrite(b: int) -> int:
-        rec = (b >> rec_off) & rec_mask
-        keys = bank.get_words(b, key)
-        others = {reg: bank.get_words(b, reg) for reg in co_moved}
-        swaps = 0
-        for slot in range(len(schedule) - 1, -1, -1):
-            if rec & (1 << slot):
-                i, j = schedule[slot]
-                keys[i], keys[j] = keys[j], keys[i]
-                for vals in others.values():
-                    vals[i], vals[j] = vals[j], vals[i]
-                swaps += 1
-        b = bank.set_words(b, key, keys)
-        for reg, vals in others.items():
-            b = bank.set_words(b, reg, vals)
-        b &= ~(rec_mask << rec_off)
-        b ^= (swaps & 1) << par_off
-        return b
-
-    state._move_support(rewrite)
+    """Exact inverse of sort_with_record: its steps undone in reverse order."""
+    _clear_parity_bit(state, bank)
+    _walk_record(state, bank, (key, *co_moved), forwards=False)
+    _erase_record_from(state, bank, key)
 
 
 def parity_phase(state: QuantumState, bank: RegisterBank, mode: str = "fermi") -> None:
@@ -416,91 +371,83 @@ def check_mode(mode: str) -> None:
 
 
 def _clear_parity_bit(state, bank) -> None:
-    # The parity bit equals the record's bit parity, so it can be erased
-    # against the record while the record is still intact.
-    rec_off, rec_mask = bank.block("rec")
-    par_off, _ = bank.block("par")
-    state.apply_basis_permutation(
-        lambda b: b ^ ((((b >> rec_off) & rec_mask).bit_count() & 1) << par_off)
+    # XOR the record's bit parity into the parity bit.  After a sort the two
+    # are equal, so this erases the parity bit while the record is intact.
+    par_off = bank.layout.offset("par")
+    state.apply_basis_map(
+        lambda keys: keys ^ (
+            (np.bitwise_count(bank.layout.field(keys, "rec")) & 1).astype(keys.dtype) << par_off
+        )
     )
 
 
-def _replay_record(state, bank, register: str) -> None:
-    # Replay the recorded exchanges backwards on a single register, leaving
-    # the record in place.
-    schedule = bank.schedule
-    rec_off, rec_mask = bank.block("rec")
+def _walk_record(state, bank, registers: tuple[str, ...], forwards: bool) -> None:
+    # Exchange the registers' words at every schedule slot whose record bit is
+    # set: forwards redoes a sort's exchanges, backwards undoes them.  The
+    # record itself is left in place.
+    slots = list(enumerate(bank.schedule))
+    if not forwards:
+        slots.reverse()
 
-    def mapping(b: int) -> int:
-        rec = (b >> rec_off) & rec_mask
-        vals = bank.get_words(b, register)
-        for slot in range(len(schedule) - 1, -1, -1):
-            if rec & (1 << slot):
-                i, j = schedule[slot]
-                vals[i], vals[j] = vals[j], vals[i]
-        return bank.set_words(b, register, vals)
+    def mapping(keys):
+        rec = bank.layout.field(keys, "rec")
+        words = [bank.get_words(keys, reg) for reg in registers]
+        for slot, (i, j) in slots:
+            hit = ((rec >> slot) & 1).astype(bool)
+            for vals in words:
+                vals[i], vals[j] = np.where(hit, vals[j], vals[i]), np.where(hit, vals[i], vals[j])
+        for reg, vals in zip(registers, words):
+            keys = bank.with_words(keys, reg, vals)
+        return keys
 
-    state.apply_basis_permutation(mapping)
-
-
-def _redo_record(state, bank, register: str) -> None:
-    # Inverse of _replay_record: apply the recorded exchanges forwards.
-    schedule = bank.schedule
-    rec_off, rec_mask = bank.block("rec")
-
-    def mapping(b: int) -> int:
-        rec = (b >> rec_off) & rec_mask
-        vals = bank.get_words(b, register)
-        for slot, (i, j) in enumerate(schedule):
-            if rec & (1 << slot):
-                vals[i], vals[j] = vals[j], vals[i]
-        return bank.set_words(b, register, vals)
-
-    state.apply_basis_permutation(mapping)
+    state.apply_basis_map(mapping)
 
 
-def _transcript(values, schedule) -> int:
+def _transcript(values, schedule) -> np.ndarray:
+    # Record bits of sorting the word arrays `values` along the schedule.
     vals = list(values)
-    rec = 0
+    rec = np.zeros(len(vals[0]), dtype=np.int64)
     for slot, (i, j) in enumerate(schedule):
-        if vals[i] > vals[j]:
-            vals[i], vals[j] = vals[j], vals[i]
-            rec |= 1 << slot
+        rec |= (vals[i] > vals[j]).astype(np.int64) << slot
+        vals[i], vals[j] = np.minimum(vals[i], vals[j]), np.maximum(vals[i], vals[j])
     return rec
 
 
 def _erase_record_from(state, bank, register: str) -> None:
     # XOR the record with the transcript of sorting the named register's
     # current contents; erases it exactly when they coincide.
-    schedule = bank.schedule
-    rec_off, _ = bank.block("rec")
-    state.apply_basis_permutation(
-        lambda b: b ^ (_transcript(bank.get_words(b, register), schedule) << rec_off)
+    rec_off = bank.layout.offset("rec")
+    state.apply_basis_map(
+        lambda keys: keys ^ (
+            _transcript(bank.get_words(keys, register), bank.schedule).astype(keys.dtype) << rec_off
+        )
     )
 
 
 def _erase_permutation_against_positions(state, bank) -> None:
     # B[i] currently holds sigma(i) and C[j] holds sigma^-1(j), so sigma(i) is
     # the position of value i in C; XORing that position into B clears it.
-    def mapping(b: int) -> int:
-        cvals = bank.get_words(b, "C")
-        position = {}
-        for idx, v in enumerate(cvals):
-            position.setdefault(v + 1, idx + 1)
-        bvals = bank.get_words(b, "B")
-        new_b = [bv ^ (position.get(i + 1, 1) - 1) for i, bv in enumerate(bvals)]
-        return bank.set_words(b, "B", new_b)
+    # Where i occurs more than once its first position counts, and 0 where it
+    # does not occur.
+    def mapping(keys):
+        cvals = bank.get_words(keys, "C")
+        bvals = bank.get_words(keys, "B")
+        for i in range(bank.n):
+            position = np.zeros(len(keys), dtype=np.int64)
+            for j in reversed(range(bank.n)):
+                position = np.where(cvals[j] == i, j, position)
+            bvals[i] = bvals[i] ^ position
+        return bank.with_words(keys, "B", bvals)
 
-    state.apply_basis_permutation(mapping)
+    state.apply_basis_map(mapping)
 
 
 def _xor_constant_block(state, bank, register: str, expect: int) -> None:
-    off, mask = bank.block(register)
-    for b in state.support():
-        if ((b >> off) & mask) != expect and ((b >> off) & mask) != 0:
-            raise InvariantViolation(f"register {register} holds neither 0 nor the expected constant")
-    shift = expect << off
-    state.apply_basis_permutation(lambda b: b ^ shift)
+    field = bank.layout.field(state.gather()[0], register)
+    if ((field != expect) & (field != 0)).any():
+        raise InvariantViolation(f"register {register} holds neither 0 nor the expected constant")
+    shift = expect << bank.layout.offset(register)
+    state.apply_basis_map(lambda keys: keys ^ shift)
 
 
 # ------------------------------------------------------------------- pipeline
@@ -528,31 +475,30 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
     sort_with_record(state, bank, "B", ("A", "C"))
     parity_phase(state, bank, mode)
     _clear_parity_bit(state, bank)
-    _replay_record(state, bank, "B")
+    _walk_record(state, bank, ("B",), forwards=False)
     _erase_record_from(state, bank, "B")
     _erase_permutation_against_positions(state, bank)
     sort_with_record(state, bank, "C", ("A",))
     _clear_parity_bit(state, bank)
     _xor_constant_block(state, bank, "C", bank.identity_block())
-    _replay_record(state, bank, "A")
+    _walk_record(state, bank, ("A",), forwards=False)
     _erase_record_from(state, bank, "A")
 
-    for b in state.support():
-        if not bank.ancillas_clear(b):
-            raise InvariantViolation("ancilla registers were not returned to zero")
+    if not bank.ancillas_clear(state.gather()[0]).all():
+        raise InvariantViolation("ancilla registers were not returned to zero")
 
 
 def antisymmetrize_inverse(state: QuantumState, bank: RegisterBank, mode: str = "fermi") -> None:
     """Inverse pipeline; maps antisymmetrize's output back to the ordered input."""
     check_mode(mode)
     _erase_record_from(state, bank, "A")
-    _redo_record(state, bank, "A")
+    _walk_record(state, bank, ("A",), forwards=True)
     _xor_constant_block(state, bank, "C", bank.identity_block())
     _clear_parity_bit(state, bank)
     unsort_with_record(state, bank, "C", ("A",))
     _erase_permutation_against_positions(state, bank)
     _erase_record_from(state, bank, "B")
-    _redo_record(state, bank, "B")
+    _walk_record(state, bank, ("B",), forwards=True)
     _clear_parity_bit(state, bank)
     parity_phase(state, bank, mode)
     unsort_with_record(state, bank, "B", ("A", "C"))

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from fermisim import __version__
 from fermisim.antisym import (
+    MAX_PARTICLES,
     QuWordLayout,
     RegisterBank,
     antisymmetrize,
@@ -64,16 +65,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Sampling:
-    n_trials: int
-    seed: int
-    epsilon: float = 0.1
-
-    def to_dict(self) -> dict:
-        return {"N": self.n_trials, "seed": self.seed, "epsilon": self.epsilon}
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """One fully validated evolution run."""
 
@@ -86,7 +77,7 @@ class RunConfig:
     plan_t: float
     plan_r: int
     observables: tuple
-    sampling: Sampling | None
+    sampling: SamplingPlan | None
     backend: str
     mode: str
 
@@ -98,7 +89,8 @@ class RunConfig:
             "particles": [list(p) if isinstance(p, tuple) else p for p in self.particles],
             "plan": {"t": self.plan_t, "r": self.plan_r},
             "observables": [dict(entry) for entry in self.observables],
-            "sampling": self.sampling.to_dict() if self.sampling else None,
+            "sampling": {"N": self.sampling.n_trials, "seed": self.sampling.seed,
+                         "epsilon": self.sampling.epsilon} if self.sampling else None,
             "backend": self.backend,
             "mode": self.mode,
         }
@@ -159,6 +151,8 @@ def _parse_particles(raw, formalism, m, path):
     labels = [_as_int(v, f"{path}[{i}]") for i, v in enumerate(raw)]
     if len(labels) > 2 * m:
         raise ConfigError(f"{path}: {len(labels)} particles exceed the 2m = {2 * m} modes")
+    if len(labels) > MAX_PARTICLES:
+        raise ConfigError(f"{path}: {len(labels)} particles exceed the limit of {MAX_PARTICLES}")
     for i, v in enumerate(labels):
         if not 1 <= v <= 2 * m:
             raise ConfigError(f"{path}[{i}]: label must lie in 1..{2 * m}, got {v}")
@@ -258,7 +252,10 @@ def parse_config(raw) -> RunConfig:
         extras = set(block) - {"N", "seed", "epsilon"}
         if extras:
             raise ConfigError(f"sampling: unknown fields {sorted(extras)}")
-        sampling = Sampling(n_trials=n_trials, seed=seed, epsilon=epsilon)
+        try:
+            sampling = SamplingPlan(seed=seed, n_trials=n_trials, epsilon=epsilon)
+        except ValueError as exc:  # N and epsilon passed above, so this is the seed
+            raise ConfigError(f"sampling.seed: {exc}") from None
 
     return RunConfig(
         formalism=formalism, m=m, boundary=boundary, v0=v0, t0=t0,
@@ -336,15 +333,8 @@ def execute_run(config: RunConfig) -> dict:
         trotter_evolve_fq(state, layout, params, plan, mode=config.mode)
         counts = op_count_fq(layout, plan)
 
-    sampling_plan = None
-    if config.sampling is not None:
-        sampling_plan = SamplingPlan(
-            seed=config.sampling.seed,
-            n_trials=config.sampling.n_trials,
-            epsilon=config.sampling.epsilon,
-        )
     measured = [
-        _evaluate(entry, state, layout, params, lattice, sampling_plan)
+        _evaluate(entry, state, layout, params, lattice, config.sampling)
         for entry in config.observables
     ]
     return {
@@ -414,9 +404,10 @@ def cmd_evolve(config_path: str, output_path: str,
         if seed_override is not None:
             if config.sampling is None:
                 raise ConfigError("--seed: config has no sampling block to reseed")
-            if seed_override < 0:
-                raise ConfigError(f"--seed: must be nonnegative, got {seed_override}")
-            config = replace(config, sampling=replace(config.sampling, seed=seed_override))
+            try:
+                config = replace(config, sampling=replace(config.sampling, seed=seed_override))
+            except ValueError as exc:
+                raise ConfigError(f"--seed: {exc}") from None
     except ConfigError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
@@ -449,15 +440,17 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
         return 2
 
     n = len(labels)
-    word_bits = max(2, max(labels).bit_length())
-    bank = RegisterBank(QuWordLayout(n, word_bits))
     try:
+        bank = RegisterBank(QuWordLayout(n, max(2, max(labels).bit_length())))
         state = prepare_ordered_input(bank, labels)
         antisymmetrize(state, bank, mode)
         out = collapse_ancillas(state, bank)
     except InvariantViolation as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     want = slater_antisymmetrize(labels, mode)
     amplitudes = []

@@ -121,30 +121,29 @@ def build_fq_hamiltonian(
     return h
 
 
-def propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i*h*t) for Hermitian h, via eigendecomposition."""
+def _hermitian_eigh(h) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a square matrix checked Hermitian to working precision."""
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     scale = max(1.0, float(np.abs(h).max()))
     if np.abs(h - h.conj().T).max() > HERMITIAN_TOL * scale:
         raise ValueError("matrix is not Hermitian to working precision")
-    vals, vecs = np.linalg.eigh(h)
+    return np.linalg.eigh(h)
+
+
+def propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i*h*t) for Hermitian h, via eigendecomposition."""
+    vals, vecs = _hermitian_eigh(h)
     return (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
 
 
 def expm_propagate(h: np.ndarray, t: float, v: np.ndarray) -> np.ndarray:
     """exp(-i*h*t) @ v for Hermitian h, without materializing the propagator."""
-    h = np.asarray(h)
+    vals, vecs = _hermitian_eigh(h)
     v = np.asarray(v, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    if v.shape != (h.shape[0],):
-        raise ValueError(f"vector shape {v.shape} does not match dimension {h.shape[0]}")
-    scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.conj().T).max() > HERMITIAN_TOL * scale:
-        raise ValueError("matrix is not Hermitian to working precision")
-    vals, vecs = np.linalg.eigh(h)
+    if v.shape != vals.shape:
+        raise ValueError(f"vector shape {v.shape} does not match dimension {len(vals)}")
     return (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ v)
 
 

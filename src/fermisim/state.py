@@ -122,6 +122,8 @@ class RegisterLayout:
     def keys(self, values) -> np.ndarray:
         """Basis strings as a key array of this layout's key dtype."""
         keys = np.asarray(values)
+        if keys.dtype.kind in "uf" and not isinstance(values, np.ndarray):
+            keys = np.asarray(values, dtype=object)  # Python ints past int64 infer as uint64 or float64
         if keys.dtype == object:
             keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # in-range Python ints
         elif keys.size and keys.dtype.kind not in "iu":
@@ -507,10 +509,6 @@ class QuantumState:
         if distinct_keys(targets).size != targets.size:
             raise ValueError("mapping is not injective on the support")
         self._replace(targets, amps)
-
-    def _move_support(self, mapping: Callable[[int], int]) -> None:
-        """Per-string relocation with the support injectivity check only."""
-        self._move_keys(_per_string(mapping))
 
     def _scatter_support(self, expand: Callable[[int], Iterable[tuple[int, complex]]]) -> None:
         """Replace each support string b by the weighted strings expand(b) yields.

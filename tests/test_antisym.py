@@ -22,8 +22,11 @@ from fermisim.antisym import (
     superpose_ranks,
     transposition_test,
     unsuperpose_ranks,
-    _rank_decode_table,
+    _decode_table,
+    MAX_PARTICLES,
+    ranks_to_permutation,
 )
+from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric
 from fermisim.oracle import slater_antisymmetrize
 from fermisim.state import InvariantViolation, RegisterLayout, init_basis_state, validation_mode
 
@@ -89,12 +92,25 @@ class TestRankMachinery:
 
     @pytest.mark.parametrize("n,w", [(2, 1), (2, 2), (3, 2), (3, 3)])
     def test_decode_table_is_a_bijection(self, n, w):
-        table = _rank_decode_table(n, w)
-        assert sorted(table) == list(range(1 << (n * w)))
+        blocks, perms = _decode_table(n, w)
+        assert sorted(blocks.tolist()) == sorted(RegisterBank(QuWordLayout(n, w)).rank_blocks())
+        assert len(set(perms.tolist())) == len(perms) == math.factorial(n)
+
+    def test_decode_rejects_out_of_range_ranks(self):
+        bank = RegisterBank(QuWordLayout(2, 2))
+        # B[1] = 2 is out of range: the last rank component is always 1.
+        state = init_basis_state(bank.layout, bank.set_words(0, "B", [0, 1]), "sparse")
+        with pytest.raises(ValueError, match="out-of-range rank"):
+            ranks_to_permutation(state, bank)
+
+    def test_particle_limit(self):
+        assert QuWordLayout(MAX_PARTICLES, 4).n == MAX_PARTICLES
+        with pytest.raises(ValueError, match="limit"):
+            QuWordLayout(MAX_PARTICLES + 1, 4)
 
     @pytest.mark.parametrize("n,w", [(2, 2), (3, 2)])
     def test_decode_table_matches_reference_decode(self, n, w):
-        table = _rank_decode_table(n, w)
+        table = dict(zip(*(column.tolist() for column in _decode_table(n, w))))
         for ranks in _all_rank_tuples(n):
             block = sum((r - 1) << (i * w) for i, r in enumerate(ranks))
             perm = decode_rank_tuple(ranks)
@@ -286,6 +302,36 @@ class TestPipeline:
         state = prepare_ordered_input(bank, [((1, 2, 3), 0.6), ((1, 3, 4), 0.8)])
         before = state.to_map()
         antisymmetrize(state, bank, mode)
+        antisymmetrize_inverse(state, bank, mode)
+        after = state.to_map()
+        assert set(after) == set(before)
+        for b, a in before.items():
+            assert after[b] == pytest.approx(a, abs=1e-12)
+
+    @pytest.mark.parametrize("labels", [(1, 2, 3, 4, 5, 9), (1, 3, 4, 6, 8, 11, 16)])
+    def test_large_n_matches_determinant_expansion(self, labels):
+        # n * w = 24 and 28 bits of B: beyond any total table over B's values.
+        want = slater_antisymmetrize(labels, "fermi")
+        got = pipeline_amplitudes(labels, "fermi", word_bits=4)  # checks ancillas clear
+        assert set(got) == set(want)
+        for perm, amp in want.items():
+            assert got[perm] == pytest.approx(amp, abs=1e-12)
+
+        layout = FirstQuantizedLayout(n=len(labels), m=8)
+        keys, amps = prepare_antisymmetric(layout, labels).gather()
+        words = [((keys >> (4 * k)) & 15) + 1 for k in range(len(labels))]
+        assert len(keys) == len(want)
+        for perm, amp in zip(zip(*(w.tolist() for w in words)), amps):
+            assert amp == pytest.approx(want[perm], abs=1e-12)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_inverse_restores_ordered_input_on_wide_keys(self, mode):
+        bank = RegisterBank(QuWordLayout(5, 4))
+        assert bank.layout.key_dtype == object  # 70 qubits
+        state = prepare_ordered_input(bank, [((1, 4, 6, 9, 12), 0.6), ((2, 3, 5, 7, 16), 0.8j)])
+        before = state.to_map()
+        antisymmetrize(state, bank, mode)
+        assert len(state.support()) == 2 * 120
         antisymmetrize_inverse(state, bank, mode)
         after = state.to_map()
         assert set(after) == set(before)

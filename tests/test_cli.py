@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fermisim.cli import ConfigError, RunConfig, cmd_antisym, main, parse_config
+from fermisim.observables import SamplingPlan
 from fermisim.state import set_validation_mode
 
 
@@ -114,6 +115,21 @@ class TestConfigParsing:
         mangle(raw)
         with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):
             parse_config(raw)
+
+    def test_sampling_block_becomes_a_sampling_plan(self):
+        config = parse_config(base_config())
+        assert config.sampling == SamplingPlan(seed=3, n_trials=200, epsilon=0.1)
+
+    def test_seed_past_64_bits_rejected_at_parse_time(self):
+        with pytest.raises(ConfigError, match="sampling.seed"):
+            parse_config(base_config(sampling={"N": 10, "seed": 2**64}))
+
+    def test_first_quantized_particle_limit(self):
+        raw = base_config(formalism="first", lattice={"m": 8}, particles=list(range(1, 10)))
+        with pytest.raises(ConfigError, match="particles"):
+            parse_config(raw)
+        raw["particles"] = list(range(1, 9))
+        assert len(parse_config(raw).particles) == 8
 
     def test_momentum_particle_range_checked(self):
         raw = base_config(
@@ -218,6 +234,12 @@ class TestEvolve:
         assert code == 2
         assert "sampling" in capsys.readouterr().err
 
+    def test_seed_override_past_64_bits_is_a_user_error(self, tmp_path, capsys):
+        code, output = run_evolve(tmp_path, base_config(), "--seed", str(2**64))
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not output.exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["evolve", "--config", str(tmp_path / "absent.json"),
                      "--output", str(tmp_path / "out.json")])
@@ -319,6 +341,23 @@ class TestAntisym:
         code, _ = self.run(tmp_path, labels)
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("labels,branches", [("1,2,3,4,5,9", 720), ("1,2,3,4,5,6,300", 5040)])
+    def test_labels_past_the_old_table_cap(self, tmp_path, labels, branches):
+        code, output = self.run(tmp_path, labels)
+        assert code == 0
+        document = json.loads(output.read_text())
+        assert len(document["amplitudes"]) == branches
+        assert abs(document["fidelity"] - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("labels", ["1,2,3,4,5,6,7,8,9", f"1,{2**70}"])
+    def test_unsupported_labels_exit_two_without_traceback(self, tmp_path, labels, capsys):
+        code, output = self.run(tmp_path, labels)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not output.exists()
 
     def test_mode_validated_when_called_directly(self, tmp_path, capsys):
         code = cmd_antisym(("1", "2"), "anyonic", str(tmp_path / "map.json"))

@@ -252,6 +252,14 @@ def _assert_maps_close(state, want, atol=1e-12):
 
 
 class TestWideKeys:
+    def test_python_ints_past_int64_keep_their_value(self):
+        # numpy infers float64 for a list mixing small ints with ints >= 2**63.
+        layout = RegisterLayout.of(("q", 64))
+        big = (1 << 63) + 1
+        assert layout.keys([5, big]).tolist() == [5, big]
+        state = inject_state(layout, {5: 0.6, big: 0.8}, "sparse")
+        assert state.support() == [5, big]
+
     def test_keys_are_python_ints(self):
         state = inject_state(WIDE, _wide_amps(), "sparse")
         keys = state.gather()[0]
