@@ -288,18 +288,22 @@ def superpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
 
 def unsuperpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
     """Adjoint of superpose_ranks, defined on states in its image."""
+    # Group the support by its bits outside B.  In the image every group holds
+    # each rank block once; keys are distinct, so a group of n! entries whose
+    # B values are all rank blocks holds each of them.
     off, mask = bank.block("B")
-    blocks = bank.rank_blocks()
+    keys, amps = state.gather()
+    values = bank.layout.field(keys, "B")
+    blocks = np.array(sorted(bank.rank_blocks()), dtype=values.dtype)
+    at = np.minimum(np.searchsorted(blocks, values), len(blocks) - 1)
+    base = keys & ~(mask << off)
+    order = np.argsort(base, kind="stable")
+    base = base[order]
+    starts = np.flatnonzero(np.concatenate(([True], base[1:] != base[:-1])))
+    if (blocks[at] != values).any() or (np.diff(starts, append=len(base)) != len(blocks)).any():
+        raise ValueError("state is not in the image of the rank preparation")
     coeff = 1.0 / math.sqrt(len(blocks))
-    grouped: dict[int, dict[int, complex]] = {}
-    for b, a in state.to_map().items():
-        grouped.setdefault(b & ~(mask << off), {})[(b >> off) & mask] = a
-    merged = {}
-    for base, parts in grouped.items():
-        if set(parts) != set(blocks):
-            raise ValueError("state is not in the image of the rank preparation")
-        merged[base] = sum(parts.values()) * coeff
-    state._set_map(merged)
+    state._replace(base[starts], np.add.reduceat(amps[order], starts) * coeff)
 
 
 def ranks_to_permutation(state: QuantumState, bank: RegisterBank) -> None:
@@ -361,8 +365,7 @@ def parity_phase(state: QuantumState, bank: RegisterBank, mode: str = "fermi") -
     check_mode(mode)
     if mode == "bose":
         return
-    par_off, _ = bank.block("par")
-    state.apply_sign_if(lambda b: bool((b >> par_off) & 1))
+    state._scale_where(lambda keys: bank.layout.field(keys, "par") == 1, -1.0)
 
 
 def check_mode(mode: str) -> None:
@@ -523,12 +526,10 @@ def collapse_ancillas(
         target_layout = RegisterLayout.of(*((f"w{i}", bank.word_bits) for i in range(bank.n)))
     if target_layout.width != width:
         raise ValueError(f"target layout needs {width} qubits, has {target_layout.width}")
-    amplitudes = {}
-    for b, a in state.to_map().items():
-        if b >> width:
-            raise ValueError("ancilla registers are not zero; run the full pipeline first")
-        amplitudes[b] = a
-    return inject_state(target_layout, amplitudes, backend or state.backend)
+    keys, amps = state.gather()
+    if (keys >> width).any():
+        raise ValueError("ancilla registers are not zero; run the full pipeline first")
+    return QuantumState(target_layout, backend or state.backend, (target_layout.keys(keys), amps))
 
 
 def transposition_test(

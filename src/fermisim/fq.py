@@ -7,10 +7,11 @@ words sorts by (site, spin).  Statistics are imposed by the antisymmetrization
 pipeline, not by the encoding.
 
 The kinetic term of the chain splits into two block-diagonal halves,
-T1 summing the hops (1,2), (3,4), ... and T2 the hops (2,3), (4,5), ...; each
-half is diagonalized by relabeling sites into (block, position-in-block) so a
-single 2x2 mix on the position-in-block bit applies every hop of that half at
-once.  The two boundary sites are unpaired in T2 and stay untouched.
+T1 summing the hops (1,2), (3,4), ... and T2 the hops (2,3), (4,5), ...
+(`KineticSplit`).  The pairs of one half are disjoint, so each half's pairs
+are mixed directly: one two-level mix of the shared 2x2 closed form applies
+every hop of that half at once.  The two boundary sites are unpaired in T2 and
+stay untouched.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fermisim.antisym import (
     prepare_ordered_input,
     transposition_test,
 )
-from fermisim.state import QuantumState, RegisterLayout, inject_state, validation_enabled
+from fermisim.state import QuantumState, RegisterLayout, distinct_keys, inject_state, validation_enabled
 from fermisim.sq import HubbardParams, TrotterPlan
 
 SYMMETRY_TOL = 1e-9
@@ -149,65 +150,42 @@ def evolve_potential_fq(
             state.apply_phase_where(coincide, -params.v0 * dt)
 
 
-def _t1_table(m: int) -> list[int]:
-    # site x -> (block, pos) = ((x+1) div 2, x mod 2); packed back as 2*(block-1)+pos
-    table = []
-    for e in range(m):
-        x = e + 1
-        block = (x + 1) // 2
-        pos = x % 2
-        table.append(2 * (block - 1) + pos)
-    return table
-
-
-def _t2_table(m: int) -> list[int]:
-    # site x -> (block, pos) = (x div 2, (x+1) mod 2) with the block index wrapped
-    # modulo m/2, which parks the two unpaired boundary sites together in block 0.
-    table = []
-    for e in range(m):
-        x = e + 1
-        block = (x // 2) % (m // 2)
-        pos = (x + 1) % 2
-        table.append(2 * block + pos)
-    return table
-
-
 def evolve_kinetic_particle(
     state: QuantumState, layout: FirstQuantizedLayout, k: int, params: HubbardParams, dt: float
 ) -> None:
     """exp(-i*dt*T1) then exp(-i*dt*T2) on particle k's position register.
 
-    Each half remaps sites to (block, position-in-block), applies the closed
-    form exp(-i*dt*t0*sigma_x) on the position-in-block bit, and undoes the
-    remap.  For T2 the mix is cancelled on block 0, which holds the two
-    unpaired boundary sites.
+    The site pairs of one half are disjoint, so one two-level mix of the
+    closed form exp(-i*dt*t0*sigma_x) applies every hop of that half at once:
+    each support string with particle k on a paired site is paired with the
+    string holding k on the partner site.  Sites in no pair of the half (1 and
+    m in T2) stay untouched.
     """
     _check_state(state, layout)
     if not 0 <= k < layout.n:
         raise ValueError(f"particle index {k} out of range 0..{layout.n - 1}")
-    m = layout.m
-    b = layout.position_bits
+    reg = state.layout
     pos_name = f"pos{k}"
-    bit0 = state.layout.offset(pos_name)
     theta = params.t0 * dt
     c, s = math.cos(theta), math.sin(theta)
     mix = np.array([[c, -1j * s], [-1j * s, c]])
 
-    table = _t1_table(m)
-    state.permute_register(pos_name, table)
-    state.apply_single_qubit_unitary(bit0, mix)
-    state.permute_register(pos_name, np.argsort(table))
-
-    if m == 2:
-        return  # T2 has no pairs on a two-site chain
-    table = _t2_table(m)
-    state.permute_register(pos_name, table)
-    state.apply_single_qubit_unitary(bit0, mix)
-    # Undo the mix where the block index is zero: that block holds the
-    # unpaired sites 1 and m, which the kinetic half leaves alone.
-    controls = tuple((bit0 + p, 0) for p in range(1, b))
-    state.apply_controlled_unitary(controls, bit0, mix.conj().T)
-    state.permute_register(pos_name, np.argsort(table))
+    split = KineticSplit.for_chain(layout.m)
+    for pairs in (split.t1_pairs, split.t2_pairs):
+        if not pairs:
+            continue  # T2 has no pairs on a two-site chain
+        # Position values are sites - 1; an unpaired site is its own partner.
+        partner = np.arange(layout.m)
+        for x, y in pairs:
+            partner[x - 1], partner[y - 1] = y - 1, x - 1
+        keys = state.gather()[0]
+        pos = reg.field(keys, pos_name)
+        paired = partner[pos] != pos
+        low = distinct_keys(
+            reg.with_field(keys[paired], pos_name, np.minimum(pos, partner[pos])[paired])
+        )
+        high = reg.with_field(low, pos_name, partner[reg.field(low, pos_name)])
+        state.apply_two_level_mix(np.stack((low, high), axis=1), mix)
 
 
 def trotter_step_fq(
@@ -251,11 +229,14 @@ def exchange_symmetry_violation(
 def op_count_fq(layout: FirstQuantizedLayout, plan: TrotterPlan) -> dict[str, int]:
     """Deterministic tally of elementary operations for a full first-quantized evolution.
 
-    Each kinetic half is charged b**2 remap + 1 mix + b**2 unremap operations
-    per particle (b = log2 m position bits), the arithmetic-circuit cost of the
-    site-to-block relabeling; the per-particle kinetic cost is therefore
-    polylogarithmic in the site count.  Each potential pair costs one position
-    comparison (b ops) plus a spin check and the phase itself.
+    The tally models the paper's circuit, not the simulator's own work: each
+    kinetic half is charged b**2 remap + 1 mix + b**2 unremap operations per
+    particle (b = log2 m position bits), the arithmetic-circuit cost of
+    relabeling sites into (block, position-in-block) so that one qubit rotation
+    applies the half; the per-particle kinetic cost is therefore
+    polylogarithmic in the site count.  The simulator runs one pair mix per
+    half instead.  Each potential pair costs one position comparison (b ops)
+    plus a spin check and the phase itself.
     """
     b = layout.position_bits
     n = layout.n

@@ -38,16 +38,13 @@ class SamplingPlan:
     """Seed, shot count, and accuracy targets for a reproducible measurement run.
 
     epsilon is the accuracy the shot count was planned for (see
-    required_trials) and delta the bin density used when budgeting joint
-    correlations, whose trial demand grows like delta**k per correlated point.
-    Both are bookkeeping for planning; the estimates themselves only consume
-    (seed, n_trials).
+    required_trials); it is bookkeeping for planning, and the estimates
+    themselves only consume (seed, n_trials).
     """
 
     seed: int
     n_trials: int
     epsilon: float = 0.1
-    delta: float = 1.0
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
@@ -56,8 +53,6 @@ class SamplingPlan:
             raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
         if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if not (self.delta > 0) or not math.isfinite(self.delta):
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
 
 
 @dataclass(frozen=True)

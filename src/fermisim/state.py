@@ -125,7 +125,12 @@ class RegisterLayout:
         if keys.dtype.kind in "uf" and not isinstance(values, np.ndarray):
             keys = np.asarray(values, dtype=object)  # Python ints past int64 infer as uint64 or float64
         if keys.dtype == object:
-            keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # in-range Python ints
+            if (np.frompyfunc(type, 1, 1)(keys) == int).all():  # plain Python ints: one range test
+                out = (keys < 0) | (keys >= (1 << self.width))
+                if out.any():
+                    self.check_basis(keys[out][0])  # raises the out-of-range error
+            else:
+                keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # np.integer elements, or rejects
         elif keys.size and keys.dtype.kind not in "iu":
             raise ValueError(f"basis strings must be ints, got {keys.dtype}")
         return keys.astype(self.key_dtype, copy=False)

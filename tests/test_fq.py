@@ -19,8 +19,6 @@ from fermisim.fq import (
     single_particle_plane_wave,
     trotter_evolve_fq,
     trotter_step_fq,
-    _t1_table,
-    _t2_table,
 )
 from fermisim.oracle import (
     build_fq_hamiltonian,
@@ -97,28 +95,6 @@ class TestKineticSplit:
         assert KineticSplit.for_chain(m).all_pairs() == set(LatticeSpec.chain(m).adjacency)
 
 
-class TestRemapTables:
-    @pytest.mark.parametrize("m", (2, 4, 8, 16))
-    def test_tables_are_permutations(self, m):
-        assert sorted(_t1_table(m)) == list(range(m))
-        assert sorted(_t2_table(m)) == list(range(m))
-
-    @pytest.mark.parametrize("m", (2, 4, 8, 16))
-    def test_t1_pairs_share_a_block(self, m):
-        table = _t1_table(m)
-        for x, y in KineticSplit.for_chain(m).t1_pairs:
-            assert table[x - 1] >> 1 == table[y - 1] >> 1
-            assert (table[x - 1] ^ table[y - 1]) == 1
-
-    @pytest.mark.parametrize("m", (4, 8, 16))
-    def test_t2_pairs_share_a_block_and_boundary_parks_in_zero(self, m):
-        table = _t2_table(m)
-        for x, y in KineticSplit.for_chain(m).t2_pairs:
-            assert table[x - 1] >> 1 == table[y - 1] >> 1
-            assert (table[x - 1] ^ table[y - 1]) == 1
-        assert {table[0] >> 1, table[m - 1] >> 1} == {0}
-
-
 class TestPotentialFq:
     def test_phase_on_coinciding_opposite_spins(self):
         layout = FirstQuantizedLayout(n=2, m=2)
@@ -189,6 +165,33 @@ class TestKineticFq:
         evolve_kinetic_particle(state, layout, 0, PARAMS, 0.7)
         for b in state.support():
             assert b & 1 == 1
+
+    @pytest.mark.parametrize("m", (4, 8, 16))
+    def test_every_support_amplitude_is_a_hop_product(self, m):
+        # One step leaves only strings reached by hops, none with a rounding-level
+        # residue; dt = 1/8 is the step of a t = 1, r = 8 run.
+        layout = FirstQuantizedLayout(n=1, m=m)
+        for word in range(2 * m):
+            state = init_basis_state(layout.register_layout(), word, "sparse")
+            evolve_kinetic_particle(state, layout, 0, PARAMS, 0.125)
+            assert np.abs(state.gather()[1]).min() > 1e-12
+
+    @pytest.mark.parametrize("k", (0, 3, 7))
+    def test_wide_keys_match_the_one_particle_step(self, k):
+        layout = FirstQuantizedLayout(n=8, m=128)  # 64 qubits: object-dtype keys
+        words = (3, 254, 17, 128, 0, 1, 77, 255)
+        basis = pack_words(words, layout.word_bits)
+        state = init_basis_state(layout.register_layout(), basis, "sparse")
+        evolve_kinetic_particle(state, layout, k, PARAMS, 0.29)
+        single = FirstQuantizedLayout(n=1, m=128)
+        one = init_basis_state(single.register_layout(), words[k], "sparse")
+        evolve_kinetic_particle(one, single, 0, PARAMS, 0.29)
+        off = k * layout.word_bits
+        want = {(basis & ~(0xFF << off)) | (w << off): a for w, a in one.to_map().items()}
+        got = state.to_map()
+        assert got.keys() == want.keys()
+        for b, a in want.items():
+            assert got[b] == pytest.approx(a, abs=1e-15)
 
     def test_particle_index_range(self):
         layout = FirstQuantizedLayout(n=2, m=2)

@@ -66,13 +66,10 @@ class TestSamplingPlan:
             SamplingPlan(seed=0, n_trials=0)
         with pytest.raises(ValueError):
             SamplingPlan(seed=0, n_trials=10, epsilon=0.0)
-        with pytest.raises(ValueError):
-            SamplingPlan(seed=0, n_trials=10, delta=-1.0)
 
     def test_defaults(self):
         plan = SamplingPlan(seed=3, n_trials=100)
         assert plan.epsilon == 0.1
-        assert plan.delta == 1.0
 
 
 class TestHistogram:
