@@ -44,6 +44,7 @@ from fermisim.state import (
     InvariantViolation,
     QuantumState,
     RegisterLayout,
+    distinct_keys,
     inject_state,
 )
 
@@ -192,31 +193,48 @@ class RegisterBank:
         return _rank_blocks(self.n, self.word_bits)
 
 
-def _rank_tuples(n: int):
-    """Every falling-rank tuple (B[i] in 1..n-i), n! of them."""
-    return itertools.product(*(range(1, n - i + 1) for i in range(n)))
+def _rows(tuples, n: int) -> np.ndarray:
+    """An iterable of n-tuples of ints as an int64 array with one row per tuple."""
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.int64).reshape(-1, n)
+
+
+def _rank_tuples(n: int) -> np.ndarray:
+    """Every falling-rank tuple (B[i] in 1..n-i), n! rows in lexicographic order."""
+    return _rows(itertools.product(*(range(1, n - i + 1) for i in range(n))), n)
+
+
+def _pack_rows(rows: np.ndarray, word_bits: int) -> np.ndarray:
+    """encode_labels of every row of 1-based labels, as int64 keys up to KEY_BITS bits, Python ints above."""
+    dtype = np.int64 if rows.shape[1] * word_bits <= KEY_BITS else object
+    packed = np.zeros(len(rows), dtype=dtype)
+    for i, column in enumerate((rows - 1).astype(dtype).T):
+        packed |= column << (i * word_bits)
+    return packed
 
 
 @lru_cache(maxsize=None)
 def _rank_blocks(n: int, word_bits: int) -> tuple[int, ...]:
     """Packed encodings of every falling-rank tuple."""
-    return tuple(encode_labels(ranks, word_bits) for ranks in _rank_tuples(n))
+    return tuple(_pack_rows(_rank_tuples(n), word_bits).tolist())
 
 
 @lru_cache(maxsize=None)
 def _decode_table(n: int, word_bits: int, inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The rank decode (or its inverse) on the n! rank blocks: (sources ascending, targets).
 
-    The n! targets are checked distinct once, here, which makes the decode a
+    decode_rank_tuple is a Lehmer decode: it sends the rank tuples, in
+    lexicographic order, to the permutations of 1..n in lexicographic order,
+    so the targets come from itertools.permutations row for row.  The n!
+    targets are checked distinct once, here, which makes the decode a
     bijection between rank blocks and permutations.
     """
-    blocks = _rank_blocks(n, word_bits)
-    perms = [encode_labels(decode_rank_tuple(ranks), word_bits) for ranks in _rank_tuples(n)]
-    if len(set(perms)) != len(perms):
+    blocks = _pack_rows(_rank_tuples(n), word_bits)
+    perms = _pack_rows(_rows(itertools.permutations(range(1, n + 1)), n), word_bits)
+    if distinct_keys(perms).size != perms.size:
         raise InvariantViolation("rank decode sends two rank tuples to one permutation")
-    pairs = sorted(zip(perms, blocks) if inverse else zip(blocks, perms))
-    dtype = np.int64 if n * word_bits <= KEY_BITS else object
-    return tuple(np.array(column, dtype=dtype) for column in zip(*pairs))
+    sources, targets = (perms, blocks) if inverse else (blocks, perms)
+    order = np.argsort(sources, kind="stable")
+    return sources[order], targets[order]
 
 
 def decode_rank_tuple(ranks: tuple[int, ...]) -> tuple[int, ...]:

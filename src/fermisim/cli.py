@@ -52,7 +52,7 @@ from fermisim.sq import (
     op_count,
     trotter_evolve,
 )
-from fermisim.state import InvariantViolation, init_basis_state, set_validation_mode
+from fermisim.state import DENSE_QUBIT_LIMIT, InvariantViolation, init_basis_state, set_validation_mode
 from fermisim.validate import SUITES, run_suite
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
@@ -229,6 +229,9 @@ def parse_config(raw) -> RunConfig:
     plan = _require(raw, "plan", "config")
     plan_t = _as_number(_require(plan, "t", "plan"), "plan.t")
     plan_r = _as_int(_require(plan, "r", "plan"), "plan.r", minimum=1)
+    for name, energy in (("V0", v0), ("t0", t0)):
+        if not math.isfinite(energy * (plan_t / plan_r)):
+            raise ConfigError(f"plan.t: the step angle {name}*t/r overflows at t = {plan_t!r}")
 
     backend = _as_choice(raw.get("backend", "dense"), ("dense", "sparse"), "backend")
     mode = _as_choice(raw.get("mode", "fermi"), ("fermi", "bose"), "mode")
@@ -262,6 +265,20 @@ def parse_config(raw) -> RunConfig:
         particles=particles, plan_t=plan_t, plan_r=plan_r,
         observables=observables, sampling=sampling, backend=backend, mode=mode,
     )
+
+
+def _check_dense_width(config: RunConfig, field: str) -> None:
+    """ConfigError naming `field` when a dense run's state is wider than DENSE_QUBIT_LIMIT."""
+    if config.backend != "dense":
+        return
+    n = len(config.particles)
+    if config.formalism == "second":
+        width = ModeLayout(config.m).n_modes
+    else:
+        width = n * FirstQuantizedLayout(n, config.m).word_bits
+    if width > DENSE_QUBIT_LIMIT:
+        raise ConfigError(f"{field}: the dense backend holds at most {DENSE_QUBIT_LIMIT} "
+                          f"qubits and this run needs {width}; use \"sparse\"")
 
 
 # ----------------------------------------------------------------- execution
@@ -408,6 +425,7 @@ def cmd_evolve(config_path: str, output_path: str,
                 config = replace(config, sampling=replace(config.sampling, seed=seed_override))
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from None
+        _check_dense_width(config, "backend" if backend_override is None else "--backend")
     except ConfigError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2

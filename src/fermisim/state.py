@@ -4,23 +4,28 @@ Basis strings are plain ints; bit 0 is the least significant bit and belongs to
 the first register of the layout.
 
 Storage model.  A state is a set of (key, amplitude) entries, where a key is a
-basis string.  The dense backend keeps a complex vector `_vec` of length 2**Q;
-its support is the set of nonzero entries.  The sparse backend keeps two sorted
-parallel arrays, `_keys` and `_vals`, holding only the nonzero entries.  On
-both backends `_vals` is the amplitude store (the dense one aliases `_vec`), so
-the norm check is one dot product.  Each backend implements exactly two storage
+basis string.  Both backends keep the support as a sorted key array `_keys`.
+The dense backend stores the amplitudes in a complex vector `_vec` of length
+2**Q, and `_keys` equals the indices of its nonzero entries; the sparse backend
+keeps `_vals`, the amplitudes of `_keys` in the same order.  On both backends
+`_vals` is the amplitude store (the dense one aliases `_vec`), so the norm
+check is one dot product.  Each backend implements exactly two storage
 operations: `gather` reads the amplitudes at an array of keys (by default the
 whole support, in ascending key order), and `_scatter` writes (keys,
-amplitudes) back.  Every primitive (phase and sign, two-level mix, controlled
-gate, basis permutation, branch scatter, sampling) is written once on top of
-these two and works on the support's key array, never on all 2**Q strings.
+amplitudes) back and updates `_keys` where an entry turns zero or nonzero,
+without scanning the dense vector.  Every primitive (phase and sign, two-level
+mix, controlled gate, basis permutation, branch scatter, sampling) is written
+once on top of these two and works on the support's key array, never on all
+2**Q strings.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
 code.
 
-Exact zeros.  An entry leaves the sparse arrays only when its amplitude is
-exactly zero; small amplitudes are never thresholded away.
+Exact zeros.  An entry leaves the support, on either backend, only when its
+amplitude is exactly zero; small amplitudes are never thresholded away.  In
+validation mode the dense `_scatter` checks `_keys` against a full scan of
+`_vec`.
 
 The array entry points `apply_phase_where`, `apply_basis_map` and
 `permute_register` take a function of the key array (or a value table) and make
@@ -226,12 +231,11 @@ class QuantumState:
                 f"dense backend limited to {DENSE_QUBIT_LIMIT} qubits, layout has {layout.width}"
             )
         self.layout = layout
+        self._keys = layout.keys([])
         if backend == "dense":
             self._vec = self._vals = np.zeros(1 << layout.width, dtype=complex)
-            self._keys = None
         else:
-            self._vec = None
-            self._keys, self._vals = layout.keys([]), np.zeros(0, dtype=complex)
+            self._vec, self._vals = None, np.zeros(0, dtype=complex)
         if entries is None:
             entries = (layout.keys([0]), np.ones(1, dtype=complex))
         self._scatter(*entries)
@@ -254,7 +258,7 @@ class QuantumState:
         if keys is None:
             if self._vec is None:
                 return self._keys, self._vals
-            keys = np.flatnonzero(self._vec)
+            keys = self._keys
         else:
             self._check_keys(keys, "basis string")
         if self._vec is not None:
@@ -267,7 +271,19 @@ class QuantumState:
     def _scatter(self, keys: np.ndarray, amps) -> None:
         """Write the amplitudes `amps` at distinct `keys`; other entries are untouched."""
         if self._vec is not None:
+            # Dense: the support keys change only where a written entry turns
+            # zero or nonzero, so only then is `_keys` rebuilt, from itself.
+            was = self._vec[keys] != 0
             self._vec[keys] = amps
+            now = self._vec[keys] != 0
+            if (was != now).any():
+                stored = self._keys
+                if (was & ~now).any():
+                    stored = stored[self._vec[stored] != 0]
+                fresh = np.sort(keys[now & ~was])
+                self._keys = np.insert(stored, np.searchsorted(stored, fresh), fresh)
+            if validation_enabled() and not np.array_equal(self._keys, np.flatnonzero(self._vec)):
+                raise InvariantViolation("dense support keys disagree with the amplitude vector")
             return
         # Sparse: update the keys already stored, insert the new nonzero ones
         # in key order, then drop entries that became exactly zero.  The old

@@ -108,6 +108,7 @@ class TestConfigParsing:
                                               "particle": 0}]), "first-quantized"),
             (lambda r: r.update(observables=[{"kind": "charge_density",
                                               "sites": [1]}]), "unknown fields"),
+            (lambda r: r.update(plan={"t": 1e308, "r": 1}), "plan.t: the step angle"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):
@@ -259,6 +260,23 @@ class TestEvolve:
         code, _ = run_evolve(tmp_path, base_config(particles=[[5, "up"]]))
         assert code == 2
         assert "particles[0][0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, extra, needle",
+        [
+            (base_config(plan={"t": 1e308, "r": 1}), (), ": plan.t:"),
+            (base_config(lattice={"m": 14}), (), ": backend:"),
+            (base_config(formalism="first", lattice={"m": 8}, particles=list(range(1, 8))),
+             (), ": backend:"),
+            (base_config(lattice={"m": 14}, backend="sparse"), ("--backend", "dense"),
+             ": --backend:"),
+        ],
+    )
+    def test_capability_limits_rejected_before_the_run(self, tmp_path, capsys, raw, extra, needle):
+        code, output = run_evolve(tmp_path, raw, *extra)
+        assert code == 2
+        assert needle in capsys.readouterr().err
+        assert not output.exists()
 
     def test_csv_columns_and_rows(self, tmp_path):
         raw = base_config(observables=[

@@ -11,6 +11,8 @@ from fermisim.sq import jw_parity
 from fermisim.state import (
     BIJECTION_CHECK_LIMIT,
     KEY_BITS,
+    InvariantViolation,
+    QuantumState,
     RegisterLayout,
     init_basis_state,
     inject_state,
@@ -215,6 +217,89 @@ class TestValidationOfArrayMaps:
         with validation_mode():
             state.apply_basis_map(clamp)
         assert seen == [1]
+
+
+# ------------------------------------------------------------- dense support
+
+
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+SWAP_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _dense_support_step(rng, state):
+    """One random primitive on a dense state; returns the state it leaves (copies are new)."""
+    layout = state.layout
+    dim = 1 << layout.width
+    gate = (HADAMARD, SWAP_GATE, random_unitary(rng))[int(rng.integers(3))]
+    kind = rng.choice(["phase", "sign", "mix", "controlled", "map", "register", "qft",
+                       "branch", "copy", "entries"])
+    if kind == "phase":
+        mask = int(rng.integers(1, dim))
+        state.apply_phase_where(lambda keys: (keys & mask) == 0, float(rng.uniform(-np.pi, np.pi)))
+    elif kind == "sign":
+        state.apply_sign_if(lambda b: b % 3 == 0)
+    elif kind == "mix":
+        flat = rng.permutation(dim)[: 2 * int(rng.integers(1, dim // 2))]
+        state.apply_two_level_mix(flat.reshape(-1, 2), gate)
+    elif kind == "controlled":
+        qubits = rng.choice(layout.width, size=int(rng.integers(1, 4)), replace=False)
+        controls = tuple((int(q), int(rng.integers(2))) for q in qubits[1:])
+        state.apply_controlled_unitary(controls, int(qubits[0]), gate)
+    elif kind == "map":
+        table = rng.permutation(dim)
+        state.apply_basis_map(lambda keys: table[keys])
+    elif kind == "register":
+        name = layout.names()[int(rng.integers(len(layout.names())))]
+        state.permute_register(name, rng.permutation(1 << layout.register_width(name)))
+    elif kind == "qft":
+        state.qft_register(layout.names()[int(rng.integers(len(layout.names())))])
+    elif kind == "branch":
+        # Hadamard on one qubit written as a branch scatter: weights meeting on
+        # one string add up, and cancel exactly on states in its image.
+        bit = 1 << int(rng.integers(layout.width))
+        s = 1 / math.sqrt(2)
+        state._scatter_support(lambda b: [(b & ~bit, s), (b | bit, -s if b & bit else s)])
+    elif kind == "copy":
+        state = state.copy()
+    else:
+        keys, amps = state.gather()
+        absent = np.setdiff1d(np.arange(dim), keys)[:3]
+        state = QuantumState(layout, "dense", (np.concatenate((keys, absent)),
+                                               np.concatenate((amps, np.zeros(len(absent))))))
+    return state, kind
+
+
+class TestDenseSupportKeys:
+    def test_keys_equal_the_nonzero_entries_after_every_primitive(self):
+        layout = RegisterLayout.of(("a", 2), ("b", 3))
+        rng = np.random.default_rng(4242)
+        kinds = set()
+        for trial in range(30):
+            amps = random_state_map(rng, layout.width, int(rng.integers(1, 12)))
+            state = make_state(layout, amps, "dense")
+            assert np.array_equal(state._keys, np.flatnonzero(state._vec))
+            for step in range(12):
+                state, kind = _dense_support_step(rng, state)
+                kinds.add(kind)
+                assert np.array_equal(state._keys, np.flatnonzero(state._vec)), (trial, step, kind)
+        assert len(kinds) == 10
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_hadamard_twice_cancels_to_one_string(self, backend):
+        state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
+        state.apply_single_qubit_unitary(1, HADAMARD)
+        assert state.support() == [0, 2]
+        state.apply_single_qubit_unitary(1, HADAMARD)
+        assert state.support() == [0]  # s*s - s*s is exactly zero
+
+    @pytest.mark.parametrize("corrupt", [lambda keys: keys[1:], lambda keys: np.append(keys, 7)])
+    def test_validation_mode_catches_stale_keys(self, corrupt):
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, "dense")
+        state._keys = corrupt(state._keys)
+        state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not scan
+        with validation_mode():
+            with pytest.raises(InvariantViolation):
+                state.apply_phase_where(lambda keys: keys == 4, 0.5)
 
 
 # ------------------------------------------------------------------ wide keys
