@@ -26,7 +26,7 @@ import numpy as np
 from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.sq import SPINS, HubbardParams, LatticeSpec, ModeLayout, jw_parity
-from fermisim.state import InvariantViolation, QuantumState
+from fermisim.state import InvariantViolation, QuantumState, validation_enabled
 
 MAX_CORRELATION_POINTS = 3
 FREQUENCY_TOL = 1e-12
@@ -230,32 +230,54 @@ def momentum_distribution(
 def expected_energy(
     state: QuantumState, layout, params: HubbardParams, lattice: LatticeSpec | None = None
 ) -> EnergyReport:
-    """<H> from the dense reference Hamiltonian, with its estimator split.
+    """<H> from the matrix-free oracle Hamiltonian, with its estimator split.
 
-    The total is the Rayleigh quotient against the independently built dense
-    matrix; potential and kinetic come from amplitude-level estimators.  The
-    two paths must agree, and a drift beyond rounding is reported as an
-    invariant violation rather than silently returned.
+    The total is the Rayleigh quotient <psi|H psi>, with H psi from the
+    oracle's independent matrix-free construction, so it runs at every size
+    the state does.  Potential and kinetic come from amplitude-level
+    estimators.  The two paths must agree, and a drift beyond rounding is
+    reported as an invariant violation rather than silently returned.  In
+    validation mode the total is also checked against the dense oracle matrix
+    wherever that fits under the oracle's caps.
     """
     _check_layout(state, layout)
     if lattice is None:
         lattice = LatticeSpec.chain(layout.m)
     if lattice.m != layout.m:
         raise ValueError("lattice and layout disagree on the site count")
+    keys, amps = state.gather()
     if isinstance(layout, ModeLayout):
-        h = oracle.build_sq_hamiltonian(lattice, params)
+        h_keys, h_amps = oracle.apply_sq_hamiltonian(lattice, params, keys, amps)
         potential, kinetic = _sq_energy(state, layout, params, lattice)
     else:
-        h = oracle.build_fq_hamiltonian(layout, params, lattice)
+        h_keys, h_amps = oracle.apply_fq_hamiltonian(layout, params, lattice, keys, amps)
         potential, kinetic = _fq_energy(state, layout, params, lattice)
-    vec = state.to_vector()
-    total = float(np.real(vec.conj() @ (h @ vec)))
-    scale = max(1.0, abs(total))
-    if abs(total - (potential + kinetic)) > ENERGY_SPLIT_TOL * scale:
-        raise InvariantViolation(
-            f"energy split {potential} + {kinetic} drifted from the dense value {total}"
-        )
+    total = float(np.vdot(state.gather(h_keys)[1], h_amps).real)
+    if validation_enabled():
+        dense = _dense_energy(state, layout, params, lattice)
+        if dense is not None:
+            _check_energy(dense, total, "dense oracle energy")
+    _check_energy(potential + kinetic, total, f"energy split {potential} + {kinetic}")
     return EnergyReport(potential=potential, kinetic=kinetic, total=total)
+
+
+def _check_energy(value: float, total: float, what: str) -> None:
+    if abs(total - value) > ENERGY_SPLIT_TOL * max(1.0, abs(total)):
+        raise InvariantViolation(f"{what} = {value} drifted from the matrix-free value {total}")
+
+
+def _dense_energy(state, layout, params, lattice) -> float | None:
+    """<psi|H|psi> against the dense oracle matrix, or None past the oracle's caps."""
+    if isinstance(layout, ModeLayout):
+        if layout.n_modes > oracle.MAX_SQ_MODES:
+            return None
+        h = oracle.build_sq_hamiltonian(lattice, params)
+    else:
+        if 1 << state.layout.width > oracle.MAX_FQ_DIM:
+            return None
+        h = oracle.build_fq_hamiltonian(layout, params, lattice)
+    vec = state.to_vector()
+    return float(np.real(vec.conj() @ (h @ vec)))
 
 
 def _sq_energy(state, layout, params, lattice) -> tuple[float, float]:

@@ -1,10 +1,19 @@
-"""Dense reference constructions for cross-checking the circuit evolutions.
+"""Reference constructions for cross-checking the circuit evolutions.
 
 Everything here is built the brute-force way: explicit operator matrices over
-the full register space, matrix exponentials through eigendecomposition, and
-determinant-style antisymmetrization by summing over permutations.  None of it
+the full register space, matrix exponentials through eigendecomposition,
+determinant-style antisymmetrization by summing over permutations, and the
+Hamiltonians applied term by term to a sparse vector.  None of it
 shares code paths with the circuit implementations, so agreement between the
-two is meaningful.  Sizes are capped accordingly.
+two is meaningful.  The dense builders are capped at MAX_SQ_MODES modes and
+MAX_FQ_DIM register states.
+
+`apply_sq_hamiltonian` and `apply_fq_hamiltonian` apply the same two
+Hamiltonians to a sparse (keys, amplitudes) vector without a size cap.  They
+are written term by term from the operator definitions the dense builders use
+(the Jordan-Wigner sign string of `lowering_operator`, the hop matrix
+`fq_kinetic_matrix` and the same-site opposite-spin coincidence rule), at a
+cost of O(terms x support).
 """
 
 from __future__ import annotations
@@ -119,6 +128,88 @@ def build_fq_hamiltonian(
             if same_site and opposite_spin:
                 h[basis, basis] += params.v0
     return h
+
+
+def _sum_by_key(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted keys, each with the sum of the amplitudes that landed on it."""
+    order = np.argsort(keys, kind="stable")
+    keys, amps = keys[order], amps[order]
+    if not keys.size:
+        return keys, amps
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts], np.add.reduceat(amps, starts)
+
+
+def _string_sign(keys: np.ndarray, mode: int) -> np.ndarray:
+    """(-1)**(occupied modes below `mode`): the Z string of lowering_operator, per key."""
+    # bitwise_count returns uint8, where 1 - 2 * parity would wrap to 255.
+    parity = np.bitwise_count(keys & ((1 << mode) - 1)).astype(np.int64) & 1
+    return 1 - 2 * parity
+
+
+def apply_sq_hamiltonian(
+    lattice: LatticeSpec, params: HubbardParams, keys: np.ndarray, amps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """H v for the occupation-number Hamiltonian and v given by distinct (keys, amps).
+
+    Returns distinct sorted keys and the amplitudes of H v on them.  The term
+    c+_p c_q acts on the strings x with mode q occupied and mode p empty, with
+    sign (-1)**(occupied below q in x) * (-1)**(occupied below p in x, q cleared).
+    """
+    modes = ModeLayout(lattice.m)
+    keys = np.asarray(keys)
+    amps = np.asarray(amps, dtype=complex)
+    doubly = sum(
+        ((keys >> modes.mode(site, 0)) & (keys >> modes.mode(site, 1)) & 1).astype(float)
+        for site in range(1, lattice.m + 1)
+    )
+    out_keys, out_amps = [keys], [params.v0 * doubly * amps]
+    for i, j in lattice.adjacency:
+        for spin in (0, 1):
+            a, b = modes.mode(i, spin), modes.mode(j, spin)
+            for p, q in ((a, b), (b, a)):
+                hit = ((keys & (1 << q)) != 0) & ((keys & (1 << p)) == 0)
+                x = keys[hit]
+                cleared = x ^ (1 << q)
+                sign = _string_sign(x, q) * _string_sign(cleared, p)
+                out_keys.append(cleared ^ (1 << p))
+                out_amps.append(params.t0 * sign * amps[hit])
+    return _sum_by_key(np.concatenate(out_keys), np.concatenate(out_amps))
+
+
+def apply_fq_hamiltonian(
+    layout: FirstQuantizedLayout,
+    params: HubbardParams,
+    lattice: LatticeSpec,
+    keys: np.ndarray,
+    amps: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """H v for the distinguishable-particle Hamiltonian and v given by distinct (keys, amps).
+
+    Returns distinct sorted keys and the amplitudes of H v on them: each
+    particle's word hops through `fq_kinetic_matrix`, and each same-site,
+    opposite-spin pair of words adds V0 on the diagonal.
+    """
+    if lattice.m != layout.m:
+        raise ValueError("lattice and layout disagree on the site count")
+    w = layout.word_bits
+    mask = (1 << w) - 1
+    keys = np.asarray(keys)
+    amps = np.asarray(amps, dtype=complex)
+    words = [((keys >> (k * w)) & mask).astype(np.int64) for k in range(layout.n)]
+    coincidences = np.zeros(len(keys))
+    for k, l in combinations(range(layout.n), 2):
+        coincidences += ((words[k] >> 1) == (words[l] >> 1)) & (((words[k] ^ words[l]) & 1) == 1)
+    out_keys, out_amps = [keys], [params.v0 * coincidences * amps]
+    hop = fq_kinetic_matrix(layout.m, params.t0, lattice.adjacency)
+    for k, word in enumerate(words):
+        for target in range(2 * layout.m):
+            coeff = hop[target, word]
+            hit = coeff != 0
+            flip = (word[hit] ^ target).astype(keys.dtype) << (k * w)
+            out_keys.append(keys[hit] ^ flip)
+            out_amps.append(coeff[hit] * amps[hit])
+    return _sum_by_key(np.concatenate(out_keys), np.concatenate(out_amps))
 
 
 def _hermitian_eigh(h) -> tuple[np.ndarray, np.ndarray]:

@@ -8,12 +8,14 @@ basis string.  Both backends keep the support as a sorted key array `_keys`.
 The dense backend stores the amplitudes in a complex vector `_vec` of length
 2**Q, and `_keys` equals the indices of its nonzero entries; the sparse backend
 keeps `_vals`, the amplitudes of `_keys` in the same order.  On both backends
-`_vals` is the amplitude store (the dense one aliases `_vec`), so the norm
-check is one dot product.  Each backend implements exactly two storage
-operations: `gather` reads the amplitudes at an array of keys (by default the
-whole support, in ascending key order), and `_scatter` writes (keys,
-amplitudes) back and updates `_keys` where an entry turns zero or nonzero,
-without scanning the dense vector.  Every primitive (phase and sign, two-level
+`_vals` is the amplitude store (the dense one aliases `_vec`).  The norm check
+after every primitive never scans all 2**Q entries: the sparse backend takes
+one dot product over `_vals`, and the dense one reads a running squared norm
+`_norm2` that `_scatter` updates from the entries it overwrites.  Each backend
+implements exactly two storage operations: `gather` reads the amplitudes at an
+array of keys (by default the whole support, in ascending key order), and
+`_scatter` writes (keys, amplitudes) back and updates `_keys` where an entry
+turns zero or nonzero, without scanning the dense vector.  Every primitive (phase and sign, two-level
 mix, controlled gate, basis permutation, branch scatter, sampling) is written
 once on top of these two and works on the support's key array, never on all
 2**Q strings.
@@ -220,7 +222,7 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_vec", "_keys", "_vals")
+    __slots__ = ("layout", "_vec", "_keys", "_vals", "_norm2")
 
     def __init__(self, layout: RegisterLayout, backend: str = "dense", entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
@@ -232,6 +234,7 @@ class QuantumState:
             )
         self.layout = layout
         self._keys = layout.keys([])
+        self._norm2 = 0.0
         if backend == "dense":
             self._vec = self._vals = np.zeros(1 << layout.width, dtype=complex)
         else:
@@ -273,9 +276,12 @@ class QuantumState:
         if self._vec is not None:
             # Dense: the support keys change only where a written entry turns
             # zero or nonzero, so only then is `_keys` rebuilt, from itself.
-            was = self._vec[keys] != 0
+            # The running squared norm moves by what the write changed.
+            old = self._vec[keys]
             self._vec[keys] = amps
-            now = self._vec[keys] != 0
+            new = self._vec[keys]
+            self._norm2 += float(np.vdot(new, new).real - np.vdot(old, old).real)
+            was, now = old != 0, new != 0
             if (was != now).any():
                 stored = self._keys
                 if (was & ~now).any():
@@ -501,7 +507,10 @@ class QuantumState:
             raise ValueError(f"{what} {bad[0]} out of range for {self.layout.width} qubits")
 
     def _check_norm(self) -> None:
-        total = float(np.vdot(self._vals, self._vals).real)
+        if self._vec is not None:
+            total = self._norm2
+        else:
+            total = float(np.vdot(self._vals, self._vals).real)
         if abs(total - 1.0) > NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 

@@ -3,8 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from fermisim.state import QuantumState, RegisterLayout, inject_state
+
+
+# Property tests draw the same examples on every run, so Tier-1 stays
+# reproducible, and write no example database into the tree.
+settings.register_profile("fermisim", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("fermisim")
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

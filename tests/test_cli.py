@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fermisim.cli import ConfigError, RunConfig, cmd_antisym, main, parse_config
-from fermisim.observables import SamplingPlan
+from fermisim.observables import ENERGY_SPLIT_TOL, SamplingPlan
 from fermisim.state import set_validation_mode
 
 
@@ -306,6 +306,24 @@ class TestEvolve:
         document = json.loads(output.read_text())
         energy = document["observables"][2]
         assert exact[("energy", "total")] == pytest.approx(energy["total"], abs=0)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            base_config(lattice={"m": 8}, plan={"t": 1.0, "r": 1},
+                        particles=[[s, "up" if s % 2 else "down"] for s in range(1, 9)],
+                        observables=[{"kind": "energy"}], backend="dense"),
+            base_config(formalism="first", lattice={"m": 16}, particles=[1, 4, 7],
+                        plan={"t": 1.0, "r": 1}, observables=[{"kind": "energy"}],
+                        backend="sparse"),
+        ],
+        ids=["sq-m8-dense", "fq-n3-m16-sparse"],
+    )
+    def test_energy_runs_past_the_dense_oracle_caps(self, tmp_path, raw):
+        code, output = run_evolve(tmp_path, raw)
+        assert code == 0
+        (energy,) = json.loads(output.read_text())["observables"]
+        assert abs(energy["potential"] + energy["kinetic"] - energy["total"]) <= ENERGY_SPLIT_TOL
 
     def test_validation_mode_flag_still_succeeds(self, tmp_path):
         raw = base_config(formalism="first", lattice={"m": 2},

@@ -5,8 +5,15 @@ import pytest
 
 from conftest import random_state_map
 
-from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric, single_particle_plane_wave
+from fermisim import oracle
+from fermisim.fq import (
+    FirstQuantizedLayout,
+    prepare_antisymmetric,
+    single_particle_plane_wave,
+    trotter_evolve_fq,
+)
 from fermisim.observables import (
+    ENERGY_SPLIT_TOL,
     EnergyReport,
     Estimate,
     Histogram,
@@ -25,8 +32,17 @@ from fermisim.oracle import (
     pack_words,
     propagator,
 )
-from fermisim.sq import DOWN, UP, HubbardParams, LatticeSpec, ModeLayout, encode_occupation
-from fermisim.state import InvariantViolation, init_basis_state, inject_state
+from fermisim.sq import (
+    DOWN,
+    UP,
+    HubbardParams,
+    LatticeSpec,
+    ModeLayout,
+    TrotterPlan,
+    encode_occupation,
+    trotter_evolve,
+)
+from fermisim.state import InvariantViolation, init_basis_state, inject_state, validation_mode
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -328,6 +344,71 @@ class TestEnergy:
     def test_report_is_a_plain_record(self):
         report = EnergyReport(potential=4.0, kinetic=-2.0, total=2.0)
         assert report.total == 2.0
+
+
+def _evolved_sq(backend, m=3, seed=21):
+    rng = np.random.default_rng(seed)
+    layout = ModeLayout(m)
+    state = inject_state(layout.register_layout(), random_state_map(rng, 2 * m, 24), backend)
+    trotter_evolve(state, LatticeSpec.chain(m), PARAMS, TrotterPlan(0.7, 3))
+    return state, layout
+
+
+def _evolved_fq(backend, n=2, m=4, seed=22):
+    rng = np.random.default_rng(seed)
+    layout = FirstQuantizedLayout(n=n, m=m)
+    labels = sorted(int(v) for v in rng.choice(np.arange(1, 2 * m + 1), size=n, replace=False))
+    state = prepare_antisymmetric(layout, labels, backend=backend)
+    trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(0.7, 3))
+    return state, layout
+
+
+class TestMatrixFreeEnergy:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
+    def test_total_is_the_dense_rayleigh_quotient(self, backend, evolved):
+        state, layout = evolved(backend)
+        if isinstance(layout, ModeLayout):
+            h = build_sq_hamiltonian(LatticeSpec.chain(layout.m), PARAMS)
+        else:
+            h = build_fq_hamiltonian(layout, PARAMS, LatticeSpec.chain(layout.m))
+        vec = state.to_vector()
+        report = expected_energy(state, layout, PARAMS)
+        assert abs(report.total - np.real(vec.conj() @ h @ vec)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "evolved",
+        [lambda: _evolved_sq("dense", m=8), lambda: _evolved_fq("sparse", n=3, m=16)],
+        ids=["sq-m8-dense", "fq-n3-m16-sparse"],
+    )
+    def test_runs_past_the_dense_caps(self, evolved):
+        state, layout = evolved()
+        report = expected_energy(state, layout, PARAMS)
+        assert abs(report.total - (report.potential + report.kinetic)) <= ENERGY_SPLIT_TOL
+
+    def test_production_mode_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense oracle matrix built outside validation mode")
+
+        monkeypatch.setattr(oracle, "build_sq_hamiltonian", refuse)
+        monkeypatch.setattr(oracle, "build_fq_hamiltonian", refuse)
+        for state, layout in (_evolved_sq("dense"), _evolved_fq("sparse")):
+            expected_energy(state, layout, PARAMS)
+
+    @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
+    def test_validation_mode_catches_a_corrupted_matrix_free_result(self, monkeypatch, evolved):
+        state, layout = evolved("dense")
+        name = "apply_sq_hamiltonian" if isinstance(layout, ModeLayout) else "apply_fq_hamiltonian"
+        exact = getattr(oracle, name)
+
+        def corrupted(*args):
+            keys, amps = exact(*args)
+            return keys, amps * (1 + 1e-6)
+
+        monkeypatch.setattr(oracle, name, corrupted)
+        with validation_mode():
+            with pytest.raises(InvariantViolation, match="dense oracle"):
+                expected_energy(state, layout, PARAMS)
 
 
 class TestSampling:

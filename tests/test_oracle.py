@@ -5,10 +5,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric
 from fermisim.oracle import (
     antisymmetric_basis,
+    apply_fq_hamiltonian,
+    apply_sq_hamiltonian,
     build_fq_hamiltonian,
     build_sq_hamiltonian,
     expm_propagate,
@@ -23,7 +26,7 @@ from fermisim.oracle import (
     slater_antisymmetrize,
     sq_sector_spectrum,
 )
-from fermisim.sq import HubbardParams, LatticeSpec
+from fermisim.sq import HubbardParams, LatticeSpec, ModeLayout
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -326,3 +329,109 @@ class TestCrossEncoding:
         e0 = (PARAMS.v0 - math.sqrt(PARAMS.v0**2 + 16 * PARAMS.t0**2)) / 2
         assert sq_sector_spectrum(lattice, PARAMS, 2)[0] == pytest.approx(e0, abs=1e-10)
         assert fq_sector_spectrum(layout, lattice, PARAMS)[0] == pytest.approx(e0, abs=1e-10)
+
+
+# ------------------------------------------------------- matrix-free Hamiltonian
+# t0 != 1 so a dropped or wrapped hop sign cannot hide behind a unit coefficient.
+SKEW = HubbardParams(v0=4.0, t0=-1.3)
+SQ_SIZES = [1, 2, 3, 4, 5]
+FQ_SIZES = [(1, 4), (2, 4), (2, 8), (2, 16), (3, 8)]
+
+
+def _sq_case(m):
+    lattice = LatticeSpec.chain(m)
+    return lambda keys, amps: apply_sq_hamiltonian(lattice, SKEW, keys, amps)
+
+
+def _fq_case(n, m):
+    layout, lattice = FirstQuantizedLayout(n=n, m=m), LatticeSpec.chain(m)
+    return lambda keys, amps: apply_fq_hamiltonian(layout, SKEW, lattice, keys, amps)
+
+
+@pytest.fixture(
+    scope="module",
+    params=[("sq", m) for m in SQ_SIZES] + [("fq", n, m) for n, m in FQ_SIZES],
+    ids=lambda case: "-".join(str(v) for v in case),
+)
+def dense_case(request):
+    """(matrix-free H, dense H) for one size, the dense matrix built once per module."""
+    if request.param[0] == "sq":
+        m = request.param[1]
+        return _sq_case(m), build_sq_hamiltonian(LatticeSpec.chain(m), SKEW)
+    _, n, m = request.param
+    layout = FirstQuantizedLayout(n=n, m=m)
+    return _fq_case(n, m), build_fq_hamiltonian(layout, SKEW, LatticeSpec.chain(m))
+
+
+def _densify(keys, amps, dim):
+    assert np.all(keys[1:] > keys[:-1]), "output keys must be distinct and sorted"
+    vec = np.zeros(dim, dtype=complex)
+    vec[keys] = amps
+    return vec
+
+
+class TestMatrixFreeHamiltonian:
+    def _check(self, dense_case, keys, amps):
+        apply_h, h = dense_case
+        dim = h.shape[0]
+        v = np.zeros(dim, dtype=complex)
+        v[keys] = amps
+        np.testing.assert_allclose(_densify(*apply_h(keys, amps), dim), h @ v, atol=1e-12)
+
+    def test_matches_dense_on_a_full_random_vector(self, dense_case):
+        dim = dense_case[1].shape[0]
+        rng = np.random.default_rng(dim)
+        self._check(dense_case, np.arange(dim), rng.normal(size=dim) + 1j * rng.normal(size=dim))
+
+    def test_matches_dense_on_a_partial_support(self, dense_case):
+        dim = dense_case[1].shape[0]
+        rng = np.random.default_rng(dim + 1)
+        keys = rng.choice(dim, size=max(1, dim // 5), replace=False)  # unsorted on purpose
+        self._check(dense_case, keys, rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys)))
+
+    def test_matches_dense_with_repeated_zero_amplitudes(self, dense_case):
+        dim = dense_case[1].shape[0]
+        rng = np.random.default_rng(dim + 2)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        amps[rng.random(dim) < 0.6] = 0
+        self._check(dense_case, np.arange(dim), amps)
+
+    def test_empty_input_gives_empty_output(self):
+        keys, amps = _sq_case(2)(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+        assert keys.size == 0 and amps.size == 0
+
+    def test_fq_lattice_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_fq_hamiltonian(FirstQuantizedLayout(n=1, m=4), SKEW, LatticeSpec.chain(2),
+                                 np.zeros(1, dtype=np.int64), np.ones(1))
+
+
+# Sizes well past the dense caps, including layouts wider than 62 qubits
+# whose keys are Python-int object arrays.
+HERMITIAN_CASES = [
+    (ModeLayout(m).register_layout(), _sq_case(m)) for m in (2, 5, 8, 32)
+] + [
+    (FirstQuantizedLayout(n=n, m=m).register_layout(), _fq_case(n, m))
+    for n, m in ((2, 4), (3, 16), (8, 128))
+]
+
+
+@given(st.data())
+def test_matrix_free_hamiltonian_is_hermitian(data):
+    """<u|H v> = conj(<v|H u>) on random sparse vectors u, v."""
+    layout, apply_h = data.draw(st.sampled_from(HERMITIAN_CASES))
+    amplitude = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+    def draw_vector():
+        entries = data.draw(st.dictionaries(
+            st.integers(0, (1 << layout.width) - 1), amplitude, min_size=1, max_size=12
+        ))
+        return entries, layout.keys(list(entries)), np.array(list(entries.values()), dtype=complex)
+
+    def bracket(bra, ket):
+        h_keys, h_amps = apply_h(ket[1], ket[2])
+        return np.vdot([bra[0].get(k, 0) for k in h_keys.tolist()], h_amps)
+
+    u, v = draw_vector(), draw_vector()
+    lhs, rhs = bracket(u, v), bracket(v, u)
+    assert abs(lhs - np.conj(rhs)) <= 1e-12 * max(1.0, abs(lhs))

@@ -284,6 +284,22 @@ class TestDenseSupportKeys:
                 assert np.array_equal(state._keys, np.flatnonzero(state._vec)), (trial, step, kind)
         assert len(kinds) == 10
 
+    def test_running_norm_tracks_the_vector_after_every_primitive(self):
+        layout = RegisterLayout.of(("a", 2), ("b", 3))
+        rng = np.random.default_rng(4343)
+        for trial in range(10):
+            state = make_state(layout, random_state_map(rng, layout.width, 8), "dense")
+            for step in range(12):
+                state, kind = _dense_support_step(rng, state)
+                exact = np.vdot(state._vec, state._vec).real
+                assert abs(state._norm2 - exact) < 1e-13, (trial, step, kind)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_norm_check_catches_a_non_isometric_write(self, backend):
+        state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
+        with pytest.raises(InvariantViolation, match="squared norm"):
+            state._scatter_support(lambda b: [(b, 1.0), (b ^ 1, 0.5)])
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_hadamard_twice_cancels_to_one_string(self, backend):
         state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
