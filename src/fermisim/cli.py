@@ -52,7 +52,13 @@ from fermisim.sq import (
     op_count,
     trotter_evolve,
 )
-from fermisim.state import DENSE_QUBIT_LIMIT, InvariantViolation, init_basis_state, set_validation_mode
+from fermisim.state import (
+    DENSE_QUBIT_LIMIT,
+    MAX_TRIALS,
+    InvariantViolation,
+    init_basis_state,
+    set_validation_mode,
+)
 from fermisim.validate import SUITES, run_suite
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
@@ -107,11 +113,13 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _as_int(value, path, minimum=None):
+def _as_int(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -247,7 +255,8 @@ def parse_config(raw) -> RunConfig:
     sampling = None
     if raw.get("sampling") is not None:
         block = raw["sampling"]
-        n_trials = _as_int(_require(block, "N", "sampling"), "sampling.N", minimum=1)
+        n_trials = _as_int(_require(block, "N", "sampling"), "sampling.N",
+                           minimum=1, maximum=MAX_TRIALS)
         seed = _as_int(_require(block, "seed", "sampling"), "sampling.seed", minimum=0)
         epsilon = _as_number(block.get("epsilon", 0.1), "sampling.epsilon")
         if epsilon <= 0:

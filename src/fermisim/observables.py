@@ -26,7 +26,7 @@ import numpy as np
 from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.sq import SPINS, HubbardParams, LatticeSpec, ModeLayout, jw_parity
-from fermisim.state import InvariantViolation, QuantumState, validation_enabled
+from fermisim.state import MAX_TRIALS, InvariantViolation, QuantumState, validation_enabled
 
 MAX_CORRELATION_POINTS = 3
 FREQUENCY_TOL = 1e-12
@@ -49,8 +49,8 @@ class SamplingPlan:
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not isinstance(self.n_trials, int) or self.n_trials < 1:
-            raise ValueError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+        if not isinstance(self.n_trials, int) or not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {self.n_trials!r}")
         if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 

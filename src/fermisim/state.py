@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Squared-norm drift tolerated after any public mutating operation.
+# Squared-norm drift tolerated after any public mutating operation; every check
+# is written `not abs(total - 1.0) <= NORM_TOL`, so a NaN norm fails it.
 NORM_TOL = 1e-10
 # Max deviation of U'U from the identity for accepted 2x2 gate matrices.
 UNITARY_TOL = 1e-12
@@ -55,6 +56,8 @@ DENSE_QUBIT_LIMIT = 26
 BIJECTION_CHECK_LIMIT = 20
 # Layouts up to this many qubits keep their keys in int64 arrays.
 KEY_BITS = 62
+# Shots per `sample` call; the sampler holds one float64 uniform per shot (800 MB).
+MAX_TRIALS = 10**8
 
 BACKENDS = ("dense", "sparse")
 
@@ -469,22 +472,29 @@ class QuantumState:
     def sample(self, seed: int, n_trials: int) -> dict[int, int]:
         """Draw `n_trials` basis strings from the Born distribution.
 
-        The stream is fully determined by the 64 bit seed: outcomes are
-        indexed in ascending key order on both backends.
+        The draws are those of `np.random.default_rng(seed).choice(len(support),
+        n_trials, p=born)` over the support in ascending key order, so the
+        stream is fully determined by the 64 bit seed and equal on both
+        backends.  They are counted rather than indexed: the same uniforms are
+        sorted, and outcome i gets those in [cdf[i-1], cdf[i]).  The sampler
+        holds one float64 per shot, hence at most MAX_TRIALS shots.
         """
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if not isinstance(n_trials, (int, np.integer)) or n_trials < 1:
-            raise ValueError("n_trials must be a positive integer")
+        if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
         keys, amps = self.gather()
         probs = np.abs(amps) ** 2
         total = probs.sum()
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"sampling a state with squared norm {total}")
         probs /= total
-        rng = np.random.default_rng(int(seed))
-        draws = rng.choice(len(keys), size=int(n_trials), p=probs)
-        counts = np.bincount(draws, minlength=len(keys))
+        # The cdf and the uniforms are built exactly as Generator.choice builds them.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        uniforms = np.random.default_rng(int(seed)).random(int(n_trials))
+        uniforms.sort()
+        counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
         drawn = np.flatnonzero(counts)
         return dict(zip(keys[drawn].tolist(), counts[drawn].tolist()))
 
@@ -511,7 +521,7 @@ class QuantumState:
             total = self._norm2
         else:
             total = float(np.vdot(self._vals, self._vals).real)
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
     def _mix(self, k0: np.ndarray, k1: np.ndarray, gate: np.ndarray) -> None:
@@ -579,7 +589,7 @@ def inject_state(
     for b, a in amplitudes.items():
         layout.check_basis(b)
         total += abs(a) ** 2
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitude map has squared norm {total}, expected 1 within 1e-10")
     state = QuantumState(layout, backend)
     state._set_map(amplitudes)

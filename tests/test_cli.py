@@ -15,7 +15,7 @@ import pytest
 
 from fermisim.cli import ConfigError, RunConfig, cmd_antisym, main, parse_config
 from fermisim.observables import ENERGY_SPLIT_TOL, SamplingPlan
-from fermisim.state import set_validation_mode
+from fermisim.state import MAX_TRIALS, set_validation_mode
 
 
 @pytest.fixture(autouse=True)
@@ -109,6 +109,8 @@ class TestConfigParsing:
             (lambda r: r.update(observables=[{"kind": "charge_density",
                                               "sites": [1]}]), "unknown fields"),
             (lambda r: r.update(plan={"t": 1e308, "r": 1}), "plan.t: the step angle"),
+            (lambda r: r.update(sampling={"N": MAX_TRIALS + 1, "seed": 3}),
+             f"sampling.N: must be <= {MAX_TRIALS}"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):

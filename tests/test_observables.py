@@ -42,7 +42,13 @@ from fermisim.sq import (
     encode_occupation,
     trotter_evolve,
 )
-from fermisim.state import InvariantViolation, init_basis_state, inject_state, validation_mode
+from fermisim.state import (
+    MAX_TRIALS,
+    InvariantViolation,
+    init_basis_state,
+    inject_state,
+    validation_mode,
+)
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -80,6 +86,8 @@ class TestSamplingPlan:
             SamplingPlan(seed=-1, n_trials=10)
         with pytest.raises(ValueError):
             SamplingPlan(seed=0, n_trials=0)
+        with pytest.raises(ValueError):
+            SamplingPlan(seed=0, n_trials=MAX_TRIALS + 1)
         with pytest.raises(ValueError):
             SamplingPlan(seed=0, n_trials=10, epsilon=0.0)
 

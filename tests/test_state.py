@@ -16,6 +16,7 @@ from conftest import (
 )
 
 from fermisim.state import (
+    MAX_TRIALS,
     InvariantViolation,
     QuantumState,
     RegisterLayout,
@@ -337,6 +338,8 @@ class TestSampling:
             state.sample(seed=1 << 64, n_trials=10)
         with pytest.raises(ValueError):
             state.sample(seed=0, n_trials=0)
+        with pytest.raises(ValueError):
+            state.sample(seed=0, n_trials=MAX_TRIALS + 1)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_deterministic_for_backend(self, backend):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from conftest import make_state, random_state_map, random_unitary
 
 from fermisim import cli
@@ -481,6 +482,79 @@ class TestSamplingStream:
             1: 534, 2: 709, 3: 566, 6: 522, 10: 832, 11: 153,
             12: 426, 14: 44, 15: 312, 18: 185, 20: 596, 30: 121,
         }
+
+
+# A nonzero amplitude whose Born weight |a|**2 underflows to exactly 0.0; a
+# zero weight in the entries below stands for it.
+TINY = 1e-200
+NARROW = RegisterLayout.of(("q", 8))
+SAMPLE_CASES = {"dense": (NARROW, "dense"), "sparse": (NARROW, "sparse"), "wide": (WIDE, "sparse")}
+
+
+@given(
+    case=st.sampled_from(sorted(SAMPLE_CASES)),
+    entries=st.dictionaries(
+        st.integers(0, 255), st.sampled_from([0.0, 1.0]) | st.floats(0.01, 1.0), min_size=1, max_size=12
+    ).filter(lambda e: any(e.values())),
+    seed=st.integers(0, (1 << 64) - 1),
+    n_trials=st.integers(1, 3000),
+)
+@example(case="dense", entries={37: 1.0}, seed=5, n_trials=1)
+@example(case="sparse", entries={200: 0.3}, seed=0, n_trials=2000)
+@example(case="dense", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
+@example(case="wide", entries={0: 0.0, 3: 0.4, 64: 0.0, 130: 0.1, 254: 0.0}, seed=2**64 - 1, n_trials=1)
+def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
+    """sample(seed, N) is bincount(choice(len(support), N, p=born)) over the ascending support."""
+    layout, backend = SAMPLE_CASES[case]
+    # Wide keys put the drawn byte in the low and the high register, past 62 bits.
+    to_key = (lambda k: k | (k << 62)) if layout is WIDE else int
+    phases = np.exp(0.7j * np.arange(len(entries)))
+    total = sum(entries.values())
+    amps = {
+        to_key(k): (math.sqrt(w / total) if w else TINY) * phase
+        for (k, w), phase in zip(sorted(entries.items()), phases)
+    }
+    drawn = inject_state(layout, amps, backend).sample(seed, n_trials)
+
+    keys = sorted(amps)
+    born = np.abs(np.array([amps[k] for k in keys])) ** 2
+    born /= born.sum()
+    draws = np.random.default_rng(seed).choice(len(keys), n_trials, p=born)
+    counts = np.bincount(draws, minlength=len(keys))
+    assert drawn == {keys[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(backend):
+    """choice sends a uniform equal to cdf[i] to outcome i + 1; so must the count."""
+    a, b = 0.9018149694922304, 0.4321223909955692
+    uniforms = np.random.default_rng(0).random(8)
+    assert a * a + b * b == 1.0 and uniforms[4] == a * a  # cdf is exactly [a*a, 1]
+    born = np.array([a * a, b * b])
+    counts = np.bincount(np.random.default_rng(0).choice(2, 8, p=born), minlength=2)
+    assert inject_state(NARROW, {4: a, 9: b}, backend).sample(0, 8) == {4: counts[0], 9: counts[1]}
+    assert counts.tolist() == [(uniforms < a * a).sum(), (uniforms >= a * a).sum()]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+class TestNaNAmplitudes:
+    """NaN fails every norm comparison, so it must fail the norm checks too."""
+
+    def _nan_state(self, backend):
+        keys = NARROW.keys([0, 1])
+        return QuantumState(NARROW, backend, (keys, np.array([np.nan, 1.0], dtype=complex)))
+
+    def test_inject_state_rejects_nan(self, backend):
+        with pytest.raises(ValueError, match="squared norm"):
+            inject_state(NARROW, {0: float("nan"), 1: 1.0}, backend)
+
+    def test_sample_rejects_nan_state(self, backend):
+        with pytest.raises(InvariantViolation):
+            self._nan_state(backend).sample(seed=1, n_trials=10)
+
+    def test_mix_rejects_nan_state(self, backend):
+        with pytest.raises(InvariantViolation):
+            self._nan_state(backend).apply_two_level_mix([(2, 3)], np.eye(2))
 
 
 class TestSampledDensity:
