@@ -126,9 +126,13 @@ def _as_int(value, path, minimum=None, maximum=None):
 def _as_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ConfigError(f"{path}: integer exceeds the float range") from None
+    if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_choice(value, choices, path):
@@ -237,8 +241,12 @@ def parse_config(raw) -> RunConfig:
     plan = _require(raw, "plan", "config")
     plan_t = _as_number(_require(plan, "t", "plan"), "plan.t")
     plan_r = _as_int(_require(plan, "r", "plan"), "plan.r", minimum=1)
+    try:
+        step = plan_t / plan_r
+    except OverflowError:  # plan.r past the float range
+        raise ConfigError("plan.r: step count exceeds the float range") from None
     for name, energy in (("V0", v0), ("t0", t0)):
-        if not math.isfinite(energy * (plan_t / plan_r)):
+        if not math.isfinite(energy * step):
             raise ConfigError(f"plan.t: the step angle {name}*t/r overflows at t = {plan_t!r}")
 
     backend = _as_choice(raw.get("backend", "dense"), ("dense", "sparse"), "backend")

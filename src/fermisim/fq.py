@@ -185,7 +185,7 @@ def evolve_kinetic_particle(
             reg.with_field(keys[paired], pos_name, np.minimum(pos, partner[pos])[paired])
         )
         high = reg.with_field(low, pos_name, partner[reg.field(low, pos_name)])
-        state.apply_two_level_mix(np.stack((low, high), axis=1), mix)
+        state._mix(low, high, mix)  # disjoint pairs from the support; checked in validation mode
 
 
 def trotter_step_fq(

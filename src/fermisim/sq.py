@@ -170,15 +170,14 @@ def evolve_hopping_pair(
     low = distinct_keys((single & ~mask) | (1 << mode_a))
     parity = jw_parity(low, mode_a, mode_b)
 
+    # One mix of all pairs: the off-diagonal entry -1j*s*(-1)**p is picked per
+    # pair from the two parity classes' scalars.  The pairs are disjoint and
+    # built from the support, and the gates are unitary closed forms, so the
+    # public method's checks are left to validation mode.
     theta = params.t0 * dt
     c, s = math.cos(theta), math.sin(theta)
-    for odd in (0, 1):
-        members = low[parity == odd]
-        if not members.size:
-            continue
-        sign = -1.0 if odd else 1.0
-        gate = np.array([[c, -1j * s * sign], [-1j * s * sign, c]])
-        state.apply_two_level_mix(np.stack((members, members ^ mask), axis=1), gate)
+    off = np.where(parity == 1, -1j * s * -1.0, -1j * s * 1.0)
+    state._mix(low, low ^ mask, ((complex(c), off), (off, complex(c))))
 
 
 def trotter_step(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:

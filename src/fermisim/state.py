@@ -11,14 +11,18 @@ keeps `_vals`, the amplitudes of `_keys` in the same order.  On both backends
 `_vals` is the amplitude store (the dense one aliases `_vec`).  The norm check
 after every primitive never scans all 2**Q entries: the sparse backend takes
 one dot product over `_vals`, and the dense one reads a running squared norm
-`_norm2` that `_scatter` updates from the entries it overwrites.  Each backend
-implements exactly two storage operations: `gather` reads the amplitudes at an
-array of keys (by default the whole support, in ascending key order), and
-`_scatter` writes (keys, amplitudes) back and updates `_keys` where an entry
-turns zero or nonzero, without scanning the dense vector.  Every primitive (phase and sign, two-level
-mix, controlled gate, basis permutation, branch scatter, sampling) is written
-once on top of these two and works on the support's key array, never on all
-2**Q strings.
+`_norm2` that every write updates from the entries it overwrites.  Each backend
+implements one storage step in two halves: `_lookup` reads the amplitudes at
+an array of keys and says where they sit (the dense vector index itself, or
+the sparse insertion positions), and `_write` stores new amplitudes at those
+keys from that location and updates `_keys` where an entry turns zero or
+nonzero, without scanning the dense vector.  `gather` (read the amplitudes at
+keys, by default the whole support in ascending key order) and `_scatter`
+(write them) are each built from the two halves, and every primitive (phase
+and sign, controlled gate, basis permutation, branch scatter, sampling) is
+written once on top of `gather` and `_scatter`.  The two-level mix `_mix`, the
+step of every hop, calls `_lookup` once on its 2N keys and hands the read
+amplitudes and locations to `_write`.  No primitive touches all 2**Q strings.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
@@ -212,9 +216,19 @@ def _as_gate(matrix) -> np.ndarray:
     gate = np.asarray(matrix, dtype=complex)
     if gate.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {gate.shape}")
-    if np.abs(gate.conj().T @ gate - np.eye(2)).max() > UNITARY_TOL:
-        raise ValueError("gate matrix is not unitary within 1e-12")
+    _check_unitary(gate)
     return gate
+
+
+def _check_unitary(mats: np.ndarray) -> None:
+    """ValueError unless every 2x2 matrix in `mats`, of shape (..., 2, 2), is unitary.
+
+    Written `not dev <= UNITARY_TOL`, so a NaN entry fails it.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry gives dev = nan or inf
+        dev = np.abs(np.swapaxes(mats.conj(), -1, -2) @ mats - np.eye(2)).max(initial=0.0)
+    if not dev <= UNITARY_TOL:
+        raise ValueError("gate matrix is not unitary within 1e-12")
 
 
 class QuantumState:
@@ -267,24 +281,41 @@ class QuantumState:
             keys = self._keys
         else:
             self._check_keys(keys, "basis string")
-        if self._vec is not None:
-            return keys, self._vec[keys]
-        pos, hit = self._locate(keys)
-        amps = np.zeros(len(keys), dtype=complex)
-        amps[hit] = self._vals[pos[hit]]
-        return keys, amps
+        return keys, self._lookup(keys)[0]
 
     def _scatter(self, keys: np.ndarray, amps) -> None:
         """Write the amplitudes `amps` at distinct `keys`; other entries are untouched."""
+        self._write(keys, amps, *self._lookup(keys))
+
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, object]:
+        """Amplitudes at in-range `keys` (zero off the support), and where the keys sit.
+
+        The location is what `_write` needs to store at the same keys: None on
+        the dense backend, whose keys index `_vec` directly, and on the sparse
+        one the insertion positions of `keys` in `_keys` with whether each is
+        stored.
+        """
+        if self._vec is not None:
+            return self._vec[keys], None
+        pos = np.searchsorted(self._keys, keys)
+        if len(self._keys):
+            hit = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
+        else:
+            hit = np.zeros(len(pos), dtype=bool)
+        amps = np.zeros(len(keys), dtype=complex)
+        amps[hit] = self._vals[pos[hit]]
+        return amps, (pos, hit)
+
+    def _write(self, keys: np.ndarray, amps, old: np.ndarray, where) -> None:
+        """Store `amps` at distinct `keys`; `old, where` is what `_lookup(keys)` returned."""
+        amps = np.asarray(amps, dtype=complex)
         if self._vec is not None:
             # Dense: the support keys change only where a written entry turns
             # zero or nonzero, so only then is `_keys` rebuilt, from itself.
             # The running squared norm moves by what the write changed.
-            old = self._vec[keys]
             self._vec[keys] = amps
-            new = self._vec[keys]
-            self._norm2 += float(np.vdot(new, new).real - np.vdot(old, old).real)
-            was, now = old != 0, new != 0
+            self._norm2 += float(np.vdot(amps, amps).real - np.vdot(old, old).real)
+            was, now = old != 0, amps != 0
             if (was != now).any():
                 stored = self._keys
                 if (was & ~now).any():
@@ -297,7 +328,7 @@ class QuantumState:
         # Sparse: update the keys already stored, insert the new nonzero ones
         # in key order, then drop entries that became exactly zero.  The old
         # arrays are never modified in place, since gather() hands them out.
-        pos, hit = self._locate(keys)
+        pos, hit = where
         vals = self._vals.copy()
         vals[pos[hit]] = amps[hit]
         stored = self._keys
@@ -311,13 +342,6 @@ class QuantumState:
         if not keep.all():
             stored, vals = stored[keep], vals[keep]
         self._keys, self._vals = stored, vals
-
-    def _locate(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Sparse insertion positions of `keys` and whether each is stored."""
-        pos = np.searchsorted(self._keys, keys)
-        if not len(self._keys):
-            return pos, np.zeros(len(pos), dtype=bool)
-        return pos, self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
 
     # ------------------------------------------------------------------ access
 
@@ -440,11 +464,9 @@ class QuantumState:
         gate = _as_gate(matrix)
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
-        pairs = self.layout.keys(pairs).reshape(-1, 2)
-        flat = np.sort(pairs.ravel())
-        if (flat[1:] == flat[:-1]).any():
-            raise ValueError("two-level pairs overlap")
-        self._mix(pairs[:, 0], pairs[:, 1], gate)
+        k0, k1 = self.layout.keys(pairs).reshape(-1, 2).T
+        self._check_pairs(k0, k1)
+        self._mix(k0, k1, gate)
 
     def qft_register(self, name: str) -> None:
         """Quantum Fourier transform of one register, other registers untouched.
@@ -516,6 +538,14 @@ class QuantumState:
         if bad.size:
             raise ValueError(f"{what} {bad[0]} out of range for {self.layout.width} qubits")
 
+    def _check_pairs(self, k0: np.ndarray, k1: np.ndarray) -> None:
+        """ValueError unless the pairs (k0[i], k1[i]) are disjoint and every key is in range."""
+        flat = np.sort(np.concatenate((k0, k1)))
+        if (flat[1:] == flat[:-1]).any():
+            raise ValueError("two-level pairs overlap")
+        self._check_keys(k0, "basis string")
+        self._check_keys(k1, "basis string")
+
     def _check_norm(self) -> None:
         if self._vec is not None:
             total = self._norm2
@@ -524,14 +554,24 @@ class QuantumState:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
-    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate: np.ndarray) -> None:
-        """Apply `gate` to each amplitude pair (k0[i], k1[i]); the pairs are disjoint."""
-        a0 = self.gather(k0)[1]
-        a1 = self.gather(k1)[1]
-        self._scatter(
-            np.concatenate((k0, k1)),
-            np.concatenate((gate[0, 0] * a0 + gate[0, 1] * a1, gate[1, 0] * a0 + gate[1, 1] * a1)),
-        )
+    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate) -> None:
+        """Apply `gate` to each amplitude pair (k0[i], k1[i]): one lookup, one write.
+
+        `gate` is a 2x2 array, or rows ((g00, g01), (g10, g11)) whose entries
+        are scalars or arrays with one entry per pair, so pair i is mixed by
+        its own matrix.  The caller guarantees what `apply_two_level_mix`
+        checks: a unitary gate, keys of this layout in range, disjoint pairs.
+        Internal callers build these by construction and skip the checks; in
+        validation mode they run here, as the public method runs them.
+        """
+        (g00, g01), (g10, g11) = gate
+        if validation_enabled():
+            _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
+            self._check_pairs(k0, k1)
+        keys = np.concatenate((k0, k1))
+        amps, where = self._lookup(keys)
+        a0, a1 = amps[: len(k0)], amps[len(k0):]
+        self._write(keys, np.concatenate((g00 * a0 + g01 * a1, g10 * a0 + g11 * a1)), amps, where)
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:

@@ -111,6 +111,12 @@ class TestConfigParsing:
             (lambda r: r.update(plan={"t": 1e308, "r": 1}), "plan.t: the step angle"),
             (lambda r: r.update(sampling={"N": MAX_TRIALS + 1, "seed": 3}),
              f"sampling.N: must be <= {MAX_TRIALS}"),
+            (lambda r: r.update(params={"V0": 10**400, "t0": 1.0}), "params.V0"),
+            (lambda r: r.update(params={"V0": 4.0, "t0": -(10**400)}), "params.t0"),
+            (lambda r: r.update(plan={"t": 10**400, "r": 8}), "plan.t"),
+            (lambda r: r.update(plan={"t": 1.0, "r": 10**400}), "plan.r"),
+            (lambda r: r.update(sampling={"N": 10, "seed": 3, "epsilon": 10**400}),
+             "sampling.epsilon"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):

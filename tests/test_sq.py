@@ -1,5 +1,7 @@
 """Occupation-number Trotter evolution tested against dense operator oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,22 @@ class TestPotential:
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
 
+def parity_class_mixes(state, mode_a, mode_b, theta):
+    """The hop as two public mixes, one per Jordan-Wigner parity class of its pairs."""
+    mask = (1 << mode_a) | (1 << mode_b)
+    keys = state.gather()[0]
+    occ = keys & mask
+    low = np.unique((keys[(occ != 0) & (occ != mask)] & ~mask) | (1 << mode_a))
+    parity = jw_parity(low, mode_a, mode_b)
+    c, s = math.cos(theta), math.sin(theta)
+    for odd in (0, 1):
+        members = low[parity == odd]
+        if members.size:
+            sign = -1.0 if odd else 1.0
+            gate = np.array([[c, -1j * s * sign], [-1j * s * sign, c]])
+            state.apply_two_level_mix(np.stack((members, members ^ mask), axis=1), gate)
+
+
 class TestHoppingPair:
     @pytest.mark.parametrize("spin", (UP, DOWN))
     @pytest.mark.parametrize("sites", ((1, 2), (2, 3)))
@@ -145,6 +163,23 @@ class TestHoppingPair:
         want = u @ state.to_vector()
         evolve_hopping_pair(state, 2, 3, DOWN, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
+
+    @pytest.mark.parametrize("backend", ("dense", "sparse"))
+    def test_one_mix_is_bitwise_the_two_parity_class_mixes(self, backend):
+        rng = np.random.default_rng(1208)
+        m, dt = 4, 0.29
+        layout = ModeLayout(m)
+        reg = layout.register_layout()
+        for _ in range(8):
+            amps = random_state_map(rng, reg.width, int(rng.integers(1, 120)))
+            site, spin = int(rng.integers(1, m)), int(rng.integers(2))
+            state = inject_state(reg, amps, backend)
+            evolve_hopping_pair(state, site, site + 1, spin, PARAMS, dt)
+            want = inject_state(reg, amps, backend)
+            parity_class_mixes(want, layout.mode(site, spin), layout.mode(site + 1, spin), PARAMS.t0 * dt)
+            (got_keys, got_amps), (want_keys, want_amps) = state.gather(), want.gather()
+            assert np.array_equal(got_keys, want_keys)
+            assert np.array_equal(got_amps.view(np.int64), want_amps.view(np.int64))
 
     def test_rejects_non_adjacent_sites(self):
         state = init_basis_state(ModeLayout(3).register_layout(), 0)

@@ -220,6 +220,69 @@ class TestValidationOfArrayMaps:
         assert seen == [1]
 
 
+# ---------------------------------------------------------- two-level mix checks
+
+
+class TestMixChecks:
+    """The public mix checks every argument; the internal `_mix` does so in validation mode."""
+
+    LAYOUT = RegisterLayout.of(("q", 3))
+    START = {2: 0.6, 5: 0.8}
+
+    @staticmethod
+    def _hop_gate(signs):
+        c, s = math.cos(0.3), math.sin(0.3)
+        off = -1j * s * np.asarray(signs, dtype=float)
+        return (c, off), (off, c)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("entry", (float("nan"), float("inf")))
+    def test_public_mix_rejects_non_finite_gates(self, backend, entry):
+        state = inject_state(self.LAYOUT, self.START, backend)
+        with pytest.raises(ValueError, match="not unitary"):
+            state.apply_two_level_mix([(0, 1)], [[entry, 0], [0, 1]])
+        assert state.to_map() == self.START
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "case", ("overlap", "key out of range", "scalar gate", "per-pair gate", "nan per-pair gate")
+    )
+    def test_internal_mix_checks_its_arguments_in_validation_mode(self, backend, case):
+        k0, k1 = self.LAYOUT.keys([2, 4]), self.LAYOUT.keys([3, 5])
+        gate = self._hop_gate([1.0, -1.0])
+        if case == "overlap":
+            k1 = self.LAYOUT.keys([3, 2])
+        elif case == "key out of range":
+            k1 = self.LAYOUT.keys([3, 8])
+        elif case == "scalar gate":
+            gate = np.array([[1.0, 0.0], [0.0, 2.0]])
+        elif case == "per-pair gate":
+            gate = self._hop_gate([1.0, 2.0])
+        else:
+            gate = self._hop_gate([1.0, float("nan")])
+        state = inject_state(self.LAYOUT, self.START, backend)
+        with validation_mode():
+            with pytest.raises(ValueError):
+                state._mix(k0, k1, gate)
+        assert state.to_map() == self.START
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_per_pair_gate_equals_one_public_mix_per_pair(self, backend):
+        rng = np.random.default_rng(808)
+        amps = random_state_map(rng, self.LAYOUT.width, 6)
+        signs = [1.0, -1.0, -1.0]
+        pairs = [(1, 0), (2, 7), (4, 6)]
+        state = inject_state(self.LAYOUT, amps, backend)
+        with validation_mode():
+            state._mix(self.LAYOUT.keys([p[0] for p in pairs]), self.LAYOUT.keys([p[1] for p in pairs]),
+                       self._hop_gate(signs))
+        want = inject_state(self.LAYOUT, amps, backend)
+        for pair, sign in zip(pairs, signs):
+            (c, off), _ = self._hop_gate([sign])
+            want.apply_two_level_mix([pair], [[c, off[0]], [off[0], c]])
+        assert state.to_map() == want.to_map()
+
+
 # ------------------------------------------------------------- dense support
 
 
