@@ -111,6 +111,17 @@ class TestConfigParsing:
             (lambda r: r.update(plan={"t": 1e308, "r": 1}), "plan.t: the step angle"),
             (lambda r: r.update(sampling={"N": MAX_TRIALS + 1, "seed": 3}),
              f"sampling.N: must be <= {MAX_TRIALS}"),
+        ],
+    )
+    def test_schema_violations_name_their_path(self, mangle, needle):
+        raw = base_config()
+        mangle(raw)
+        with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):
+            parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "mangle, needle",
+        [
             (lambda r: r.update(params={"V0": 10**400, "t0": 1.0}), "params.V0"),
             (lambda r: r.update(params={"V0": 4.0, "t0": -(10**400)}), "params.t0"),
             (lambda r: r.update(plan={"t": 10**400, "r": 8}), "plan.t"),
@@ -119,10 +130,10 @@ class TestConfigParsing:
              "sampling.epsilon"),
         ],
     )
-    def test_schema_violations_name_their_path(self, mangle, needle):
+    def test_integers_past_float_range_name_their_path(self, mangle, needle):
         raw = base_config()
         mangle(raw)
-        with pytest.raises(ConfigError, match=needle.replace("[", r"\[")):
+        with pytest.raises(ConfigError, match=needle):
             parse_config(raw)
 
     def test_sampling_block_becomes_a_sampling_plan(self):
