@@ -164,18 +164,6 @@ class RegisterBank:
             keys = keys | (v.astype(keys.dtype) << (off + i * self.word_bits))
         return keys
 
-    def set_words(self, basis: int, name: str, values) -> int:
-        return self.layout.with_field(basis, name, self.pack(values))
-
-    def pack(self, values) -> int:
-        w = self.word_bits
-        block = 0
-        for i, v in enumerate(values):
-            if not 0 <= v <= self._word_mask:
-                raise ValueError(f"word value {v} does not fit in {w} bits")
-            block |= v << (i * w)
-        return block
-
     def word_slices(self, name: str) -> list[tuple[int, int]]:
         off = self.layout.offset(name)
         w = self.word_bits
@@ -187,10 +175,11 @@ class RegisterBank:
 
     def identity_block(self) -> int:
         """Packed encoding of the constant tuple (1, 2, ..., n)."""
-        return self.pack(range(self.n))
+        return encode_labels(range(1, self.n + 1), self.word_bits)
 
-    def rank_blocks(self) -> tuple[int, ...]:
-        return _rank_blocks(self.n, self.word_bits)
+    def rank_blocks(self) -> np.ndarray:
+        """Packed encodings of every falling-rank tuple, ascending (shared; do not modify)."""
+        return _decode_table(self.n, self.word_bits)[0]
 
 
 def _rows(tuples, n: int) -> np.ndarray:
@@ -210,12 +199,6 @@ def _pack_rows(rows: np.ndarray, word_bits: int) -> np.ndarray:
     for i, column in enumerate((rows - 1).astype(dtype).T):
         packed |= column << (i * word_bits)
     return packed
-
-
-@lru_cache(maxsize=None)
-def _rank_blocks(n: int, word_bits: int) -> tuple[int, ...]:
-    """Packed encodings of every falling-rank tuple."""
-    return tuple(_pack_rows(_rank_tuples(n), word_bits).tolist())
 
 
 @lru_cache(maxsize=None)
@@ -296,12 +279,13 @@ def _as_branches(configuration) -> list[tuple[tuple[int, ...], complex]]:
 
 def superpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
     """Split every branch into the uniform rank superposition on B (amplitude n!**-0.5 each)."""
-    if bank.layout.field(state.gather()[0], "B").any():
+    keys, amps = state.gather()
+    if bank.layout.field(keys, "B").any():
         raise ValueError("register B must be zero before the rank preparation")
-    off = bank.layout.offset("B")
-    blocks = bank.rank_blocks()
+    blocks = bank.rank_blocks().astype(keys.dtype) << bank.layout.offset("B")
     coeff = 1.0 / math.sqrt(len(blocks))
-    state._scatter_support(lambda b: [(b | (blk << off), coeff) for blk in blocks])
+    # B is zero on every key, so the n! targets of each key are distinct from all others.
+    state._replace((keys[:, None] | blocks).ravel(), np.repeat(amps, len(blocks)) * coeff)
 
 
 def unsuperpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
@@ -312,7 +296,7 @@ def unsuperpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
     off, mask = bank.block("B")
     keys, amps = state.gather()
     values = bank.layout.field(keys, "B")
-    blocks = np.array(sorted(bank.rank_blocks()), dtype=values.dtype)
+    blocks = bank.rank_blocks().astype(values.dtype)
     at = np.minimum(np.searchsorted(blocks, values), len(blocks) - 1)
     base = keys & ~(mask << off)
     order = np.argsort(base, kind="stable")
@@ -482,13 +466,16 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
     mode; registers B, C, record and parity are exactly zero on every branch.
     """
     check_mode(mode)
-    for b in state.support():
-        words = bank.get_words(b, "A")
-        if any(x >= y for x, y in zip(words, words[1:])):
-            labels = tuple(v + 1 for v in words)
-            raise ValueError(f"A must hold strictly increasing labels, got {labels}")
-        if not bank.ancillas_clear(b):
-            raise ValueError("ancilla registers must be zero before antisymmetrization")
+    # The first offending string in key order names the error, A before ancillas.
+    keys = state.gather()[0]
+    words = np.array(bank.get_words(keys, "A"))  # one row per word
+    unordered = (words[:-1] >= words[1:]).any(axis=0)
+    bad = np.flatnonzero(unordered | ~bank.ancillas_clear(keys))
+    if bad.size and unordered[bad[0]]:
+        labels = tuple((words[:, bad[0]] + 1).tolist())
+        raise ValueError(f"A must hold strictly increasing labels, got {labels}")
+    if bad.size:
+        raise ValueError("ancilla registers must be zero before antisymmetrization")
 
     superpose_ranks(state, bank)
     ranks_to_permutation(state, bank)

@@ -256,6 +256,15 @@ def parse_config(raw) -> RunConfig:
                           "bose runs need formalism = first")
 
     particles = _parse_particles(_require(raw, "particles", "config"), formalism, m, "particles")
+    # |<H>| <= (|V0| + 4|t0|)*m*n in both encodings (at most m doubly occupied
+    # sites, hops of at most 2|t0| per particle); past it the energy is inf or nan.
+    try:
+        energy_bound = (abs(v0) + 4 * abs(t0)) * m * len(particles)
+    except OverflowError:  # lattice.m past the float range
+        raise ConfigError("lattice.m: site count exceeds the float range") from None
+    if not math.isfinite(energy_bound):
+        field = "params.V0" if abs(v0) >= 4 * abs(t0) else "params.t0"
+        raise ConfigError(f"{field}: the energy bound (|V0| + 4|t0|)*m*n overflows the float range")
     observables = _parse_observables(
         raw.get("observables"), formalism, m, len(particles), "observables"
     )

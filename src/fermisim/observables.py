@@ -77,10 +77,11 @@ class Histogram:
     n_trials: int | None = None
 
     def __post_init__(self):
+        # Written `not ... <= tol` / `not f >= 0`, so a NaN frequency fails both checks.
         total = sum(self.frequencies.values())
-        if abs(total - 1.0) > FREQUENCY_TOL:
+        if not abs(total - 1.0) <= FREQUENCY_TOL:
             raise InvariantViolation(f"histogram frequencies sum to {total}, expected 1")
-        if any(f < 0 for f in self.frequencies.values()):
+        if not all(f >= 0 for f in self.frequencies.values()):
             raise InvariantViolation("histogram frequencies must be nonnegative")
         if (self.counts is None) != (self.n_trials is None):
             raise ValueError("counts and n_trials must be supplied together")
@@ -262,7 +263,8 @@ def expected_energy(
 
 
 def _check_energy(value: float, total: float, what: str) -> None:
-    if abs(total - value) > ENERGY_SPLIT_TOL * max(1.0, abs(total)):
+    """InvariantViolation unless `value` matches `total`; a NaN on either side fails."""
+    if not abs(total - value) <= ENERGY_SPLIT_TOL * max(1.0, abs(total)):
         raise InvariantViolation(f"{what} = {value} drifted from the matrix-free value {total}")
 
 

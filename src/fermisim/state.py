@@ -19,10 +19,11 @@ keys from that location and updates `_keys` where an entry turns zero or
 nonzero, without scanning the dense vector.  `gather` (read the amplitudes at
 keys, by default the whole support in ascending key order) and `_scatter`
 (write them) are each built from the two halves, and every primitive (phase
-and sign, controlled gate, basis permutation, branch scatter, sampling) is
-written once on top of `gather` and `_scatter`.  The two-level mix `_mix`, the
-step of every hop, calls `_lookup` once on its 2N keys and hands the read
-amplitudes and locations to `_write`.  No primitive touches all 2**Q strings.
+and sign, controlled gate, basis permutation, sampling) is written once on top
+of `gather` and `_scatter`.  `_replace`, which swaps the whole support, clears
+the store and makes one `_scatter`.  The two-level mix `_mix`, the step of
+every hop, calls `_lookup` once on its 2N keys and hands the read amplitudes
+and locations to `_write`.  No primitive touches all 2**Q strings.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
@@ -575,9 +576,12 @@ class QuantumState:
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:
-        """Swap the whole support for distinct (keys, amps)."""
-        stale = self.gather()[0]
-        self._scatter(stale, np.zeros(len(stale), dtype=complex))
+        """Swap the whole support for distinct (keys, amps): clear the store, then one write."""
+        if self._vec is not None:
+            self._vec[self._keys] = 0
+        else:
+            self._vals = np.zeros(0, dtype=complex)
+        self._keys, self._norm2 = self.layout.keys([]), 0.0
         self._scatter(keys, amps)
         self._check_norm()
 
@@ -589,30 +593,6 @@ class QuantumState:
         if distinct_keys(targets).size != targets.size:
             raise ValueError("mapping is not injective on the support")
         self._replace(targets, amps)
-
-    def _scatter_support(self, expand: Callable[[int], Iterable[tuple[int, complex]]]) -> None:
-        """Replace each support string b by the weighted strings expand(b) yields.
-
-        Used for isometric branch splitting (rank-superposition preparation);
-        weights landing on one string add up, and the norm check after the
-        rewrite is the isometry guard.
-        """
-        keys, amps = self.gather()
-        targets, weights = [], []
-        for b, a in zip(keys.tolist(), amps.tolist()):
-            for t, coeff in expand(b):
-                targets.append(t)
-                weights.append(a * coeff)
-        targets = self.layout.keys(targets)
-        self._check_keys(targets, "basis string")
-        order = np.argsort(targets, kind="stable")
-        targets = targets[order]
-        weights = np.asarray(weights, dtype=complex)[order]
-        starts = np.flatnonzero(np.concatenate(([True], targets[1:] != targets[:-1])))
-        self._replace(targets[starts], np.add.reduceat(weights, starts) if starts.size else weights)
-
-    def _set_map(self, amplitudes: Mapping[int, complex]) -> None:
-        self._replace(self.layout.keys(list(amplitudes)), np.asarray(list(amplitudes.values()), dtype=complex))
 
 
 def init_basis_state(layout: RegisterLayout, bits: int, backend: str = "dense") -> QuantumState:
@@ -631,9 +611,8 @@ def inject_state(
         total += abs(a) ** 2
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitude map has squared norm {total}, expected 1 within 1e-10")
-    state = QuantumState(layout, backend)
-    state._set_map(amplitudes)
-    return state
+    keys = layout.keys(list(amplitudes))
+    return QuantumState(layout, backend, (keys, np.array(list(amplitudes.values()), dtype=complex)))
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> complex:

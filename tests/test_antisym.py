@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from fermisim.antisym import (
     MODES,
@@ -28,7 +29,13 @@ from fermisim.antisym import (
 )
 from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric
 from fermisim.oracle import slater_antisymmetrize
-from fermisim.state import InvariantViolation, RegisterLayout, init_basis_state, validation_mode
+from fermisim.state import (
+    InvariantViolation,
+    RegisterLayout,
+    init_basis_state,
+    inject_state,
+    validation_mode,
+)
 
 
 def apply_schedule(values, schedule):
@@ -93,13 +100,14 @@ class TestRankMachinery:
     @pytest.mark.parametrize("n,w", [(2, 1), (2, 2), (3, 2), (3, 3)])
     def test_decode_table_is_a_bijection(self, n, w):
         blocks, perms = _decode_table(n, w)
-        assert sorted(blocks.tolist()) == sorted(RegisterBank(QuWordLayout(n, w)).rank_blocks())
+        assert blocks.tolist() == sorted(_rank_block(ranks, w) for ranks in _all_rank_tuples(n))
         assert len(set(perms.tolist())) == len(perms) == math.factorial(n)
 
     def test_decode_rejects_out_of_range_ranks(self):
         bank = RegisterBank(QuWordLayout(2, 2))
         # B[1] = 2 is out of range: the last rank component is always 1.
-        state = init_basis_state(bank.layout, bank.set_words(0, "B", [0, 1]), "sparse")
+        basis = bank.layout.with_field(0, "B", encode_labels([1, 2], 2))
+        state = init_basis_state(bank.layout, basis, "sparse")
         with pytest.raises(ValueError, match="out-of-range rank"):
             ranks_to_permutation(state, bank)
 
@@ -112,9 +120,7 @@ class TestRankMachinery:
     def test_decode_table_matches_reference_decode(self, n, w):
         table = dict(zip(*(column.tolist() for column in _decode_table(n, w))))
         for ranks in _all_rank_tuples(n):
-            block = sum((r - 1) << (i * w) for i, r in enumerate(ranks))
-            perm = decode_rank_tuple(ranks)
-            assert table[block] == encode_labels(perm, w)
+            assert table[_rank_block(ranks, w)] == encode_labels(decode_rank_tuple(ranks), w)
 
 
 def _all_rank_tuples(n):
@@ -122,6 +128,11 @@ def _all_rank_tuples(n):
 
     for picks in product(*(range(1, n - i + 1) for i in range(n))):
         yield picks
+
+
+def _rank_block(ranks, w):
+    """B register value of a rank tuple: word i holds ranks[i] - 1."""
+    return sum((r - 1) << (i * w) for i, r in enumerate(ranks))
 
 
 class TestPreparation:
@@ -194,6 +205,25 @@ class TestStages:
         for b, a in before.items():
             assert after[b] == pytest.approx(a, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "n, w, backend",
+        [(1, 1, "sparse"), (2, 2, "sparse"), (3, 2, "sparse"), (4, 2, "sparse"), (5, 3, "sparse"),
+         (5, 4, "sparse"), (1, 1, "dense"), (2, 1, "dense"), (2, 2, "dense")],
+    )
+    def test_superpose_ranks_matches_per_string_reference(self, n, w, backend):
+        bank = RegisterBank(QuWordLayout(n, w))
+        assert (bank.layout.key_dtype == object) == ((n, w) == (5, 4))
+        rng = np.random.default_rng(31 * n + w)
+        branches = _random_branches(rng, n, w, 4)
+        state = prepare_ordered_input(bank, branches, backend)
+        want = _superpose_ranks_reference(state.to_map(), bank)
+        superpose_ranks(state, bank)
+        keys, amps = state.gather()
+        want_keys = sorted(want)
+        assert np.array_equal(keys, bank.layout.keys(want_keys))
+        want_amps = np.array([want[k] for k in want_keys], dtype=complex)
+        assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # bitwise, signed zeros too
+
     def test_unsuperpose_rejects_foreign_states(self):
         bank = RegisterBank(QuWordLayout(2, 1))
         state = prepare_ordered_input(bank, (1, 2))
@@ -201,12 +231,33 @@ class TestStages:
             unsuperpose_ranks(state, bank)
 
 
+def _random_branches(rng, n, w, count):
+    """Up to `count` distinct ordered label tuples in 1..2**w with a random normalized amplitude each."""
+    tuples = sorted({tuple(sorted(rng.choice(1 << w, n, replace=False) + 1)) for _ in range(count)})
+    amps = rng.normal(size=len(tuples)) + 1j * rng.normal(size=len(tuples))
+    amps /= np.linalg.norm(amps)
+    return [(labels, complex(a)) for labels, a in zip(tuples, amps)]
+
+
+def _superpose_ranks_reference(amplitudes, bank):
+    """superpose_ranks one basis string and one rank tuple at a time, as {key: amplitude}."""
+    off = bank.layout.offset("B")
+    blocks = [_rank_block(ranks, bank.word_bits) for ranks in _all_rank_tuples(bank.n)]
+    coeff = 1.0 / math.sqrt(len(blocks))
+    out = {}
+    for b, a in amplitudes.items():
+        for blk in blocks:
+            out[b | (blk << off)] = a * coeff
+    return out
+
+
 class TestSortRecord:
     @staticmethod
     def run_sort(bank, key_words, co_a=None):
-        basis = bank.set_words(0, "B", key_words)
+        # Words hold label - 1, so word values v are the labels v + 1.
+        basis = bank.layout.with_field(0, "B", encode_labels([v + 1 for v in key_words], bank.word_bits))
         if co_a is not None:
-            basis = bank.set_words(basis, "A", co_a)
+            basis = bank.layout.with_field(basis, "A", encode_labels([v + 1 for v in co_a], bank.word_bits))
         state = init_basis_state(bank.layout, basis, "sparse")
         sort_with_record(state, bank, "B", ("A",) if co_a is not None else ())
         (out,) = state.support()
@@ -345,6 +396,32 @@ class TestPipeline:
         with pytest.raises(ValueError):
             antisymmetrize(state, bank)  # output holds non-increasing branches
 
+    @pytest.mark.parametrize(
+        "branches, message",
+        [
+            # Word i holds labels[i] - 1, so (3, 1) is unordered; a named
+            # register gets its lowest bit set, which puts the string above
+            # every string with clean ancillas in key order.
+            ([((3, 1), None), ((1, 2), None)], r"strictly increasing labels, got \(3, 1\)"),
+            ([((1, 2), None), ((1, 3), "C")], "ancilla registers must be zero"),
+            # The first offending string in key order names the error.
+            ([((3, 1), None), ((1, 2), "C")], r"strictly increasing labels, got \(3, 1\)"),
+            ([((1, 2), "B"), ((4, 1), "C")], "ancilla registers must be zero"),
+            ([((2, 1), "B"), ((1, 2), "C")], r"strictly increasing labels, got \(2, 1\)"),
+        ],
+    )
+    def test_entry_check_names_the_first_offending_string(self, branches, message):
+        bank = RegisterBank(QuWordLayout(2, 2))
+        amplitudes = {}
+        for (labels, dirty), amp in zip(branches, (0.6, 0.8)):
+            key = encode_labels(labels, 2)
+            if dirty is not None:
+                key |= 1 << bank.layout.offset(dirty)
+            amplitudes[key] = amp
+        for backend in ("sparse", "dense"):
+            with pytest.raises(ValueError, match=message):
+                antisymmetrize(inject_state(bank.layout, amplitudes, backend), bank)
+
     def test_rejects_bad_mode(self):
         bank = RegisterBank(QuWordLayout(2, 1))
         state = prepare_ordered_input(bank, (1, 2))
@@ -360,6 +437,43 @@ class TestPipeline:
         want = slater_antisymmetrize((1, 4), "fermi")
         for perm, amp in want.items():
             assert got[perm] == pytest.approx(amp, abs=1e-12)
+
+
+@st.composite
+def ordered_superpositions(draw):
+    """(n, word bits, branches): distinct ordered label tuples with normalized amplitudes."""
+    n = draw(st.integers(1, 6))
+    w = draw(st.integers(max(1, (n - 1).bit_length()), 4))
+    labels = st.lists(st.integers(1, 1 << w), min_size=n, max_size=n, unique=True)
+    tuples = draw(st.lists(labels.map(lambda v: tuple(sorted(v))), min_size=1, max_size=3, unique=True))
+    polar = draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-math.pi, math.pi)),
+                          min_size=len(tuples), max_size=len(tuples)))
+    amps = np.array([r * complex(math.cos(phi), math.sin(phi)) for r, phi in polar])
+    amps /= np.linalg.norm(amps)
+    return n, w, list(zip(tuples, amps.tolist()))
+
+
+@given(case=ordered_superpositions(), mode=st.sampled_from(MODES), dense=st.booleans())
+# Pinned on both sides of KEY_BITS: 5 particles on 4-bit words are a 70-qubit
+# bank with object keys, 4 on 4-bit words a 54-qubit bank with int64 keys.
+@example(case=(5, 4, [((1, 4, 6, 9, 12), 0.6), ((2, 3, 5, 7, 16), 0.8j)]), mode="fermi", dense=False)
+@example(case=(6, 3, [((1, 2, 3, 5, 7, 8), 1.0)]), mode="bose", dense=False)
+@example(case=(4, 4, [((1, 2, 3, 16), 0.8), ((5, 6, 9, 11), -0.6j)]), mode="fermi", dense=False)
+@example(case=(2, 2, [((1, 2), 0.6j), ((2, 4), 0.8)]), mode="bose", dense=True)
+def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode, dense):
+    """antisymmetrize_inverse after antisymmetrize is the identity, on int64 and on object keys."""
+    n, w, branches = case
+    bank = RegisterBank(QuWordLayout(n, w))
+    backend = "dense" if dense and bank.layout.width <= 20 else "sparse"
+    state = prepare_ordered_input(bank, branches, backend)
+    before = state.to_map()
+    antisymmetrize(state, bank, mode)
+    assert len(state.support()) == len(branches) * math.factorial(n)
+    antisymmetrize_inverse(state, bank, mode)
+    after = state.to_map()
+    assert sorted(after) == sorted(before)
+    for b, a in before.items():
+        assert abs(after[b] - a) <= 1e-12
 
 
 class TestTranspositionTest:

@@ -128,6 +128,9 @@ class TestConfigParsing:
             (lambda r: r.update(plan={"t": 1.0, "r": 10**400}), "plan.r"),
             (lambda r: r.update(sampling={"N": 10, "seed": 3, "epsilon": 10**400}),
              "sampling.epsilon"),
+            (lambda r: r.update(params={"V0": 1e308, "t0": 1.0}), "params.V0: the energy bound"),
+            (lambda r: r.update(params={"V0": 4.0, "t0": -1e308}), "params.t0: the energy bound"),
+            (lambda r: r.update(lattice={"m": 10**400}), "lattice.m: site count"),
         ],
     )
     def test_integers_past_float_range_name_their_path(self, mangle, needle):
@@ -295,6 +298,24 @@ class TestEvolve:
         code, output = run_evolve(tmp_path, raw, *extra)
         assert code == 2
         assert needle in capsys.readouterr().err
+        assert not output.exists()
+
+    def test_overflowing_energy_exits_two_without_traceback(self, tmp_path, capsys):
+        # V0 = 1e308 on four particles made the energy readout write
+        # "potential": Infinity, "total": NaN and exit 0.
+        raw = base_config(
+            params={"V0": 1e308, "t0": 1.0},
+            particles=[[1, "up"], [1, "down"], [2, "up"], [2, "down"]],
+            plan={"t": 1e-300, "r": 1},
+            observables=[{"kind": "energy"}],
+            backend="sparse",
+        )
+        del raw["sampling"]
+        code, output = run_evolve(tmp_path, raw)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ": params.V0: the energy bound" in err
+        assert "Traceback" not in err
         assert not output.exists()
 
     def test_csv_columns_and_rows(self, tmp_path):

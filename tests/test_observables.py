@@ -24,6 +24,7 @@ from fermisim.observables import (
     momentum_distribution,
     pair_correlation,
     required_trials,
+    _check_energy,
 )
 from fermisim.oracle import (
     build_fq_hamiltonian,
@@ -105,11 +106,27 @@ class TestHistogram:
         with pytest.raises(InvariantViolation):
             Histogram(frequencies={0: -0.1, 1: 1.1})
 
+    @pytest.mark.parametrize("frequencies", [{0: float("nan"), 1: 1.0}, {0: float("nan")}])
+    def test_nan_frequency_enforced(self, frequencies):
+        with pytest.raises(InvariantViolation):
+            Histogram(frequencies=frequencies)
+
     def test_counts_must_match_trials(self):
         with pytest.raises(InvariantViolation):
             Histogram(frequencies={0: 1.0}, counts={0: 5}, n_trials=6)
         with pytest.raises(ValueError):
             Histogram(frequencies={0: 1.0}, counts={0: 5})
+
+
+class TestEnergyCheck:
+    @pytest.mark.parametrize("value, total", [(float("nan"), 1.0), (1.0, float("nan")),
+                                              (float("inf"), float("inf"))])
+    def test_non_finite_energy_is_an_invariant_violation(self, value, total):
+        with pytest.raises(InvariantViolation, match="drifted"):
+            _check_energy(value, total, "energy")
+
+    def test_agreement_within_tolerance_passes(self):
+        _check_energy(2.0 + ENERGY_SPLIT_TOL, 2.0, "energy")
 
 
 class TestChargeDensity:

@@ -296,7 +296,7 @@ def _dense_support_step(rng, state):
     dim = 1 << layout.width
     gate = (HADAMARD, SWAP_GATE, random_unitary(rng))[int(rng.integers(3))]
     kind = rng.choice(["phase", "sign", "mix", "controlled", "map", "register", "qft",
-                       "branch", "copy", "entries"])
+                       "replace", "copy", "entries"])
     if kind == "phase":
         mask = int(rng.integers(1, dim))
         state.apply_phase_where(lambda keys: (keys & mask) == 0, float(rng.uniform(-np.pi, np.pi)))
@@ -317,12 +317,14 @@ def _dense_support_step(rng, state):
         state.permute_register(name, rng.permutation(1 << layout.register_width(name)))
     elif kind == "qft":
         state.qft_register(layout.names()[int(rng.integers(len(layout.names())))])
-    elif kind == "branch":
-        # Hadamard on one qubit written as a branch scatter: weights meeting on
-        # one string add up, and cancel exactly on states in its image.
-        bit = 1 << int(rng.integers(layout.width))
-        s = 1 / math.sqrt(2)
-        state._scatter_support(lambda b: [(b & ~bit, s), (b | bit, -s if b & bit else s)])
+    elif kind == "replace":
+        # The support moves onto random distinct keys that may overlap it, and
+        # one more key (if any is left) is written an exact zero, which must
+        # stay off the support.
+        keys, amps = state.gather()
+        targets = rng.choice(dim, size=min(len(keys) + 1, dim), replace=False)
+        zeros = np.zeros(len(targets) - len(keys))
+        state._replace(layout.keys(targets), np.concatenate((amps[rng.permutation(len(amps))], zeros)))
     elif kind == "copy":
         state = state.copy()
     else:
@@ -362,7 +364,7 @@ class TestDenseSupportKeys:
     def test_norm_check_catches_a_non_isometric_write(self, backend):
         state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
         with pytest.raises(InvariantViolation, match="squared norm"):
-            state._scatter_support(lambda b: [(b, 1.0), (b ^ 1, 0.5)])
+            state._replace(state.layout.keys([0, 1]), np.array([1.0, 0.5], dtype=complex))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_hadamard_twice_cancels_to_one_string(self, backend):
@@ -497,14 +499,18 @@ class TestWideKeys:
         _assert_maps_close(state, after, 1e-10)
 
     def test_branch_scatter(self):
+        # Each string splits onto itself and itself with bit 63 set, written as
+        # one whole-support replace with the new keys first, out of key order.
         amps = _wide_amps()
         state = inject_state(WIDE, amps, "sparse")
         c = 1 / math.sqrt(2)
-        state._scatter_support(lambda b: [(b, c), (b | (1 << 63), c)])
+        keys, vals = state.gather()
+        state._replace(np.concatenate((keys | (1 << 63), keys)), np.concatenate((vals, vals)) * c)
         want = {}
         for b, a in amps.items():
-            want[b] = want.get(b, 0) + a * c
-            want[b | (1 << 63)] = want.get(b | (1 << 63), 0) + a * c
+            want[b] = a * c
+            want[b | (1 << 63)] = a * c
+        assert state.support() == sorted(want)
         _assert_maps_close(state, want)
 
     def test_readout(self):
