@@ -337,7 +337,7 @@ def _relabel_b(state, bank, table, error: str) -> None:
 
 def assign_identity(state: QuantumState, bank: RegisterBank) -> None:
     """Set register C to the constant tuple (1, 2, ..., n); C must be zero."""
-    if bank.layout.field(state.gather()[0], "C").any():
+    if bank.layout.field(state.support_keys(), "C").any():
         raise ValueError("register C is not zero (identity already assigned?)")
     _xor_constant_block(state, bank, "C", bank.identity_block())
 
@@ -348,7 +348,7 @@ def sort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved
     Each executed exchange sets its record bit and flips the parity bit.  The
     record slots must be zero going in; keys are compared as whole words.
     """
-    if bank.layout.field(state.gather()[0], "rec").any():
+    if bank.layout.field(state.support_keys(), "rec").any():
         raise ValueError("exchange record is not zero before sorting")
     _erase_record_from(state, bank, key)  # the zero record becomes the key's transcript
     _walk_record(state, bank, (key, *co_moved), forwards=True)
@@ -448,7 +448,7 @@ def _erase_permutation_against_positions(state, bank) -> None:
 
 
 def _xor_constant_block(state, bank, register: str, expect: int) -> None:
-    field = bank.layout.field(state.gather()[0], register)
+    field = bank.layout.field(state.support_keys(), register)
     if ((field != expect) & (field != 0)).any():
         raise InvariantViolation(f"register {register} holds neither 0 nor the expected constant")
     shift = expect << bank.layout.offset(register)
@@ -467,7 +467,7 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
     """
     check_mode(mode)
     # The first offending string in key order names the error, A before ancillas.
-    keys = state.gather()[0]
+    keys = state.support_keys()
     words = np.array(bank.get_words(keys, "A"))  # one row per word
     unordered = (words[:-1] >= words[1:]).any(axis=0)
     bad = np.flatnonzero(unordered | ~bank.ancillas_clear(keys))
@@ -492,7 +492,7 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
     _walk_record(state, bank, ("A",), forwards=False)
     _erase_record_from(state, bank, "A")
 
-    if not bank.ancillas_clear(state.gather()[0]).all():
+    if not bank.ancillas_clear(state.support_keys()).all():
         raise InvariantViolation("ancilla registers were not returned to zero")
 
 

@@ -62,6 +62,11 @@ from fermisim.state import (
 from fermisim.validate import SUITES, run_suite
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
+# Largest accepted lattice.m, a power of two so that first-quantized runs may
+# use it.  One particle with r = 1 at the cap takes 0.4 s first-quantized and
+# about 240 s second-quantized, whose 2m-bit keys are Python ints (2-core Xeon,
+# Python 3.11).
+MAX_SITES = 1 << 14
 OBSERVABLE_KINDS = ("charge_density", "pair_correlation", "k_point_correlation",
                     "momentum_distribution", "energy")
 
@@ -230,6 +235,8 @@ def parse_config(raw) -> RunConfig:
     formalism = _as_choice(_require(raw, "formalism", "config"), ("first", "second"), "formalism")
     lattice = _require(raw, "lattice", "config")
     m = _as_int(_require(lattice, "m", "lattice"), "lattice.m", minimum=1)
+    if m > MAX_SITES:
+        raise ConfigError(f"lattice.m: site count must be <= {MAX_SITES}, got {m}")
     boundary = _as_choice(lattice.get("boundary", "open"), ("open",), "lattice.boundary")
     if formalism == "first" and (m < 2 or m & (m - 1)):
         raise ConfigError(f"lattice.m: first-quantized runs need a power of two >= 2, got {m}")
@@ -258,10 +265,7 @@ def parse_config(raw) -> RunConfig:
     particles = _parse_particles(_require(raw, "particles", "config"), formalism, m, "particles")
     # |<H>| <= (|V0| + 4|t0|)*m*n in both encodings (at most m doubly occupied
     # sites, hops of at most 2|t0| per particle); past it the energy is inf or nan.
-    try:
-        energy_bound = (abs(v0) + 4 * abs(t0)) * m * len(particles)
-    except OverflowError:  # lattice.m past the float range
-        raise ConfigError("lattice.m: site count exceeds the float range") from None
+    energy_bound = (abs(v0) + 4 * abs(t0)) * m * len(particles)
     if not math.isfinite(energy_bound):
         field = "params.V0" if abs(v0) >= 4 * abs(t0) else "params.t0"
         raise ConfigError(f"{field}: the energy bound (|V0| + 4|t0|)*m*n overflows the float range")
@@ -335,15 +339,15 @@ def _evaluate(entry, state, layout, params, lattice, plan):
                 "sampled": est.sampled, "stderr": est.stderr}
     if kind == "momentum_distribution":
         particle = entry["particle"]
-        exact = momentum_distribution(state, layout, particle)
-        sampled = momentum_distribution(state, layout, particle, plan) if plan else None
+        histogram = momentum_distribution(state, layout, particle, plan)
+        exact = histogram.frequencies if plan is None else histogram.exact
         values = []
-        for k in sorted(exact.frequencies):
-            row = {"index": k, "exact": exact.frequencies[k], "sampled": None, "stderr": None}
-            if sampled is not None:
-                f = sampled.frequencies[k]
+        for k in sorted(exact):
+            row = {"index": k, "exact": exact[k], "sampled": None, "stderr": None}
+            if plan is not None:
+                f = histogram.frequencies[k]
                 row["sampled"] = f
-                row["stderr"] = math.sqrt(max(f * (1.0 - f), 0.0) / sampled.n_trials)
+                row["stderr"] = math.sqrt(max(f * (1.0 - f), 0.0) / histogram.n_trials)
             values.append(row)
         return {"kind": kind, "particle": particle, "values": values}
     if kind == "energy":

@@ -178,7 +178,7 @@ def evolve_kinetic_particle(
         partner = np.arange(layout.m)
         for x, y in pairs:
             partner[x - 1], partner[y - 1] = y - 1, x - 1
-        keys = state.gather()[0]
+        keys = state.support_keys()
         pos = reg.field(keys, pos_name)
         paired = partner[pos] != pos
         low = distinct_keys(

@@ -3,10 +3,14 @@
 Every readout accepts either encoding and dispatches on the layout object: a
 ModeLayout means one qubit per (site, spin) mode, a FirstQuantizedLayout means
 one word per particle.  Exact values are Born-rule expectations over the
-support; sampled values draw basis strings with QuantumState.sample, so a
-(seed, n_trials) pair fully determines every estimate.  Each readout takes an
-optional SamplingPlan: omitted means exact mode, present means one seeded shot
-batch.
+support; sampled values count basis strings drawn as QuantumState.sample
+draws them, so a (seed, n_trials) pair fully determines every estimate.  Each
+readout takes an optional SamplingPlan: omitted means exact mode, present means
+one seeded shot batch.  The state module keeps the last batch drawn, so the
+readouts of one run, which share one plan, share one batch of uniforms, each
+counted against its own state's Born distribution.  A sampled momentum
+histogram also carries the exact frequencies of the same transformed state, so
+one Fourier transform serves both.
 
 Densities and correlations use the 0/1 indicator that a site is occupied at
 all, i.e. the probability a measurement finds at least one particle there.  A
@@ -70,19 +74,23 @@ class Histogram:
 
     frequencies always form a probability distribution.  counts is present
     only for sampled histograms, where the frequencies are counts/n_trials.
+    exact, when present on a sampled histogram, holds the exact frequencies of
+    the distribution the shots were drawn from.
     """
 
     frequencies: dict[int, float]
     counts: dict[int, int] | None = None
     n_trials: int | None = None
+    exact: dict[int, float] | None = None
 
     def __post_init__(self):
         # Written `not ... <= tol` / `not f >= 0`, so a NaN frequency fails both checks.
-        total = sum(self.frequencies.values())
-        if not abs(total - 1.0) <= FREQUENCY_TOL:
-            raise InvariantViolation(f"histogram frequencies sum to {total}, expected 1")
-        if not all(f >= 0 for f in self.frequencies.values()):
-            raise InvariantViolation("histogram frequencies must be nonnegative")
+        for freqs in (self.frequencies,) if self.exact is None else (self.frequencies, self.exact):
+            total = sum(freqs.values())
+            if not abs(total - 1.0) <= FREQUENCY_TOL:
+                raise InvariantViolation(f"histogram frequencies sum to {total}, expected 1")
+            if not all(f >= 0 for f in freqs.values()):
+                raise InvariantViolation("histogram frequencies must be nonnegative")
         if (self.counts is None) != (self.n_trials is None):
             raise ValueError("counts and n_trials must be supplied together")
         if self.counts is not None and sum(self.counts.values()) != self.n_trials:
@@ -197,8 +205,10 @@ def momentum_distribution(
 
     Bin k of the m bins carries the weight of register value k after the
     transform, i.e. physical momentum 2*pi*k/m.  The input state is left
-    untouched.  Only per-particle encodings are supported; the mode-number
-    encoding has no per-particle register to transform.
+    untouched.  With a plan, the histogram is sampled and its `exact` field
+    holds the exact frequencies of the same transformed copy.  Only
+    per-particle encodings are supported; the mode-number encoding has no
+    per-particle register to transform.
     """
     _check_layout(state, layout)
     if not isinstance(layout, FirstQuantizedLayout):
@@ -209,20 +219,20 @@ def momentum_distribution(
     register = f"pos{particle}"
     transformed.qft_register(register)
 
+    keys, probs = _born(transformed)
+    freqs = np.bincount(transformed.layout.field(keys, register), weights=probs, minlength=layout.m)
+    # The state norm is only held to 1e-10, looser than the histogram
+    # invariant, so renormalize the Born weights explicitly.
+    weight = sum(freqs.tolist())
+    exact = {k: f / weight for k, f in enumerate(freqs.tolist())}
     if plan is None:
-        keys, probs = _born(transformed)
-        freqs = np.bincount(transformed.layout.field(keys, register), weights=probs, minlength=layout.m)
-        # The state norm is only held to 1e-10, looser than the histogram
-        # invariant, so renormalize the Born weights explicitly.
-        weight = sum(freqs.tolist())
-        return Histogram(frequencies={k: f / weight for k, f in enumerate(freqs.tolist())})
+        return Histogram(frequencies=exact)
 
-    drawn = transformed.sample(plan.seed, plan.n_trials)
-    bins = transformed.layout.field(transformed.layout.keys(list(drawn)), register)
-    counts = np.bincount(bins, weights=list(drawn.values()), minlength=layout.m)
+    keys, drawn = transformed._sample_counts(plan.seed, plan.n_trials)
+    counts = np.bincount(transformed.layout.field(keys, register), weights=drawn, minlength=layout.m)
     counts = {k: int(c) for k, c in enumerate(counts.tolist())}
     freqs = {k: c / plan.n_trials for k, c in counts.items()}
-    return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials)
+    return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials, exact=exact)
 
 
 # ------------------------------------------------------------------- energies
@@ -329,9 +339,9 @@ def _fq_energy(state, layout, params, lattice) -> tuple[float, float]:
 
 def _sampled_vector(state, plan, indicators) -> tuple[np.ndarray, np.ndarray]:
     """Shot mean and standard error of indicators(keys), one row (or value) per key."""
-    drawn = state.sample(plan.seed, plan.n_trials)
-    counts = np.fromiter(drawn.values(), dtype=float, count=len(drawn))
-    vals = np.asarray(indicators(state.layout.keys(list(drawn))), dtype=float)
+    keys, counts = state._sample_counts(plan.seed, plan.n_trials)
+    counts = counts.astype(float)
+    vals = np.asarray(indicators(keys), dtype=float)
     total = plan.n_trials
     mean = counts @ vals / total
     variance = np.maximum(counts @ (vals * vals) / total - mean * mean, 0.0)

@@ -164,7 +164,7 @@ def evolve_hopping_pair(
     # Each pair is represented by its member with mode_a occupied; the modes
     # between the endpoints agree for both members, so the parity may be read
     # off that representative.
-    keys = state.gather()[0]
+    keys = state.support_keys()
     occ = keys & mask
     single = keys[(occ != 0) & (occ != mask)]
     low = distinct_keys((single & ~mask) | (1 << mode_a))

@@ -39,10 +39,16 @@ The array entry points `apply_phase_where`, `apply_basis_map` and
 no Python call per basis string.  `apply_phase_if`, `apply_sign_if` and
 `apply_basis_permutation` keep their per-string callables: they evaluate the
 callable over the support and call the same kernel.
+
+Sampling.  A shot batch is the `n_trials` uniforms `Generator.choice` would
+draw from the seed, sorted.  `_sorted_uniforms` keeps the last batch drawn, so
+every readout of one run, on any state, that uses the same (seed, n_trials)
+counts against one batch instead of drawing and sorting it again.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -61,7 +67,8 @@ DENSE_QUBIT_LIMIT = 26
 BIJECTION_CHECK_LIMIT = 20
 # Layouts up to this many qubits keep their keys in int64 arrays.
 KEY_BITS = 62
-# Shots per `sample` call; the sampler holds one float64 uniform per shot (800 MB).
+# Shots per `sample` call.  The one cached shot batch per (seed, N) holds one
+# float64 uniform per shot (800 MB at the cap).
 MAX_TRIALS = 10**8
 
 BACKENDS = ("dense", "sparse")
@@ -208,6 +215,19 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+@functools.lru_cache(maxsize=1)
+def _sorted_uniforms(seed: int, n_trials: int) -> np.ndarray:
+    """The `n_trials` uniforms `default_rng(seed)` hands `Generator.choice`, sorted, read-only.
+
+    A pure function of its arguments, cached for the last pair: the readouts of
+    one run share one batch, and at most one batch is held.
+    """
+    uniforms = np.random.default_rng(seed).random(n_trials)
+    uniforms.sort()
+    uniforms.setflags(write=False)
+    return uniforms
+
+
 def _per_string(fn: Callable[[int], object], dtype=None) -> Callable[[np.ndarray], np.ndarray]:
     """Lift a per-basis-string callable to a function of the key array."""
     return lambda keys: np.array([fn(b) for b in keys.tolist()], dtype=dtype)
@@ -350,9 +370,16 @@ class QuantumState:
         self.layout.check_basis(basis)
         return complex(self.gather(self.layout.keys([basis]))[1][0])
 
+    def support_keys(self) -> np.ndarray:
+        """The support as a key array in ascending order, without reading amplitudes.
+
+        The array is the state's own; do not modify it.
+        """
+        return self._keys
+
     def support(self) -> list[int]:
         """Basis strings with nonzero amplitude, in increasing order."""
-        return self.gather()[0].tolist()
+        return self._keys.tolist()
 
     def to_map(self) -> dict[int, complex]:
         keys, amps = self.gather()
@@ -402,7 +429,7 @@ class QuantumState:
                 raise ValueError(f"control value must be 0 or 1, got {v}")
         self._check_qubit(target)
         tbit = 1 << target
-        keys = self.gather()[0]
+        keys = self._keys
         for q, v in controls:
             keys = keys[((keys >> q) & 1) == v]
         low = distinct_keys(keys & ~tbit)
@@ -493,15 +520,21 @@ class QuantumState:
     # ------------------------------------------------------------------ readout
 
     def sample(self, seed: int, n_trials: int) -> dict[int, int]:
-        """Draw `n_trials` basis strings from the Born distribution.
+        """Draw `n_trials` basis strings from the Born distribution: {basis: count}.
 
         The draws are those of `np.random.default_rng(seed).choice(len(support),
         n_trials, p=born)` over the support in ascending key order, so the
         stream is fully determined by the 64 bit seed and equal on both
-        backends.  They are counted rather than indexed: the same uniforms are
-        sorted, and outcome i gets those in [cdf[i-1], cdf[i]).  The sampler
-        holds one float64 per shot, hence at most MAX_TRIALS shots.
+        backends.  They are counted rather than indexed: outcome i gets the
+        sorted uniforms of `_sorted_uniforms(seed, n_trials)` that fall in
+        [cdf[i-1], cdf[i]).  The batch holds one float64 per shot, hence at
+        most MAX_TRIALS shots.
         """
+        keys, counts = self._sample_counts(seed, n_trials)
+        return dict(zip(keys.tolist(), counts.tolist()))
+
+    def _sample_counts(self, seed: int, n_trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """`sample` as arrays: the drawn keys in ascending order and their nonzero counts."""
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
@@ -515,11 +548,10 @@ class QuantumState:
         # The cdf and the uniforms are built exactly as Generator.choice builds them.
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        uniforms = np.random.default_rng(int(seed)).random(int(n_trials))
-        uniforms.sort()
+        uniforms = _sorted_uniforms(int(seed), int(n_trials))
         counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
         drawn = np.flatnonzero(counts)
-        return dict(zip(keys[drawn].tolist(), counts[drawn].tolist()))
+        return keys[drawn], counts[drawn]
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""

@@ -8,14 +8,16 @@ the same config and seed are byte-identical except for wall time.
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fermisim.cli import ConfigError, RunConfig, cmd_antisym, main, parse_config
+from fermisim import cli, observables
+from fermisim.cli import MAX_SITES, ConfigError, RunConfig, cmd_antisym, main, parse_config
 from fermisim.observables import ENERGY_SPLIT_TOL, SamplingPlan
-from fermisim.state import MAX_TRIALS, set_validation_mode
+from fermisim.state import MAX_TRIALS, QuantumState, _sorted_uniforms, set_validation_mode
 
 
 @pytest.fixture(autouse=True)
@@ -111,6 +113,8 @@ class TestConfigParsing:
             (lambda r: r.update(plan={"t": 1e308, "r": 1}), "plan.t: the step angle"),
             (lambda r: r.update(sampling={"N": MAX_TRIALS + 1, "seed": 3}),
              f"sampling.N: must be <= {MAX_TRIALS}"),
+            (lambda r: r.update(lattice={"m": MAX_SITES + 1}, backend="sparse"),
+             f"lattice.m: site count must be <= {MAX_SITES}"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):
@@ -138,6 +142,11 @@ class TestConfigParsing:
         mangle(raw)
         with pytest.raises(ConfigError, match=needle):
             parse_config(raw)
+
+    def test_site_cap_is_a_first_quantized_size(self):
+        for raw in (base_config(lattice={"m": MAX_SITES}, particles=[[1, "up"]], backend="sparse"),
+                    base_config(formalism="first", lattice={"m": MAX_SITES}, particles=[1])):
+            assert parse_config(raw).m == MAX_SITES
 
     def test_sampling_block_becomes_a_sampling_plan(self):
         config = parse_config(base_config())
@@ -318,6 +327,16 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not output.exists()
 
+    def test_lattice_past_the_site_cap_exits_two_without_traceback(self, tmp_path, capsys):
+        # m = 10**30 passed parse_config and then built an m - 1 neighbour tuple.
+        raw = base_config(lattice={"m": 10**30}, particles=[[1, "up"]], backend="sparse")
+        code, output = run_evolve(tmp_path, raw)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert ": lattice.m: site count" in err
+        assert "Traceback" not in err
+        assert not output.exists()
+
     def test_csv_columns_and_rows(self, tmp_path):
         raw = base_config(observables=[
             {"kind": "charge_density"},
@@ -376,6 +395,80 @@ class TestEvolve:
         code = main(["--validation-mode", "evolve", "--config", str(config),
                      "--output", str(out2)])
         assert code == 0
+
+
+# The benchmark's `readout` workload, copied: three momentum readouts and four
+# sampled site readouts of one state, under one (seed, N).
+READOUT = {
+    "formalism": "first",
+    "lattice": {"m": 8, "boundary": "open"},
+    "params": {"V0": 4.0, "t0": 1.0},
+    "particles": [1, 4, 7],
+    "plan": {"t": 1.0, "r": 8},
+    "observables": [
+        {"kind": "charge_density"},
+        {"kind": "momentum_distribution", "particle": 0},
+        {"kind": "momentum_distribution", "particle": 1},
+        {"kind": "momentum_distribution", "particle": 2},
+        {"kind": "pair_correlation", "sites": [1, 2]},
+        {"kind": "k_point_correlation", "sites": [2, 4, 6]},
+        {"kind": "k_point_correlation", "sites": [3, 5, 7]},
+        {"kind": "energy"},
+    ],
+    "sampling": {"N": 200000, "seed": 0},
+    "backend": "dense",
+    "mode": "fermi",
+}
+STAGE_FUNCTIONS = ("charge_density", "k_point_correlation", "momentum_distribution", "expected_energy")
+
+
+class TestReadoutWork:
+    """Work counts of one readout run, by counting calls; no timings."""
+
+    def test_one_transform_per_momentum_entry_one_batch_one_stage_call_per_entry(self, monkeypatch):
+        depth, roots, qfts = [0], Counter(), []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                if depth[0] == 0:
+                    roots[name] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        # Every reference, as the benchmark rebinds them: nested calls are not roots.
+        for name in STAGE_FUNCTIONS:
+            wrapped = counted(name, getattr(observables, name))
+            monkeypatch.setattr(observables, name, wrapped)
+            monkeypatch.setattr(cli, name, wrapped)
+        qft = QuantumState.qft_register
+
+        def qft_counted(self, name):
+            qfts.append(name)
+            qft(self, name)
+
+        monkeypatch.setattr(QuantumState, "qft_register", qft_counted)
+        entries = []
+        evaluate = cli._evaluate
+
+        def evaluate_once(entry, *args):
+            before = sum(roots.values())
+            result = evaluate(entry, *args)
+            entries.append((entry["kind"], sum(roots.values()) - before))
+            return result
+
+        monkeypatch.setattr(cli, "_evaluate", evaluate_once)
+        _sorted_uniforms.cache_clear()
+        cli.execute_run(parse_config(READOUT))
+
+        assert qfts == ["pos0", "pos1", "pos2"]
+        assert _sorted_uniforms.cache_info().misses == 1
+        assert entries == [(entry["kind"], 1) for entry in READOUT["observables"]]
+        assert roots == {"charge_density": 1, "momentum_distribution": 3,
+                         "k_point_correlation": 3, "expected_energy": 1}
 
 
 class TestAntisym:

@@ -277,6 +277,21 @@ class TestMomentum:
         assert hist.counts[3] == 200  # exact plane wave, single support bin
         assert hist.frequencies[3] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    def test_sampled_histogram_carries_the_exact_frequencies(self, backend):
+        layout = FirstQuantizedLayout(n=2, m=4)
+        state = prepare_antisymmetric(layout, (2, 7), backend=backend)
+        trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(0.7, 3))
+        exact = momentum_distribution(state, layout, 1)
+        sampled = momentum_distribution(state, layout, 1, SamplingPlan(seed=4, n_trials=300))
+        assert exact.exact is None
+        assert sampled.exact == exact.frequencies
+        assert len(set(exact.frequencies.values())) > 1  # not a flat histogram
+
+    def test_histogram_checks_its_exact_frequencies(self):
+        with pytest.raises(InvariantViolation):
+            Histogram(frequencies={0: 1.0}, counts={0: 2}, n_trials=2, exact={0: 0.5, 1: 0.4})
+
     def test_sq_state_rejected(self):
         layout = ModeLayout(2)
         state = init_basis_state(layout.register_layout(), 0)

@@ -15,6 +15,7 @@ from fermisim.state import (
     InvariantViolation,
     QuantumState,
     RegisterLayout,
+    _sorted_uniforms,
     init_basis_state,
     inject_state,
     validation_mode,
@@ -591,6 +592,42 @@ def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
     draws = np.random.default_rng(seed).choice(len(keys), n_trials, p=born)
     counts = np.bincount(draws, minlength=len(keys))
     assert drawn == {keys[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+def _choice_counts(state, seed, n_trials):
+    """{key: count} of np.random.default_rng(seed).choice over the state's Born weights."""
+    keys, amps = state.gather()
+    born = np.abs(amps) ** 2
+    born /= born.sum()
+    draws = np.random.default_rng(seed).choice(len(keys), n_trials, p=born)
+    counts = np.bincount(draws, minlength=len(keys))
+    return {int(keys[i]): int(counts[i]) for i in np.flatnonzero(counts)}
+
+
+def test_sample_counts_the_draws_of_choice_when_batches_interleave():
+    """One cached shot batch serves every state of its (seed, N); any other pair draws afresh."""
+    rng = np.random.default_rng(5)
+    states = [
+        make_state(NARROW, random_state_map(rng, 8, support), backend)
+        for support, backend in ((3, "dense"), (12, "sparse"), (40, "dense"))
+    ]
+    _sorted_uniforms.cache_clear()
+    pairs = [(7, 500), (7, 500), (8, 500), (7, 501), (7, 500), (2**64 - 1, 1), (7, 500)]
+    for seed, n_trials in pairs:
+        for state in states:
+            assert state.sample(seed, n_trials) == _choice_counts(state, seed, n_trials)
+    info = _sorted_uniforms.cache_info()
+    # One draw per run of equal consecutive pairs, shared by all three states.
+    assert (info.misses, info.hits) == (6, 3 * len(pairs) - 6)
+
+
+def test_cached_uniforms_are_read_only():
+    uniforms = _sorted_uniforms(3, 10)
+    assert _sorted_uniforms(3, 10) is uniforms
+    with pytest.raises(ValueError, match="read-only"):
+        uniforms[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        uniforms.sort()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
