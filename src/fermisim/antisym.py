@@ -50,8 +50,9 @@ from fermisim.state import (
 
 MODES = ("fermi", "bose")
 # Every input branch becomes n! branches carrying all three word registers:
-# n = 8 on m = 8 (40320 branches) takes about a minute and 1.6 GB end to end,
-# and each further particle multiplies that by n.
+# n = 8 on m = 8 (40320 branches) prepares in about 1.5 s, and a run with r = 1
+# takes about 11.7 s at a 941 MB peak (2-core Xeon, Python 3.11.7, numpy 2.4.6);
+# each further particle multiplies that by n.
 MAX_PARTICLES = 8
 
 

@@ -34,13 +34,13 @@ from fermisim.antisym import (
 )
 from fermisim.fq import FirstQuantizedLayout, op_count_fq, prepare_antisymmetric, trotter_evolve_fq
 from fermisim.observables import (
+    Estimate,
     SamplingPlan,
     charge_density,
     expected_energy,
     k_point_correlation,
     momentum_distribution,
 )
-from fermisim.oracle import slater_antisymmetrize
 from fermisim.sq import (
     DOWN,
     UP,
@@ -59,7 +59,7 @@ from fermisim.state import (
     init_basis_state,
     set_validation_mode,
 )
-from fermisim.validate import SUITES, run_suite
+from fermisim.validate import SUITES, run_suite, slater_overlap
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
 # Largest accepted lattice.m, a power of two so that first-quantized runs may
@@ -314,41 +314,32 @@ def _check_dense_width(config: RunConfig, field: str) -> None:
 # ----------------------------------------------------------------- execution
 
 
+def _row(value, **fields) -> dict:
+    """Result row of an exact float or of a sampled Estimate."""
+    if isinstance(value, Estimate):
+        return {**fields, "exact": value.exact, "sampled": value.sampled, "stderr": value.stderr}
+    return {**fields, "exact": float(value), "sampled": None, "stderr": None}
+
+
 def _evaluate(entry, state, layout, params, lattice, plan):
     kind = entry["kind"]
     if kind == "charge_density":
-        if plan is None:
-            values = [
-                {"index": s + 1, "exact": float(x), "sampled": None, "stderr": None}
-                for s, x in enumerate(charge_density(state, layout))
-            ]
-        else:
-            values = [
-                {"index": s + 1, "exact": e.exact, "sampled": e.sampled, "stderr": e.stderr}
-                for s, e in enumerate(charge_density(state, layout, plan))
-            ]
+        values = [_row(x, index=s + 1) for s, x in enumerate(charge_density(state, layout, plan))]
         return {"kind": kind, "values": values}
     if kind in ("pair_correlation", "k_point_correlation"):
-        sites = tuple(entry["sites"])
-        if plan is None:
-            exact = k_point_correlation(state, layout, sites)
-            return {"kind": kind, "sites": list(sites), "exact": float(exact),
-                    "sampled": None, "stderr": None}
-        est = k_point_correlation(state, layout, sites, plan)
-        return {"kind": kind, "sites": list(sites), "exact": est.exact,
-                "sampled": est.sampled, "stderr": est.stderr}
+        sites = entry["sites"]
+        return _row(k_point_correlation(state, layout, sites, plan), kind=kind, sites=list(sites))
     if kind == "momentum_distribution":
         particle = entry["particle"]
         histogram = momentum_distribution(state, layout, particle, plan)
         exact = histogram.frequencies if plan is None else histogram.exact
         values = []
         for k in sorted(exact):
-            row = {"index": k, "exact": exact[k], "sampled": None, "stderr": None}
+            value = exact[k]
             if plan is not None:
                 f = histogram.frequencies[k]
-                row["sampled"] = f
-                row["stderr"] = math.sqrt(max(f * (1.0 - f), 0.0) / histogram.n_trials)
-            values.append(row)
+                value = Estimate(value, f, math.sqrt(max(f * (1.0 - f), 0.0) / histogram.n_trials))
+            values.append(_row(value, index=k))
         return {"kind": kind, "particle": particle, "values": values}
     if kind == "energy":
         report = expected_energy(state, layout, params, lattice)
@@ -435,14 +426,15 @@ def cmd_evolve(config_path: str, output_path: str,
                seed_override: int | None = None) -> int:
     path = Path(config_path)
     try:
-        text = path.read_text()
+        raw = json.loads(path.read_text())
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         print(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # undecodable bytes, or an integer past the digit limit
+        print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
     try:
         config = parse_config(raw)
@@ -477,19 +469,9 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
     except (TypeError, ValueError):
         print(f"error: labels must be integers, got {labels!r}", file=sys.stderr)
         return 2
-    if not labels or any(v < 1 for v in labels):
-        print(f"error: labels must be positive, got {list(labels)}", file=sys.stderr)
-        return 2
-    if any(a >= b for a, b in zip(labels, labels[1:])):
-        print(f"error: labels must be strictly increasing, got {list(labels)}", file=sys.stderr)
-        return 2
-    if mode not in ("fermi", "bose"):
-        print(f"error: unknown statistics mode {mode!r}", file=sys.stderr)
-        return 2
-
-    n = len(labels)
+    # The layout, the ordered input and the pipeline reject every other bad input.
     try:
-        bank = RegisterBank(QuWordLayout(n, max(2, max(labels).bit_length())))
+        bank = RegisterBank(QuWordLayout(len(labels), max(2, max(labels, default=0).bit_length())))
         state = prepare_ordered_input(bank, labels)
         antisymmetrize(state, bank, mode)
         out = collapse_ancillas(state, bank)
@@ -500,21 +482,17 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    want = slater_antisymmetrize(labels, mode)
-    amplitudes = []
-    overlap = 0j
-    for b in out.support():
-        perm = tuple(v + 1 for v in bank.get_words(b, "A"))
-        amp = complex(out.amplitude(b))
-        overlap += complex(want.get(perm, 0.0)).conjugate() * amp
-        amplitudes.append({"labels": list(perm), "re": amp.real, "im": amp.imag})
+    keys, amps = out.gather()
+    rows = list(zip(*((w + 1).tolist() for w in bank.get_words(keys, "A"))))
+    amplitudes = [{"labels": list(row), "re": amp.real, "im": amp.imag}
+                  for row, amp in zip(rows, amps.tolist())]
     amplitudes.sort(key=lambda entry: entry["labels"])
     document = {
-        "n": n,
+        "n": len(labels),
         "labels": list(labels),
         "mode": mode,
         "amplitudes": amplitudes,
-        "fidelity": abs(overlap) ** 2,
+        "fidelity": abs(slater_overlap(labels, mode, rows, amps)) ** 2,
         "library_version": __version__,
     }
     Path(output_path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")

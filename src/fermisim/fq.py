@@ -76,14 +76,6 @@ class FirstQuantizedLayout:
             raise ValueError(f"spin must be 0 or 1, got {spin}")
         return 2 * (site - 1) + spin + 1
 
-    @staticmethod
-    def site_of(word: int) -> int:
-        return (word >> 1) + 1
-
-    @staticmethod
-    def spin_of(word: int) -> int:
-        return word & 1
-
 
 @dataclass(frozen=True)
 class KineticSplit:
@@ -97,9 +89,6 @@ class KineticSplit:
         t1 = tuple((x, x + 1) for x in range(1, m, 2))
         t2 = tuple((x, x + 1) for x in range(2, m - 1, 2))
         return cls(t1, t2)
-
-    def all_pairs(self) -> set[tuple[int, int]]:
-        return set(self.t1_pairs) | set(self.t2_pairs)
 
 
 def prepare_antisymmetric(

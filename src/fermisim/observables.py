@@ -135,10 +135,25 @@ def _site_counts(keys: np.ndarray, layout) -> np.ndarray:
     return counts
 
 
-def _born(state: QuantumState) -> tuple[np.ndarray, np.ndarray]:
-    """Support keys and their Born weights, in ascending key order."""
+def _indicator_estimates(
+    state: QuantumState, indicators, plan: SamplingPlan | None
+) -> np.ndarray | list[Estimate]:
+    """Born probability of each column of the 0/1 array `indicators(keys)`.
+
+    Without a plan, the exact values as an array; with one, an Estimate per
+    column whose shot mean and standard error come from one seeded batch.
+    """
     keys, amps = state.gather()
-    return keys, np.abs(amps) ** 2
+    probs = np.abs(amps) ** 2
+    mask = indicators(keys)
+    exact = np.array([probs[mask[:, c]].sum() for c in range(mask.shape[1])])
+    if plan is None:
+        return exact
+    keys, counts = state._sample_counts(plan.seed, plan.n_trials)
+    mean = counts.astype(float) @ indicators(keys).astype(float) / plan.n_trials
+    # A 0/1 indicator is its own square, so its second moment is the mean.
+    stderr = np.sqrt(np.maximum(mean - mean * mean, 0.0) / plan.n_trials)
+    return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]
 
 
 def _check_layout(state: QuantumState, layout) -> None:
@@ -157,11 +172,7 @@ def charge_density(
     per-site Estimates from a single seeded shot batch.
     """
     _check_layout(state, layout)
-    if plan is not None:
-        return _sampled_density(state, layout, plan)
-    keys, probs = _born(state)
-    occupied = _site_counts(keys, layout) > 0
-    return np.array([probs[occupied[:, s]].sum() for s in range(layout.m)])
+    return _indicator_estimates(state, lambda keys: _site_counts(keys, layout) > 0, plan)
 
 
 def k_point_correlation(
@@ -180,14 +191,10 @@ def k_point_correlation(
     columns = [s - 1 for s in sites]
 
     def indicator(keys):
-        return (_site_counts(keys, layout)[:, columns] > 0).all(axis=1)
+        return (_site_counts(keys, layout)[:, columns] > 0).all(axis=1, keepdims=True)
 
-    keys, probs = _born(state)
-    total = float(probs[indicator(keys)].sum())
-    if plan is None:
-        return total
-    mean, stderr = _sampled_vector(state, plan, indicator)
-    return Estimate(total, float(mean), float(stderr))
+    (value,) = _indicator_estimates(state, indicator, plan)
+    return float(value) if plan is None else value
 
 
 def pair_correlation(
@@ -219,8 +226,9 @@ def momentum_distribution(
     register = f"pos{particle}"
     transformed.qft_register(register)
 
-    keys, probs = _born(transformed)
-    freqs = np.bincount(transformed.layout.field(keys, register), weights=probs, minlength=layout.m)
+    keys, amps = transformed.gather()
+    freqs = np.bincount(transformed.layout.field(keys, register), weights=np.abs(amps) ** 2,
+                        minlength=layout.m)
     # The state norm is only held to 1e-10, looser than the histogram
     # invariant, so renormalize the Born weights explicitly.
     weight = sum(freqs.tolist())
@@ -332,28 +340,3 @@ def _fq_energy(state, layout, params, lattice) -> tuple[float, float]:
             on_edge = (sites[k] == i - 1) | (sites[k] == j - 1)
             kinetic += params.t0 * np.vdot(amps[on_edge], state.gather(keys[on_edge] ^ flip)[1])
     return potential, float(kinetic.real)
-
-
-# ------------------------------------------------------------------- sampling
-
-
-def _sampled_vector(state, plan, indicators) -> tuple[np.ndarray, np.ndarray]:
-    """Shot mean and standard error of indicators(keys), one row (or value) per key."""
-    keys, counts = state._sample_counts(plan.seed, plan.n_trials)
-    counts = counts.astype(float)
-    vals = np.asarray(indicators(keys), dtype=float)
-    total = plan.n_trials
-    mean = counts @ vals / total
-    variance = np.maximum(counts @ (vals * vals) / total - mean * mean, 0.0)
-    stderr = np.sqrt(variance / total)
-    return mean, stderr
-
-
-def _sampled_density(state, layout, plan) -> list[Estimate]:
-    exact = charge_density(state, layout)
-
-    def indicators(keys):
-        return _site_counts(keys, layout) > 0
-
-    mean, stderr = _sampled_vector(state, plan, indicators)
-    return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]

@@ -13,7 +13,7 @@ on an open chain, with hbar = 1 so angles are energy * time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,26 +26,18 @@ SPINS = (UP, DOWN)
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Open 1-d chain of m sites with explicit neighbor pairs (1-based sites)."""
+    """Open 1-d chain of m sites (1-based)."""
 
     m: int
-    adjacency: tuple[tuple[int, int], ...] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"site count must be a positive integer, got {self.m!r}")
-        if self.adjacency is None:
-            object.__setattr__(
-                self, "adjacency", tuple((s, s + 1) for s in range(1, self.m))
-            )
-        pairs = set()
-        for i, j in self.adjacency:
-            if not (1 <= i <= self.m and 1 <= j <= self.m and i != j):
-                raise ValueError(f"invalid neighbor pair ({i}, {j}) for m={self.m}")
-            key = (min(i, j), max(i, j))
-            if key in pairs:
-                raise ValueError(f"duplicate neighbor pair ({i}, {j})")
-            pairs.add(key)
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, int], ...]:
+        """The neighbor pairs (s, s + 1), ascending."""
+        return tuple((s, s + 1) for s in range(1, self.m))
 
     @classmethod
     def chain(cls, m: int) -> LatticeSpec:
@@ -183,7 +175,7 @@ def evolve_hopping_pair(
 def trotter_step(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:
     """One first-order step: potential phase, then every (pair, spin) hop in fixed order."""
     evolve_potential(state, lattice, params, dt)
-    for site_a, site_b in sorted((min(p), max(p)) for p in lattice.adjacency):
+    for site_a, site_b in lattice.adjacency:
         for spin in SPINS:
             evolve_hopping_pair(state, site_a, site_b, spin, params, dt)
 

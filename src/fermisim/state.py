@@ -285,10 +285,6 @@ class QuantumState:
     def backend(self) -> str:
         return "dense" if self._vec is not None else "sparse"
 
-    @property
-    def num_qubits(self) -> int:
-        return self.layout.width
-
     # ------------------------------------------------------------------ storage
 
     def gather(self, keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:

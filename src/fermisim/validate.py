@@ -83,24 +83,26 @@ def _check(suite, name, passed, measured, bound, detail="") -> CheckResult:
 # --------------------------------------------------------------- suite bodies
 
 
+def slater_overlap(labels, mode, rows, amps) -> complex:
+    """<Slater state of `labels`|psi>, psi given as label tuples and amplitudes, summed in order."""
+    want = slater_antisymmetrize(labels, mode)
+    overlap = 0j
+    for row, amp in zip(rows, amps.tolist()):
+        overlap += complex(want.get(row, 0.0)).conjugate() * amp
+    return overlap
+
+
 def _pipeline_case(labels, mode):
     """Run the full pipeline; return (fidelity, dirty branches, norm, violation)."""
     n = len(labels)
     bank = RegisterBank(QuWordLayout(n, 3))
     state = prepare_ordered_input(bank, labels)
     antisymmetrize(state, bank, mode)
-    want = slater_antisymmetrize(labels, mode)
-    overlap = 0j
-    norm_sq = 0.0
-    dirty = 0
-    for b in state.support():
-        amp = state.amplitude(b)
-        norm_sq += abs(amp) ** 2
-        if not bank.ancillas_clear(b):
-            dirty += 1
-            continue
-        perm = tuple(v + 1 for v in bank.get_words(b, "A"))
-        overlap += complex(want.get(perm, 0.0)).conjugate() * amp
+    keys, amps = state.gather()
+    norm_sq = sum(abs(amp) ** 2 for amp in amps.tolist())
+    clear = bank.ancillas_clear(keys)
+    rows = list(zip(*((w + 1).tolist() for w in bank.get_words(keys[clear], "A"))))
+    overlap = slater_overlap(labels, mode, rows, amps[clear])
     violation = 0.0
     if n > 1:
         words = bank.word_slices("A")
@@ -109,7 +111,7 @@ def _pipeline_case(labels, mode):
             for i in range(n)
             for j in range(i + 1, n)
         )
-    return abs(overlap) ** 2, dirty, math.sqrt(norm_sq), violation
+    return abs(overlap) ** 2, int((~clear).sum()), math.sqrt(norm_sq), violation
 
 
 def validate_antisym() -> list[CheckResult]:

@@ -337,6 +337,25 @@ class TestEvolve:
         assert "Traceback" not in err
         assert not output.exists()
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # json.loads refuses an integer of more than 4300 digits with a plain ValueError.
+            json.dumps(base_config(lattice={"m": 0})).replace('"m": 0', '"m": ' + "1" * 5000).encode(),
+            b'{"formalism": "\xff"}',
+        ],
+        ids=["5000-digit-lattice-m", "not-utf8"],
+    )
+    def test_undecodable_config_exits_two_without_traceback(self, tmp_path, capsys, data):
+        config = tmp_path / "run.json"
+        config.write_bytes(data)
+        output = tmp_path / "out.json"
+        code = main(["evolve", "--config", str(config), "--output", str(output)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+        assert not output.exists()
+
     def test_csv_columns_and_rows(self, tmp_path):
         raw = base_config(observables=[
             {"kind": "charge_density"},

@@ -1,5 +1,7 @@
 """Observable readouts checked against dense expectation values and hand cases."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,39 @@ class TestCorrelations:
             k_point_correlation(state, layout, ())
         with pytest.raises(ValueError):
             pair_correlation(state, layout, 2, 2)
+
+
+def occupied_sites(layout, key):
+    """1-based sites holding a particle in basis string `key`, decoded bit by bit."""
+    if isinstance(layout, ModeLayout):
+        return {(mode >> 1) + 1 for mode in range(layout.n_modes) if key >> mode & 1}
+    mask = (1 << layout.word_bits) - 1
+    return {((key >> (k * layout.word_bits) & mask) >> 1) + 1 for k in range(layout.n)}
+
+
+class TestSampledEstimates:
+    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @pytest.mark.parametrize("layout", [ModeLayout(3), FirstQuantizedLayout(n=2, m=4)],
+                             ids=["sq", "fq"])
+    def test_estimates_are_the_frequencies_of_the_draws(self, layout, backend):
+        rng = np.random.default_rng(31)
+        reg = layout.register_layout()
+        state = inject_state(reg, random_state_map(rng, reg.width, 40), backend)
+        plan = SamplingPlan(seed=5, n_trials=3000)
+        draws = state.sample(plan.seed, plan.n_trials)
+
+        def check(estimate, sites):
+            hits = sum(c for key, c in draws.items() if set(sites) <= occupied_sites(layout, key))
+            f = hits / plan.n_trials
+            assert estimate.sampled == f
+            assert abs(estimate.stderr - math.sqrt(max(f * (1 - f), 0.0) / plan.n_trials)) <= 1e-15
+
+        density = charge_density(state, layout, plan)
+        assert len(density) == layout.m
+        for site, estimate in enumerate(density, start=1):
+            check(estimate, (site,))
+        for sites in ((1, 3), (1, 2, 3)):
+            check(k_point_correlation(state, layout, sites, plan), sites)
 
 
 class TestMomentum:

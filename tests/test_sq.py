@@ -42,14 +42,6 @@ class TestLatticeSpec:
         assert LatticeSpec.chain(4).adjacency == ((1, 2), (2, 3), (3, 4))
         assert LatticeSpec.chain(1).adjacency == ()
 
-    def test_rejects_bad_pairs(self):
-        with pytest.raises(ValueError):
-            LatticeSpec(3, ((1, 4),))
-        with pytest.raises(ValueError):
-            LatticeSpec(3, ((1, 2), (2, 1)))
-        with pytest.raises(ValueError):
-            LatticeSpec(3, ((2, 2),))
-
 
 class TestModeLayout:
     def test_mode_indices(self):
