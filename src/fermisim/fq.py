@@ -16,8 +16,10 @@ stay untouched.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -123,20 +125,49 @@ def single_particle_plane_wave(
     return inject_state(layout.register_layout(), amps, backend)
 
 
+def coincide(reg: RegisterLayout, keys: np.ndarray, k: int, l: int) -> np.ndarray:
+    """Mask of the keys where particles k and l share a site with opposite spins."""
+    same_site = reg.field(keys, f"pos{k}") == reg.field(keys, f"pos{l}")
+    return same_site & (reg.field(keys, f"spin{k}") != reg.field(keys, f"spin{l}"))
+
+
 def evolve_potential_fq(
     state: QuantumState, layout: FirstQuantizedLayout, params: HubbardParams, dt: float
 ) -> None:
     """Phase exp(-i*V0*dt) on every unordered particle pair sharing a site with opposite spins."""
     _check_state(state, layout)
     reg = state.layout
-    for k in range(layout.n):
-        for l in range(k + 1, layout.n):
-            def coincide(keys, pk=f"pos{k}", pl=f"pos{l}", sk=f"spin{k}", sl=f"spin{l}"):
-                return (reg.field(keys, pk) == reg.field(keys, pl)) & (
-                    reg.field(keys, sk) != reg.field(keys, sl)
-                )
+    for k, l in combinations(range(layout.n), 2):
+        state.apply_phase_where(lambda keys, k=k, l=l: coincide(reg, keys, k, l), -params.v0 * dt)
 
-            state.apply_phase_where(coincide, -params.v0 * dt)
+
+@functools.lru_cache(maxsize=4)
+def kinetic_partners(m: int) -> tuple[np.ndarray, ...]:
+    """Per half of `KineticSplit.for_chain(m)`, each position value's partner (itself if unpaired)."""
+    split = KineticSplit.for_chain(m)
+    tables = []
+    for pairs in (split.t1_pairs, split.t2_pairs):
+        if pairs:  # T2 has no pairs on a two-site chain
+            partner = np.arange(m)
+            for x, y in pairs:
+                partner[x - 1], partner[y - 1] = y - 1, x - 1
+            partner.setflags(write=False)
+            tables.append(partner)
+    return tuple(tables)
+
+
+def kinetic_pairs(keys: np.ndarray, reg: RegisterLayout, k: int,
+                  partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): the pairs among `keys` that one kinetic half couples on particle k.
+
+    low holds each pair's member with k on the lower site, distinct and
+    ascending; high is its partner, with k on the other site.
+    """
+    name = f"pos{k}"
+    pos = reg.field(keys, name)
+    paired = partner[pos] != pos
+    low = distinct_keys(reg.with_field(keys[paired], name, np.minimum(pos, partner[pos])[paired]))
+    return low, reg.with_field(low, name, partner[reg.field(low, name)])
 
 
 def evolve_kinetic_particle(
@@ -145,35 +176,18 @@ def evolve_kinetic_particle(
     """exp(-i*dt*T1) then exp(-i*dt*T2) on particle k's position register.
 
     The site pairs of one half are disjoint, so one two-level mix of the
-    closed form exp(-i*dt*t0*sigma_x) applies every hop of that half at once:
-    each support string with particle k on a paired site is paired with the
-    string holding k on the partner site.  Sites in no pair of the half (1 and
-    m in T2) stay untouched.
+    closed form exp(-i*dt*t0*sigma_x) over that half's `kinetic_pairs` applies
+    all its hops at once.  Sites in no pair of the half (1 and m in T2) stay
+    untouched.
     """
     _check_state(state, layout)
     if not 0 <= k < layout.n:
         raise ValueError(f"particle index {k} out of range 0..{layout.n - 1}")
-    reg = state.layout
-    pos_name = f"pos{k}"
     theta = params.t0 * dt
     c, s = math.cos(theta), math.sin(theta)
     mix = np.array([[c, -1j * s], [-1j * s, c]])
-
-    split = KineticSplit.for_chain(layout.m)
-    for pairs in (split.t1_pairs, split.t2_pairs):
-        if not pairs:
-            continue  # T2 has no pairs on a two-site chain
-        # Position values are sites - 1; an unpaired site is its own partner.
-        partner = np.arange(layout.m)
-        for x, y in pairs:
-            partner[x - 1], partner[y - 1] = y - 1, x - 1
-        keys = state.support_keys()
-        pos = reg.field(keys, pos_name)
-        paired = partner[pos] != pos
-        low = distinct_keys(
-            reg.with_field(keys[paired], pos_name, np.minimum(pos, partner[pos])[paired])
-        )
-        high = reg.with_field(low, pos_name, partner[reg.field(low, pos_name)])
+    for partner in kinetic_partners(layout.m):
+        low, high = kinetic_pairs(state.support_keys(), state.layout, k, partner)
         state._mix(low, high, mix)  # disjoint pairs from the support; checked in validation mode
 
 
@@ -209,9 +223,8 @@ def exchange_symmetry_violation(
     """Worst transposition-test violation over all particle pairs."""
     slices = layout.word_slices()
     worst = 0.0
-    for i in range(layout.n):
-        for j in range(i + 1, layout.n):
-            worst = max(worst, transposition_test(state, slices, i, j, mode))
+    for i, j in combinations(range(layout.n), 2):
+        worst = max(worst, transposition_test(state, slices, i, j, mode))
     return worst
 
 

@@ -17,19 +17,21 @@ all, i.e. the probability a measurement finds at least one particle there.  A
 doubly occupied site therefore contributes 1, not 2, and the density only sums
 to the particle number when no site can hold two.  The energy estimator is the
 exception: its potential part needs the up-count times down-count product, not
-the indicator.
+the indicator.  Its split reads the encodings' own coupling rules, the ones the
+Trotter steps apply: `sq.hop_pairs`, `fq.kinetic_pairs` and `fq.coincide`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from fermisim import oracle
-from fermisim.fq import FirstQuantizedLayout
-from fermisim.sq import SPINS, HubbardParams, LatticeSpec, ModeLayout, jw_parity
+from fermisim.fq import FirstQuantizedLayout, coincide, kinetic_pairs, kinetic_partners
+from fermisim.sq import SPINS, HubbardParams, LatticeSpec, ModeLayout, hop_pairs
 from fermisim.state import MAX_TRIALS, InvariantViolation, QuantumState, validation_enabled
 
 MAX_CORRELATION_POINTS = 3
@@ -270,7 +272,7 @@ def expected_energy(
         potential, kinetic = _sq_energy(state, layout, params, lattice)
     else:
         h_keys, h_amps = oracle.apply_fq_hamiltonian(layout, params, lattice, keys, amps)
-        potential, kinetic = _fq_energy(state, layout, params, lattice)
+        potential, kinetic = _fq_energy(state, layout, params)
     total = float(np.vdot(state.gather(h_keys)[1], h_amps).real)
     if validation_enabled():
         dense = _dense_energy(state, layout, params, lattice)
@@ -300,43 +302,37 @@ def _dense_energy(state, layout, params, lattice) -> float | None:
     return float(np.real(vec.conj() @ (h @ vec)))
 
 
+def _pair_amplitudes(state: QuantumState, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
+    """[psi(low), psi(high)] from one lookup."""
+    return np.split(state.gather(np.concatenate((low, high)))[1], 2)
+
+
 def _sq_energy(state, layout, params, lattice) -> tuple[float, float]:
     keys, amps = state.gather()
     doubly = (_site_counts(keys, layout) == 2).sum(axis=1)
     potential = params.v0 * float(np.abs(amps) ** 2 @ doubly)
 
+    # Each hop term couples the pairs its Trotter factor mixes, with the same sign.
     kinetic = 0.0
     for i, j in lattice.adjacency:
         for spin in SPINS:
-            mode_a = layout.mode(min(i, j), spin)
-            mode_b = layout.mode(max(i, j), spin)
-            mask = (1 << mode_a) | (1 << mode_b)
-            # Each unordered pair once, from its member with mode_a occupied.
-            low = (keys & mask) == (1 << mode_a)
-            sign = 1.0 - 2.0 * jw_parity(keys[low], mode_a, mode_b)
-            overlap = amps[low].conj() * state.gather(keys[low] ^ mask)[1]
-            kinetic += 2.0 * params.t0 * float(sign @ overlap.real)
+            low, high, parity = hop_pairs(keys, layout.mode(i, spin), layout.mode(j, spin))
+            a_low, a_high = _pair_amplitudes(state, low, high)
+            kinetic += 2.0 * params.t0 * float((1.0 - 2.0 * parity) @ (a_low.conj() * a_high).real)
     return potential, kinetic
 
 
-def _fq_energy(state, layout, params, lattice) -> tuple[float, float]:
+def _fq_energy(state, layout, params) -> tuple[float, float]:
     reg = state.layout
     keys, amps = state.gather()
-    sites = [reg.field(keys, f"pos{k}") for k in range(layout.n)]
-    spins = [reg.field(keys, f"spin{k}") for k in range(layout.n)]
-    coincidences = sum(
-        (sites[k] == sites[l]) & (spins[k] != spins[l])
-        for k in range(layout.n)
-        for l in range(k + 1, layout.n)
-    )
-    potential = params.v0 * float(np.abs(amps) ** 2 @ np.asarray(coincidences, dtype=float))
+    pairs = combinations(range(layout.n), 2)
+    coincidences = sum((coincide(reg, keys, k, l) for k, l in pairs), np.zeros(len(keys)))
+    potential = params.v0 * float(np.abs(amps) ** 2 @ coincidences)
 
-    kinetic = 0j
+    # Each bond of the chain lies in one kinetic half, whose pairs the Trotter step mixes.
+    kinetic = 0.0
     for k in range(layout.n):
-        offset = reg.offset(f"pos{k}")
-        for i, j in lattice.adjacency:
-            # A hop between sites i and j flips the position bits (i-1) ^ (j-1).
-            flip = ((i - 1) ^ (j - 1)) << offset
-            on_edge = (sites[k] == i - 1) | (sites[k] == j - 1)
-            kinetic += params.t0 * np.vdot(amps[on_edge], state.gather(keys[on_edge] ^ flip)[1])
-    return potential, float(kinetic.real)
+        for partner in kinetic_partners(layout.m):
+            a_low, a_high = _pair_amplitudes(state, *kinetic_pairs(keys, reg, k, partner))
+            kinetic += 2.0 * params.t0 * float(np.vdot(a_low, a_high).real)
+    return potential, kinetic

@@ -10,10 +10,11 @@ MAX_FQ_DIM register states.
 
 `apply_sq_hamiltonian` and `apply_fq_hamiltonian` apply the same two
 Hamiltonians to a sparse (keys, amplitudes) vector without a size cap.  They
-are written term by term from the operator definitions the dense builders use
-(the Jordan-Wigner sign string of `lowering_operator`, the hop matrix
-`fq_kinetic_matrix` and the same-site opposite-spin coincidence rule), at a
-cost of O(terms x support).
+are written term by term from the operator definitions (the Jordan-Wigner
+sign string of `lowering_operator`, the one-site chain hop at fixed spin and
+the same-site opposite-spin coincidence rule), at a cost of O(terms x
+support): 4(m - 1) hop terms in second quantization, 2n kinetic terms per
+first-quantized state.
 """
 
 from __future__ import annotations
@@ -187,8 +188,9 @@ def apply_fq_hamiltonian(
     """H v for the distinguishable-particle Hamiltonian and v given by distinct (keys, amps).
 
     Returns distinct sorted keys and the amplitudes of H v on them: each
-    particle's word hops through `fq_kinetic_matrix`, and each same-site,
-    opposite-spin pair of words adds V0 on the diagonal.
+    particle's word hops one site either way along the chain with amplitude
+    t0, and each same-site, opposite-spin pair of words adds V0 on the
+    diagonal.
     """
     if lattice.m != layout.m:
         raise ValueError("lattice and layout disagree on the site count")
@@ -201,14 +203,12 @@ def apply_fq_hamiltonian(
     for k, l in combinations(range(layout.n), 2):
         coincidences += ((words[k] >> 1) == (words[l] >> 1)) & (((words[k] ^ words[l]) & 1) == 1)
     out_keys, out_amps = [keys], [params.v0 * coincidences * amps]
-    hop = fq_kinetic_matrix(layout.m, params.t0, lattice.adjacency)
     for k, word in enumerate(words):
-        for target in range(2 * layout.m):
-            coeff = hop[target, word]
-            hit = coeff != 0
-            flip = (word[hit] ^ target).astype(keys.dtype) << (k * w)
-            out_keys.append(keys[hit] ^ flip)
-            out_amps.append(coeff[hit] * amps[hit])
+        # One site along the chain at fixed spin: the word moves by 2 within 0..2m-1.
+        for step in (2, -2):
+            hit = (word + step >= 0) & (word + step < 2 * layout.m)
+            out_keys.append(keys[hit] + (step << (k * w)))
+            out_amps.append(params.t0 * amps[hit])
     return _sum_by_key(np.concatenate(out_keys), np.concatenate(out_amps))
 
 

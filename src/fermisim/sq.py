@@ -133,6 +133,20 @@ def evolve_potential(state: QuantumState, lattice: LatticeSpec, params: HubbardP
         state.apply_phase_where(lambda keys, m=mask: (keys & m) == m, -params.v0 * dt)
 
 
+def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, ...]:
+    """(low, high, parity): the pairs among `keys` that the hop mode_a < mode_b couples.
+
+    low holds each pair's member with mode_a occupied, distinct and ascending;
+    high = low ^ (2**mode_a + 2**mode_b) is its partner, and parity the
+    Jordan-Wigner parity of the modes between, which both members share.
+    """
+    mask = (1 << mode_a) | (1 << mode_b)
+    occ = keys & mask
+    single = keys[(occ != 0) & (occ != mask)]
+    low = distinct_keys((single & ~mask) | (1 << mode_a))
+    return low, low ^ mask, jw_parity(low, mode_a, mode_b)
+
+
 def evolve_hopping_pair(
     state: QuantumState, site_a: int, site_b: int, spin: int, params: HubbardParams, dt: float
 ) -> None:
@@ -145,22 +159,12 @@ def evolve_hopping_pair(
     """
     if state.layout.width % 2:
         raise ValueError("state does not hold an even number of modes")
-    m = state.layout.width // 2
     if abs(site_a - site_b) != 1:
         raise ValueError(f"sites ({site_a}, {site_b}) are not adjacent")
-    layout = ModeLayout(m)
+    layout = ModeLayout(state.layout.width // 2)
     mode_a = layout.mode(min(site_a, site_b), spin)
     mode_b = layout.mode(max(site_a, site_b), spin)
-    mask = (1 << mode_a) | (1 << mode_b)
-
-    # Each pair is represented by its member with mode_a occupied; the modes
-    # between the endpoints agree for both members, so the parity may be read
-    # off that representative.
-    keys = state.support_keys()
-    occ = keys & mask
-    single = keys[(occ != 0) & (occ != mask)]
-    low = distinct_keys((single & ~mask) | (1 << mode_a))
-    parity = jw_parity(low, mode_a, mode_b)
+    low, high, parity = hop_pairs(state.support_keys(), mode_a, mode_b)
 
     # One mix of all pairs: the off-diagonal entry -1j*s*(-1)**p is picked per
     # pair from the two parity classes' scalars.  The pairs are disjoint and
@@ -169,7 +173,7 @@ def evolve_hopping_pair(
     theta = params.t0 * dt
     c, s = math.cos(theta), math.sin(theta)
     off = np.where(parity == 1, -1j * s * -1.0, -1j * s * 1.0)
-    state._mix(low, low ^ mask, ((complex(c), off), (off, complex(c))))
+    state._mix(low, high, ((complex(c), off), (off, complex(c))))
 
 
 def trotter_step(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:

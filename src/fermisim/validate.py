@@ -154,21 +154,8 @@ def validate_antisym() -> list[CheckResult]:
     return results
 
 
-def validate_trotter_sq() -> list[CheckResult]:
-    """First-order convergence of the mode-register evolution on two sites."""
-    lattice = LatticeSpec.chain(2)
-    layout = ModeLayout(2)
-    plan_t = 1.0
-    bits = encode_occupation(layout, ((1, UP), (1, DOWN)))
-    start = np.zeros(1 << layout.n_modes, dtype=complex)
-    start[bits] = 1.0
-    exact = expm_propagate(build_sq_hamiltonian(lattice, BENCH_PARAMS), plan_t, start)
-
-    def error(r):
-        state = init_basis_state(layout.register_layout(), bits, "dense")
-        trotter_evolve(state, lattice, BENCH_PARAMS, TrotterPlan(plan_t, r))
-        return float(np.linalg.norm(state.to_vector() - exact))
-
+def _convergence(suite: str, error, final_bound: float) -> list[CheckResult]:
+    """Halving ratios of error(r), the L2 error after r steps, for r = 32..256, and e(256)."""
     errors = {r: error(r) for r in (32, 64, 128, 256)}
     lo, hi = TROTTER_RATIO_WINDOW
     results = []
@@ -176,17 +163,33 @@ def validate_trotter_sq() -> list[CheckResult]:
         ratio = errors[r] / errors[2 * r]
         results.append(
             _check(
-                "trotter-sq", f"halving-ratio-r{r}", lo <= ratio <= hi,
+                suite, f"halving-ratio-r{r}", lo <= ratio <= hi,
                 ratio, f"in [{lo}, {hi}]", f"e({r})/e({2 * r})",
             )
         )
     results.append(
         _check(
-            "trotter-sq", "final-error-r256", errors[256] < SQ_FINAL_ERROR_BOUND,
-            errors[256], f"< {SQ_FINAL_ERROR_BOUND}", "L2 error vs dense propagator",
+            suite, "final-error-r256", errors[256] < final_bound,
+            errors[256], f"< {final_bound}", "L2 error vs dense propagator",
         )
     )
     return results
+
+
+def validate_trotter_sq() -> list[CheckResult]:
+    """First-order convergence of the mode-register evolution on two sites."""
+    lattice = LatticeSpec.chain(2)
+    layout = ModeLayout(2)
+    plan_t = 1.0
+    start = init_basis_state(layout.register_layout(), encode_occupation(layout, ((1, UP), (1, DOWN))))
+    exact = expm_propagate(build_sq_hamiltonian(lattice, BENCH_PARAMS), plan_t, start.to_vector())
+
+    def error(r):
+        state = start.copy()
+        trotter_evolve(state, lattice, BENCH_PARAMS, TrotterPlan(plan_t, r))
+        return float(np.linalg.norm(state.to_vector() - exact))
+
+    return _convergence("trotter-sq", error, SQ_FINAL_ERROR_BOUND)
 
 
 def validate_trotter_fq() -> list[CheckResult]:
@@ -194,33 +197,14 @@ def validate_trotter_fq() -> list[CheckResult]:
     layout = FirstQuantizedLayout(n=2, m=4)
     plan_t = 1.0
     start = prepare_antisymmetric(layout, (1, 4), backend="dense")
-    exact = expm_propagate(
-        build_fq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector()
-    )
+    exact = expm_propagate(build_fq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector())
 
     def error(r):
         state = start.copy()
         trotter_evolve_fq(state, layout, BENCH_PARAMS, TrotterPlan(plan_t, r))
         return float(np.linalg.norm(state.to_vector() - exact))
 
-    errors = {r: error(r) for r in (32, 64, 128, 256)}
-    lo, hi = TROTTER_RATIO_WINDOW
-    results = []
-    for r in (32, 64, 128):
-        ratio = errors[r] / errors[2 * r]
-        results.append(
-            _check(
-                "trotter-fq", f"halving-ratio-r{r}", lo <= ratio <= hi,
-                ratio, f"in [{lo}, {hi}]", f"e({r})/e({2 * r})",
-            )
-        )
-    results.append(
-        _check(
-            "trotter-fq", "final-error-r256", errors[256] < FQ_FINAL_ERROR_BOUND,
-            errors[256], f"< {FQ_FINAL_ERROR_BOUND}", "L2 error vs dense propagator",
-        )
-    )
-    return results
+    return _convergence("trotter-fq", error, FQ_FINAL_ERROR_BOUND)
 
 
 def validate_crossform() -> list[CheckResult]:

@@ -394,12 +394,17 @@ class TestEvolve:
             base_config(formalism="first", lattice={"m": 16}, particles=[1, 4, 7],
                         plan={"t": 1.0, "r": 1}, observables=[{"kind": "energy"}],
                         backend="sparse"),
+            # The site cap: a dense 2m x 2m hop matrix here would need 16 GiB.
+            base_config(formalism="first", lattice={"m": 16384}, particles=[1, 4],
+                        plan={"t": 1.0, "r": 1}, observables=[{"kind": "energy"}],
+                        sampling=None, backend="sparse"),
         ],
-        ids=["sq-m8-dense", "fq-n3-m16-sparse"],
+        ids=["sq-m8-dense", "fq-n3-m16-sparse", "fq-n2-m16384-sparse"],
     )
-    def test_energy_runs_past_the_dense_oracle_caps(self, tmp_path, raw):
+    def test_energy_runs_past_the_dense_oracle_caps(self, tmp_path, raw, capsys):
         code, output = run_evolve(tmp_path, raw)
         assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
         (energy,) = json.loads(output.read_text())["observables"]
         assert abs(energy["potential"] + energy["kinetic"] - energy["total"]) <= ENERGY_SPLIT_TOL
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state_map
 
@@ -245,6 +246,25 @@ class TestTrotterFq:
                 trotter_evolve_fq(product, layout, PARAMS, TrotterPlan(t=0.1, r=1))
         # Production mode applies the step without the exponential-cost check.
         trotter_evolve_fq(product, layout, PARAMS, TrotterPlan(t=0.1, r=1))
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_every_step_keeps_exchange_symmetry(data):
+    """Each trotter_step_fq commutes with particle exchange, from any prepared state."""
+    m = data.draw(st.sampled_from((2, 4, 8)), label="m")
+    n = data.draw(st.integers(1, 3), label="n")
+    layout = FirstQuantizedLayout(n=n, m=m)
+    labels = sorted(data.draw(st.sets(st.integers(1, 2 * m), min_size=n, max_size=n), label="labels"))
+    mode = data.draw(st.sampled_from(("fermi", "bose")), label="mode")
+    backend = data.draw(st.sampled_from(("dense", "sparse")), label="backend")
+    state = prepare_antisymmetric(layout, labels, mode, backend)
+    params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
+                           t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
+    dt = data.draw(st.floats(-3.0, 3.0), label="dt")
+    for _ in range(data.draw(st.integers(1, 3), label="steps")):
+        trotter_step_fq(state, layout, params, dt)
+        assert exchange_symmetry_violation(state, layout, mode) <= 1e-10
 
 
 class TestPrepareAntisymmetric:

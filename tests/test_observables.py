@@ -367,6 +367,17 @@ class TestEnergy:
         assert report.potential == pytest.approx(np.real(vec.conj() @ h_v @ vec), abs=1e-12)
         assert report.kinetic == pytest.approx(np.real(vec.conj() @ h_t @ vec), abs=1e-12)
 
+    def test_single_particle_has_kinetic_energy_only(self):
+        # The uniform state on a 4-site open chain: 3 bonds, each 2 * t0 / 4.
+        layout = FirstQuantizedLayout(n=1, m=4)
+        state = single_particle_plane_wave(layout, 0, backend="sparse")
+        vec = state.to_vector()
+        h = build_fq_hamiltonian(layout, PARAMS)
+        report = expected_energy(state, layout, PARAMS)
+        assert report.potential == 0.0
+        assert report.kinetic == pytest.approx(1.5 * PARAMS.t0, abs=1e-12)
+        assert report.total == pytest.approx(np.real(vec.conj() @ h @ vec), abs=1e-12)
+
     def test_hopping_eigenstate_gives_plus_minus_t0(self):
         layout = ModeLayout(2)
         lattice = LatticeSpec.chain(2)
@@ -438,6 +449,15 @@ def _evolved_fq(backend, n=2, m=4, seed=22):
     return state, layout
 
 
+def _evolved_sq_wide(m=40):
+    """Two particles on 40 sites: 80 modes, so the keys are Python-int objects."""
+    layout = ModeLayout(m)
+    bits = encode_occupation(layout, ((1, UP), (2, DOWN)))
+    state = init_basis_state(layout.register_layout(), bits, "sparse")
+    trotter_evolve(state, LatticeSpec.chain(m), PARAMS, TrotterPlan(0.7, 2))
+    return state, layout
+
+
 class TestMatrixFreeEnergy:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
@@ -453,8 +473,9 @@ class TestMatrixFreeEnergy:
 
     @pytest.mark.parametrize(
         "evolved",
-        [lambda: _evolved_sq("dense", m=8), lambda: _evolved_fq("sparse", n=3, m=16)],
-        ids=["sq-m8-dense", "fq-n3-m16-sparse"],
+        [lambda: _evolved_sq("dense", m=8), lambda: _evolved_fq("sparse", n=3, m=16),
+         _evolved_sq_wide],
+        ids=["sq-m8-dense", "fq-n3-m16-sparse", "sq-m40-sparse"],
     )
     def test_runs_past_the_dense_caps(self, evolved):
         state, layout = evolved()
@@ -467,6 +488,7 @@ class TestMatrixFreeEnergy:
 
         monkeypatch.setattr(oracle, "build_sq_hamiltonian", refuse)
         monkeypatch.setattr(oracle, "build_fq_hamiltonian", refuse)
+        monkeypatch.setattr(oracle, "fq_kinetic_matrix", refuse)
         for state, layout in (_evolved_sq("dense"), _evolved_fq("sparse")):
             expected_energy(state, layout, PARAMS)
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_state_map
 
@@ -212,6 +213,40 @@ class TestTrotterStep:
         state = init_basis_state(ModeLayout(2).register_layout(), 0)
         with pytest.raises(ValueError):
             trotter_evolve(state, LatticeSpec.chain(3), PARAMS, TrotterPlan(t=0.1, r=1))
+
+
+def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:
+    """Born weight of each (up-count, down-count) pair over the support."""
+    up_mask = sum(1 << layout.mode(s, UP) for s in range(1, layout.m + 1))
+    weights = {}
+    for b, a in state.to_map().items():
+        sector = ((b & up_mask).bit_count(), (b & ~up_mask).bit_count())
+        weights[sector] = weights.get(sector, 0.0) + abs(a) ** 2
+    return weights
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_every_step_keeps_each_strings_up_and_down_counts(data):
+    """A step never moves weight between (N_up, N_down) sectors: particle number and S_z."""
+    m = data.draw(st.integers(2, 5), label="m")
+    layout = ModeLayout(m)
+    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False,
+                                   allow_infinity=False)
+    entries = data.draw(st.dictionaries(st.integers(0, (1 << (2 * m)) - 1), amplitude,
+                                        min_size=1, max_size=10), label="entries")
+    norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
+    backend = data.draw(st.sampled_from(("dense", "sparse")), label="backend")
+    state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()},
+                         backend)
+    params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
+                           t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
+    before = _spin_sector_weights(state, layout)
+    trotter_step(state, LatticeSpec.chain(m), params, data.draw(st.floats(-3.0, 3.0), label="dt"))
+    after = _spin_sector_weights(state, layout)
+    assert after.keys() == before.keys()
+    for sector, weight in before.items():
+        assert after[sector] == pytest.approx(weight, abs=1e-12)
 
 
 class TestTrotterConvergence:
