@@ -8,21 +8,18 @@ to zero exactly:
   1. rank preparation: register B becomes a uniform superposition over
      "falling rank" tuples, B[i] in 1..n-i+1, one component per permutation;
   2. rank decode: each rank tuple is rewritten in place into the permutation
-     it indexes (B[i] becomes the B[i]-th natural number not used so far),
-     through an n!-entry table applied to the support only;
-  3. identity assignment: register C is set to (1, 2, ..., n);
-  4. record-keeping sort: a fixed compare-exchange schedule sorts B while
-     co-moving A and C, writing one record bit per schedule slot and
-     accumulating the exchange-count parity into a parity bit; the phase
-     (-1)**parity is then applied (skipped in bose mode).
+     beta it indexes (B[i] becomes the B[i]-th natural number not used so
+     far), through an n!-entry table applied to the support only;
+  3. record-keeping sort: a fixed compare-exchange schedule sorts B alone,
+     writing one record bit per schedule slot (the transcript of beta) and
+     the exchange-count parity into a parity bit; the phase (-1)**parity is
+     then applied (skipped in bose mode).
 
 Ancilla erasure replays and recomputes rather than measures: the parity bit is
-cleared against the record, B is unsorted by replaying the record backwards
-and erased against C (B[i] is the position of i in C), the record is erased by
-recomputing the sort transcript, C is sorted back (co-moving A) and erased
-against the constant 1..n, A is unsorted, and the final record is erased from
-the transcript of A itself, which is valid because A's branch content has the
-same order pattern as the key it was co-moved with.
+cleared against the record, and the sorted B, now the constant (1, 2, ..., n),
+is cleared by XORing that constant into it.  Replaying the record backwards on
+the sorted A then permutes A into beta's order pattern, so the transcript of
+sorting A is the record itself, and recomputing that transcript erases it.
 
 Every step is a rewrite of the support's key array (register words are read
 as int64 arrays) plus one exact sign flip, so the pipeline runs on the sparse
@@ -49,9 +46,9 @@ from fermisim.state import (
 )
 
 MODES = ("fermi", "bose")
-# Every input branch becomes n! branches carrying all three word registers:
-# n = 8 on m = 8 (40320 branches) prepares in about 1.5 s, and a run with r = 1
-# takes about 11.7 s at a 941 MB peak (2-core Xeon, Python 3.11.7, numpy 2.4.6);
+# Every input branch becomes n! branches carrying both word registers:
+# n = 8 on m = 8 (40320 branches) prepares in about 0.55 s, and a run with r = 1
+# takes about 12 s at an 886 MB peak (2-core Xeon, Python 3.11.7, numpy 2.4.6);
 # each further particle multiplies that by n.
 MAX_PARTICLES = 8
 
@@ -126,15 +123,14 @@ class OrderedConfiguration:
 
 
 class RegisterBank:
-    """Register layout for the pipeline: A, B, C, exchange record, parity bit."""
+    """Register layout for the pipeline: A, B, exchange record, parity bit."""
 
     def __init__(self, words: QuWordLayout):
         self.words_layout = words
         self.schedule = oblivious_schedule(words.n)
         n, w = words.n, words.word_bits
         self.layout = RegisterLayout.of(
-            ("A", n * w), ("B", n * w), ("C", n * w),
-            ("rec", len(self.schedule)), ("par", 1),
+            ("A", n * w), ("B", n * w), ("rec", len(self.schedule)), ("par", 1),
         )
         self._word_mask = (1 << w) - 1
 
@@ -171,7 +167,7 @@ class RegisterBank:
         return [(off + i * w, w) for i in range(self.n)]
 
     def ancillas_clear(self, basis):
-        """B, C, record and parity all zero (elementwise on a key array)."""
+        """B, record and parity all zero (elementwise on a key array)."""
         return (basis >> self.layout.offset("B")) == 0
 
     def identity_block(self) -> int:
@@ -265,7 +261,7 @@ def _as_branches(configuration) -> list[tuple[tuple[int, ...], complex]]:
     seq = list(configuration)
     if not seq:
         raise ValueError("configuration is empty")
-    if isinstance(seq[0], int):
+    if isinstance(seq[0], (int, np.integer)):
         return [(tuple(int(v) for v in seq), 1.0 + 0j)]
     branches = []
     for labels, amp in seq:
@@ -337,30 +333,33 @@ def _relabel_b(state, bank, table, error: str) -> None:
 
 
 def assign_identity(state: QuantumState, bank: RegisterBank) -> None:
-    """Set register C to the constant tuple (1, 2, ..., n); C must be zero."""
-    if bank.layout.field(state.support_keys(), "C").any():
-        raise ValueError("register C is not zero (identity already assigned?)")
-    _xor_constant_block(state, bank, "C", bank.identity_block())
+    """XOR the constant tuple (1, 2, ..., n) into B: sets a zero B, clears a sorted one."""
+    expect = bank.identity_block()
+    field = bank.layout.field(state.support_keys(), "B")
+    if ((field != expect) & (field != 0)).any():
+        raise InvariantViolation("register B holds neither 0 nor the identity tuple")
+    shift = expect << bank.layout.offset("B")
+    state.apply_basis_map(lambda keys: keys ^ shift)
 
 
-def sort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved: tuple[str, ...]) -> None:
-    """Sort the key register ascending along the fixed schedule, co-moving other registers.
+def sort_with_record(state: QuantumState, bank: RegisterBank) -> None:
+    """Sort register B ascending along the fixed schedule.
 
     Each executed exchange sets its record bit and flips the parity bit.  The
-    record slots must be zero going in; keys are compared as whole words.
+    record slots must be zero going in; words are compared whole.
     """
     if bank.layout.field(state.support_keys(), "rec").any():
         raise ValueError("exchange record is not zero before sorting")
-    _erase_record_from(state, bank, key)  # the zero record becomes the key's transcript
-    _walk_record(state, bank, (key, *co_moved), forwards=True)
+    _erase_record_from(state, bank, "B")  # the zero record becomes B's transcript
+    _walk_record(state, bank, "B", forwards=True)
     _clear_parity_bit(state, bank)
 
 
-def unsort_with_record(state: QuantumState, bank: RegisterBank, key: str, co_moved: tuple[str, ...]) -> None:
+def unsort_with_record(state: QuantumState, bank: RegisterBank) -> None:
     """Exact inverse of sort_with_record: its steps undone in reverse order."""
     _clear_parity_bit(state, bank)
-    _walk_record(state, bank, (key, *co_moved), forwards=False)
-    _erase_record_from(state, bank, key)
+    _walk_record(state, bank, "B", forwards=False)
+    _erase_record_from(state, bank, "B")
 
 
 def parity_phase(state: QuantumState, bank: RegisterBank, mode: str = "fermi") -> None:
@@ -387,8 +386,8 @@ def _clear_parity_bit(state, bank) -> None:
     )
 
 
-def _walk_record(state, bank, registers: tuple[str, ...], forwards: bool) -> None:
-    # Exchange the registers' words at every schedule slot whose record bit is
+def _walk_record(state, bank, register: str, forwards: bool) -> None:
+    # Exchange the register's words at every schedule slot whose record bit is
     # set: forwards redoes a sort's exchanges, backwards undoes them.  The
     # record itself is left in place.
     slots = list(enumerate(bank.schedule))
@@ -397,14 +396,11 @@ def _walk_record(state, bank, registers: tuple[str, ...], forwards: bool) -> Non
 
     def mapping(keys):
         rec = bank.layout.field(keys, "rec")
-        words = [bank.get_words(keys, reg) for reg in registers]
+        vals = bank.get_words(keys, register)
         for slot, (i, j) in slots:
             hit = ((rec >> slot) & 1).astype(bool)
-            for vals in words:
-                vals[i], vals[j] = np.where(hit, vals[j], vals[i]), np.where(hit, vals[i], vals[j])
-        for reg, vals in zip(registers, words):
-            keys = bank.with_words(keys, reg, vals)
-        return keys
+            vals[i], vals[j] = np.where(hit, vals[j], vals[i]), np.where(hit, vals[i], vals[j])
+        return bank.with_words(keys, register, vals)
 
     state.apply_basis_map(mapping)
 
@@ -430,32 +426,6 @@ def _erase_record_from(state, bank, register: str) -> None:
     )
 
 
-def _erase_permutation_against_positions(state, bank) -> None:
-    # B[i] currently holds sigma(i) and C[j] holds sigma^-1(j), so sigma(i) is
-    # the position of value i in C; XORing that position into B clears it.
-    # Where i occurs more than once its first position counts, and 0 where it
-    # does not occur.
-    def mapping(keys):
-        cvals = bank.get_words(keys, "C")
-        bvals = bank.get_words(keys, "B")
-        for i in range(bank.n):
-            position = np.zeros(len(keys), dtype=np.int64)
-            for j in reversed(range(bank.n)):
-                position = np.where(cvals[j] == i, j, position)
-            bvals[i] = bvals[i] ^ position
-        return bank.with_words(keys, "B", bvals)
-
-    state.apply_basis_map(mapping)
-
-
-def _xor_constant_block(state, bank, register: str, expect: int) -> None:
-    field = bank.layout.field(state.support_keys(), register)
-    if ((field != expect) & (field != 0)).any():
-        raise InvariantViolation(f"register {register} holds neither 0 nor the expected constant")
-    shift = expect << bank.layout.offset(register)
-    state.apply_basis_map(lambda keys: keys ^ shift)
-
-
 # ------------------------------------------------------------------- pipeline
 
 
@@ -464,7 +434,7 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
 
     Post: each input branch |psi> with amplitude a becomes n! branches
     a * s(sigma)/sqrt(n!) |sigma(psi)> with s = sgn in fermi mode and 1 in bose
-    mode; registers B, C, record and parity are exactly zero on every branch.
+    mode; registers B, record and parity are exactly zero on every branch.
     """
     check_mode(mode)
     # The first offending string in key order names the error, A before ancillas.
@@ -479,18 +449,14 @@ def antisymmetrize(state: QuantumState, bank: RegisterBank, mode: str = "fermi")
         raise ValueError("ancilla registers must be zero before antisymmetrization")
 
     superpose_ranks(state, bank)
-    ranks_to_permutation(state, bank)
-    assign_identity(state, bank)
-    sort_with_record(state, bank, "B", ("A", "C"))
+    ranks_to_permutation(state, bank)  # B = beta
+    sort_with_record(state, bank)  # record = transcript(beta), B = (1..n)
     parity_phase(state, bank, mode)
     _clear_parity_bit(state, bank)
-    _walk_record(state, bank, ("B",), forwards=False)
-    _erase_record_from(state, bank, "B")
-    _erase_permutation_against_positions(state, bank)
-    sort_with_record(state, bank, "C", ("A",))
-    _clear_parity_bit(state, bank)
-    _xor_constant_block(state, bank, "C", bank.identity_block())
-    _walk_record(state, bank, ("A",), forwards=False)
+    assign_identity(state, bank)  # B = 0
+    # Undoing beta's sort on the sorted A gives A beta's order pattern, so the
+    # transcript of A is the record.
+    _walk_record(state, bank, "A", forwards=False)
     _erase_record_from(state, bank, "A")
 
     if not bank.ancillas_clear(state.support_keys()).all():
@@ -501,17 +467,11 @@ def antisymmetrize_inverse(state: QuantumState, bank: RegisterBank, mode: str = 
     """Inverse pipeline; maps antisymmetrize's output back to the ordered input."""
     check_mode(mode)
     _erase_record_from(state, bank, "A")
-    _walk_record(state, bank, ("A",), forwards=True)
-    _xor_constant_block(state, bank, "C", bank.identity_block())
-    _clear_parity_bit(state, bank)
-    unsort_with_record(state, bank, "C", ("A",))
-    _erase_permutation_against_positions(state, bank)
-    _erase_record_from(state, bank, "B")
-    _walk_record(state, bank, ("B",), forwards=True)
+    _walk_record(state, bank, "A", forwards=True)
+    assign_identity(state, bank)
     _clear_parity_bit(state, bank)
     parity_phase(state, bank, mode)
-    unsort_with_record(state, bank, "B", ("A", "C"))
-    _xor_constant_block(state, bank, "C", bank.identity_block())
+    unsort_with_record(state, bank)
     permutation_to_ranks(state, bank)
     unsuperpose_ranks(state, bank)
 

@@ -5,10 +5,11 @@ Trotter evolution and measures observables, `antisym` dumps the amplitude map
 of one antisymmetrization next to its oracle fidelity, `validate` replays a
 named self-check suite as a pass/fail table.
 
-Exit codes are uniform: 0 success, 1 an internal invariant tripped (or a
-validation suite failed), 2 anything wrong with the user's input.  Result
-documents echo their fully normalized config, so a document alone is enough to
-reproduce the run; reruns are byte-identical except for the wall-time field.
+Exit codes are uniform: 0 success, 1 an internal invariant tripped, a run
+failed after its config was accepted, or a validation suite failed, 2 anything
+wrong with the user's input.  Result documents echo their fully normalized
+config, so a document alone is enough to reproduce the run; reruns are
+byte-identical except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -456,9 +457,9 @@ def cmd_evolve(config_path: str, output_path: str,
     except InvariantViolation as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # parse_config accepted the config, so this is a simulator defect
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 1
     _write_outputs(document, Path(output_path))
     return 0
 

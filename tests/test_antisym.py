@@ -24,11 +24,13 @@ from fermisim.antisym import (
     transposition_test,
     unsuperpose_ranks,
     _decode_table,
+    _erase_record_from,
+    _walk_record,
     MAX_PARTICLES,
     ranks_to_permutation,
 )
 from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric
-from fermisim.oracle import slater_antisymmetrize
+from fermisim.oracle import pack_words, slater_antisymmetrize
 from fermisim.state import (
     InvariantViolation,
     RegisterLayout,
@@ -208,11 +210,11 @@ class TestStages:
     @pytest.mark.parametrize(
         "n, w, backend",
         [(1, 1, "sparse"), (2, 2, "sparse"), (3, 2, "sparse"), (4, 2, "sparse"), (5, 3, "sparse"),
-         (5, 4, "sparse"), (1, 1, "dense"), (2, 1, "dense"), (2, 2, "dense")],
+         (5, 4, "sparse"), (6, 5, "sparse"), (1, 1, "dense"), (2, 1, "dense"), (2, 2, "dense")],
     )
     def test_superpose_ranks_matches_per_string_reference(self, n, w, backend):
         bank = RegisterBank(QuWordLayout(n, w))
-        assert (bank.layout.key_dtype == object) == ((n, w) == (5, 4))
+        assert (bank.layout.key_dtype == object) == ((n, w) == (6, 5))  # 73 qubits
         rng = np.random.default_rng(31 * n + w)
         branches = _random_branches(rng, n, w, 4)
         state = prepare_ordered_input(bank, branches, backend)
@@ -254,12 +256,15 @@ def _superpose_ranks_reference(amplitudes, bank):
 class TestSortRecord:
     @staticmethod
     def run_sort(bank, key_words, co_a=None):
+        """Sort B, then replay its record forwards on A, which moves A as B moved."""
         # Words hold label - 1, so word values v are the labels v + 1.
         basis = bank.layout.with_field(0, "B", encode_labels([v + 1 for v in key_words], bank.word_bits))
         if co_a is not None:
             basis = bank.layout.with_field(basis, "A", encode_labels([v + 1 for v in co_a], bank.word_bits))
         state = init_basis_state(bank.layout, basis, "sparse")
-        sort_with_record(state, bank, "B", ("A",) if co_a is not None else ())
+        sort_with_record(state, bank)
+        if co_a is not None:
+            _walk_record(state, bank, "A", forwards=True)
         (out,) = state.support()
         return out
 
@@ -272,6 +277,21 @@ class TestSortRecord:
         assert bank.get_words(out, "A") == [3, 2, 1]
         assert (out >> rec_off) & rec_mask == 0
         assert (out >> par_off) & 1 == 0
+
+    def test_backward_replay_gives_a_sorted_register_the_keys_order_pattern(self):
+        # The pipeline's erasure: undoing beta's sort on a sorted A lays A out
+        # in beta's order pattern, so sorting A writes the same record.
+        bank = RegisterBank(QuWordLayout(4, 3))
+        basis = bank.layout.with_field(0, "B", encode_labels([3, 1, 4, 2], 3))  # words 2, 0, 3, 1
+        basis = bank.layout.with_field(basis, "A", encode_labels([2, 3, 6, 8], 3))  # words 1, 2, 5, 7
+        state = init_basis_state(bank.layout, basis, "sparse")
+        sort_with_record(state, bank)
+        _walk_record(state, bank, "A", forwards=False)
+        _erase_record_from(state, bank, "A")
+        (out,) = state.support()
+        assert bank.get_words(out, "A") == [5, 1, 7, 2]
+        assert bank.get_words(out, "B") == [0, 1, 2, 3]
+        assert bank.layout.field(out, "rec") == 0
 
     def test_single_transposition(self):
         bank = RegisterBank(QuWordLayout(2, 2))
@@ -377,12 +397,12 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_inverse_restores_ordered_input_on_wide_keys(self, mode):
-        bank = RegisterBank(QuWordLayout(5, 4))
-        assert bank.layout.key_dtype == object  # 70 qubits
-        state = prepare_ordered_input(bank, [((1, 4, 6, 9, 12), 0.6), ((2, 3, 5, 7, 16), 0.8j)])
+        bank = RegisterBank(QuWordLayout(6, 5))
+        assert bank.layout.key_dtype == object  # 73 qubits
+        state = prepare_ordered_input(bank, [((1, 4, 6, 9, 12, 30), 0.6), ((2, 3, 5, 7, 16, 32), 0.8j)])
         before = state.to_map()
         antisymmetrize(state, bank, mode)
-        assert len(state.support()) == 2 * 120
+        assert len(state.support()) == 2 * 720
         antisymmetrize_inverse(state, bank, mode)
         after = state.to_map()
         assert set(after) == set(before)
@@ -403,11 +423,11 @@ class TestPipeline:
             # register gets its lowest bit set, which puts the string above
             # every string with clean ancillas in key order.
             ([((3, 1), None), ((1, 2), None)], r"strictly increasing labels, got \(3, 1\)"),
-            ([((1, 2), None), ((1, 3), "C")], "ancilla registers must be zero"),
+            ([((1, 2), None), ((1, 3), "rec")], "ancilla registers must be zero"),
             # The first offending string in key order names the error.
-            ([((3, 1), None), ((1, 2), "C")], r"strictly increasing labels, got \(3, 1\)"),
-            ([((1, 2), "B"), ((4, 1), "C")], "ancilla registers must be zero"),
-            ([((2, 1), "B"), ((1, 2), "C")], r"strictly increasing labels, got \(2, 1\)"),
+            ([((3, 1), None), ((1, 2), "rec")], r"strictly increasing labels, got \(3, 1\)"),
+            ([((1, 2), "B"), ((4, 1), "rec")], "ancilla registers must be zero"),
+            ([((2, 1), "B"), ((1, 2), "rec")], r"strictly increasing labels, got \(2, 1\)"),
         ],
     )
     def test_entry_check_names_the_first_offending_string(self, branches, message):
@@ -421,6 +441,33 @@ class TestPipeline:
         for backend in ("sparse", "dense"):
             with pytest.raises(ValueError, match=message):
                 antisymmetrize(inject_state(bank.layout, amplitudes, backend), bank)
+
+    @pytest.mark.parametrize("n,w", [(1, 1), (3, 2), (6, 5), (8, 4)])
+    def test_register_bank_holds_a_b_record_and_parity(self, n, w):
+        bank = RegisterBank(QuWordLayout(n, w))
+        assert bank.layout.names() == ("A", "B", "rec", "par")
+        assert bank.layout.width == 2 * n * w + len(bank.schedule) + 1
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_prepared_state_equals_the_determinant_expansion_bitwise(self, n, mode):
+        labels = (2, 5, 7, 10, 13, 16)[:n]
+        layout = FirstQuantizedLayout(n=n, m=8)
+        want = {pack_words([v - 1 for v in perm], layout.word_bits): amp
+                for perm, amp in slater_antisymmetrize(labels, mode).items()}
+        want_keys = sorted(want)
+        want_amps = np.array([want[k] for k in want_keys], dtype=complex)
+        for backend in ("sparse", "dense") if n <= 3 else ("sparse",):
+            keys, amps = prepare_antisymmetric(layout, labels, mode, backend).gather()
+            assert keys.tolist() == want_keys
+            assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # signed zeros too
+
+    def test_numpy_integer_labels_prepare_the_same_state(self):
+        layout = FirstQuantizedLayout(n=3, m=4)
+        keys, amps = prepare_antisymmetric(layout, np.array([1, 4, 7])).gather()
+        want_keys, want_amps = prepare_antisymmetric(layout, (1, 4, 7)).gather()
+        assert np.array_equal(keys, want_keys)
+        assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))
 
     def test_rejects_bad_mode(self):
         bank = RegisterBank(QuWordLayout(2, 1))
@@ -454,9 +501,10 @@ def ordered_superpositions(draw):
 
 
 @given(case=ordered_superpositions(), mode=st.sampled_from(MODES), dense=st.booleans())
-# Pinned on both sides of KEY_BITS: 5 particles on 4-bit words are a 70-qubit
-# bank with object keys, 4 on 4-bit words a 54-qubit bank with int64 keys.
-@example(case=(5, 4, [((1, 4, 6, 9, 12), 0.6), ((2, 3, 5, 7, 16), 0.8j)]), mode="fermi", dense=False)
+# Pinned on both sides of KEY_BITS: 6 particles on 5-bit words are a 73-qubit
+# bank with object keys, which the drawn sizes (n <= 6, w <= 4) never reach;
+# 4 on 4-bit words a 38-qubit bank with int64 keys.
+@example(case=(6, 5, [((1, 4, 6, 9, 12, 30), 0.6), ((2, 3, 5, 7, 16, 32), 0.8j)]), mode="fermi", dense=False)
 @example(case=(6, 3, [((1, 2, 3, 5, 7, 8), 1.0)]), mode="bose", dense=False)
 @example(case=(4, 4, [((1, 2, 3, 16), 0.8), ((5, 6, 9, 11), -0.6j)]), mode="fermi", dense=False)
 @example(case=(2, 2, [((1, 2), 0.6j), ((2, 4), 0.8)]), mode="bose", dense=True)

@@ -2,7 +2,7 @@
 
 Everything goes through cli.main or the subcommand functions with temp files,
 asserting on exit codes, written documents, and the error channel.  The
-contract under test: 0 success, 1 internal invariant, 2 user error; reruns of
+contract under test: 0 success, 1 internal defect, 2 user error; reruns of
 the same config and seed are byte-identical except for wall time.
 """
 
@@ -354,6 +354,19 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: {config}: ") and len(err.splitlines()) == 1
+        assert not output.exists()
+
+    def test_value_error_after_the_config_is_accepted_is_an_internal_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def broken_stage(*args, **kwargs):
+            raise ValueError("stage broke")
+
+        monkeypatch.setattr(cli, "trotter_evolve", broken_stage)
+        code, output = run_evolve(tmp_path, base_config())
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: internal error: stage broke\n"
         assert not output.exists()
 
     def test_csv_columns_and_rows(self, tmp_path):
