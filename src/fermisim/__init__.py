@@ -38,7 +38,6 @@ from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
     encode_occupation,
@@ -75,7 +74,6 @@ __all__ = [
     "Histogram",
     "HubbardParams",
     "InvariantViolation",
-    "LatticeSpec",
     "ModeLayout",
     "OrderedConfiguration",
     "QuWordLayout",

@@ -46,7 +46,6 @@ from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
     encode_occupation,
@@ -117,6 +116,12 @@ def _require(mapping, key, path):
     if key not in mapping:
         raise ConfigError(f"{path}.{key}: missing required field")
     return mapping[key]
+
+
+def _reject_unknown(mapping, known, path):
+    extras = set(mapping) - set(known)
+    if extras:
+        raise ConfigError(f"{path}: unknown fields {sorted(extras)}")
 
 
 def _as_int(value, path, minimum=None, maximum=None):
@@ -216,9 +221,7 @@ def _parse_observables(raw, formalism, m, n_particles, path):
                     f"{spot}.particle: must lie in 0..{n_particles - 1}, got {particle}"
                 )
             entry["particle"] = particle
-        extras = set(item) - set(entry)
-        if extras:
-            raise ConfigError(f"{spot}: unknown fields {sorted(extras)}")
+        _reject_unknown(item, entry, spot)
         out.append(entry)
     return tuple(out)
 
@@ -227,11 +230,8 @@ def parse_config(raw) -> RunConfig:
     """Validate a decoded JSON object into a RunConfig; raise ConfigError on any hole."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    known = {"formalism", "lattice", "params", "particles", "plan", "observables",
-             "sampling", "backend", "mode"}
-    extras = set(raw) - known
-    if extras:
-        raise ConfigError(f"config: unknown fields {sorted(extras)}")
+    _reject_unknown(raw, ("formalism", "lattice", "params", "particles", "plan", "observables",
+                          "sampling", "backend", "mode"), "config")
 
     formalism = _as_choice(_require(raw, "formalism", "config"), ("first", "second"), "formalism")
     lattice = _require(raw, "lattice", "config")
@@ -239,16 +239,19 @@ def parse_config(raw) -> RunConfig:
     if m > MAX_SITES:
         raise ConfigError(f"lattice.m: site count must be <= {MAX_SITES}, got {m}")
     boundary = _as_choice(lattice.get("boundary", "open"), ("open",), "lattice.boundary")
+    _reject_unknown(lattice, ("m", "boundary"), "lattice")
     if formalism == "first" and (m < 2 or m & (m - 1)):
         raise ConfigError(f"lattice.m: first-quantized runs need a power of two >= 2, got {m}")
 
     params = _require(raw, "params", "config")
     v0 = _as_number(_require(params, "V0", "params"), "params.V0")
     t0 = _as_number(_require(params, "t0", "params"), "params.t0")
+    _reject_unknown(params, ("V0", "t0"), "params")
 
     plan = _require(raw, "plan", "config")
     plan_t = _as_number(_require(plan, "t", "plan"), "plan.t")
     plan_r = _as_int(_require(plan, "r", "plan"), "plan.r", minimum=1)
+    _reject_unknown(plan, ("t", "r"), "plan")
     try:
         step = plan_t / plan_r
     except OverflowError:  # plan.r past the float range
@@ -283,9 +286,7 @@ def parse_config(raw) -> RunConfig:
         epsilon = _as_number(block.get("epsilon", 0.1), "sampling.epsilon")
         if epsilon <= 0:
             raise ConfigError(f"sampling.epsilon: must be positive, got {epsilon}")
-        extras = set(block) - {"N", "seed", "epsilon"}
-        if extras:
-            raise ConfigError(f"sampling: unknown fields {sorted(extras)}")
+        _reject_unknown(block, ("N", "seed", "epsilon"), "sampling")
         try:
             sampling = SamplingPlan(seed=seed, n_trials=n_trials, epsilon=epsilon)
         except ValueError as exc:  # N and epsilon passed above, so this is the seed
@@ -322,7 +323,7 @@ def _row(value, **fields) -> dict:
     return {**fields, "exact": float(value), "sampled": None, "stderr": None}
 
 
-def _evaluate(entry, state, layout, params, lattice, plan):
+def _evaluate(entry, state, layout, params, plan):
     kind = entry["kind"]
     if kind == "charge_density":
         values = [_row(x, index=s + 1) for s, x in enumerate(charge_density(state, layout, plan))]
@@ -343,7 +344,7 @@ def _evaluate(entry, state, layout, params, lattice, plan):
             values.append(_row(value, index=k))
         return {"kind": kind, "particle": particle, "values": values}
     if kind == "energy":
-        report = expected_energy(state, layout, params, lattice)
+        report = expected_energy(state, layout, params)
         return {"kind": kind, "potential": report.potential, "kinetic": report.kinetic,
                 "total": report.total}
     raise ConfigError(f"observables: unknown kind {kind!r}")
@@ -352,7 +353,6 @@ def _evaluate(entry, state, layout, params, lattice, plan):
 def execute_run(config: RunConfig) -> dict:
     """Prepare, evolve, measure; return the result document as a plain dict."""
     started = time.perf_counter()
-    lattice = LatticeSpec.chain(config.m)
     params = HubbardParams(config.v0, config.t0)
     plan = TrotterPlan(config.plan_t, config.plan_r)
     if config.formalism == "second":
@@ -362,8 +362,8 @@ def execute_run(config: RunConfig) -> dict:
         )
         bits = encode_occupation(layout, occupied)
         state = init_basis_state(layout.register_layout(), bits, config.backend)
-        trotter_evolve(state, lattice, params, plan)
-        counts = op_count(lattice, plan)
+        trotter_evolve(state, layout, params, plan)
+        counts = op_count(layout, plan)
     else:
         layout = FirstQuantizedLayout(n=len(config.particles), m=config.m)
         state = prepare_antisymmetric(
@@ -373,8 +373,7 @@ def execute_run(config: RunConfig) -> dict:
         counts = op_count_fq(layout, plan)
 
     measured = [
-        _evaluate(entry, state, layout, params, lattice, config.sampling)
-        for entry in config.observables
+        _evaluate(entry, state, layout, params, config.sampling) for entry in config.observables
     ]
     return {
         "config": config.to_dict(),

@@ -31,7 +31,9 @@ from fermisim.antisym import (
     prepare_ordered_input,
     transposition_test,
 )
-from fermisim.state import QuantumState, RegisterLayout, distinct_keys, inject_state, validation_enabled
+from fermisim.state import (
+    QuantumState, RegisterLayout, check_layout, distinct_keys, inject_state, validation_enabled,
+)
 from fermisim.sq import HubbardParams, TrotterPlan
 
 SYMMETRY_TOL = 1e-9
@@ -135,7 +137,7 @@ def evolve_potential_fq(
     state: QuantumState, layout: FirstQuantizedLayout, params: HubbardParams, dt: float
 ) -> None:
     """Phase exp(-i*V0*dt) on every unordered particle pair sharing a site with opposite spins."""
-    _check_state(state, layout)
+    check_layout(state, layout)
     reg = state.layout
     for k, l in combinations(range(layout.n), 2):
         state.apply_phase_where(lambda keys, k=k, l=l: coincide(reg, keys, k, l), -params.v0 * dt)
@@ -180,7 +182,7 @@ def evolve_kinetic_particle(
     all its hops at once.  Sites in no pair of the half (1 and m in T2) stay
     untouched.
     """
-    _check_state(state, layout)
+    check_layout(state, layout)
     if not 0 <= k < layout.n:
         raise ValueError(f"particle index {k} out of range 0..{layout.n - 1}")
     theta = params.t0 * dt
@@ -208,7 +210,7 @@ def trotter_evolve_fq(
     mode: str = "fermi",
 ) -> None:
     """Apply plan.r first-order steps; every step commutes with particle exchange."""
-    _check_state(state, layout)
+    check_layout(state, layout)
     if validation_enabled():
         worst = exchange_symmetry_violation(state, layout, mode)
         if worst > SYMMETRY_TOL:
@@ -249,8 +251,3 @@ def op_count_fq(layout: FirstQuantizedLayout, plan: TrotterPlan) -> dict[str, in
     }
     counts["total"] = sum(counts.values())
     return counts
-
-
-def _check_state(state: QuantumState, layout: FirstQuantizedLayout) -> None:
-    if state.layout != layout.register_layout():
-        raise ValueError("state register layout does not match the first-quantized layout")

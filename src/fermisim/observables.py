@@ -31,8 +31,10 @@ import numpy as np
 
 from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout, coincide, kinetic_pairs, kinetic_partners
-from fermisim.sq import SPINS, HubbardParams, LatticeSpec, ModeLayout, hop_pairs
-from fermisim.state import MAX_TRIALS, InvariantViolation, QuantumState, validation_enabled
+from fermisim.sq import SPINS, HubbardParams, ModeLayout, chain_bonds, hop_pairs
+from fermisim.state import (
+    MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled,
+)
 
 MAX_CORRELATION_POINTS = 3
 FREQUENCY_TOL = 1e-12
@@ -161,8 +163,7 @@ def _indicator_estimates(
 def _check_layout(state: QuantumState, layout) -> None:
     if not isinstance(layout, (ModeLayout, FirstQuantizedLayout)):
         raise ValueError(f"unsupported layout type {type(layout).__name__}")
-    if state.layout != layout.register_layout():
-        raise ValueError("state register layout does not match the given encoding")
+    check_layout(state, layout)
 
 
 def charge_density(
@@ -248,9 +249,7 @@ def momentum_distribution(
 # ------------------------------------------------------------------- energies
 
 
-def expected_energy(
-    state: QuantumState, layout, params: HubbardParams, lattice: LatticeSpec | None = None
-) -> EnergyReport:
+def expected_energy(state: QuantumState, layout, params: HubbardParams) -> EnergyReport:
     """<H> from the matrix-free oracle Hamiltonian, with its estimator split.
 
     The total is the Rayleigh quotient <psi|H psi>, with H psi from the
@@ -262,20 +261,16 @@ def expected_energy(
     wherever that fits under the oracle's caps.
     """
     _check_layout(state, layout)
-    if lattice is None:
-        lattice = LatticeSpec.chain(layout.m)
-    if lattice.m != layout.m:
-        raise ValueError("lattice and layout disagree on the site count")
     keys, amps = state.gather()
     if isinstance(layout, ModeLayout):
-        h_keys, h_amps = oracle.apply_sq_hamiltonian(lattice, params, keys, amps)
-        potential, kinetic = _sq_energy(state, layout, params, lattice)
+        h_keys, h_amps = oracle.apply_sq_hamiltonian(layout, params, keys, amps)
+        potential, kinetic = _sq_energy(state, layout, params)
     else:
-        h_keys, h_amps = oracle.apply_fq_hamiltonian(layout, params, lattice, keys, amps)
+        h_keys, h_amps = oracle.apply_fq_hamiltonian(layout, params, keys, amps)
         potential, kinetic = _fq_energy(state, layout, params)
     total = float(np.vdot(state.gather(h_keys)[1], h_amps).real)
     if validation_enabled():
-        dense = _dense_energy(state, layout, params, lattice)
+        dense = _dense_energy(state, layout, params)
         if dense is not None:
             _check_energy(dense, total, "dense oracle energy")
     _check_energy(potential + kinetic, total, f"energy split {potential} + {kinetic}")
@@ -288,16 +283,16 @@ def _check_energy(value: float, total: float, what: str) -> None:
         raise InvariantViolation(f"{what} = {value} drifted from the matrix-free value {total}")
 
 
-def _dense_energy(state, layout, params, lattice) -> float | None:
+def _dense_energy(state, layout, params) -> float | None:
     """<psi|H|psi> against the dense oracle matrix, or None past the oracle's caps."""
     if isinstance(layout, ModeLayout):
         if layout.n_modes > oracle.MAX_SQ_MODES:
             return None
-        h = oracle.build_sq_hamiltonian(lattice, params)
+        h = oracle.build_sq_hamiltonian(layout, params)
     else:
         if 1 << state.layout.width > oracle.MAX_FQ_DIM:
             return None
-        h = oracle.build_fq_hamiltonian(layout, params, lattice)
+        h = oracle.build_fq_hamiltonian(layout, params)
     vec = state.to_vector()
     return float(np.real(vec.conj() @ (h @ vec)))
 
@@ -307,14 +302,14 @@ def _pair_amplitudes(state: QuantumState, low: np.ndarray, high: np.ndarray) -> 
     return np.split(state.gather(np.concatenate((low, high)))[1], 2)
 
 
-def _sq_energy(state, layout, params, lattice) -> tuple[float, float]:
+def _sq_energy(state, layout, params) -> tuple[float, float]:
     keys, amps = state.gather()
     doubly = (_site_counts(keys, layout) == 2).sum(axis=1)
     potential = params.v0 * float(np.abs(amps) ** 2 @ doubly)
 
     # Each hop term couples the pairs its Trotter factor mixes, with the same sign.
     kinetic = 0.0
-    for i, j in lattice.adjacency:
+    for i, j in chain_bonds(layout.m):
         for spin in SPINS:
             low, high, parity = hop_pairs(keys, layout.mode(i, spin), layout.mode(j, spin))
             a_low, a_high = _pair_amplitudes(state, low, high)

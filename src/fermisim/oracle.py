@@ -25,7 +25,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from fermisim.fq import FirstQuantizedLayout
-from fermisim.sq import LatticeSpec, HubbardParams, ModeLayout
+from fermisim.sq import HubbardParams, ModeLayout, chain_bonds
 
 MAX_SQ_MODES = 12
 MAX_FQ_DIM = 4096
@@ -65,18 +65,17 @@ def hopping_term(n_modes: int, mode_a: int, mode_b: int) -> np.ndarray:
     return ca.conj().T @ cb + cb.conj().T @ ca
 
 
-def build_sq_hamiltonian(lattice: LatticeSpec, params: HubbardParams) -> np.ndarray:
+def build_sq_hamiltonian(modes: ModeLayout, params: HubbardParams) -> np.ndarray:
     """Full occupation-number Hamiltonian over all 4**m basis states."""
-    modes = ModeLayout(lattice.m)
     if modes.n_modes > MAX_SQ_MODES:
         raise ValueError(f"{modes.n_modes} modes exceed the dense cap of {MAX_SQ_MODES}")
     dim = 1 << modes.n_modes
     h = np.zeros((dim, dim), dtype=complex)
-    for site in range(1, lattice.m + 1):
+    for site in range(1, modes.m + 1):
         n_up = number_operator(modes.n_modes, modes.mode(site, 0))
         n_dn = number_operator(modes.n_modes, modes.mode(site, 1))
         h += params.v0 * (n_up @ n_dn)
-    for i, j in lattice.adjacency:
+    for i, j in chain_bonds(modes.m):
         for spin in (0, 1):
             h += params.t0 * hopping_term(modes.n_modes, modes.mode(i, spin), modes.mode(j, spin))
     return h
@@ -97,23 +96,15 @@ def fq_kinetic_matrix(m: int, t0: float, pairs) -> np.ndarray:
     return t
 
 
-def build_fq_hamiltonian(
-    layout: FirstQuantizedLayout,
-    params: HubbardParams,
-    lattice: LatticeSpec | None = None,
-) -> np.ndarray:
+def build_fq_hamiltonian(layout: FirstQuantizedLayout, params: HubbardParams) -> np.ndarray:
     """Distinguishable-particle Hamiltonian over the full 2**(n*word) register space."""
-    if lattice is None:
-        lattice = LatticeSpec.chain(layout.m)
-    if lattice.m != layout.m:
-        raise ValueError("lattice and layout disagree on the site count")
     w = layout.word_bits
     dim = 1 << (layout.n * w)
     if dim > MAX_FQ_DIM:
         raise ValueError(f"register dimension {dim} exceeds the dense cap of {MAX_FQ_DIM}")
     mask = (1 << w) - 1
     h = np.zeros((dim, dim), dtype=complex)
-    hop = fq_kinetic_matrix(layout.m, params.t0, lattice.adjacency)
+    hop = fq_kinetic_matrix(layout.m, params.t0, chain_bonds(layout.m))
     for basis in range(dim):
         words = [(basis >> (k * w)) & mask for k in range(layout.n)]
         for k in range(layout.n):
@@ -149,7 +140,7 @@ def _string_sign(keys: np.ndarray, mode: int) -> np.ndarray:
 
 
 def apply_sq_hamiltonian(
-    lattice: LatticeSpec, params: HubbardParams, keys: np.ndarray, amps: np.ndarray
+    modes: ModeLayout, params: HubbardParams, keys: np.ndarray, amps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """H v for the occupation-number Hamiltonian and v given by distinct (keys, amps).
 
@@ -157,15 +148,14 @@ def apply_sq_hamiltonian(
     c+_p c_q acts on the strings x with mode q occupied and mode p empty, with
     sign (-1)**(occupied below q in x) * (-1)**(occupied below p in x, q cleared).
     """
-    modes = ModeLayout(lattice.m)
     keys = np.asarray(keys)
     amps = np.asarray(amps, dtype=complex)
     doubly = sum(
         ((keys >> modes.mode(site, 0)) & (keys >> modes.mode(site, 1)) & 1).astype(float)
-        for site in range(1, lattice.m + 1)
+        for site in range(1, modes.m + 1)
     )
     out_keys, out_amps = [keys], [params.v0 * doubly * amps]
-    for i, j in lattice.adjacency:
+    for i, j in chain_bonds(modes.m):
         for spin in (0, 1):
             a, b = modes.mode(i, spin), modes.mode(j, spin)
             for p, q in ((a, b), (b, a)):
@@ -181,7 +171,6 @@ def apply_sq_hamiltonian(
 def apply_fq_hamiltonian(
     layout: FirstQuantizedLayout,
     params: HubbardParams,
-    lattice: LatticeSpec,
     keys: np.ndarray,
     amps: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -192,8 +181,6 @@ def apply_fq_hamiltonian(
     t0, and each same-site, opposite-spin pair of words adds V0 on the
     diagonal.
     """
-    if lattice.m != layout.m:
-        raise ValueError("lattice and layout disagree on the site count")
     w = layout.word_bits
     mask = (1 << w) - 1
     keys = np.asarray(keys)
@@ -335,19 +322,17 @@ def antisymmetric_basis(layout: FirstQuantizedLayout) -> tuple[list[tuple[int, .
     return configs, basis
 
 
-def sq_sector_spectrum(lattice: LatticeSpec, params: HubbardParams, n: int) -> np.ndarray:
+def sq_sector_spectrum(modes: ModeLayout, params: HubbardParams, n: int) -> np.ndarray:
     """Sorted eigenvalues of the occupation-number Hamiltonian at particle number n."""
-    h = build_sq_hamiltonian(lattice, params)
+    h = build_sq_hamiltonian(modes, params)
     masks = [b for b in range(h.shape[0]) if bin(b).count("1") == n]
     block = h[np.ix_(masks, masks)]
     return np.sort(np.linalg.eigvalsh(block))
 
 
-def fq_sector_spectrum(
-    layout: FirstQuantizedLayout, lattice: LatticeSpec, params: HubbardParams
-) -> np.ndarray:
+def fq_sector_spectrum(layout: FirstQuantizedLayout, params: HubbardParams) -> np.ndarray:
     """Sorted eigenvalues of the per-particle Hamiltonian on the antisymmetric sector."""
-    h = build_fq_hamiltonian(layout, params, lattice)
+    h = build_fq_hamiltonian(layout, params)
     _, basis = antisymmetric_basis(layout)
     block = basis.conj().T @ h @ basis
     return np.sort(np.linalg.eigvalsh(block))

@@ -8,6 +8,10 @@ always skips exactly one mode.  The Hamiltonian is
     H = V0 * sum_s n(s,up) n(s,down) + t0 * sum_(<s,s'>, sigma) c'(s,sigma) c(s',sigma) + h.c.
 
 on an open chain, with hbar = 1 so angles are energy * time.
+
+The encoding's layout is the chain: the evolution and the tally take a
+ModeLayout(m), as the first-quantized code takes a FirstQuantizedLayout, and
+the bonds (s, s + 1) come from `chain_bonds(m)`.
 """
 
 from __future__ import annotations
@@ -17,31 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fermisim.state import QuantumState, RegisterLayout, distinct_keys
+from fermisim.state import QuantumState, RegisterLayout, check_layout, distinct_keys
 
 UP = 0
 DOWN = 1
 SPINS = (UP, DOWN)
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Open 1-d chain of m sites (1-based)."""
-
-    m: int
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 1:
-            raise ValueError(f"site count must be a positive integer, got {self.m!r}")
-
-    @property
-    def adjacency(self) -> tuple[tuple[int, int], ...]:
-        """The neighbor pairs (s, s + 1), ascending."""
-        return tuple((s, s + 1) for s in range(1, self.m))
-
-    @classmethod
-    def chain(cls, m: int) -> LatticeSpec:
-        return cls(m)
+def chain_bonds(m: int) -> tuple[tuple[int, int], ...]:
+    """The neighbor pairs (s, s + 1) of the open m-site chain, ascending."""
+    return tuple((s, s + 1) for s in range(1, m))
 
 
 @dataclass(frozen=True)
@@ -125,10 +114,10 @@ def jw_parity(bits, mode_a: int, mode_b: int):
     return np.bitwise_count(bits & between) & 1
 
 
-def evolve_potential(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:
+def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """exp(-i*dt*V) where V = V0 * sum_s n(s,up) n(s,down): a phase per doubly occupied site."""
-    layout = _mode_layout_for(state, lattice)
-    for site in range(1, lattice.m + 1):
+    check_layout(state, layout)
+    for site in range(1, layout.m + 1):
         mask = (1 << layout.mode(site, UP)) | (1 << layout.mode(site, DOWN))
         state.apply_phase_where(lambda keys, m=mask: (keys & m) == m, -params.v0 * dt)
 
@@ -176,32 +165,31 @@ def evolve_hopping_pair(
     state._mix(low, high, ((complex(c), off), (off, complex(c))))
 
 
-def trotter_step(state: QuantumState, lattice: LatticeSpec, params: HubbardParams, dt: float) -> None:
+def trotter_step(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """One first-order step: potential phase, then every (pair, spin) hop in fixed order."""
-    evolve_potential(state, lattice, params, dt)
-    for site_a, site_b in lattice.adjacency:
+    evolve_potential(state, layout, params, dt)
+    for site_a, site_b in chain_bonds(layout.m):
         for spin in SPINS:
             evolve_hopping_pair(state, site_a, site_b, spin, params, dt)
 
 
 def trotter_evolve(
-    state: QuantumState, lattice: LatticeSpec, params: HubbardParams, plan: TrotterPlan
+    state: QuantumState, layout: ModeLayout, params: HubbardParams, plan: TrotterPlan
 ) -> None:
     """Apply `plan.r` first-order Trotter steps of length plan.dt in place."""
-    _mode_layout_for(state, lattice)
     for _ in range(plan.r):
-        trotter_step(state, lattice, params, plan.dt)
+        trotter_step(state, layout, params, plan.dt)
 
 
-def op_count(lattice: LatticeSpec, plan: TrotterPlan) -> dict[str, int]:
+def op_count(layout: ModeLayout, plan: TrotterPlan) -> dict[str, int]:
     """Deterministic tally of elementary operations for a full evolution.
 
     Each hopping term is charged m parity-scan operations, the generic cost of
     counting the occupied modes between an arbitrary pair; the chain total is
     therefore quadratic in m.
     """
-    m = lattice.m
-    hops = 2 * len(lattice.adjacency)
+    m = layout.m
+    hops = 2 * len(chain_bonds(m))
     counts = {
         "potential_phase": plan.r * m,
         "parity_scan": plan.r * hops * m,
@@ -209,12 +197,3 @@ def op_count(lattice: LatticeSpec, plan: TrotterPlan) -> dict[str, int]:
     }
     counts["total"] = sum(counts.values())
     return counts
-
-
-def _mode_layout_for(state: QuantumState, lattice: LatticeSpec) -> ModeLayout:
-    layout = ModeLayout(lattice.m)
-    if state.layout.width != layout.n_modes:
-        raise ValueError(
-            f"state has {state.layout.width} qubits, lattice needs {layout.n_modes}"
-        )
-    return layout

@@ -645,3 +645,9 @@ def inject_state(
 
 def inner_product(a: QuantumState, b: QuantumState) -> complex:
     return a.inner_product(b)
+
+
+def check_layout(state: QuantumState, encoding) -> None:
+    """ValueError unless `state` holds exactly the registers of `encoding.register_layout()`."""
+    if state.layout != encoding.register_layout():
+        raise ValueError("state register layout does not match the given encoding")

@@ -41,7 +41,6 @@ from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
     encode_occupation,
@@ -178,15 +177,14 @@ def _convergence(suite: str, error, final_bound: float) -> list[CheckResult]:
 
 def validate_trotter_sq() -> list[CheckResult]:
     """First-order convergence of the mode-register evolution on two sites."""
-    lattice = LatticeSpec.chain(2)
     layout = ModeLayout(2)
     plan_t = 1.0
     start = init_basis_state(layout.register_layout(), encode_occupation(layout, ((1, UP), (1, DOWN))))
-    exact = expm_propagate(build_sq_hamiltonian(lattice, BENCH_PARAMS), plan_t, start.to_vector())
+    exact = expm_propagate(build_sq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector())
 
     def error(r):
         state = start.copy()
-        trotter_evolve(state, lattice, BENCH_PARAMS, TrotterPlan(plan_t, r))
+        trotter_evolve(state, layout, BENCH_PARAMS, TrotterPlan(plan_t, r))
         return float(np.linalg.norm(state.to_vector() - exact))
 
     return _convergence("trotter-sq", error, SQ_FINAL_ERROR_BOUND)
@@ -214,12 +212,12 @@ def validate_crossform() -> list[CheckResult]:
     for n in (1, 2, 3):
         for m in (2, 4):
             layout = FirstQuantizedLayout(n=n, m=m)
-            lattice = LatticeSpec.chain(m)
+            modes = ModeLayout(m)
             psi0 = prepare_antisymmetric(
                 layout, tuple(range(1, n + 1)), backend="dense"
             ).to_vector()
-            h_fq = build_fq_hamiltonian(layout, BENCH_PARAMS, lattice)
-            h_sq = build_sq_hamiltonian(lattice, BENCH_PARAMS)
+            h_fq = build_fq_hamiltonian(layout, BENCH_PARAMS)
+            h_sq = build_sq_hamiltonian(modes, BENCH_PARAMS)
             via_fq = fq_to_sq(expm_propagate(h_fq, t, psi0), layout)
             via_sq = expm_propagate(h_sq, t, fq_to_sq(psi0, layout))
             drift = float(np.linalg.norm(via_fq - via_sq))
@@ -231,8 +229,8 @@ def validate_crossform() -> list[CheckResult]:
             )
             gap = float(
                 np.abs(
-                    fq_sector_spectrum(layout, lattice, BENCH_PARAMS)
-                    - sq_sector_spectrum(lattice, BENCH_PARAMS, n)
+                    fq_sector_spectrum(layout, BENCH_PARAMS)
+                    - sq_sector_spectrum(modes, BENCH_PARAMS, n)
                 ).max()
             )
             results.append(
@@ -250,8 +248,8 @@ def validate_scaling() -> list[CheckResult]:
     results = []
     for m in (4, 8, 16):
         ratio = (
-            op_count(LatticeSpec.chain(2 * m), plan)["total"]
-            / op_count(LatticeSpec.chain(m), plan)["total"]
+            op_count(ModeLayout(2 * m), plan)["total"]
+            / op_count(ModeLayout(m), plan)["total"]
         )
         results.append(
             _check(

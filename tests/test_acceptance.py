@@ -39,7 +39,6 @@ from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
     encode_occupation,
@@ -131,22 +130,20 @@ def test_criterion_02_exchange_sign_law():
     )
 
 
-def _sq_trotter_error(lattice, bits, r):
-    layout = ModeLayout(lattice.m)
+def _sq_trotter_error(layout, bits, r):
     state = init_basis_state(layout.register_layout(), bits, "dense")
-    trotter_evolve(state, lattice, PARAMS, TrotterPlan(1.0, r))
+    trotter_evolve(state, layout, PARAMS, TrotterPlan(1.0, r))
     return state.to_vector()
 
 
 def test_criterion_03_trotter_convergence_second_quantized():
     started = time.perf_counter()
-    lattice = LatticeSpec.chain(2)
     layout = ModeLayout(2)
     bits = encode_occupation(layout, ((1, UP), (1, DOWN)))
     v0 = init_basis_state(layout.register_layout(), bits, "dense").to_vector()
-    exact = expm_propagate(build_sq_hamiltonian(lattice, PARAMS), 1.0, v0)
+    exact = expm_propagate(build_sq_hamiltonian(layout, PARAMS), 1.0, v0)
     errors = {
-        r: np.linalg.norm(_sq_trotter_error(lattice, bits, r) - exact)
+        r: np.linalg.norm(_sq_trotter_error(layout, bits, r) - exact)
         for r in (32, 64, 128, 256)
     }
     ratios = {r: errors[r] / errors[2 * r] for r in (32, 64, 128)}
@@ -195,8 +192,8 @@ def test_criterion_05_cross_formalism_intertwining():
     worst_state = 0.0
     worst_spectrum = 0.0
     for m in (2, 4):
-        lattice = LatticeSpec.chain(m)
-        u_sq = propagator(build_sq_hamiltonian(lattice, PARAMS), t)
+        modes = ModeLayout(m)
+        u_sq = propagator(build_sq_hamiltonian(modes, PARAMS), t)
         for n in (1, 2, 3):
             layout = FirstQuantizedLayout(n=n, m=m)
             h_fq = build_fq_hamiltonian(layout, PARAMS)
@@ -209,8 +206,8 @@ def test_criterion_05_cross_formalism_intertwining():
                     worst_state, np.linalg.norm(evolved_then_mapped - mapped_then_evolved)
                 )
             gap = np.abs(
-                fq_sector_spectrum(layout, lattice, PARAMS)
-                - sq_sector_spectrum(lattice, PARAMS, n)
+                fq_sector_spectrum(layout, PARAMS)
+                - sq_sector_spectrum(modes, PARAMS, n)
             ).max()
             worst_spectrum = max(worst_spectrum, gap)
     ok = worst_state <= 1e-10 and worst_spectrum <= 1e-10
@@ -249,8 +246,8 @@ def test_criterion_07_operation_count_scalings():
     plan = TrotterPlan(1.0, 4)
     sq_ratios = {}
     for m in (4, 8, 16):
-        small = op_count(LatticeSpec.chain(m), plan)["total"]
-        large = op_count(LatticeSpec.chain(2 * m), plan)["total"]
+        small = op_count(ModeLayout(m), plan)["total"]
+        large = op_count(ModeLayout(2 * m), plan)["total"]
         sq_ratios[m] = large / small
     fq_ratios = {}
     for b in (1, 2, 3):

@@ -19,6 +19,12 @@ from fermisim.cli import MAX_SITES, ConfigError, RunConfig, cmd_antisym, main, p
 from fermisim.observables import ENERGY_SPLIT_TOL, SamplingPlan
 from fermisim.state import MAX_TRIALS, QuantumState, _sorted_uniforms, set_validation_mode
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(
+    path for pattern in ("configs/*.json", "perfbench/workloads/*.json", "perfbench/probes/*.json")
+    for path in REPO_ROOT.glob(pattern)
+)
+
 
 @pytest.fixture(autouse=True)
 def _plain_validation():
@@ -115,6 +121,12 @@ class TestConfigParsing:
              f"sampling.N: must be <= {MAX_TRIALS}"),
             (lambda r: r.update(lattice={"m": MAX_SITES + 1}, backend="sparse"),
              f"lattice.m: site count must be <= {MAX_SITES}"),
+            (lambda r: r.update(lattice={"m": 2, "bondary": "ring"}),
+             "lattice: unknown fields ['bondary']"),
+            (lambda r: r.update(params={"V0": 4.0, "t0": 1.0, "U": 2.0}),
+             "params: unknown fields ['U']"),
+            (lambda r: r.update(plan={"t": 1.0, "r": 8, "dt": 0.125}),
+             "plan: unknown fields ['dt']"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):
@@ -177,6 +189,13 @@ class TestConfigParsing:
         raw = base_config(lattice={"m": True})
         with pytest.raises(ConfigError, match="lattice.m"):
             parse_config(raw)
+
+    @pytest.mark.parametrize(
+        "path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO_ROOT))
+    )
+    def test_every_shipped_config_parses(self, path):
+        # The example configs and the benchmark's workloads and probes, read only.
+        parse_config(json.loads(path.read_text()))
 
 
 class TestEvolve:

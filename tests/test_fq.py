@@ -27,7 +27,7 @@ from fermisim.oracle import (
     pack_words,
     propagator,
 )
-from fermisim.sq import HubbardParams, LatticeSpec, TrotterPlan
+from fermisim.sq import HubbardParams, TrotterPlan, chain_bonds
 from fermisim.state import inject_state, init_basis_state, validation_mode
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
@@ -84,7 +84,7 @@ class TestKineticSplit:
         split = KineticSplit.for_chain(4)
         assert split.t1_pairs == ((1, 2), (3, 4))
         assert split.t2_pairs == ((2, 3),)
-        assert set(split.t1_pairs) | set(split.t2_pairs) == set(LatticeSpec.chain(4).adjacency)
+        assert set(split.t1_pairs) | set(split.t2_pairs) == set(chain_bonds(4))
 
     def test_two_site_chain_has_no_second_half(self):
         split = KineticSplit.for_chain(2)
@@ -94,7 +94,7 @@ class TestKineticSplit:
     @pytest.mark.parametrize("m", (2, 4, 8, 16))
     def test_union_covers_every_edge(self, m):
         split = KineticSplit.for_chain(m)
-        assert set(split.t1_pairs) | set(split.t2_pairs) == set(LatticeSpec.chain(m).adjacency)
+        assert set(split.t1_pairs) | set(split.t2_pairs) == set(chain_bonds(m))
 
 
 class TestPotentialFq:
@@ -218,9 +218,8 @@ class TestTrotterFq:
 
     def test_converges_to_exact_propagator(self):
         layout = FirstQuantizedLayout(n=2, m=4)
-        lattice = LatticeSpec.chain(4)
         state0 = prepare_antisymmetric(layout, (1, 6), backend="dense")
-        h = build_fq_hamiltonian(layout, PARAMS, lattice)
+        h = build_fq_hamiltonian(layout, PARAMS)
         exact = propagator(h, 1.0) @ state0.to_vector()
 
         def error(r):

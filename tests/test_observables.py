@@ -39,7 +39,6 @@ from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
     encode_occupation,
@@ -161,9 +160,8 @@ class TestChargeDensity:
 
     def test_formalisms_agree_after_exact_evolution(self):
         layout = FirstQuantizedLayout(n=2, m=2)
-        lattice = LatticeSpec.chain(2)
         vec = prepare_antisymmetric(layout, (1, 4), backend="dense").to_vector()
-        evolved = propagator(build_fq_hamiltonian(layout, PARAMS, lattice), 0.7) @ vec
+        evolved = propagator(build_fq_hamiltonian(layout, PARAMS), 0.7) @ vec
         fq_state = state_from_vector(layout.register_layout(), evolved)
         sq_state = state_from_vector(
             ModeLayout(2).register_layout(), fq_to_sq(evolved, layout)
@@ -344,11 +342,10 @@ class TestEnergy:
     def test_sq_split_matches_dense_partial_hamiltonians(self):
         rng = np.random.default_rng(8)
         layout = ModeLayout(3)
-        lattice = LatticeSpec.chain(3)
         state = random_sq_state(rng, 3, support=30)
         vec = state.to_vector()
-        h_v = build_sq_hamiltonian(lattice, HubbardParams(PARAMS.v0, 0.0))
-        h_t = build_sq_hamiltonian(lattice, HubbardParams(0.0, PARAMS.t0))
+        h_v = build_sq_hamiltonian(layout, HubbardParams(PARAMS.v0, 0.0))
+        h_t = build_sq_hamiltonian(layout, HubbardParams(0.0, PARAMS.t0))
         report = expected_energy(state, layout, PARAMS)
         assert report.potential == pytest.approx(np.real(vec.conj() @ h_v @ vec), abs=1e-12)
         assert report.kinetic == pytest.approx(np.real(vec.conj() @ h_t @ vec), abs=1e-12)
@@ -357,12 +354,11 @@ class TestEnergy:
     def test_fq_split_matches_dense_partial_hamiltonians(self):
         rng = np.random.default_rng(9)
         layout = FirstQuantizedLayout(n=2, m=4)
-        lattice = LatticeSpec.chain(4)
         reg = layout.register_layout()
         state = inject_state(reg, random_state_map(rng, reg.width, 40), "dense")
         vec = state.to_vector()
-        h_v = build_fq_hamiltonian(layout, HubbardParams(PARAMS.v0, 0.0), lattice)
-        h_t = build_fq_hamiltonian(layout, HubbardParams(0.0, PARAMS.t0), lattice)
+        h_v = build_fq_hamiltonian(layout, HubbardParams(PARAMS.v0, 0.0))
+        h_t = build_fq_hamiltonian(layout, HubbardParams(0.0, PARAMS.t0))
         report = expected_energy(state, layout, PARAMS)
         assert report.potential == pytest.approx(np.real(vec.conj() @ h_v @ vec), abs=1e-12)
         assert report.kinetic == pytest.approx(np.real(vec.conj() @ h_t @ vec), abs=1e-12)
@@ -380,14 +376,13 @@ class TestEnergy:
 
     def test_hopping_eigenstate_gives_plus_minus_t0(self):
         layout = ModeLayout(2)
-        lattice = LatticeSpec.chain(2)
         free = HubbardParams(0.0, PARAMS.t0)
         a = encode_occupation(layout, ((1, UP),))
         b = encode_occupation(layout, ((2, UP),))
         amp = 1 / np.sqrt(2)
         for sign in (1.0, -1.0):
             state = inject_state(layout.register_layout(), {a: amp, b: sign * amp}, "dense")
-            report = expected_energy(state, layout, free, lattice)
+            report = expected_energy(state, layout, free)
             assert report.total == pytest.approx(sign * PARAMS.t0, abs=1e-12)
             assert report.potential == pytest.approx(0.0, abs=1e-12)
 
@@ -404,7 +399,7 @@ class TestEnergy:
         rng = np.random.default_rng(14)
         layout = ModeLayout(2)
         state = random_sq_state(rng, 2)
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(layout, PARAMS)
         before = expected_energy(state, layout, PARAMS).total
         evolved = state_from_vector(
             layout.register_layout(), propagator(h, 1.7) @ state.to_vector()
@@ -413,19 +408,22 @@ class TestEnergy:
         assert abs(after - before) < 1e-10
 
     def test_ground_state_energy_recovered(self):
-        lattice = LatticeSpec.chain(2)
         layout = ModeLayout(2)
-        h = build_sq_hamiltonian(lattice, PARAMS)
+        h = build_sq_hamiltonian(layout, PARAMS)
         vals, vecs = np.linalg.eigh(h)
         ground = state_from_vector(layout.register_layout(), vecs[:, 0])
         report = expected_energy(ground, layout, PARAMS)
         assert report.total == pytest.approx(vals[0], abs=1e-10)
 
-    def test_lattice_mismatch(self):
-        layout = ModeLayout(2)
-        state = init_basis_state(layout.register_layout(), 0)
-        with pytest.raises(ValueError):
-            expected_energy(state, layout, PARAMS, LatticeSpec.chain(3))
+    def test_state_of_the_other_encoding_rejected(self):
+        # Two particles on two sites fill 4 qubits, as ModeLayout(2) does, in other registers.
+        fq_layout = FirstQuantizedLayout(n=2, m=2)
+        state = prepare_antisymmetric(fq_layout, (1, 4))
+        with pytest.raises(ValueError, match="does not match"):
+            expected_energy(state, ModeLayout(2), PARAMS)
+        with pytest.raises(ValueError, match="does not match"):
+            expected_energy(init_basis_state(ModeLayout(2).register_layout(), 0b0101),
+                            fq_layout, PARAMS)
 
     def test_report_is_a_plain_record(self):
         report = EnergyReport(potential=4.0, kinetic=-2.0, total=2.0)
@@ -436,7 +434,7 @@ def _evolved_sq(backend, m=3, seed=21):
     rng = np.random.default_rng(seed)
     layout = ModeLayout(m)
     state = inject_state(layout.register_layout(), random_state_map(rng, 2 * m, 24), backend)
-    trotter_evolve(state, LatticeSpec.chain(m), PARAMS, TrotterPlan(0.7, 3))
+    trotter_evolve(state, layout, PARAMS, TrotterPlan(0.7, 3))
     return state, layout
 
 
@@ -454,7 +452,7 @@ def _evolved_sq_wide(m=40):
     layout = ModeLayout(m)
     bits = encode_occupation(layout, ((1, UP), (2, DOWN)))
     state = init_basis_state(layout.register_layout(), bits, "sparse")
-    trotter_evolve(state, LatticeSpec.chain(m), PARAMS, TrotterPlan(0.7, 2))
+    trotter_evolve(state, layout, PARAMS, TrotterPlan(0.7, 2))
     return state, layout
 
 
@@ -464,9 +462,9 @@ class TestMatrixFreeEnergy:
     def test_total_is_the_dense_rayleigh_quotient(self, backend, evolved):
         state, layout = evolved(backend)
         if isinstance(layout, ModeLayout):
-            h = build_sq_hamiltonian(LatticeSpec.chain(layout.m), PARAMS)
+            h = build_sq_hamiltonian(layout, PARAMS)
         else:
-            h = build_fq_hamiltonian(layout, PARAMS, LatticeSpec.chain(layout.m))
+            h = build_fq_hamiltonian(layout, PARAMS)
         vec = state.to_vector()
         report = expected_energy(state, layout, PARAMS)
         assert abs(report.total - np.real(vec.conj() @ h @ vec)) <= 1e-12

@@ -26,7 +26,7 @@ from fermisim.oracle import (
     slater_antisymmetrize,
     sq_sector_spectrum,
 )
-from fermisim.sq import HubbardParams, LatticeSpec, ModeLayout
+from fermisim.sq import HubbardParams, ModeLayout, chain_bonds
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -75,11 +75,11 @@ class TestJwOperators:
 
 class TestSqHamiltonian:
     def test_single_site_diagonal(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(1), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(1), PARAMS)
         np.testing.assert_allclose(h, np.diag([0, 0, 0, PARAMS.v0]), atol=1e-14)
 
     def test_hermitian_and_number_conserving(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(3), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(3), PARAMS)
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
         total_n = sum(number_operator(6, j) for j in range(6))
         assert np.abs(h @ total_n - total_n @ h).max() < 1e-13
@@ -89,7 +89,7 @@ class TestSqHamiltonian:
         # (a up, b down) sector matches the (b up, a down) sector.  A bare
         # qubit-swap permutation is not a matrix identity here because the
         # sign strings cross different intervening modes after the swap.
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(2), PARAMS)
 
         def sector(n_up, n_dn):
             rows = [
@@ -108,16 +108,16 @@ class TestSqHamiltonian:
 
     def test_mode_cap(self):
         with pytest.raises(ValueError):
-            build_sq_hamiltonian(LatticeSpec.chain(7), PARAMS)
+            build_sq_hamiltonian(ModeLayout(7), PARAMS)
 
 
 class TestPropagator:
     def test_zero_time_is_identity(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(2), PARAMS)
         np.testing.assert_allclose(propagator(h, 0.0), np.eye(16), atol=1e-14)
 
     def test_unitary(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(2), PARAMS)
         u = propagator(h, 0.83)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(16), atol=1e-12)
 
@@ -142,7 +142,7 @@ class TestPropagator:
 
 class TestExpmPropagate:
     def test_zero_time_leaves_vector(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(2), PARAMS)
         rng = np.random.default_rng(11)
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
@@ -166,7 +166,7 @@ class TestExpmPropagate:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
     def test_matches_propagator_matrix(self):
-        h = build_sq_hamiltonian(LatticeSpec.chain(2), PARAMS)
+        h = build_sq_hamiltonian(ModeLayout(2), PARAMS)
         rng = np.random.default_rng(13)
         v = rng.normal(size=16) + 1j * rng.normal(size=16)
         v /= np.linalg.norm(v)
@@ -218,7 +218,7 @@ class TestFqHamiltonian:
     def test_non_interacting_is_a_kron_sum(self):
         layout = FirstQuantizedLayout(n=2, m=4)
         h = build_fq_hamiltonian(layout, HubbardParams(0.0, PARAMS.t0))
-        t = fq_kinetic_matrix(4, PARAMS.t0, LatticeSpec.chain(4).adjacency)
+        t = fq_kinetic_matrix(4, PARAMS.t0, chain_bonds(4))
         eye = np.eye(8)
         np.testing.assert_allclose(h, np.kron(t, eye) + np.kron(eye, t), atol=1e-14)
 
@@ -241,10 +241,6 @@ class TestFqHamiltonian:
     def test_dimension_cap(self):
         with pytest.raises(ValueError):
             build_fq_hamiltonian(FirstQuantizedLayout(n=5, m=4), PARAMS)
-
-    def test_lattice_layout_mismatch(self):
-        with pytest.raises(ValueError):
-            build_fq_hamiltonian(FirstQuantizedLayout(n=1, m=2), PARAMS, LatticeSpec.chain(4))
 
 
 class TestAntisymmetricBasis:
@@ -303,20 +299,18 @@ class TestCrossEncoding:
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (2, 4)])
     def test_sector_spectra_match(self, n, m):
         layout = FirstQuantizedLayout(n=n, m=m)
-        lattice = LatticeSpec.chain(m)
-        fq_vals = fq_sector_spectrum(layout, lattice, PARAMS)
-        sq_vals = sq_sector_spectrum(lattice, PARAMS, n)
+        fq_vals = fq_sector_spectrum(layout, PARAMS)
+        sq_vals = sq_sector_spectrum(ModeLayout(m), PARAMS, n)
         np.testing.assert_allclose(fq_vals, sq_vals, atol=1e-10)
 
     @pytest.mark.parametrize("n,m", [(1, 2), (2, 2), (3, 2), (2, 4)])
     def test_exact_evolutions_intertwine(self, n, m):
         layout = FirstQuantizedLayout(n=n, m=m)
-        lattice = LatticeSpec.chain(m)
         labels = tuple(range(1, n + 1))
         psi0 = prepare_antisymmetric(layout, labels, backend="dense").to_vector()
         t = 0.9
-        u_fq = propagator(build_fq_hamiltonian(layout, PARAMS, lattice), t)
-        u_sq = propagator(build_sq_hamiltonian(lattice, PARAMS), t)
+        u_fq = propagator(build_fq_hamiltonian(layout, PARAMS), t)
+        u_sq = propagator(build_sq_hamiltonian(ModeLayout(m), PARAMS), t)
         via_fq = fq_to_sq(u_fq @ psi0, layout)
         via_sq = u_sq @ fq_to_sq(psi0, layout)
         assert np.linalg.norm(via_fq - via_sq) < 1e-10
@@ -324,11 +318,10 @@ class TestCrossEncoding:
     def test_ground_energy_agrees_with_both_encodings(self):
         # Two opposite-spin fermions on two sites: the textbook two-site case
         # with E0 = (V0 - sqrt(V0**2 + 16 t0**2)) / 2.
-        lattice = LatticeSpec.chain(2)
         layout = FirstQuantizedLayout(n=2, m=2)
         e0 = (PARAMS.v0 - math.sqrt(PARAMS.v0**2 + 16 * PARAMS.t0**2)) / 2
-        assert sq_sector_spectrum(lattice, PARAMS, 2)[0] == pytest.approx(e0, abs=1e-10)
-        assert fq_sector_spectrum(layout, lattice, PARAMS)[0] == pytest.approx(e0, abs=1e-10)
+        assert sq_sector_spectrum(ModeLayout(2), PARAMS, 2)[0] == pytest.approx(e0, abs=1e-10)
+        assert fq_sector_spectrum(layout, PARAMS)[0] == pytest.approx(e0, abs=1e-10)
 
 
 # ------------------------------------------------------- matrix-free Hamiltonian
@@ -339,13 +332,13 @@ FQ_SIZES = [(1, 4), (2, 4), (2, 8), (2, 16), (3, 8)]
 
 
 def _sq_case(m):
-    lattice = LatticeSpec.chain(m)
-    return lambda keys, amps: apply_sq_hamiltonian(lattice, SKEW, keys, amps)
+    modes = ModeLayout(m)
+    return lambda keys, amps: apply_sq_hamiltonian(modes, SKEW, keys, amps)
 
 
 def _fq_case(n, m):
-    layout, lattice = FirstQuantizedLayout(n=n, m=m), LatticeSpec.chain(m)
-    return lambda keys, amps: apply_fq_hamiltonian(layout, SKEW, lattice, keys, amps)
+    layout = FirstQuantizedLayout(n=n, m=m)
+    return lambda keys, amps: apply_fq_hamiltonian(layout, SKEW, keys, amps)
 
 
 @pytest.fixture(
@@ -357,10 +350,10 @@ def dense_case(request):
     """(matrix-free H, dense H) for one size, the dense matrix built once per module."""
     if request.param[0] == "sq":
         m = request.param[1]
-        return _sq_case(m), build_sq_hamiltonian(LatticeSpec.chain(m), SKEW)
+        return _sq_case(m), build_sq_hamiltonian(ModeLayout(m), SKEW)
     _, n, m = request.param
     layout = FirstQuantizedLayout(n=n, m=m)
-    return _fq_case(n, m), build_fq_hamiltonian(layout, SKEW, LatticeSpec.chain(m))
+    return _fq_case(n, m), build_fq_hamiltonian(layout, SKEW)
 
 
 def _densify(keys, amps, dim):
@@ -399,11 +392,6 @@ class TestMatrixFreeHamiltonian:
     def test_empty_input_gives_empty_output(self):
         keys, amps = _sq_case(2)(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
         assert keys.size == 0 and amps.size == 0
-
-    def test_fq_lattice_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_fq_hamiltonian(FirstQuantizedLayout(n=1, m=4), SKEW, LatticeSpec.chain(2),
-                                 np.zeros(1, dtype=np.int64), np.ones(1))
 
 
 # Sizes well past the dense caps, including layouts wider than 62 qubits

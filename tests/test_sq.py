@@ -8,14 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_state_map
 
+from fermisim.fq import FirstQuantizedLayout
 from fermisim.oracle import build_sq_hamiltonian, hopping_term, propagator
 from fermisim.sq import (
     DOWN,
     UP,
     HubbardParams,
-    LatticeSpec,
     ModeLayout,
     TrotterPlan,
+    chain_bonds,
     encode_occupation,
     evolve_hopping_pair,
     evolve_potential,
@@ -40,8 +41,8 @@ def random_dense_state(rng, m, support=12):
 
 class TestLatticeSpec:
     def test_chain_adjacency(self):
-        assert LatticeSpec.chain(4).adjacency == ((1, 2), (2, 3), (3, 4))
-        assert LatticeSpec.chain(1).adjacency == ()
+        assert chain_bonds(4) == ((1, 2), (2, 3), (3, 4))
+        assert chain_bonds(1) == ()
 
 
 class TestModeLayout:
@@ -79,23 +80,22 @@ class TestJwParity:
 
 class TestPotential:
     def test_phase_only_on_double_occupancy(self):
-        lattice = LatticeSpec.chain(2)
         layout = ModeLayout(2)
         both = encode_occupation(layout, ((1, UP), (1, DOWN)))
         single = encode_occupation(layout, ((1, UP), (2, DOWN)))
         state = dense_state(2, {both: np.sqrt(0.5), single: np.sqrt(0.5)})
-        evolve_potential(state, lattice, PARAMS, dt=0.3)
+        evolve_potential(state, layout, PARAMS, dt=0.3)
         expected = np.exp(-1j * PARAMS.v0 * 0.3) * np.sqrt(0.5)
         assert state.amplitude(both) == pytest.approx(expected, abs=1e-12)
         assert state.amplitude(single) == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
     def test_matches_diagonal_oracle(self):
         rng = np.random.default_rng(7)
-        lattice = LatticeSpec.chain(2)
-        h_v = build_sq_hamiltonian(lattice, HubbardParams(v0=PARAMS.v0, t0=0.0))
+        layout = ModeLayout(2)
+        h_v = build_sq_hamiltonian(layout, HubbardParams(v0=PARAMS.v0, t0=0.0))
         state = random_dense_state(rng, 2)
         want = propagator(h_v, 0.17) @ state.to_vector()
-        evolve_potential(state, lattice, PARAMS, dt=0.17)
+        evolve_potential(state, layout, PARAMS, dt=0.17)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
 
@@ -186,24 +186,22 @@ class TestTrotterStep:
         # documented order, so it must match to machine precision.
         rng = np.random.default_rng(3)
         m, dt = 2, 0.19
-        lattice = LatticeSpec.chain(m)
         layout = ModeLayout(m)
         state = random_dense_state(rng, m)
         vec = state.to_vector()
-        h_v = build_sq_hamiltonian(lattice, HubbardParams(v0=PARAMS.v0, t0=0.0))
+        h_v = build_sq_hamiltonian(layout, HubbardParams(v0=PARAMS.v0, t0=0.0))
         vec = propagator(h_v, dt) @ vec
         for spin in (UP, DOWN):
             term = PARAMS.t0 * hopping_term(2 * m, layout.mode(1, spin), layout.mode(2, spin))
             vec = propagator(term, dt) @ vec
-        trotter_step(state, lattice, PARAMS, dt)
+        trotter_step(state, layout, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), vec, atol=1e-12)
 
     def test_number_and_spin_conservation(self):
-        lattice = LatticeSpec.chain(3)
         layout = ModeLayout(3)
         bits = encode_occupation(layout, ((1, UP), (2, UP), (2, DOWN)))
         state = init_basis_state(layout.register_layout(), bits)
-        trotter_evolve(state, lattice, PARAMS, TrotterPlan(t=0.9, r=7))
+        trotter_evolve(state, layout, PARAMS, TrotterPlan(t=0.9, r=7))
         up_mask = sum(1 << layout.mode(s, UP) for s in range(1, 4))
         for b in state.support():
             assert (b & up_mask).bit_count() == 2
@@ -212,7 +210,15 @@ class TestTrotterStep:
     def test_layout_mismatch_rejected(self):
         state = init_basis_state(ModeLayout(2).register_layout(), 0)
         with pytest.raises(ValueError):
-            trotter_evolve(state, LatticeSpec.chain(3), PARAMS, TrotterPlan(t=0.1, r=1))
+            trotter_evolve(state, ModeLayout(3), PARAMS, TrotterPlan(t=0.1, r=1))
+
+    def test_state_of_the_other_encoding_rejected(self):
+        # Two particles on two sites fill 4 qubits, as ModeLayout(2) does, in other registers.
+        layout = FirstQuantizedLayout(n=2, m=2).register_layout()
+        assert layout.width == ModeLayout(2).n_modes
+        state = init_basis_state(layout, 0b0100)
+        with pytest.raises(ValueError, match="does not match"):
+            trotter_evolve(state, ModeLayout(2), PARAMS, TrotterPlan(t=0.1, r=1))
 
 
 def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:
@@ -242,7 +248,7 @@ def test_every_step_keeps_each_strings_up_and_down_counts(data):
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
                            t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
     before = _spin_sector_weights(state, layout)
-    trotter_step(state, LatticeSpec.chain(m), params, data.draw(st.floats(-3.0, 3.0), label="dt"))
+    trotter_step(state, layout, params, data.draw(st.floats(-3.0, 3.0), label="dt"))
     after = _spin_sector_weights(state, layout)
     assert after.keys() == before.keys()
     for sector, weight in before.items():
@@ -251,15 +257,14 @@ def test_every_step_keeps_each_strings_up_and_down_counts(data):
 
 class TestTrotterConvergence:
     def test_first_order_error_halves_with_r(self):
-        lattice = LatticeSpec.chain(2)
         layout = ModeLayout(2)
         bits = encode_occupation(layout, ((1, UP), (1, DOWN)))
-        h = build_sq_hamiltonian(lattice, PARAMS)
+        h = build_sq_hamiltonian(layout, PARAMS)
         exact = propagator(h, 1.0)[:, bits]
 
         def error(r):
             state = init_basis_state(layout.register_layout(), bits)
-            trotter_evolve(state, lattice, PARAMS, TrotterPlan(t=1.0, r=r))
+            trotter_evolve(state, layout, PARAMS, TrotterPlan(t=1.0, r=r))
             return np.linalg.norm(state.to_vector() - exact)
 
         e16, e32 = error(16), error(32)
@@ -269,7 +274,7 @@ class TestTrotterConvergence:
 
 class TestOpCount:
     def test_exact_tally_small_chain(self):
-        counts = op_count(LatticeSpec.chain(2), TrotterPlan(t=1.0, r=3))
+        counts = op_count(ModeLayout(2), TrotterPlan(t=1.0, r=3))
         assert counts == {
             "potential_phase": 6,
             "parity_scan": 12,
@@ -277,16 +282,20 @@ class TestOpCount:
             "total": 24,
         }
 
+    def test_single_site_charges_no_hops(self):
+        counts = op_count(ModeLayout(1), TrotterPlan(t=1.0, r=3))
+        assert counts == {"potential_phase": 3, "parity_scan": 0, "pair_mix": 0, "total": 3}
+
     def test_linear_in_r(self):
-        one = op_count(LatticeSpec.chain(5), TrotterPlan(t=1.0, r=1))["total"]
-        ten = op_count(LatticeSpec.chain(5), TrotterPlan(t=1.0, r=10))["total"]
+        one = op_count(ModeLayout(5), TrotterPlan(t=1.0, r=1))["total"]
+        ten = op_count(ModeLayout(5), TrotterPlan(t=1.0, r=10))["total"]
         assert ten == 10 * one
 
     @pytest.mark.parametrize("m", (4, 8, 16))
     def test_doubling_sites_stays_under_quadratic_bound(self, m):
         plan = TrotterPlan(t=1.0, r=4)
-        small = op_count(LatticeSpec.chain(m), plan)["total"]
-        large = op_count(LatticeSpec.chain(2 * m), plan)["total"]
+        small = op_count(ModeLayout(m), plan)["total"]
+        large = op_count(ModeLayout(2 * m), plan)["total"]
         assert large / small <= 4.5
 
 
