@@ -73,6 +73,8 @@ class ModeLayout:
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError(f"site count must be a positive integer, got {self.m!r}")
+        # Built once: every hop checks the state's layout against it.
+        object.__setattr__(self, "_registers", RegisterLayout.of(("modes", self.n_modes)))
 
     @property
     def n_modes(self) -> int:
@@ -86,7 +88,7 @@ class ModeLayout:
         return 2 * (site - 1) + spin
 
     def register_layout(self) -> RegisterLayout:
-        return RegisterLayout.of(("modes", self.n_modes))
+        return self._registers
 
 
 def encode_occupation(layout: ModeLayout, occupied: tuple[tuple[int, int], ...]) -> int:
@@ -137,7 +139,8 @@ def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, .
 
 
 def evolve_hopping_pair(
-    state: QuantumState, site_a: int, site_b: int, spin: int, params: HubbardParams, dt: float
+    state: QuantumState, layout: ModeLayout, site_a: int, site_b: int, spin: int,
+    params: HubbardParams, dt: float,
 ) -> None:
     """exp(-i*dt*t0*(c'(a)c(b) + c'(b)c(a))) for one adjacent pair at fixed spin.
 
@@ -146,11 +149,9 @@ def evolve_hopping_pair(
     of the modes strictly between them; doubly occupied and empty pairs are
     eigenstates and stay untouched.
     """
-    if state.layout.width % 2:
-        raise ValueError("state does not hold an even number of modes")
+    check_layout(state, layout)
     if abs(site_a - site_b) != 1:
         raise ValueError(f"sites ({site_a}, {site_b}) are not adjacent")
-    layout = ModeLayout(state.layout.width // 2)
     mode_a = layout.mode(min(site_a, site_b), spin)
     mode_b = layout.mode(max(site_a, site_b), spin)
     low, high, parity = hop_pairs(state.support_keys(), mode_a, mode_b)
@@ -170,7 +171,7 @@ def trotter_step(state: QuantumState, layout: ModeLayout, params: HubbardParams,
     evolve_potential(state, layout, params, dt)
     for site_a, site_b in chain_bonds(layout.m):
         for spin in SPINS:
-            evolve_hopping_pair(state, site_a, site_b, spin, params, dt)
+            evolve_hopping_pair(state, layout, site_a, site_b, spin, params, dt)
 
 
 def trotter_evolve(

@@ -4,26 +4,19 @@ Basis strings are plain ints; bit 0 is the least significant bit and belongs to
 the first register of the layout.
 
 Storage model.  A state is a set of (key, amplitude) entries, where a key is a
-basis string.  Both backends keep the support as a sorted key array `_keys`.
-The dense backend stores the amplitudes in a complex vector `_vec` of length
-2**Q, and `_keys` equals the indices of its nonzero entries; the sparse backend
-keeps `_vals`, the amplitudes of `_keys` in the same order.  On both backends
-`_vals` is the amplitude store (the dense one aliases `_vec`).  The norm check
-after every primitive never scans all 2**Q entries: the sparse backend takes
-one dot product over `_vals`, and the dense one reads a running squared norm
-`_norm2` that every write updates from the entries it overwrites.  Each backend
-implements one storage step in two halves: `_lookup` reads the amplitudes at
-an array of keys and says where they sit (the dense vector index itself, or
-the sparse insertion positions), and `_write` stores new amplitudes at those
-keys from that location and updates `_keys` where an entry turns zero or
-nonzero, without scanning the dense vector.  `gather` (read the amplitudes at
-keys, by default the whole support in ascending key order) and `_scatter`
-(write them) are each built from the two halves, and every primitive (phase
-and sign, controlled gate, basis permutation, sampling) is written once on top
-of `gather` and `_scatter`.  `_replace`, which swaps the whole support, clears
-the store and makes one `_scatter`.  The two-level mix `_mix`, the step of
-every hop, calls `_lookup` once on its 2N keys and hands the read amplitudes
-and locations to `_write`.  No primitive touches all 2**Q strings.
+basis string.  Both backends keep one store: the support as a sorted key array
+`_keys` and its nonzero amplitudes `_vals`, in the same order.  The dense
+backend adds only `_slot`, an int64 array of length 2**Q holding each key's
+position in the store, or -1.  `_lookup` reads the amplitudes at an array of
+keys with their store positions, and is the one step that depends on the
+backend: dense reads `_slot`, sparse binary-searches `_keys`.  `_write` stores
+amplitudes at those positions, in place while no entry enters or leaves the
+support, and otherwise rebuilds `_keys`/`_vals` once (re-pointing `_slot` on
+dense).  Every primitive (phase and sign, controlled gate, two-level mix, basis
+permutation, sampling) is written once on top of `gather`, `_lookup` and
+`_write`; `_replace`, which swaps the whole support, empties the store and
+makes one write.  The norm check after every primitive is one dot product over
+`_vals`, so no primitive touches all 2**Q strings.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
@@ -31,8 +24,8 @@ code.
 
 Exact zeros.  An entry leaves the support, on either backend, only when its
 amplitude is exactly zero; small amplitudes are never thresholded away.  In
-validation mode the dense `_scatter` checks `_keys` against a full scan of
-`_vec`.
+validation mode every `_write` checks the store: keys ascending, no zero
+amplitude, and on dense `_slot` pointing exactly at `_keys`.
 
 The array entry points `apply_phase_where`, `apply_basis_map` and
 `permute_register` take a function of the key array (or a value table) and make
@@ -61,7 +54,8 @@ import numpy as np
 NORM_TOL = 1e-10
 # Max deviation of U'U from the identity for accepted 2x2 gate matrices.
 UNITARY_TOL = 1e-12
-# Dense statevectors refuse to allocate beyond this many qubits.
+# Dense states refuse to allocate beyond this many qubits: `_slot` takes 8 bytes
+# per basis string, 512 MB at 26 qubits.
 DENSE_QUBIT_LIMIT = 26
 # Exhaustive bijection checks in validation mode are capped at this width.
 BIJECTION_CHECK_LIMIT = 20
@@ -260,7 +254,7 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_vec", "_keys", "_vals", "_norm2")
+    __slots__ = ("layout", "_slot", "_keys", "_vals")
 
     def __init__(self, layout: RegisterLayout, backend: str = "dense", entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
@@ -271,94 +265,86 @@ class QuantumState:
                 f"dense backend limited to {DENSE_QUBIT_LIMIT} qubits, layout has {layout.width}"
             )
         self.layout = layout
-        self._keys = layout.keys([])
-        self._norm2 = 0.0
-        if backend == "dense":
-            self._vec = self._vals = np.zeros(1 << layout.width, dtype=complex)
-        else:
-            self._vec, self._vals = None, np.zeros(0, dtype=complex)
-        if entries is None:
-            entries = (layout.keys([0]), np.ones(1, dtype=complex))
-        self._scatter(*entries)
+        self._keys, self._vals = layout.keys([]), np.zeros(0, dtype=complex)
+        self._slot = np.full(1 << layout.width, -1, dtype=np.int64) if backend == "dense" else None
+        keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
+        self._write(keys, amps, np.full(len(keys), -1))  # the store is empty
 
     @property
     def backend(self) -> str:
-        return "dense" if self._vec is not None else "sparse"
+        return "dense" if self._slot is not None else "sparse"
 
     # ------------------------------------------------------------------ storage
 
     def gather(self, keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(keys, amplitudes at those keys); without keys, the support in ascending order.
 
-        The returned arrays may share memory with the state; do not modify them.
+        Without keys the arrays are read-only views of the store, valid until
+        the state's next write.
         """
         if keys is None:
-            if self._vec is None:
-                return self._keys, self._vals
-            keys = self._keys
-        else:
-            self._check_keys(keys, "basis string")
+            vals = self._vals.view()
+            vals.flags.writeable = False
+            return self._keys, vals
+        self._check_keys(keys, "basis string")
         return keys, self._lookup(keys)[0]
 
-    def _scatter(self, keys: np.ndarray, amps) -> None:
-        """Write the amplitudes `amps` at distinct `keys`; other entries are untouched."""
-        self._write(keys, amps, *self._lookup(keys))
+    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Amplitudes at in-range `keys` (zero off the support), and their store positions (-1 if absent).
 
-    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, object]:
-        """Amplitudes at in-range `keys` (zero off the support), and where the keys sit.
-
-        The location is what `_write` needs to store at the same keys: None on
-        the dense backend, whose keys index `_vec` directly, and on the sparse
-        one the insertion positions of `keys` in `_keys` with whether each is
-        stored.
+        The one storage step that branches on the backend.
         """
-        if self._vec is not None:
-            return self._vec[keys], None
-        pos = np.searchsorted(self._keys, keys)
-        if len(self._keys):
-            hit = self._keys[np.minimum(pos, len(self._keys) - 1)] == keys
+        if self._slot is not None:
+            pos = self._slot[keys]
         else:
-            hit = np.zeros(len(pos), dtype=bool)
+            pos = np.searchsorted(self._keys, keys)
+            if len(self._keys):
+                pos[self._keys[np.minimum(pos, len(self._keys) - 1)] != keys] = -1
+            else:
+                pos[:] = -1
+        hit = pos >= 0
+        if hit.all():
+            return self._vals[pos], pos
         amps = np.zeros(len(keys), dtype=complex)
         amps[hit] = self._vals[pos[hit]]
-        return amps, (pos, hit)
+        return amps, pos
 
-    def _write(self, keys: np.ndarray, amps, old: np.ndarray, where) -> None:
-        """Store `amps` at distinct `keys`; `old, where` is what `_lookup(keys)` returned."""
+    def _write(self, keys: np.ndarray, amps, pos: np.ndarray) -> None:
+        """Store `amps` at distinct `keys`, whose store positions `_lookup(keys)` returned.
+
+        In place unless an entry enters or leaves the support (an exact zero
+        leaves); then the store is rebuilt once.
+        """
         amps = np.asarray(amps, dtype=complex)
-        if self._vec is not None:
-            # Dense: the support keys change only where a written entry turns
-            # zero or nonzero, so only then is `_keys` rebuilt, from itself.
-            # The running squared norm moves by what the write changed.
-            self._vec[keys] = amps
-            self._norm2 += float(np.vdot(amps, amps).real - np.vdot(old, old).real)
-            was, now = old != 0, amps != 0
-            if (was != now).any():
-                stored = self._keys
-                if (was & ~now).any():
-                    stored = stored[self._vec[stored] != 0]
-                fresh = np.sort(keys[now & ~was])
-                self._keys = np.insert(stored, np.searchsorted(stored, fresh), fresh)
-            if validation_enabled() and not np.array_equal(self._keys, np.flatnonzero(self._vec)):
-                raise InvariantViolation("dense support keys disagree with the amplitude vector")
-            return
-        # Sparse: update the keys already stored, insert the new nonzero ones
-        # in key order, then drop entries that became exactly zero.  The old
-        # arrays are never modified in place, since gather() hands them out.
-        pos, hit = where
-        vals = self._vals.copy()
-        vals[pos[hit]] = amps[hit]
-        stored = self._keys
-        fresh = ~hit & (amps != 0)
-        if fresh.any():
-            order = np.argsort(keys[fresh], kind="stable")
-            at = pos[fresh][order]
-            stored = np.insert(stored, at, keys[fresh][order])
-            vals = np.insert(vals, at, amps[fresh][order])
-        keep = vals != 0
-        if not keep.all():
-            stored, vals = stored[keep], vals[keep]
-        self._keys, self._vals = stored, vals
+        hit, now = pos >= 0, amps != 0
+        at = slice(None) if hit.all() else hit  # every key stored: skip the mask
+        self._vals[pos[at]] = amps[at]
+        if (hit != now).any():
+            # Insert the new keys in order, then drop the entries just set to zero.
+            fresh = np.flatnonzero(now & ~hit)
+            fresh = fresh[np.argsort(keys[fresh], kind="stable")]
+            gaps = np.searchsorted(self._keys, keys[fresh])
+            stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
+            if (hit & ~now).any():
+                keep = vals != 0
+                stored, vals = stored[keep], vals[keep]
+            self._store(stored, vals)
+        if validation_enabled():
+            keys, vals, slot = self._keys, self._vals, self._slot
+            ok = len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()
+            if ok and slot is not None:
+                ok = np.array_equal(np.flatnonzero(slot >= 0), keys)
+                ok = ok and np.array_equal(slot[keys], np.arange(len(keys)))
+            if not ok:
+                raise InvariantViolation("support store is unsorted, holds a zero, or disagrees with `_slot`")
+
+    def _store(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Make sorted (keys, vals) the whole store, keys read-only; on dense, re-point `_slot`."""
+        if self._slot is not None:
+            self._slot[self._keys] = -1
+            self._slot[keys] = np.arange(len(keys))
+        keys.flags.writeable = False
+        self._keys, self._vals = keys, vals
 
     # ------------------------------------------------------------------ access
 
@@ -369,7 +355,7 @@ class QuantumState:
     def support_keys(self) -> np.ndarray:
         """The support as a key array in ascending order, without reading amplitudes.
 
-        The array is the state's own; do not modify it.
+        The store's own read-only array, valid until the state's next write.
         """
         return self._keys
 
@@ -378,15 +364,13 @@ class QuantumState:
         return self._keys.tolist()
 
     def to_map(self) -> dict[int, complex]:
-        keys, amps = self.gather()
-        return dict(zip(keys.tolist(), amps.tolist()))
+        return dict(zip(self._keys.tolist(), self._vals.tolist()))
 
     def to_vector(self) -> np.ndarray:
         if self.layout.width > DENSE_QUBIT_LIMIT:
             raise ValueError("state too wide to densify")
-        keys, amps = self.gather()
         vec = np.zeros(1 << self.layout.width, dtype=complex)
-        vec[keys] = amps
+        vec[self._keys] = self._vals
         return vec
 
     def norm(self) -> float:
@@ -452,7 +436,8 @@ class QuantumState:
     def _scale_where(self, mask_fn, factor) -> None:
         keys, amps = self.gather()
         selected = np.asarray(mask_fn(keys), dtype=bool)
-        self._scatter(keys[selected], amps[selected] * factor)
+        # The keys are the whole store in order, so their positions are their indices.
+        self._write(keys[selected], amps[selected] * factor, np.flatnonzero(selected))
         self._check_norm()
 
     def apply_basis_map(self, map_fn: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -553,8 +538,7 @@ class QuantumState:
         """<self|other>; both states must share the same register layout."""
         if self.layout != other.layout:
             raise ValueError("inner product requires identical register layouts")
-        keys, amps = self.gather()
-        return complex(np.vdot(amps, other.gather(keys)[1]))
+        return complex(np.vdot(self._vals, other.gather(self._keys)[1]))
 
     # ------------------------------------------------------------------ plumbing
 
@@ -576,10 +560,7 @@ class QuantumState:
         self._check_keys(k1, "basis string")
 
     def _check_norm(self) -> None:
-        if self._vec is not None:
-            total = self._norm2
-        else:
-            total = float(np.vdot(self._vals, self._vals).real)
+        total = float(np.vdot(self._vals, self._vals).real)
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
@@ -598,19 +579,15 @@ class QuantumState:
             _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
             self._check_pairs(k0, k1)
         keys = np.concatenate((k0, k1))
-        amps, where = self._lookup(keys)
+        amps, pos = self._lookup(keys)
         a0, a1 = amps[: len(k0)], amps[len(k0):]
-        self._write(keys, np.concatenate((g00 * a0 + g01 * a1, g10 * a0 + g11 * a1)), amps, where)
+        self._write(keys, np.concatenate((g00 * a0 + g01 * a1, g10 * a0 + g11 * a1)), pos)
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:
-        """Swap the whole support for distinct (keys, amps): clear the store, then one write."""
-        if self._vec is not None:
-            self._vec[self._keys] = 0
-        else:
-            self._vals = np.zeros(0, dtype=complex)
-        self._keys, self._norm2 = self.layout.keys([]), 0.0
-        self._scatter(keys, amps)
+        """Swap the whole support for distinct (keys, amps): empty the store, then one write."""
+        self._store(self.layout.keys([]), np.zeros(0, dtype=complex))
+        self._write(keys, amps, np.full(len(keys), -1))
         self._check_norm()
 
     def _move_keys(self, map_fn) -> None:

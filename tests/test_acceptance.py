@@ -232,7 +232,7 @@ def test_criterion_06_hopping_parity_against_dense_propagators():
             u = propagator(term, dt)
             for bits in range(1 << layout.n_modes):
                 state = init_basis_state(reg, bits, "dense")
-                evolve_hopping_pair(state, site_a, site_b, spin, PARAMS, dt)
+                evolve_hopping_pair(state, layout, site_a, site_b, spin, PARAMS, dt)
                 worst = max(worst, np.abs(state.to_vector() - u[:, bits]).max())
     ok = worst <= 1e-12
     _verdict(

@@ -126,7 +126,7 @@ class TestHoppingPair:
         u = propagator(PARAMS.t0 * hopping_term(2 * m, a, b), dt)
         for bits in range(1 << (2 * m)):
             state = init_basis_state(layout.register_layout(), bits)
-            evolve_hopping_pair(state, sites[0], sites[1], spin, PARAMS, dt)
+            evolve_hopping_pair(state, layout, sites[0], sites[1], spin, PARAMS, dt)
             np.testing.assert_allclose(state.to_vector(), u[:, bits], atol=1e-12)
 
     def test_sign_string_changes_the_mix(self):
@@ -138,8 +138,8 @@ class TestHoppingPair:
         occupied_between = encode_occupation(layout, ((1, UP), (1, DOWN)))
         s0 = init_basis_state(layout.register_layout(), empty_between)
         s1 = init_basis_state(layout.register_layout(), occupied_between)
-        evolve_hopping_pair(s0, 1, 2, UP, PARAMS, dt)
-        evolve_hopping_pair(s1, 1, 2, UP, PARAMS, dt)
+        evolve_hopping_pair(s0, layout, 1, 2, UP, PARAMS, dt)
+        evolve_hopping_pair(s1, layout, 1, 2, UP, PARAMS, dt)
         partner0 = empty_between ^ 0b0101
         partner1 = occupied_between ^ 0b0101
         assert s0.amplitude(partner0) == pytest.approx(-1j * np.sin(dt * PARAMS.t0), abs=1e-12)
@@ -154,7 +154,7 @@ class TestHoppingPair:
         )
         state = random_dense_state(rng, m, support=20)
         want = u @ state.to_vector()
-        evolve_hopping_pair(state, 2, 3, DOWN, PARAMS, dt)
+        evolve_hopping_pair(state, layout, 2, 3, DOWN, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
     @pytest.mark.parametrize("backend", ("dense", "sparse"))
@@ -167,7 +167,7 @@ class TestHoppingPair:
             amps = random_state_map(rng, reg.width, int(rng.integers(1, 120)))
             site, spin = int(rng.integers(1, m)), int(rng.integers(2))
             state = inject_state(reg, amps, backend)
-            evolve_hopping_pair(state, site, site + 1, spin, PARAMS, dt)
+            evolve_hopping_pair(state, layout, site, site + 1, spin, PARAMS, dt)
             want = inject_state(reg, amps, backend)
             parity_class_mixes(want, layout.mode(site, spin), layout.mode(site + 1, spin), PARAMS.t0 * dt)
             (got_keys, got_amps), (want_keys, want_amps) = state.gather(), want.gather()
@@ -177,7 +177,15 @@ class TestHoppingPair:
     def test_rejects_non_adjacent_sites(self):
         state = init_basis_state(ModeLayout(3).register_layout(), 0)
         with pytest.raises(ValueError):
-            evolve_hopping_pair(state, 1, 3, UP, PARAMS, 0.1)
+            evolve_hopping_pair(state, ModeLayout(3), 1, 3, UP, PARAMS, 0.1)
+
+    def test_state_of_the_other_encoding_rejected(self):
+        # Two particles on two sites fill 4 qubits, as ModeLayout(2) does, in other registers.
+        layout = FirstQuantizedLayout(n=2, m=2).register_layout()
+        state = init_basis_state(layout, 0b0100)
+        with pytest.raises(ValueError, match="does not match"):
+            evolve_hopping_pair(state, ModeLayout(2), 1, 2, UP, PARAMS, 0.1)
+        assert state.to_map() == {0b0100: 1.0}
 
 
 class TestTrotterStep:

@@ -291,8 +291,8 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 SWAP_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def _dense_support_step(rng, state):
-    """One random primitive on a dense state; returns the state it leaves (copies are new)."""
+def _store_step(rng, state):
+    """One random primitive on a state; returns the state it leaves (copies are new)."""
     layout = state.layout
     dim = 1 << layout.width
     gate = (HADAMARD, SWAP_GATE, random_unitary(rng))[int(rng.integers(3))]
@@ -331,35 +331,63 @@ def _dense_support_step(rng, state):
     else:
         keys, amps = state.gather()
         absent = np.setdiff1d(np.arange(dim), keys)[:3]
-        state = QuantumState(layout, "dense", (np.concatenate((keys, absent)),
-                                               np.concatenate((amps, np.zeros(len(absent))))))
+        state = QuantumState(layout, state.backend, (np.concatenate((keys, absent)),
+                                                     np.concatenate((amps, np.zeros(len(absent))))))
     return state, kind
 
 
+def _assert_store(state):
+    """`_keys` strictly ascending, `_vals` aligned and zero-free; dense `_slot` maps `_keys` to arange."""
+    keys, vals = state._keys, state._vals
+    assert len(keys) == len(vals)
+    assert (np.diff(keys) > 0).all()
+    assert (vals != 0).all()
+    if state.backend == "dense":
+        assert np.array_equal(np.flatnonzero(state._slot >= 0), keys)
+        assert np.array_equal(state._slot[keys], np.arange(len(keys)))
+
+
 class TestDenseSupportKeys:
-    def test_keys_equal_the_nonzero_entries_after_every_primitive(self):
+    def test_both_stores_hold_the_support_bitwise_after_every_primitive(self):
         layout = RegisterLayout.of(("a", 2), ("b", 3))
         rng = np.random.default_rng(4242)
         kinds = set()
         for trial in range(30):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 12)))
-            state = make_state(layout, amps, "dense")
-            assert np.array_equal(state._keys, np.flatnonzero(state._vec))
+            dense, sparse = (make_state(layout, amps, backend) for backend in BACKENDS)
+            seed = int(rng.integers(1 << 32))
+            rng_dense, rng_sparse = np.random.default_rng(seed), np.random.default_rng(seed)
             for step in range(12):
-                state, kind = _dense_support_step(rng, state)
+                dense, kind = _store_step(rng_dense, dense)
+                sparse, _ = _store_step(rng_sparse, sparse)
                 kinds.add(kind)
-                assert np.array_equal(state._keys, np.flatnonzero(state._vec)), (trial, step, kind)
+                _assert_store(dense)
+                _assert_store(sparse)
+                where = (trial, step, kind)
+                assert np.array_equal(dense._keys, sparse._keys), where
+                assert np.array_equal(dense._vals.view(np.int64), sparse._vals.view(np.int64)), where
         assert len(kinds) == 10
 
-    def test_running_norm_tracks_the_vector_after_every_primitive(self):
-        layout = RegisterLayout.of(("a", 2), ("b", 3))
-        rng = np.random.default_rng(4343)
-        for trial in range(10):
-            state = make_state(layout, random_state_map(rng, layout.width, 8), "dense")
-            for step in range(12):
-                state, kind = _dense_support_step(rng, state)
-                exact = np.vdot(state._vec, state._vec).real
-                assert abs(state._norm2 - exact) < 1e-13, (trial, step, kind)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_write_on_a_closed_support_stays_in_place(self, backend):
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+        keys, vals = state._keys, state._vals
+        state.apply_phase_where(lambda k: k == 4, 0.5)
+        state.apply_two_level_mix([(1, 4)], random_unitary(np.random.default_rng(3)))
+        assert state._keys is keys and state._vals is vals
+        state.apply_phase_where(lambda k: k == 4, 0.5)
+        state.apply_two_level_mix([(1, 2)], HADAMARD)  # key 2 enters the support
+        assert state._vals is not vals
+        _assert_store(state)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_support_views_are_read_only(self, backend):
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+        keys, amps = state.gather()
+        for view in (keys, amps, state.support_keys()):
+            with pytest.raises(ValueError):
+                view[0] = 0
+        assert state.to_map() == {1: 0.6, 4: 0.8}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_norm_check_catches_a_non_isometric_write(self, backend):
@@ -375,11 +403,26 @@ class TestDenseSupportKeys:
         state.apply_single_qubit_unitary(1, HADAMARD)
         assert state.support() == [0]  # s*s - s*s is exactly zero
 
-    @pytest.mark.parametrize("corrupt", [lambda keys: keys[1:], lambda keys: np.append(keys, 7)])
+    @pytest.mark.parametrize("corrupt", [lambda keys: keys[::-1], lambda keys: keys[[0, 0]]])
     def test_validation_mode_catches_stale_keys(self, corrupt):
+        for backend in BACKENDS:
+            state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+            state._keys = corrupt(state._keys)
+            state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
+            with validation_mode():
+                with pytest.raises(InvariantViolation):
+                    state.apply_phase_where(lambda keys: keys == 4, 0.5)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda state: state._slot.__setitem__(4, -1),  # a stored key without its slot
+        lambda state: state._slot.__setitem__(7, 0),  # a slot for an absent key
+        lambda state: setattr(state, "_keys", state._keys | 2),  # keys no slot points at
+        lambda state: state._slot.__setitem__([1, 4], [1, 0]),  # slots swapped between the keys
+    ])
+    def test_validation_mode_catches_stale_slots(self, corrupt):
         state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, "dense")
-        state._keys = corrupt(state._keys)
-        state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not scan
+        corrupt(state)
+        state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
         with validation_mode():
             with pytest.raises(InvariantViolation):
                 state.apply_phase_where(lambda keys: keys == 4, 0.5)
