@@ -8,9 +8,13 @@ draws them, so a (seed, n_trials) pair fully determines every estimate.  Each
 readout takes an optional SamplingPlan: omitted means exact mode, present means
 one seeded shot batch.  The state module keeps the last batch drawn, so the
 readouts of one run, which share one plan, share one batch of uniforms, each
-counted against its own state's Born distribution.  A sampled momentum
-histogram also carries the exact frequencies of the same transformed state, so
-one Fourier transform serves both.
+counted against its own state's Born distribution.  The shot counts come
+aligned with the support, so a density or correlation builds its indicator
+table once, over the support, and its sampled mean reads only the rows that
+drew a shot.  A correlation builds the columns of its own 1-3 sites, not the
+full site table.  A sampled momentum histogram also carries the exact
+frequencies of the same transformed state, so one Fourier transform (one
+array transform on a copy, see `QuantumState.qft_register`) serves both.
 
 Densities and correlations use the 0/1 indicator that a site is occupied at
 all, i.e. the probability a measurement finds at least one particle there.  A
@@ -124,19 +128,24 @@ def required_trials(epsilon: float) -> int:
 # ------------------------------------------------------------- basis readouts
 
 
-def _site_counts(keys: np.ndarray, layout) -> np.ndarray:
-    """(len(keys), m) particles per site for a key array, under either encoding."""
-    counts = np.zeros((len(keys), layout.m), dtype=np.uint8)
+def _site_counts(keys: np.ndarray, layout, sites=None) -> np.ndarray:
+    """(len(keys), len(sites)) particles on each listed site (all m by default), under either encoding."""
+    sites = range(1, layout.m + 1) if sites is None else sites
+    # Column-major, so each site's column is contiguous.  The last column
+    # collects the particles on sites not listed and is dropped.
+    counts = np.zeros((len(keys), len(sites) + 1), dtype=np.uint8, order="F")
     if isinstance(layout, ModeLayout):
-        for site in range(1, layout.m + 1):
+        for column, site in enumerate(sites):
             for spin in SPINS:
-                counts[:, site - 1] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
-        return counts
-    rows = np.arange(len(keys))
-    reg = layout.register_layout()
-    for k in range(layout.n):
-        counts[rows, reg.field(keys, f"pos{k}")] += 1
-    return counts
+                counts[:, column] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
+    else:
+        column = np.full(layout.m, len(sites))
+        column[np.asarray(sites) - 1] = np.arange(len(sites))
+        rows = np.arange(len(keys))
+        reg = layout.register_layout()
+        for k in range(layout.n):
+            counts[rows, column[reg.field(keys, f"pos{k}")]] += 1
+    return counts[:, :-1]
 
 
 def _indicator_estimates(
@@ -145,7 +154,9 @@ def _indicator_estimates(
     """Born probability of each column of the 0/1 array `indicators(keys)`.
 
     Without a plan, the exact values as an array; with one, an Estimate per
-    column whose shot mean and standard error come from one seeded batch.
+    column whose shot mean and standard error come from one seeded batch.  The
+    table is built once, over the support; the mean sums the integer counts of
+    the rows that drew, so no float copy of the table is made.
     """
     keys, amps = state.gather()
     probs = np.abs(amps) ** 2
@@ -153,8 +164,9 @@ def _indicator_estimates(
     exact = np.array([probs[mask[:, c]].sum() for c in range(mask.shape[1])])
     if plan is None:
         return exact
-    keys, counts = state._sample_counts(plan.seed, plan.n_trials)
-    mean = counts.astype(float) @ indicators(keys).astype(float) / plan.n_trials
+    counts = state._sample_counts(plan.seed, plan.n_trials)
+    drawn = np.flatnonzero(counts)
+    mean = counts[drawn] @ mask[drawn] / plan.n_trials
     # A 0/1 indicator is its own square, so its second moment is the mean.
     stderr = np.sqrt(np.maximum(mean - mean * mean, 0.0) / plan.n_trials)
     return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]
@@ -191,10 +203,9 @@ def k_point_correlation(
     for s in sites:
         if not 1 <= s <= layout.m:
             raise ValueError(f"site {s} out of range 1..{layout.m}")
-    columns = [s - 1 for s in sites]
 
     def indicator(keys):
-        return (_site_counts(keys, layout)[:, columns] > 0).all(axis=1, keepdims=True)
+        return (_site_counts(keys, layout, sites) > 0).all(axis=1, keepdims=True)
 
     (value,) = _indicator_estimates(state, indicator, plan)
     return float(value) if plan is None else value
@@ -239,8 +250,8 @@ def momentum_distribution(
     if plan is None:
         return Histogram(frequencies=exact)
 
-    keys, drawn = transformed._sample_counts(plan.seed, plan.n_trials)
-    counts = np.bincount(transformed.layout.field(keys, register), weights=drawn, minlength=layout.m)
+    shots = transformed._sample_counts(plan.seed, plan.n_trials)
+    counts = np.bincount(transformed.layout.field(keys, register), weights=shots, minlength=layout.m)
     counts = {k: int(c) for k, c in enumerate(counts.tolist())}
     freqs = {k: c / plan.n_trials for k, c in counts.items()}
     return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials, exact=exact)

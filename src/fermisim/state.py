@@ -13,10 +13,21 @@ backend: dense reads `_slot`, sparse binary-searches `_keys`.  `_write` stores
 amplitudes at those positions, in place while no entry enters or leaves the
 support, and otherwise rebuilds `_keys`/`_vals` once (re-pointing `_slot` on
 dense).  Every primitive (phase and sign, controlled gate, two-level mix, basis
-permutation, sampling) is written once on top of `gather`, `_lookup` and
-`_write`; `_replace`, which swaps the whole support, empties the store and
-makes one write.  The norm check after every primitive is one dot product over
-`_vals`, so no primitive touches all 2**Q strings.
+permutation, register QFT, sampling) is written once on top of `gather`,
+`_lookup` and `_write`; `_replace`, which swaps the whole support, empties the
+store and makes one write.  A write into an empty store (the constructor,
+`copy`, `_replace`) sorts its nonzero entries and makes them the store, with no
+search or insert.  The norm check after every primitive is one dot product
+over `_vals`, so no primitive touches all 2**Q strings.
+
+Register QFT.  `qft_register` is one array transform, not a gate cascade: one
+`gather`, the support grouped by its key with the register cleared, the
+amplitudes scattered into a (2**w x groups) block, the circuit's Hadamards and
+controlled phases applied to the whole block stage by stage (`_register_qft`),
+and one `_replace` that leaves the exact zeros out.  The stages make the
+circuit's own products and sums in its own order, so the amplitudes are
+bitwise those of the Hadamard-and-phase circuit, and the circuit's closing
+bit-reversal only relabels the output keys.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
@@ -222,6 +233,46 @@ def _sorted_uniforms(seed: int, n_trials: int) -> np.ndarray:
     return uniforms
 
 
+def _register_qft(layout: RegisterLayout, name: str, keys: np.ndarray, amps: np.ndarray):
+    """QFT of register `name` over the entries (keys, amps): (keys, amplitudes) of every output string.
+
+    The entries are grouped by their key with the register cleared, and the
+    amplitudes fill a (2**w, groups) block: row x holds register value x of
+    every group.  The block then runs through the QFT circuit.  Stage j, from
+    the top bit down, is the circuit's Hadamard on bit j followed by its phases
+    exp(2*pi*i / 2**(j-l+1)) on the rows with bits j and l set, for l = j-1
+    down to 0.  A stage is a few array operations over the whole block, making
+    the same products and sums in the same order as the gates make them one
+    string pair at a time.  The circuit leaves row c holding register value
+    reverse(c), so the output keys are labelled that way, not permuted.  Exact
+    zeros are returned too; `_write` keeps them off the support.
+    """
+    width = layout.register_width(name)
+    groups, column = np.unique(layout.with_field(keys, name, 0), return_inverse=True)
+    block = np.zeros((1 << width, len(groups)), dtype=complex)
+    block[layout.field(keys, name), column] = amps
+    half = 1.0 / math.sqrt(2.0)
+    for j in range(width - 1, -1, -1):
+        pair = block.reshape(-1, 2, len(groups) << j)
+        low, high = pair[:, 0], pair[:, 1]
+        low *= half
+        scaled = half * high
+        np.subtract(low, scaled, out=high)
+        low += scaled
+        for l in range(j - 1, -1, -1):
+            angle = 2.0 * math.pi / (1 << (j - l + 1))
+            both = block.reshape(-1, 2, 1 << (j - l - 1), 2, len(groups) << l)[:, 1, :, 1]
+            # The phase goes first, as the gate's entry does in the gate's
+            # product: numpy's complex product can round differently with its
+            # operands swapped.
+            np.multiply(np.complex128(complex(math.cos(angle), math.sin(angle))), both, out=both)
+    row = np.arange(1 << width)
+    reverse = np.zeros_like(row)
+    for bit in range(width):
+        reverse |= ((row >> bit) & 1) << (width - 1 - bit)
+    return layout.with_field(groups, name, reverse[:, None]).reshape(-1), block.reshape(-1)
+
+
 def _per_string(fn: Callable[[int], object], dtype=None) -> Callable[[np.ndarray], np.ndarray]:
     """Lift a per-basis-string callable to a function of the key array."""
     return lambda keys: np.array([fn(b) for b in keys.tolist()], dtype=dtype)
@@ -323,12 +374,15 @@ class QuantumState:
             # Insert the new keys in order, then drop the entries just set to zero.
             fresh = np.flatnonzero(now & ~hit)
             fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-            gaps = np.searchsorted(self._keys, keys[fresh])
-            stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
-            if (hit & ~now).any():
-                keep = vals != 0
-                stored, vals = stored[keep], vals[keep]
-            self._store(stored, vals)
+            if not len(self._keys):  # an empty store: the sorted fresh entries are the store
+                self._store(keys[fresh].astype(self._keys.dtype, copy=False), amps[fresh])
+            else:
+                gaps = np.searchsorted(self._keys, keys[fresh])
+                stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
+                if (hit & ~now).any():
+                    keep = vals != 0
+                    stored, vals = stored[keep], vals[keep]
+                self._store(stored, vals)
         if validation_enabled():
             keys, vals, slot = self._keys, self._vals, self._slot
             ok = len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()
@@ -481,22 +535,13 @@ class QuantumState:
         """Quantum Fourier transform of one register, other registers untouched.
 
         Convention: amplitude'(k) = 2**(-w/2) * sum_x exp(2*pi*i*k*x/2**w) * amplitude(x)
-        per fixed setting of the remaining registers.
+        per fixed setting of the remaining registers.  Built as one array
+        transform over the support (`_register_qft`) and one `_replace`; no
+        gate primitive and no basis permutation runs.
         """
-        width = self.layout.register_width(name)
-        offset = self.layout.offset(name)
-        if width == 0:
-            return
-        inv_sqrt2 = 1.0 / math.sqrt(2.0)
-        hadamard = np.array([[inv_sqrt2, inv_sqrt2], [inv_sqrt2, -inv_sqrt2]])
-        for j in range(width - 1, -1, -1):
-            self.apply_single_qubit_unitary(offset + j, hadamard)
-            for l in range(j - 1, -1, -1):
-                angle = 2.0 * math.pi / (1 << (j - l + 1))
-                phase = np.array([[1.0, 0.0], [0.0, complex(math.cos(angle), math.sin(angle))]])
-                self.apply_controlled_unitary(((offset + l, 1),), offset + j, phase)
-        # The cascade leaves the output bits in reversed significance order.
-        self.permute_register(name, [int(f"{x:0{width}b}"[::-1], 2) for x in range(1 << width)])
+        if self.layout.register_width(name):
+            # The transform holds no reference to the old store, which is freed as `_replace` empties it.
+            self._replace(*_register_qft(self.layout, name, *self.gather()))
 
     # ------------------------------------------------------------------ readout
 
@@ -511,17 +556,17 @@ class QuantumState:
         [cdf[i-1], cdf[i]).  The batch holds one float64 per shot, hence at
         most MAX_TRIALS shots.
         """
-        keys, counts = self._sample_counts(seed, n_trials)
-        return dict(zip(keys.tolist(), counts.tolist()))
+        counts = self._sample_counts(seed, n_trials)
+        drawn = np.flatnonzero(counts)
+        return dict(zip(self._keys[drawn].tolist(), counts[drawn].tolist()))
 
-    def _sample_counts(self, seed: int, n_trials: int) -> tuple[np.ndarray, np.ndarray]:
-        """`sample` as arrays: the drawn keys in ascending order and their nonzero counts."""
+    def _sample_counts(self, seed: int, n_trials: int) -> np.ndarray:
+        """`sample` as an array: the shot count of each support string, aligned with `gather()`."""
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
-        keys, amps = self.gather()
-        probs = np.abs(amps) ** 2
+        probs = np.abs(self._vals) ** 2
         total = probs.sum()
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"sampling a state with squared norm {total}")
@@ -530,9 +575,7 @@ class QuantumState:
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         uniforms = _sorted_uniforms(int(seed), int(n_trials))
-        counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
-        drawn = np.flatnonzero(counts)
-        return keys[drawn], counts[drawn]
+        return np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""

@@ -1,6 +1,7 @@
 """Observable readouts checked against dense expectation values and hand cases."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,21 +245,42 @@ class TestSampledEstimates:
         rng = np.random.default_rng(31)
         reg = layout.register_layout()
         state = inject_state(reg, random_state_map(rng, reg.width, 40), backend)
-        plan = SamplingPlan(seed=5, n_trials=3000)
-        draws = state.sample(plan.seed, plan.n_trials)
+        # With 7 shots most of the 40 strings draw none, and the estimates read
+        # only the rows that drew.
+        for plan in (SamplingPlan(seed=5, n_trials=3000), SamplingPlan(seed=5, n_trials=7)):
+            draws = state.sample(plan.seed, plan.n_trials)
 
-        def check(estimate, sites):
-            hits = sum(c for key, c in draws.items() if set(sites) <= occupied_sites(layout, key))
-            f = hits / plan.n_trials
-            assert estimate.sampled == f
-            assert abs(estimate.stderr - math.sqrt(max(f * (1 - f), 0.0) / plan.n_trials)) <= 1e-15
+            def check(estimate, sites):
+                hits = sum(c for key, c in draws.items() if set(sites) <= occupied_sites(layout, key))
+                f = hits / plan.n_trials
+                assert estimate.sampled == f
+                assert abs(estimate.stderr - math.sqrt(max(f * (1 - f), 0.0) / plan.n_trials)) <= 1e-15
 
-        density = charge_density(state, layout, plan)
-        assert len(density) == layout.m
-        for site, estimate in enumerate(density, start=1):
-            check(estimate, (site,))
-        for sites in ((1, 3), (1, 2, 3)):
-            check(k_point_correlation(state, layout, sites, plan), sites)
+            density = charge_density(state, layout, plan)
+            assert len(density) == layout.m
+            for site, estimate in enumerate(density, start=1):
+                check(estimate, (site,))
+            for sites in ((1, 3), (1, 2, 3)):
+                check(k_point_correlation(state, layout, sites, plan), sites)
+
+    def test_sampled_density_holds_no_float_copy_of_the_site_table(self):
+        # The fq_prepare benchmark state: support 44 140 strings on m = 8 sites.
+        # A float64 copy of the (support x m) indicator table is 8/3 of the
+        # support's own bytes and pushes the peak past the bound.
+        layout = FirstQuantizedLayout(n=5, m=8)
+        state = prepare_antisymmetric(layout, (1, 4, 6, 9, 12), mode="fermi", backend="sparse")
+        trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(t=0.1, r=1), mode="fermi")
+        keys, vals = state.gather()
+        plan = SamplingPlan(seed=0, n_trials=20000)
+        charge_density(state, layout, plan)  # draws the run's cached shot batch
+        tracemalloc.start()
+        try:
+            charge_density(state, layout, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == 44140
+        assert peak < 3 * (keys.nbytes + vals.nbytes)
 
 
 class TestMomentum:

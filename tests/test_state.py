@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 from conftest import (
     dft_matrix,
     embed_controlled,
@@ -16,6 +17,7 @@ from conftest import (
 )
 
 from fermisim.state import (
+    DENSE_QUBIT_LIMIT,
     MAX_TRIALS,
     InvariantViolation,
     QuantumState,
@@ -290,6 +292,48 @@ class TestQft:
             state = make_state(layout, amps, backend)
             state.qft_register("r")
             _assert_matches_vector(state, oracle @ _to_vec(amps, layout.width), 1e-10)
+
+    @given(others=st.lists(st.integers(1, 2), max_size=2), width=st.integers(1, 5),
+           position=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @example(others=[3, 60, 2], width=4, position=2, seed=0)  # 69 qubits, "r" across bit 62
+    def test_property_matches_embedded_dft(self, others, width, position, seed):
+        regs = [(f"o{i}", w) for i, w in enumerate(others)]
+        regs.insert(min(position, len(regs)), ("r", width))
+        layout = RegisterLayout.of(*regs)
+        rng = np.random.default_rng(seed)
+        keys = sorted({int.from_bytes(rng.bytes(16), "little") % (1 << layout.width) for _ in range(12)})
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        entries = dict(zip(keys, (amps / np.linalg.norm(amps)).tolist()))
+        dft = dft_matrix(width)
+        if layout.width <= 12:
+            vec = embed_register(layout, "r", dft) @ _to_vec(entries, layout.width)
+            want = {b: a for b, a in enumerate(vec.tolist()) if a != 0}
+        else:  # too wide for the matrix: the same block applied string by string
+            want = {}
+            for b, a in entries.items():
+                for k in range(1 << width):
+                    target = layout.with_field(b, "r", k)
+                    want[target] = want.get(target, 0) + dft[k, layout.field(b, "r")] * a
+        states = []
+        for backend in BACKENDS if layout.width <= DENSE_QUBIT_LIMIT else ("sparse",):
+            state = make_state(layout, entries, backend)
+            state.qft_register("r")
+            for b in set(want) | set(state.support()):
+                assert abs(state.amplitude(b) - want.get(b, 0)) <= 1e-12
+            states.append(state.gather())
+        for keys, vals in states[1:]:
+            assert np.array_equal(keys, states[0][0]) and vals.tobytes() == states[0][1].tobytes()
+
+    def test_runs_as_one_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the QFT went through a gate or a basis permutation")
+
+        for name in ("apply_controlled_unitary", "_mix", "permute_register", "apply_basis_map", "_move_keys"):
+            monkeypatch.setattr(QuantumState, name, refuse)
+        for backend in BACKENDS:
+            state = init_basis_state(RegisterLayout.of(("low", 2), ("r", 3)), 0b101_10, backend)
+            state.qft_register("r")
+            assert len(state.support()) == 8
 
     def test_plane_wave_collapses_to_single_bin(self):
         width = 3
