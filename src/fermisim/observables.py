@@ -131,9 +131,11 @@ def required_trials(epsilon: float) -> int:
 def _site_counts(keys: np.ndarray, layout, sites=None) -> np.ndarray:
     """(len(keys), len(sites)) particles on each listed site (all m by default), under either encoding."""
     sites = range(1, layout.m + 1) if sites is None else sites
-    # Column-major, so each site's column is contiguous.  The last column
-    # collects the particles on sites not listed and is dropped.
-    counts = np.zeros((len(keys), len(sites) + 1), dtype=np.uint8, order="F")
+    # Column-major over one flat buffer, so each site's column is contiguous
+    # and entry (row, column) is flat[column * len(keys) + row].  The last
+    # column collects the particles on sites not listed and is dropped.
+    flat = np.zeros((len(sites) + 1) * len(keys), dtype=np.uint8)
+    counts = flat.reshape(len(sites) + 1, len(keys)).T
     if isinstance(layout, ModeLayout):
         for column, site in enumerate(sites):
             for spin in SPINS:
@@ -144,7 +146,8 @@ def _site_counts(keys: np.ndarray, layout, sites=None) -> np.ndarray:
         rows = np.arange(len(keys))
         reg = layout.register_layout()
         for k in range(layout.n):
-            counts[rows, column[reg.field(keys, f"pos{k}")]] += 1
+            # One particle per row, so the flat indices are distinct.
+            flat[column[reg.field(keys, f"pos{k}")] * len(keys) + rows] += 1
     return counts[:, :-1]
 
 

@@ -44,10 +44,11 @@ no Python call per basis string.  `apply_phase_if`, `apply_sign_if` and
 `apply_basis_permutation` keep their per-string callables: they evaluate the
 callable over the support and call the same kernel.
 
-Sampling.  A shot batch is the `n_trials` uniforms `Generator.choice` would
-draw from the seed, sorted.  `_sorted_uniforms` keeps the last batch drawn, so
-every readout of one run, on any state, that uses the same (seed, n_trials)
-counts against one batch instead of drawing and sorting it again.
+Sampling.  A shot batch is the first `n_trials` SplitMix64 uniforms of the
+seed, sorted; numpy.random is never imported.  `_sorted_uniforms` keeps the
+last batch drawn, so every readout of one run, on any state, that uses the
+same (seed, n_trials) counts against one batch instead of drawing and sorting
+it again.
 """
 
 from __future__ import annotations
@@ -75,6 +76,12 @@ KEY_BITS = 62
 # Shots per `sample` call.  The one cached shot batch per (seed, N) holds one
 # float64 uniform per shot (800 MB at the cap).
 MAX_TRIALS = 10**8
+# SplitMix64's state increment (the 64-bit golden ratio) and the two
+# multipliers of its output mix; see `_splitmix64_uniforms`.
+GAMMA = 0x9E3779B97F4A7C15
+MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+# Shots the uniform draw computes at a time.
+UNIFORM_BLOCK = 1 << 16
 
 BACKENDS = ("dense", "sparse")
 
@@ -220,14 +227,57 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _splitmix64_uniforms(seed: int, n_trials: int) -> np.ndarray:
+    """The first `n_trials` uniforms of SplitMix64 started from state `seed`, in stream order.
+
+    SplitMix64 is the generator of Steele, Lea & Flood (OOPSLA 2014):
+    u_i = (mix64(seed + (i+1)*GAMMA mod 2**64) >> 11) * 2**-53 for
+    i = 0 .. n_trials-1, where mix64(z) is `z ^= z >> 30; z *= MIX[0];
+    z ^= z >> 27; z *= MIX[1]; z ^= z >> 31` mod 2**64.  The `>> 11` and
+    `2**-53` make the 53-bit float in [0, 1) that `Generator.random` makes.
+    Seed 0 starts 0xE220A8397B1DCDAF, so u_0 = 0.8833108082136426.
+
+    The generator is counter-based: each block of UNIFORM_BLOCK shots is
+    computed from its own indices straight into the output, so the draw holds
+    one float64 per shot plus two uint64 blocks (1 MB).  The smallest
+    |k*GAMMA mod 2**64| over 1 <= k <= 10**8 is 1.30e11 (a brute-force search),
+    so within MAX_TRIALS shots two seeds less than 1.3e11 apart never pass
+    through the same generator state, and since mix64 is a bijection they share
+    no 64-bit output.
+    """
+    uniforms = np.empty(n_trials)
+    # Each block is mixed as uint64 words in its own slice of the output, then
+    # turned into floats in place.  Array arithmetic only: uint64 arrays wrap
+    # mod 2**64 silently, where numpy scalar products warn on overflow.
+    words = uniforms.view(np.uint64)
+    size = min(n_trials, UNIFORM_BLOCK)
+    steps = np.arange(1, size + 1, dtype=np.uint64)
+    steps *= np.uint64(GAMMA)
+    shifted = np.empty(size, dtype=np.uint64)
+    for start in range(0, n_trials, size):
+        z = words[start : start + size]
+        t = shifted[: len(z)]
+        np.add(steps[: len(z)], np.uint64((seed + start * GAMMA) % (1 << 64)), out=z)
+        for shift, mix in zip((30, 27), MIX):
+            np.right_shift(z, shift, out=t)
+            z ^= t
+            z *= np.uint64(mix)
+        np.right_shift(z, 31, out=t)
+        z ^= t
+        z >>= 11
+        # Below 2**53 after the shift, so the signed view converts exactly (and faster).
+        np.multiply(z.view(np.int64), 2.0**-53, out=uniforms[start : start + size])
+    return uniforms
+
+
 @functools.lru_cache(maxsize=1)
 def _sorted_uniforms(seed: int, n_trials: int) -> np.ndarray:
-    """The `n_trials` uniforms `default_rng(seed)` hands `Generator.choice`, sorted, read-only.
+    """`_splitmix64_uniforms(seed, n_trials)` sorted in place, read-only.
 
     A pure function of its arguments, cached for the last pair: the readouts of
     one run share one batch, and at most one batch is held.
     """
-    uniforms = np.random.default_rng(seed).random(n_trials)
+    uniforms = _splitmix64_uniforms(seed, n_trials)
     uniforms.sort()
     uniforms.setflags(write=False)
     return uniforms
@@ -548,13 +598,15 @@ class QuantumState:
     def sample(self, seed: int, n_trials: int) -> dict[int, int]:
         """Draw `n_trials` basis strings from the Born distribution: {basis: count}.
 
-        The draws are those of `np.random.default_rng(seed).choice(len(support),
-        n_trials, p=born)` over the support in ascending key order, so the
-        stream is fully determined by the 64 bit seed and equal on both
-        backends.  They are counted rather than indexed: outcome i gets the
-        sorted uniforms of `_sorted_uniforms(seed, n_trials)` that fall in
-        [cdf[i-1], cdf[i]).  The batch holds one float64 per shot, hence at
-        most MAX_TRIALS shots.
+        Draw j is outcome `searchsorted(cdf, u_j, side="right")` over the
+        support in ascending key order, the rule `Generator.choice` applies,
+        with the cdf built as choice builds it and u_j the j-th uniform of
+        SplitMix64 started from state `seed` (specified on
+        `_splitmix64_uniforms`).  So the stream is fully determined by the 64
+        bit seed and equal on both backends.  The draws are counted rather than
+        indexed: outcome i gets the sorted uniforms of `_sorted_uniforms(seed,
+        n_trials)` that fall in [cdf[i-1], cdf[i]).  The batch holds one
+        float64 per shot, hence at most MAX_TRIALS shots.
         """
         counts = self._sample_counts(seed, n_trials)
         drawn = np.flatnonzero(counts)
@@ -571,7 +623,7 @@ class QuantumState:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"sampling a state with squared norm {total}")
         probs /= total
-        # The cdf and the uniforms are built exactly as Generator.choice builds them.
+        # The cdf is built exactly as Generator.choice builds it.
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         uniforms = _sorted_uniforms(int(seed), int(n_trials))

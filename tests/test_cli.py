@@ -8,6 +8,9 @@ the same config and seed are byte-identical except for wall time.
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -279,6 +282,27 @@ class TestEvolve:
         document = json.loads(output.read_text())
         assert document["seed"] == 99
         assert document["config"]["sampling"]["seed"] == 99
+
+    def test_sampled_run_never_imports_numpy_random(self, tmp_path):
+        """The shots come from fermisim's own generator; numpy.random stays unloaded."""
+        config = tmp_path / "run.json"
+        output = tmp_path / "out.json"
+        config.write_text(json.dumps(base_config()))
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('numpy.random' in sys.modules))\n"
+            "from fermisim.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "evolve", "--config", str(config), "--output", str(output)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+        assert any(row["sampled"] is not None for row in json.loads(output.read_text())["observables"][0]["values"])
 
     def test_seed_override_without_sampling_block_is_a_user_error(self, tmp_path, capsys):
         code, _ = run_evolve(tmp_path, base_config(sampling=None), "--seed", "99")

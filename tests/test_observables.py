@@ -28,6 +28,7 @@ from fermisim.observables import (
     pair_correlation,
     required_trials,
     _check_energy,
+    _site_counts,
 )
 from fermisim.oracle import (
     build_fq_hamiltonian,
@@ -178,6 +179,27 @@ class TestChargeDensity:
         state = init_basis_state(ModeLayout(3).register_layout(), 0)
         with pytest.raises(ValueError):
             charge_density(state, layout)
+
+    @pytest.mark.parametrize("sites", [None, (3, 1), (4,)])
+    @pytest.mark.parametrize("layout", [FirstQuantizedLayout(n=3, m=4), FirstQuantizedLayout(n=7, m=512)],
+                             ids=["narrow", "wide"])
+    def test_fq_site_table_counts_each_particle(self, layout, sites):
+        """Every (string, site) entry is the number of particle words on that site."""
+        if layout.n == 3:  # all 512 strings, so up to three particles share a site
+            keys = np.arange(1 << (layout.n * layout.word_bits), dtype=np.int64)
+        else:  # 70-bit object keys, with every particle on one of sites 1..4
+            rng = np.random.default_rng(12)
+            words = rng.integers(0, 8, size=(60, layout.n))
+            keys = np.array([sum(int(w) << (k * layout.word_bits) for k, w in enumerate(row))
+                             for row in words], dtype=object)
+        listed = range(1, layout.m + 1) if sites is None else sites
+        mask = (1 << layout.word_bits) - 1
+
+        def on_site(key, site):
+            return sum(((key >> (k * layout.word_bits) & mask) >> 1) + 1 == site for k in range(layout.n))
+
+        want = [[on_site(int(key), site) for site in listed] for key in keys]
+        assert _site_counts(keys, layout, sites).tolist() == want
 
 
 class TestCorrelations:

@@ -1,10 +1,12 @@
 """The array kernel of the state engine: array entry points, wide keys, sampling streams."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from conftest import make_state, random_state_map, random_unitary
 
 from fermisim import cli
@@ -15,7 +17,9 @@ from fermisim.state import (
     InvariantViolation,
     QuantumState,
     RegisterLayout,
+    UNIFORM_BLOCK,
     _sorted_uniforms,
+    _splitmix64_uniforms,
     init_basis_state,
     inject_state,
     validation_mode,
@@ -575,16 +579,43 @@ class TestWideKeys:
 
 # ------------------------------------------------------------------ sampling
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64_reference(seed, n):
+    """The first n SplitMix64 uniforms of state `seed`, one Python-int step at a time."""
+    out = []
+    state = seed
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        z ^= z >> 31
+        out.append((z >> 11) * 2.0**-53)
+    return np.array(out)
+
+
+def reference_counts(keys, amps, seed, n_trials):
+    """{key: count} of choice's rule, searchsorted(cdf, u, side="right"), per reference uniform."""
+    born = np.abs(np.asarray(amps)) ** 2
+    born /= born.sum()
+    cdf = born.cumsum()
+    cdf /= cdf[-1]
+    draws = np.searchsorted(cdf, splitmix64_reference(seed, n_trials), side="right")
+    counts = np.bincount(draws, minlength=len(keys))
+    return {keys[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+
 
 class TestSamplingStream:
-    """Counts captured before sampling moved to np.bincount; the seeded stream is unchanged."""
+    """Counts of the SplitMix64 stream, computed with `reference_counts`, not with fermisim."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_counts_pinned_for_fixed_seed(self, backend):
         layout = RegisterLayout.of(("q", 3))
         amps = {0: 0.5, 2: 0.5j, 5: -0.5, 7: 0.5 * (1 + 1j) / math.sqrt(2)}
         counts = inject_state(layout, amps, backend).sample(seed=2026, n_trials=1000)
-        assert counts == {0: 223, 2: 241, 5: 267, 7: 269}
+        assert counts == {0: 251, 2: 264, 5: 238, 7: 247}
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_counts_pinned_for_random_state(self, backend):
@@ -592,8 +623,8 @@ class TestSamplingStream:
         amps = random_state_map(np.random.default_rng(17), 5, 12)
         counts = make_state(layout, amps, backend).sample(seed=123456789, n_trials=5000)
         assert counts == {
-            1: 534, 2: 709, 3: 566, 6: 522, 10: 832, 11: 153,
-            12: 426, 14: 44, 15: 312, 18: 185, 20: 596, 30: 121,
+            1: 570, 2: 703, 3: 541, 6: 592, 10: 832, 11: 152,
+            12: 433, 14: 33, 15: 281, 18: 169, 20: 562, 30: 132,
         }
 
 
@@ -617,7 +648,7 @@ SAMPLE_CASES = {"dense": (NARROW, "dense"), "sparse": (NARROW, "sparse"), "wide"
 @example(case="dense", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
 @example(case="wide", entries={0: 0.0, 3: 0.4, 64: 0.0, 130: 0.1, 254: 0.0}, seed=2**64 - 1, n_trials=1)
 def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
-    """sample(seed, N) is bincount(choice(len(support), N, p=born)) over the ascending support."""
+    """sample(seed, N) counts choice's draw rule over the reference uniforms and the ascending support."""
     layout, backend = SAMPLE_CASES[case]
     # Wide keys put the drawn byte in the low and the high register, past 62 bits.
     to_key = (lambda k: k | (k << 62)) if layout is WIDE else int
@@ -630,21 +661,13 @@ def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
     drawn = inject_state(layout, amps, backend).sample(seed, n_trials)
 
     keys = sorted(amps)
-    born = np.abs(np.array([amps[k] for k in keys])) ** 2
-    born /= born.sum()
-    draws = np.random.default_rng(seed).choice(len(keys), n_trials, p=born)
-    counts = np.bincount(draws, minlength=len(keys))
-    assert drawn == {keys[i]: int(counts[i]) for i in np.flatnonzero(counts)}
+    assert drawn == reference_counts(keys, [amps[k] for k in keys], seed, n_trials)
 
 
 def _choice_counts(state, seed, n_trials):
-    """{key: count} of np.random.default_rng(seed).choice over the state's Born weights."""
+    """{key: count} of choice's draw rule over the state's Born weights and the reference uniforms."""
     keys, amps = state.gather()
-    born = np.abs(amps) ** 2
-    born /= born.sum()
-    draws = np.random.default_rng(seed).choice(len(keys), n_trials, p=born)
-    counts = np.bincount(draws, minlength=len(keys))
-    return {int(keys[i]): int(counts[i]) for i in np.flatnonzero(counts)}
+    return reference_counts(keys.tolist(), amps, seed, n_trials)
 
 
 def test_sample_counts_the_draws_of_choice_when_batches_interleave():
@@ -676,13 +699,80 @@ def test_cached_uniforms_are_read_only():
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(backend):
     """choice sends a uniform equal to cdf[i] to outcome i + 1; so must the count."""
-    a, b = 0.9018149694922304, 0.4321223909955692
-    uniforms = np.random.default_rng(0).random(8)
+    a, b = 0.32610840462522955, 0.9453323798711158
+    uniforms = splitmix64_reference(0, 8)
     assert a * a + b * b == 1.0 and uniforms[4] == a * a  # cdf is exactly [a*a, 1]
-    born = np.array([a * a, b * b])
-    counts = np.bincount(np.random.default_rng(0).choice(2, 8, p=born), minlength=2)
-    assert inject_state(NARROW, {4: a, 9: b}, backend).sample(0, 8) == {4: counts[0], 9: counts[1]}
-    assert counts.tolist() == [(uniforms < a * a).sum(), (uniforms >= a * a).sum()]
+    counts = reference_counts([4, 9], [a, b], 0, 8)
+    assert inject_state(NARROW, {4: a, 9: b}, backend).sample(0, 8) == counts
+    assert [counts[4], counts[9]] == [(uniforms < a * a).sum(), (uniforms >= a * a).sum()] == [1, 7]
+
+
+# ------------------------------------------------------------------ the uniform generator
+
+
+@given(
+    seed=st.integers(0, (1 << 64) - 1),
+    n_trials=st.integers(1, 40) | st.integers(UNIFORM_BLOCK - 2, UNIFORM_BLOCK + 2),
+)
+@example(seed=1, n_trials=UNIFORM_BLOCK - 1)
+@example(seed=0, n_trials=UNIFORM_BLOCK + 1)
+@example(seed=2**64 - 1, n_trials=UNIFORM_BLOCK)
+@example(seed=123456789, n_trials=2 * UNIFORM_BLOCK + 1)
+@settings(max_examples=12)
+def test_generator_matches_the_reference(seed, n_trials):
+    """The blocked array draw is the sequential stream, across block boundaries, before the sort."""
+    want = splitmix64_reference(seed, n_trials)
+    assert np.array_equal(_splitmix64_uniforms(seed, n_trials), want)
+    _sorted_uniforms.cache_clear()
+    assert np.array_equal(_sorted_uniforms(seed, n_trials), np.sort(want))
+
+
+def test_generator_golden_first_values():
+    # SplitMix64's first outputs from states 0 and 2**64 - 1 are
+    # 0xE220A8397B1DCDAF and 0xE4D971771B652C20.
+    assert (0xE220A8397B1DCDAF >> 11) * 2.0**-53 == 0.8833108082136426
+    assert (0xE4D971771B652C20 >> 11) * 2.0**-53 == 0.8939429202831845
+    assert _splitmix64_uniforms(0, 3).tolist() == [
+        0.8833108082136426, 0.43152799704850997, 0.026433771592597743,
+    ]
+    assert _splitmix64_uniforms(2**64 - 1, 3).tolist() == [
+        0.8939429202831845, 0.9125972035944532, 0.21948196289526756,
+    ]
+
+
+def test_generator_raises_no_overflow_warning():
+    """The uint64 products wrap; as array operations they do so without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _splitmix64_uniforms(2**64 - 1, UNIFORM_BLOCK + 3)
+        _sorted_uniforms.cache_clear()
+        _sorted_uniforms(2**64 - 2, 5)
+
+
+def test_generator_streams_look_uniform_and_independent():
+    """Mean, a 64-bin chi-square and the correlation of seeds s and s + 1, within five sigma."""
+    n = 1 << 18
+    streams = [_splitmix64_uniforms(seed, n) for seed in range(5)]
+    for seed in range(4):
+        u = streams[seed]
+        assert abs(u.mean() - 0.5) < 5 * math.sqrt(1 / 12 / n)
+        observed = np.bincount((u * 64).astype(np.int64), minlength=64)
+        chi2 = ((observed - n / 64) ** 2 / (n / 64)).sum()
+        assert abs(chi2 - 63) < 5 * math.sqrt(2 * 63)
+        assert abs(np.corrcoef(u, streams[seed + 1])[0, 1]) < 5 / math.sqrt(n)
+
+
+def test_generator_peak_memory_is_the_output_plus_two_blocks():
+    n = 1 << 22
+    _sorted_uniforms.cache_clear()
+    tracemalloc.start()
+    try:
+        _sorted_uniforms(7, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _sorted_uniforms.cache_clear()
+    assert peak < 8 * n + 2 * 2**20
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
