@@ -22,8 +22,8 @@ the sorted A then permutes A into beta's order pattern, so the transcript of
 sorting A is the record itself, and recomputing that transcript erases it.
 
 Every step is a rewrite of the support's key array (register words are read
-as int64 arrays) plus one exact sign flip, so the pipeline runs on the sparse
-backend at any register width; its cost is the n! branches per input branch,
+as int64 arrays) plus one exact sign flip, so the pipeline runs at any
+register width; its cost is the n! branches per input branch,
 which MAX_PARTICLES bounds.  Labels are stored as value-minus-one in binary.
 """
 
@@ -236,7 +236,7 @@ def encode_labels(labels, word_bits: int) -> int:
     return block
 
 
-def prepare_ordered_input(bank: RegisterBank, configuration, backend: str = "sparse") -> QuantumState:
+def prepare_ordered_input(bank: RegisterBank, configuration) -> QuantumState:
     """State with A holding the ordered labels (or a superposition of them), ancillas zero.
 
     `configuration` is a label tuple, an OrderedConfiguration, or a list of
@@ -252,7 +252,7 @@ def prepare_ordered_input(bank: RegisterBank, configuration, backend: str = "spa
         if basis in amplitudes:
             raise ValueError(f"configuration {config.labels} listed twice")
         amplitudes[basis] = amp
-    return inject_state(bank.layout, amplitudes, backend)
+    return inject_state(bank.layout, amplitudes)
 
 
 def _as_branches(configuration) -> list[tuple[tuple[int, ...], complex]]:
@@ -480,7 +480,6 @@ def collapse_ancillas(
     state: QuantumState,
     bank: RegisterBank,
     target_layout: RegisterLayout | None = None,
-    backend: str | None = None,
 ) -> QuantumState:
     """Project the pipeline output onto its A register (ancillas must be zero).
 
@@ -495,7 +494,7 @@ def collapse_ancillas(
     keys, amps = state.gather()
     if (keys >> width).any():
         raise ValueError("ancilla registers are not zero; run the full pipeline first")
-    return QuantumState(target_layout, backend or state.backend, (target_layout.keys(keys), amps))
+    return QuantumState(target_layout, (target_layout.keys(keys), amps))
 
 
 def transposition_test(

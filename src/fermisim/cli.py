@@ -52,13 +52,7 @@ from fermisim.sq import (
     op_count,
     trotter_evolve,
 )
-from fermisim.state import (
-    DENSE_QUBIT_LIMIT,
-    MAX_TRIALS,
-    InvariantViolation,
-    init_basis_state,
-    set_validation_mode,
-)
+from fermisim.state import MAX_TRIALS, InvariantViolation, init_basis_state, set_validation_mode
 from fermisim.validate import SUITES, run_suite, slater_overlap
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
@@ -89,7 +83,6 @@ class RunConfig:
     plan_r: int
     observables: tuple
     sampling: SamplingPlan | None
-    backend: str
     mode: str
 
     def to_dict(self) -> dict:
@@ -102,7 +95,6 @@ class RunConfig:
             "observables": [dict(entry) for entry in self.observables],
             "sampling": {"N": self.sampling.n_trials, "seed": self.sampling.seed,
                          "epsilon": self.sampling.epsilon} if self.sampling else None,
-            "backend": self.backend,
             "mode": self.mode,
         }
 
@@ -260,7 +252,8 @@ def parse_config(raw) -> RunConfig:
         if not math.isfinite(energy * step):
             raise ConfigError(f"plan.t: the step angle {name}*t/r overflows at t = {plan_t!r}")
 
-    backend = _as_choice(raw.get("backend", "dense"), ("dense", "sparse"), "backend")
+    # Older configs and documents carry "backend": checked, then dropped, as the state picks its index.
+    _as_choice(raw.get("backend", "dense"), ("dense", "sparse"), "backend")
     mode = _as_choice(raw.get("mode", "fermi"), ("fermi", "bose"), "mode")
     if mode == "bose" and formalism == "second":
         raise ConfigError("mode: the occupation-number encoding is fermionic; "
@@ -295,22 +288,8 @@ def parse_config(raw) -> RunConfig:
     return RunConfig(
         formalism=formalism, m=m, boundary=boundary, v0=v0, t0=t0,
         particles=particles, plan_t=plan_t, plan_r=plan_r,
-        observables=observables, sampling=sampling, backend=backend, mode=mode,
+        observables=observables, sampling=sampling, mode=mode,
     )
-
-
-def _check_dense_width(config: RunConfig, field: str) -> None:
-    """ConfigError naming `field` when a dense run's state is wider than DENSE_QUBIT_LIMIT."""
-    if config.backend != "dense":
-        return
-    n = len(config.particles)
-    if config.formalism == "second":
-        width = ModeLayout(config.m).n_modes
-    else:
-        width = n * FirstQuantizedLayout(n, config.m).word_bits
-    if width > DENSE_QUBIT_LIMIT:
-        raise ConfigError(f"{field}: the dense backend holds at most {DENSE_QUBIT_LIMIT} "
-                          f"qubits and this run needs {width}; use \"sparse\"")
 
 
 # ----------------------------------------------------------------- execution
@@ -361,14 +340,12 @@ def execute_run(config: RunConfig) -> dict:
             (site, UP if spin == "up" else DOWN) for site, spin in config.particles
         )
         bits = encode_occupation(layout, occupied)
-        state = init_basis_state(layout.register_layout(), bits, config.backend)
+        state = init_basis_state(layout.register_layout(), bits)
         trotter_evolve(state, layout, params, plan)
         counts = op_count(layout, plan)
     else:
         layout = FirstQuantizedLayout(n=len(config.particles), m=config.m)
-        state = prepare_antisymmetric(
-            layout, config.particles, mode=config.mode, backend=config.backend
-        )
+        state = prepare_antisymmetric(layout, config.particles, mode=config.mode)
         trotter_evolve_fq(state, layout, params, plan, mode=config.mode)
         counts = op_count_fq(layout, plan)
 
@@ -421,9 +398,7 @@ def _write_outputs(document: dict, output: Path) -> None:
 # --------------------------------------------------------------- subcommands
 
 
-def cmd_evolve(config_path: str, output_path: str,
-               backend_override: str | None = None,
-               seed_override: int | None = None) -> int:
+def cmd_evolve(config_path: str, output_path: str, seed_override: int | None = None) -> int:
     path = Path(config_path)
     try:
         raw = json.loads(path.read_text())
@@ -438,8 +413,6 @@ def cmd_evolve(config_path: str, output_path: str,
         return 2
     try:
         config = parse_config(raw)
-        if backend_override is not None:
-            config = replace(config, backend=backend_override)
         if seed_override is not None:
             if config.sampling is None:
                 raise ConfigError("--seed: config has no sampling block to reseed")
@@ -447,7 +420,6 @@ def cmd_evolve(config_path: str, output_path: str,
                 config = replace(config, sampling=replace(config.sampling, seed=seed_override))
             except ValueError as exc:
                 raise ConfigError(f"--seed: {exc}") from None
-        _check_dense_width(config, "backend" if backend_override is None else "--backend")
     except ConfigError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
@@ -532,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--config", required=True, help="path to a JSON run config")
     evolve.add_argument("--output", required=True,
                         help="result document path; a CSV lands next to it")
-    evolve.add_argument("--backend", choices=("dense", "sparse"),
-                        help="override the config's state backend")
     evolve.add_argument("--seed", type=int, help="override the sampling seed")
 
     antisym = sub.add_parser("antisym", help="antisymmetrize one ordered configuration")
@@ -557,8 +527,7 @@ def main(argv=None) -> int:
     if args.validation_mode:
         set_validation_mode(True)
     if args.command == "evolve":
-        return cmd_evolve(args.config, args.output,
-                          backend_override=args.backend, seed_override=args.seed)
+        return cmd_evolve(args.config, args.output, seed_override=args.seed)
     if args.command == "antisym":
         return cmd_antisym(args.labels.split(","), args.mode, args.output)
     return cmd_validate(args.suite)

@@ -95,19 +95,15 @@ class KineticSplit:
         return cls(t1, t2)
 
 
-def prepare_antisymmetric(
-    layout: FirstQuantizedLayout, labels, mode: str = "fermi", backend: str = "sparse"
-) -> QuantumState:
+def prepare_antisymmetric(layout: FirstQuantizedLayout, labels, mode: str = "fermi") -> QuantumState:
     """Antisymmetrized (or symmetrized) n-particle state from ordered labels 1..2m."""
     bank = RegisterBank(QuWordLayout(layout.n, layout.word_bits))
-    staged = prepare_ordered_input(bank, labels, backend="sparse")
+    staged = prepare_ordered_input(bank, labels)
     antisymmetrize(staged, bank, mode)
-    return collapse_ancillas(staged, bank, layout.register_layout(), backend)
+    return collapse_ancillas(staged, bank, layout.register_layout())
 
 
-def single_particle_plane_wave(
-    layout: FirstQuantizedLayout, k: int, spin: int = 0, backend: str = "dense"
-) -> QuantumState:
+def single_particle_plane_wave(layout: FirstQuantizedLayout, k: int, spin: int = 0) -> QuantumState:
     """Single-particle state whose momentum histogram is concentrated on bin k.
 
     Defined as the inverse Fourier image of |k>: amplitude(x) proportional to
@@ -124,7 +120,7 @@ def single_particle_plane_wave(
     for x in range(m):
         word = (x << 1) | spin
         amps[word] = np.exp(-2j * np.pi * k * x / m) / math.sqrt(m)
-    return inject_state(layout.register_layout(), amps, backend)
+    return inject_state(layout.register_layout(), amps)
 
 
 def coincide(reg: RegisterLayout, keys: np.ndarray, k: int, l: int) -> np.ndarray:

@@ -1,24 +1,25 @@
-"""Quantum state backends and the elementary operations shared by every simulator module.
+"""The quantum state store and the elementary operations shared by every simulator module.
 
 Basis strings are plain ints; bit 0 is the least significant bit and belongs to
 the first register of the layout.
 
 Storage model.  A state is a set of (key, amplitude) entries, where a key is a
-basis string.  Both backends keep one store: the support as a sorted key array
-`_keys` and its nonzero amplitudes `_vals`, in the same order.  The dense
-backend adds only `_slot`, an int64 array of length 2**Q holding each key's
-position in the store, or -1.  `_lookup` reads the amplitudes at an array of
-keys with their store positions, and is the one step that depends on the
-backend: dense reads `_slot`, sparse binary-searches `_keys`.  `_write` stores
-amplitudes at those positions, in place while no entry enters or leaves the
-support, and otherwise rebuilds `_keys`/`_vals` once (re-pointing `_slot` on
-dense).  Every primitive (phase and sign, controlled gate, two-level mix, basis
-permutation, register QFT, sampling) is written once on top of `gather`,
-`_lookup` and `_write`; `_replace`, which swaps the whole support, empties the
-store and makes one write.  A write into an empty store (the constructor,
-`copy`, `_replace`) sorts its nonzero entries and makes them the store, with no
-search or insert.  The norm check after every primitive is one dot product
-over `_vals`, so no primitive touches all 2**Q strings.
+basis string.  The store is the support as a sorted key array `_keys` and its
+nonzero amplitudes `_vals`, in the same order.  Its index is picked from the
+layout's width: up to SLOT_INDEX_QUBITS qubits the state also keeps `_slot`,
+an int64 array of length 2**Q holding each key's position in the store, or
+-1; wider states binary-search `_keys`.  `_lookup` reads the amplitudes at an
+array of keys with their store positions, and is the one step that depends on
+the index.  `_write` stores amplitudes at those positions, in place while no
+entry enters or leaves the support, and otherwise rebuilds `_keys`/`_vals`
+once (re-pointing `_slot` where there is one).  Every primitive (phase and
+sign, controlled gate, two-level mix, basis permutation, register QFT,
+sampling) is written once on top of `gather`, `_lookup` and `_write`.
+`_replace`, which swaps the whole support, and the constructor sort the new
+entries once, reject a repeated key before the store is touched, and make the
+nonzero entries the store, with no search or insert.  The norm check after
+every primitive is one dot product over `_vals`, so no primitive touches all
+2**Q strings.
 
 Register QFT.  `qft_register` is one array transform, not a gate cascade: one
 `gather`, the support grouped by its key with the register cleared, the
@@ -33,10 +34,10 @@ Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
 code.
 
-Exact zeros.  An entry leaves the support, on either backend, only when its
-amplitude is exactly zero; small amplitudes are never thresholded away.  In
-validation mode every `_write` checks the store: keys ascending, no zero
-amplitude, and on dense `_slot` pointing exactly at `_keys`.
+Exact zeros.  An entry leaves the support only when its amplitude is exactly
+zero; small amplitudes are never thresholded away.  In validation mode every
+write checks the store: keys ascending, no zero amplitude, and any `_slot`
+pointing exactly at `_keys`.
 
 The array entry points `apply_phase_where`, `apply_basis_map` and
 `permute_register` take a function of the key array (or a value table) and make
@@ -66,8 +67,13 @@ import numpy as np
 NORM_TOL = 1e-10
 # Max deviation of U'U from the identity for accepted 2x2 gate matrices.
 UNITARY_TOL = 1e-12
-# Dense states refuse to allocate beyond this many qubits: `_slot` takes 8 bytes
-# per basis string, 512 MB at 26 qubits.
+# States up to this many qubits index their store with `_slot`, 8 bytes per
+# basis string (512 KB at 16 qubits); wider ones binary-search `_keys`.  Past
+# 16 qubits the slot array costs megabytes for a few percent of evolve time,
+# and from 22 qubits on it is slower than the search.
+SLOT_INDEX_QUBITS = 16
+# `to_vector` densifies at most this many qubits: 16 bytes per basis string,
+# 1 GB at 26 qubits.
 DENSE_QUBIT_LIMIT = 26
 # Exhaustive bijection checks in validation mode are capped at this width.
 BIJECTION_CHECK_LIMIT = 20
@@ -81,9 +87,7 @@ MAX_TRIALS = 10**8
 GAMMA = 0x9E3779B97F4A7C15
 MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 # Shots the uniform draw computes at a time.
-UNIFORM_BLOCK = 1 << 16
-
-BACKENDS = ("dense", "sparse")
+UNIFORM_BLOCK = 1 << 14
 
 
 class InvariantViolation(RuntimeError):
@@ -239,7 +243,7 @@ def _splitmix64_uniforms(seed: int, n_trials: int) -> np.ndarray:
 
     The generator is counter-based: each block of UNIFORM_BLOCK shots is
     computed from its own indices straight into the output, so the draw holds
-    one float64 per shot plus two uint64 blocks (1 MB).  The smallest
+    one float64 per shot plus two uint64 blocks (256 KB).  The smallest
     |k*GAMMA mod 2**64| over 1 <= k <= 10**8 is 1.30e11 (a brute-force search),
     so within MAX_TRIALS shots two seeds less than 1.3e11 apart never pass
     through the same generator state, and since mix64 is a bijection they share
@@ -348,7 +352,7 @@ def _check_unitary(mats: np.ndarray) -> None:
 
 
 class QuantumState:
-    """Normalized amplitudes over fixed-width basis strings, dense or sparse.
+    """Normalized amplitudes over fixed-width basis strings.
 
     All mutating operations preserve the norm and verify it afterwards; a
     failed check raises InvariantViolation because it can only come from a
@@ -357,23 +361,14 @@ class QuantumState:
 
     __slots__ = ("layout", "_slot", "_keys", "_vals")
 
-    def __init__(self, layout: RegisterLayout, backend: str = "dense", entries=None):
+    def __init__(self, layout: RegisterLayout, entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-        if backend == "dense" and layout.width > DENSE_QUBIT_LIMIT:
-            raise ValueError(
-                f"dense backend limited to {DENSE_QUBIT_LIMIT} qubits, layout has {layout.width}"
-            )
         self.layout = layout
-        self._keys, self._vals = layout.keys([]), np.zeros(0, dtype=complex)
-        self._slot = np.full(1 << layout.width, -1, dtype=np.int64) if backend == "dense" else None
+        self._keys = layout.keys([])
+        narrow = layout.width <= SLOT_INDEX_QUBITS
+        self._slot = np.full(1 << layout.width, -1, dtype=np.int64) if narrow else None
         keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
-        self._write(keys, amps, np.full(len(keys), -1))  # the store is empty
-
-    @property
-    def backend(self) -> str:
-        return "dense" if self._slot is not None else "sparse"
+        self._fill(keys, amps)
 
     # ------------------------------------------------------------------ storage
 
@@ -393,7 +388,8 @@ class QuantumState:
     def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Amplitudes at in-range `keys` (zero off the support), and their store positions (-1 if absent).
 
-        The one storage step that branches on the backend.
+        The one storage step that branches on the index: `_slot` where the
+        state has one, a binary search of `_keys` otherwise.
         """
         if self._slot is not None:
             pos = self._slot[keys]
@@ -424,31 +420,47 @@ class QuantumState:
             # Insert the new keys in order, then drop the entries just set to zero.
             fresh = np.flatnonzero(now & ~hit)
             fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-            if not len(self._keys):  # an empty store: the sorted fresh entries are the store
-                self._store(keys[fresh].astype(self._keys.dtype, copy=False), amps[fresh])
-            else:
-                gaps = np.searchsorted(self._keys, keys[fresh])
-                stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
-                if (hit & ~now).any():
-                    keep = vals != 0
-                    stored, vals = stored[keep], vals[keep]
-                self._store(stored, vals)
-        if validation_enabled():
-            keys, vals, slot = self._keys, self._vals, self._slot
-            ok = len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()
-            if ok and slot is not None:
-                ok = np.array_equal(np.flatnonzero(slot >= 0), keys)
-                ok = ok and np.array_equal(slot[keys], np.arange(len(keys)))
-            if not ok:
-                raise InvariantViolation("support store is unsorted, holds a zero, or disagrees with `_slot`")
+            gaps = np.searchsorted(self._keys, keys[fresh])
+            stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
+            if (hit & ~now).any():
+                keep = vals != 0
+                stored, vals = stored[keep], vals[keep]
+            self._store(stored, vals)
+        self._check_store()
+
+    def _fill(self, keys: np.ndarray, amps) -> None:
+        """Make the entries (keys, amps) the whole store: one sort, then the nonzero entries.
+
+        A repeated key raises ValueError before the store is touched.
+        """
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order].astype(self.layout.key_dtype, copy=False)
+        amps = np.asarray(amps, dtype=complex)[order]
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("the new support repeats a basis string (a map not injective on the support)")
+        keep = amps != 0
+        self._store(keys[keep], amps[keep])
+        self._check_store()
 
     def _store(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Make sorted (keys, vals) the whole store, keys read-only; on dense, re-point `_slot`."""
+        """Make sorted (keys, vals) the whole store, keys read-only; re-point any `_slot`."""
         if self._slot is not None:
             self._slot[self._keys] = -1
             self._slot[keys] = np.arange(len(keys))
         keys.flags.writeable = False
         self._keys, self._vals = keys, vals
+
+    def _check_store(self) -> None:
+        """In validation mode, check the store: keys ascending, no zero amplitude, any `_slot` matching."""
+        if not validation_enabled():
+            return
+        keys, vals, slot = self._keys, self._vals, self._slot
+        ok = len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()
+        if ok and slot is not None:
+            ok = np.array_equal(np.flatnonzero(slot >= 0), keys)
+            ok = ok and np.array_equal(slot[keys], np.arange(len(keys)))
+        if not ok:
+            raise InvariantViolation("support store is unsorted, holds a zero, or disagrees with `_slot`")
 
     # ------------------------------------------------------------------ access
 
@@ -481,7 +493,7 @@ class QuantumState:
         return float(np.linalg.norm(self._vals))
 
     def copy(self) -> QuantumState:
-        return QuantumState(self.layout, self.backend, self.gather())
+        return QuantumState(self.layout, self.gather())
 
     def __repr__(self) -> str:
         keys, amps = self.gather()
@@ -492,7 +504,7 @@ class QuantumState:
         if len(keys) > 4:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
-        return f"QuantumState({self.backend}, {self.layout.width} qubits, {body})"
+        return f"QuantumState({self.layout.width} qubits, {body})"
 
     # ------------------------------------------------------------------ gates
 
@@ -590,7 +602,6 @@ class QuantumState:
         gate primitive and no basis permutation runs.
         """
         if self.layout.register_width(name):
-            # The transform holds no reference to the old store, which is freed as `_replace` empties it.
             self._replace(*_register_qft(self.layout, name, *self.gather()))
 
     # ------------------------------------------------------------------ readout
@@ -603,7 +614,7 @@ class QuantumState:
         with the cdf built as choice builds it and u_j the j-th uniform of
         SplitMix64 started from state `seed` (specified on
         `_splitmix64_uniforms`).  So the stream is fully determined by the 64
-        bit seed and equal on both backends.  The draws are counted rather than
+        bit seed and equal under either index.  The draws are counted rather than
         indexed: outcome i gets the sorted uniforms of `_sorted_uniforms(seed,
         n_trials)` that fall in [cdf[i-1], cdf[i]).  The batch holds one
         float64 per shot, hence at most MAX_TRIALS shots.
@@ -680,30 +691,25 @@ class QuantumState:
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:
-        """Swap the whole support for distinct (keys, amps): empty the store, then one write."""
-        self._store(self.layout.keys([]), np.zeros(0, dtype=complex))
-        self._write(keys, amps, np.full(len(keys), -1))
+        """Swap the whole support for distinct (keys, amps) (`_fill`), then check the norm."""
+        self._fill(keys, amps)
         self._check_norm()
 
     def _move_keys(self, map_fn) -> None:
-        """Relocate amplitudes along map_fn, requiring injectivity on the support."""
+        """Relocate amplitudes along map_fn; `_replace` rejects a map not injective on the support."""
         keys, amps = self.gather()
         targets = self.layout.keys(map_fn(keys))
         self._check_keys(targets, "mapping sent a basis string to")
-        if distinct_keys(targets).size != targets.size:
-            raise ValueError("mapping is not injective on the support")
         self._replace(targets, amps)
 
 
-def init_basis_state(layout: RegisterLayout, bits: int, backend: str = "dense") -> QuantumState:
+def init_basis_state(layout: RegisterLayout, bits: int) -> QuantumState:
     """State with amplitude 1 on the given basis string and 0 elsewhere."""
     layout.check_basis(bits)
-    return QuantumState(layout, backend, (layout.keys([bits]), np.ones(1, dtype=complex)))
+    return QuantumState(layout, (layout.keys([bits]), np.ones(1, dtype=complex)))
 
 
-def inject_state(
-    layout: RegisterLayout, amplitudes: Mapping[int, complex], backend: str = "dense"
-) -> QuantumState:
+def inject_state(layout: RegisterLayout, amplitudes: Mapping[int, complex]) -> QuantumState:
     """Build a state from an explicit amplitude map, which must be normalized."""
     total = 0.0
     for b, a in amplitudes.items():
@@ -712,7 +718,7 @@ def inject_state(
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitude map has squared norm {total}, expected 1 within 1e-10")
     keys = layout.keys(list(amplitudes))
-    return QuantumState(layout, backend, (keys, np.array(list(amplitudes.values()), dtype=complex)))
+    return QuantumState(layout, (keys, np.array(list(amplitudes.values()), dtype=complex)))
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> complex:

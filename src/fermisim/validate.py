@@ -194,7 +194,7 @@ def validate_trotter_fq() -> list[CheckResult]:
     """First-order convergence of the per-particle evolution on four sites."""
     layout = FirstQuantizedLayout(n=2, m=4)
     plan_t = 1.0
-    start = prepare_antisymmetric(layout, (1, 4), backend="dense")
+    start = prepare_antisymmetric(layout, (1, 4))
     exact = expm_propagate(build_fq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector())
 
     def error(r):
@@ -213,9 +213,7 @@ def validate_crossform() -> list[CheckResult]:
         for m in (2, 4):
             layout = FirstQuantizedLayout(n=n, m=m)
             modes = ModeLayout(m)
-            psi0 = prepare_antisymmetric(
-                layout, tuple(range(1, n + 1)), backend="dense"
-            ).to_vector()
+            psi0 = prepare_antisymmetric(layout, tuple(range(1, n + 1))).to_vector()
             h_fq = build_fq_hamiltonian(layout, BENCH_PARAMS)
             h_sq = build_sq_hamiltonian(modes, BENCH_PARAMS)
             via_fq = fq_to_sq(expm_propagate(h_fq, t, psi0), layout)

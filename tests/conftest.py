@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
+import pytest
 from hypothesis import settings
 
+from fermisim import state as state_module
 from fermisim.state import QuantumState, RegisterLayout, inject_state
 
 
@@ -12,6 +16,39 @@ from fermisim.state import QuantumState, RegisterLayout, inject_state
 # reproducible, and write no example database into the tree.
 settings.register_profile("fermisim", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("fermisim")
+
+
+# A state indexes its store by a 2**Q slot array up to SLOT_INDEX_QUBITS qubits
+# and binary-searches its keys above.  Tests force either index by moving that
+# limit: "slot" up to 20 qubits (an 8 MB array at most), "search" at every
+# width.  The test ids keep "dense" and "sparse", the names these two indexes
+# had as backends, so test ids carry over.
+INDEXES = ("slot", "search")
+INDEX_IDS = {"slot": "dense", "search": "sparse"}
+_SLOT_LIMIT = {"slot": 20, "search": -1}
+
+
+@contextmanager
+def forced_index(index: str):
+    """States built inside the block use `index` ("slot" or "search")."""
+    saved = state_module.SLOT_INDEX_QUBITS
+    state_module.SLOT_INDEX_QUBITS = _SLOT_LIMIT[index]
+    try:
+        yield
+    finally:
+        state_module.SLOT_INDEX_QUBITS = saved
+
+
+@pytest.fixture(params=INDEXES, ids=INDEX_IDS.get)
+def index(request, monkeypatch):
+    """Run the test once with each store index."""
+    monkeypatch.setattr(state_module, "SLOT_INDEX_QUBITS", _SLOT_LIMIT[request.param])
+    return request.param
+
+
+# The same two runs as an explicit mark, for tests whose ids name the index
+# after their other parameters.
+BOTH_INDEXES = pytest.mark.parametrize("index", INDEXES, indirect=True, ids=INDEX_IDS.get)
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -72,7 +109,7 @@ def embed_register(layout: RegisterLayout, name: str, block: np.ndarray) -> np.n
 
 # ----------------------------------------------------------------- op programs
 # A "program" is a list of plain-data op descriptions that can be replayed on
-# any backend, used by the dense/sparse equivalence tests.
+# either index, used by the index equivalence tests.
 
 
 def random_program(rng: np.random.Generator, layout: RegisterLayout, n_ops: int) -> list:
@@ -129,5 +166,9 @@ def states_agree(a: QuantumState, b: QuantumState, atol: float = 1e-12) -> bool:
     return all(abs(a.amplitude(k) - b.amplitude(k)) <= atol for k in keys)
 
 
-def make_state(layout: RegisterLayout, amplitudes, backend: str) -> QuantumState:
-    return inject_state(layout, amplitudes, backend)
+def make_state(layout: RegisterLayout, amplitudes, index: str | None = None) -> QuantumState:
+    """`inject_state`, on the given index if one is named."""
+    if index is None:
+        return inject_state(layout, amplitudes)
+    with forced_index(index):
+        return inject_state(layout, amplitudes)

@@ -131,7 +131,7 @@ def test_criterion_02_exchange_sign_law():
 
 
 def _sq_trotter_error(layout, bits, r):
-    state = init_basis_state(layout.register_layout(), bits, "dense")
+    state = init_basis_state(layout.register_layout(), bits)
     trotter_evolve(state, layout, PARAMS, TrotterPlan(1.0, r))
     return state.to_vector()
 
@@ -140,7 +140,7 @@ def test_criterion_03_trotter_convergence_second_quantized():
     started = time.perf_counter()
     layout = ModeLayout(2)
     bits = encode_occupation(layout, ((1, UP), (1, DOWN)))
-    v0 = init_basis_state(layout.register_layout(), bits, "dense").to_vector()
+    v0 = init_basis_state(layout.register_layout(), bits).to_vector()
     exact = expm_propagate(build_sq_hamiltonian(layout, PARAMS), 1.0, v0)
     errors = {
         r: np.linalg.norm(_sq_trotter_error(layout, bits, r) - exact)
@@ -165,11 +165,11 @@ def test_criterion_04_trotter_convergence_first_quantized():
     started = time.perf_counter()
     layout = FirstQuantizedLayout(n=2, m=4)
     labels = (1, 4)
-    v0 = prepare_antisymmetric(layout, labels, backend="dense").to_vector()
+    v0 = prepare_antisymmetric(layout, labels).to_vector()
     exact = expm_propagate(build_fq_hamiltonian(layout, PARAMS), 1.0, v0)
     errors = {}
     for r in (32, 64, 128, 256):
-        state = prepare_antisymmetric(layout, labels, backend="dense")
+        state = prepare_antisymmetric(layout, labels)
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(1.0, r))
         errors[r] = np.linalg.norm(state.to_vector() - exact)
     ratios = {r: errors[r] / errors[2 * r] for r in (32, 64, 128)}
@@ -231,7 +231,7 @@ def test_criterion_06_hopping_parity_against_dense_propagators():
             )
             u = propagator(term, dt)
             for bits in range(1 << layout.n_modes):
-                state = init_basis_state(reg, bits, "dense")
+                state = init_basis_state(reg, bits)
                 evolve_hopping_pair(state, layout, site_a, site_b, spin, PARAMS, dt)
                 worst = max(worst, np.abs(state.to_vector() - u[:, bits]).max())
     ok = worst <= 1e-12
@@ -278,7 +278,7 @@ def test_criterion_08_sampling_error_law():
     amplitudes = {
         encode_occupation(layout, modes): amp for modes, amp in occupations
     }
-    state = inject_state(layout.register_layout(), amplitudes, "dense")
+    state = inject_state(layout.register_layout(), amplitudes)
     exact = charge_density(state, layout)
 
     def rmse(n_trials, seed_base):
@@ -310,7 +310,7 @@ def test_criterion_09_momentum_readout_of_a_plane_wave():
     amplitudes = {
         x << 1: np.exp(-2j * np.pi * k * x / 8) / np.sqrt(8.0) for x in range(8)
     }
-    state = inject_state(layout.register_layout(), amplitudes, "dense")
+    state = inject_state(layout.register_layout(), amplitudes)
     histogram = momentum_distribution(state, layout, 0)
     weight = histogram.frequencies[k]
     ok = weight >= 0.999
@@ -318,22 +318,24 @@ def test_criterion_09_momentum_readout_of_a_plane_wave():
 
 
 def test_criterion_10_backend_equivalence_on_random_programs():
+    """The slot index and the binary search give the same states on random programs."""
     rng = np.random.default_rng(20260814)
     layout = RegisterLayout.of(("a", 3), ("b", 3))
     mismatches = 0
     for _ in range(100):
         amplitudes = random_state_map(rng, 6, 12)
-        dense = make_state(layout, amplitudes, "dense")
-        sparse = make_state(layout, amplitudes, "sparse")
+        slot = make_state(layout, amplitudes, "slot")
+        search = make_state(layout, amplitudes, "search")
+        assert slot._slot is not None and search._slot is None
         program = random_program(rng, layout, 10)
-        run_program(dense, program)
-        run_program(sparse, program)
-        if not states_agree(dense, sparse, atol=1e-12):
+        run_program(slot, program)
+        run_program(search, program)
+        if not states_agree(slot, search, atol=1e-12):
             mismatches += 1
     ok = mismatches == 0
     _verdict(
         10,
         ok,
-        f"100 random 10-op programs on 6 qubits, {mismatches} dense/sparse "
+        f"100 random 10-op programs on 6 qubits, {mismatches} slot/search "
         f"mismatches at 1e-12",
     )

@@ -5,8 +5,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from conftest import INDEX_IDS, INDEXES, forced_index
 from hypothesis import example, given, strategies as st
 
+from fermisim import state as state_module
 from fermisim.antisym import (
     MODES,
     OrderedConfiguration,
@@ -38,6 +40,11 @@ from fermisim.state import (
     inject_state,
     validation_mode,
 )
+
+
+# (n, w, index): object keys at (6, 5); the slot index only on the narrow banks.
+SUPERPOSE_CASES = [(1, 1, "search"), (2, 2, "search"), (3, 2, "search"), (4, 2, "search"), (5, 3, "search"),
+                   (5, 4, "search"), (6, 5, "search"), (1, 1, "slot"), (2, 1, "slot"), (2, 2, "slot")]
 
 
 def apply_schedule(values, schedule):
@@ -109,7 +116,7 @@ class TestRankMachinery:
         bank = RegisterBank(QuWordLayout(2, 2))
         # B[1] = 2 is out of range: the last rank component is always 1.
         basis = bank.layout.with_field(0, "B", encode_labels([1, 2], 2))
-        state = init_basis_state(bank.layout, basis, "sparse")
+        state = init_basis_state(bank.layout, basis)
         with pytest.raises(ValueError, match="out-of-range rank"):
             ranks_to_permutation(state, bank)
 
@@ -208,16 +215,15 @@ class TestStages:
             assert after[b] == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "n, w, backend",
-        [(1, 1, "sparse"), (2, 2, "sparse"), (3, 2, "sparse"), (4, 2, "sparse"), (5, 3, "sparse"),
-         (5, 4, "sparse"), (6, 5, "sparse"), (1, 1, "dense"), (2, 1, "dense"), (2, 2, "dense")],
+        "n, w, index", SUPERPOSE_CASES, indirect=["index"],
+        ids=[f"{n}-{w}-{INDEX_IDS[index]}" for n, w, index in SUPERPOSE_CASES],
     )
-    def test_superpose_ranks_matches_per_string_reference(self, n, w, backend):
+    def test_superpose_ranks_matches_per_string_reference(self, n, w, index):
         bank = RegisterBank(QuWordLayout(n, w))
         assert (bank.layout.key_dtype == object) == ((n, w) == (6, 5))  # 73 qubits
         rng = np.random.default_rng(31 * n + w)
         branches = _random_branches(rng, n, w, 4)
-        state = prepare_ordered_input(bank, branches, backend)
+        state = prepare_ordered_input(bank, branches)
         want = _superpose_ranks_reference(state.to_map(), bank)
         superpose_ranks(state, bank)
         keys, amps = state.gather()
@@ -261,7 +267,7 @@ class TestSortRecord:
         basis = bank.layout.with_field(0, "B", encode_labels([v + 1 for v in key_words], bank.word_bits))
         if co_a is not None:
             basis = bank.layout.with_field(basis, "A", encode_labels([v + 1 for v in co_a], bank.word_bits))
-        state = init_basis_state(bank.layout, basis, "sparse")
+        state = init_basis_state(bank.layout, basis)
         sort_with_record(state, bank)
         if co_a is not None:
             _walk_record(state, bank, "A", forwards=True)
@@ -284,7 +290,7 @@ class TestSortRecord:
         bank = RegisterBank(QuWordLayout(4, 3))
         basis = bank.layout.with_field(0, "B", encode_labels([3, 1, 4, 2], 3))  # words 2, 0, 3, 1
         basis = bank.layout.with_field(basis, "A", encode_labels([2, 3, 6, 8], 3))  # words 1, 2, 5, 7
-        state = init_basis_state(bank.layout, basis, "sparse")
+        state = init_basis_state(bank.layout, basis)
         sort_with_record(state, bank)
         _walk_record(state, bank, "A", forwards=False)
         _erase_record_from(state, bank, "A")
@@ -438,9 +444,9 @@ class TestPipeline:
             if dirty is not None:
                 key |= 1 << bank.layout.offset(dirty)
             amplitudes[key] = amp
-        for backend in ("sparse", "dense"):
-            with pytest.raises(ValueError, match=message):
-                antisymmetrize(inject_state(bank.layout, amplitudes, backend), bank)
+        for index in INDEXES:
+            with forced_index(index), pytest.raises(ValueError, match=message):
+                antisymmetrize(inject_state(bank.layout, amplitudes), bank)
 
     @pytest.mark.parametrize("n,w", [(1, 1), (3, 2), (6, 5), (8, 4)])
     def test_register_bank_holds_a_b_record_and_parity(self, n, w):
@@ -457,8 +463,9 @@ class TestPipeline:
                 for perm, amp in slater_antisymmetrize(labels, mode).items()}
         want_keys = sorted(want)
         want_amps = np.array([want[k] for k in want_keys], dtype=complex)
-        for backend in ("sparse", "dense") if n <= 3 else ("sparse",):
-            keys, amps = prepare_antisymmetric(layout, labels, mode, backend).gather()
+        for index in INDEXES if n <= 3 else ("search",):
+            with forced_index(index):
+                keys, amps = prepare_antisymmetric(layout, labels, mode).gather()
             assert keys.tolist() == want_keys
             assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # signed zeros too
 
@@ -512,8 +519,8 @@ def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode, dens
     """antisymmetrize_inverse after antisymmetrize is the identity, on int64 and on object keys."""
     n, w, branches = case
     bank = RegisterBank(QuWordLayout(n, w))
-    backend = "dense" if dense and bank.layout.width <= 20 else "sparse"
-    state = prepare_ordered_input(bank, branches, backend)
+    with forced_index("slot" if dense else "search"):  # the slot index only up to 20 qubits
+        state = prepare_ordered_input(bank, branches)
     before = state.to_map()
     antisymmetrize(state, bank, mode)
     assert len(state.support()) == len(branches) * math.factorial(n)
@@ -563,13 +570,16 @@ class TestCollapse:
         assert out.amplitude(encode_labels((1, 3), 2)) == pytest.approx(1 / math.sqrt(2))
         assert out.amplitude(encode_labels((3, 1), 2)) == pytest.approx(-1 / math.sqrt(2))
 
-    def test_custom_layout_and_backend(self):
+    def test_custom_layout_and_backend(self, monkeypatch):
+        """The collapsed state picks its store index from the target layout's width."""
+        monkeypatch.setattr(state_module, "SLOT_INDEX_QUBITS", 4)
         bank = RegisterBank(QuWordLayout(2, 2))
         state = prepare_ordered_input(bank, (2, 3))
+        assert state._slot is None  # the bank is wider than 4 qubits
         antisymmetrize(state, bank)
         layout = RegisterLayout.of(("s0", 1), ("p0", 1), ("s1", 1), ("p1", 1))
-        out = collapse_ancillas(state, bank, layout, backend="dense")
-        assert out.backend == "dense"
+        out = collapse_ancillas(state, bank, layout)
+        assert out._slot is not None
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_rejects_dirty_ancillas(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_state_map
+from conftest import INDEXES, forced_index, random_state_map
 
 from fermisim.antisym import transposition_test
 from fermisim.fq import (
@@ -41,7 +41,7 @@ def embed_particle(op: np.ndarray, layout: FirstQuantizedLayout, k: int) -> np.n
 
 def random_fq_state(rng, layout, support=16):
     reg = layout.register_layout()
-    return inject_state(reg, random_state_map(rng, reg.width, support), "dense")
+    return inject_state(reg, random_state_map(rng, reg.width, support))
 
 
 def kinetic_step_oracle(layout: FirstQuantizedLayout, k: int, dt: float) -> np.ndarray:
@@ -106,7 +106,6 @@ class TestPotentialFq:
         state = inject_state(
             layout.register_layout(),
             {coincide: math.sqrt(0.5), apart: math.sqrt(0.5)},
-            "dense",
         )
         evolve_potential_fq(state, layout, PARAMS, dt)
         assert state.amplitude(coincide) == pytest.approx(
@@ -174,7 +173,7 @@ class TestKineticFq:
         # residue; dt = 1/8 is the step of a t = 1, r = 8 run.
         layout = FirstQuantizedLayout(n=1, m=m)
         for word in range(2 * m):
-            state = init_basis_state(layout.register_layout(), word, "sparse")
+            state = init_basis_state(layout.register_layout(), word)
             evolve_kinetic_particle(state, layout, 0, PARAMS, 0.125)
             assert np.abs(state.gather()[1]).min() > 1e-12
 
@@ -183,10 +182,10 @@ class TestKineticFq:
         layout = FirstQuantizedLayout(n=8, m=128)  # 64 qubits: object-dtype keys
         words = (3, 254, 17, 128, 0, 1, 77, 255)
         basis = pack_words(words, layout.word_bits)
-        state = init_basis_state(layout.register_layout(), basis, "sparse")
+        state = init_basis_state(layout.register_layout(), basis)
         evolve_kinetic_particle(state, layout, k, PARAMS, 0.29)
         single = FirstQuantizedLayout(n=1, m=128)
-        one = init_basis_state(single.register_layout(), words[k], "sparse")
+        one = init_basis_state(single.register_layout(), words[k])
         evolve_kinetic_particle(one, single, 0, PARAMS, 0.29)
         off = k * layout.word_bits
         want = {(basis & ~(0xFF << off)) | (w << off): a for w, a in one.to_map().items()}
@@ -218,7 +217,7 @@ class TestTrotterFq:
 
     def test_converges_to_exact_propagator(self):
         layout = FirstQuantizedLayout(n=2, m=4)
-        state0 = prepare_antisymmetric(layout, (1, 6), backend="dense")
+        state0 = prepare_antisymmetric(layout, (1, 6))
         h = build_fq_hamiltonian(layout, PARAMS)
         exact = propagator(h, 1.0) @ state0.to_vector()
 
@@ -233,7 +232,7 @@ class TestTrotterFq:
 
     def test_antisymmetry_survives_evolution(self):
         layout = FirstQuantizedLayout(n=2, m=4)
-        state = prepare_antisymmetric(layout, (2, 5), backend="dense")
+        state = prepare_antisymmetric(layout, (2, 5))
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(t=0.8, r=12))
         assert exchange_symmetry_violation(state, layout, "fermi") < 1e-10
 
@@ -256,8 +255,8 @@ def test_every_step_keeps_exchange_symmetry(data):
     layout = FirstQuantizedLayout(n=n, m=m)
     labels = sorted(data.draw(st.sets(st.integers(1, 2 * m), min_size=n, max_size=n), label="labels"))
     mode = data.draw(st.sampled_from(("fermi", "bose")), label="mode")
-    backend = data.draw(st.sampled_from(("dense", "sparse")), label="backend")
-    state = prepare_antisymmetric(layout, labels, mode, backend)
+    with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
+        state = prepare_antisymmetric(layout, labels, mode)
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
                            t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
     dt = data.draw(st.floats(-3.0, 3.0), label="dt")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_state_map
+from conftest import BOTH_INDEXES, random_state_map
 
 from fermisim import oracle
 from fermisim.fq import (
@@ -59,12 +59,12 @@ PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
 def random_sq_state(rng, m, support=12):
     layout = ModeLayout(m).register_layout()
-    return inject_state(layout, random_state_map(rng, layout.width, support), "dense")
+    return inject_state(layout, random_state_map(rng, layout.width, support))
 
 
-def state_from_vector(layout, vec, backend="dense"):
+def state_from_vector(layout, vec):
     amps = {b: complex(a) for b, a in enumerate(vec) if abs(a) > 0}
-    return inject_state(layout, amps, backend)
+    return inject_state(layout, amps)
 
 
 class TestRequiredTrials:
@@ -145,7 +145,7 @@ class TestChargeDensity:
         a = encode_occupation(layout, ((1, UP),))
         b = encode_occupation(layout, ((2, UP),))
         amp = 1 / np.sqrt(2)
-        state = inject_state(layout.register_layout(), {a: amp, b: amp}, "dense")
+        state = inject_state(layout.register_layout(), {a: amp, b: amp})
         np.testing.assert_allclose(charge_density(state, layout), [0.5, 0.5], atol=1e-12)
 
     def test_fq_antisymmetric_state(self):
@@ -162,7 +162,7 @@ class TestChargeDensity:
 
     def test_formalisms_agree_after_exact_evolution(self):
         layout = FirstQuantizedLayout(n=2, m=2)
-        vec = prepare_antisymmetric(layout, (1, 4), backend="dense").to_vector()
+        vec = prepare_antisymmetric(layout, (1, 4)).to_vector()
         evolved = propagator(build_fq_hamiltonian(layout, PARAMS), 0.7) @ vec
         fq_state = state_from_vector(layout.register_layout(), evolved)
         sq_state = state_from_vector(
@@ -214,7 +214,7 @@ class TestCorrelations:
         a = encode_occupation(layout, ((1, UP),))
         b = encode_occupation(layout, ((3, DOWN),))
         amp = 1 / np.sqrt(2)
-        state = inject_state(layout.register_layout(), {a: amp, b: amp}, "dense")
+        state = inject_state(layout.register_layout(), {a: amp, b: amp})
         for i in range(1, 4):
             for j in range(i + 1, 4):
                 assert pair_correlation(state, layout, i, j) == pytest.approx(0.0)
@@ -224,7 +224,7 @@ class TestCorrelations:
         both1 = encode_occupation(layout, ((1, UP), (1, DOWN)))
         split = encode_occupation(layout, ((1, UP), (2, DOWN)))
         state = inject_state(
-            layout.register_layout(), {both1: 0.6, split: 0.8}, "dense"
+            layout.register_layout(), {both1: 0.6, split: 0.8}
         )
         assert pair_correlation(state, layout, 1, 2) == pytest.approx(0.64, abs=1e-12)
         assert k_point_correlation(state, layout, (1,)) == pytest.approx(1.0, abs=1e-12)
@@ -260,13 +260,13 @@ def occupied_sites(layout, key):
 
 
 class TestSampledEstimates:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @BOTH_INDEXES
     @pytest.mark.parametrize("layout", [ModeLayout(3), FirstQuantizedLayout(n=2, m=4)],
                              ids=["sq", "fq"])
-    def test_estimates_are_the_frequencies_of_the_draws(self, layout, backend):
+    def test_estimates_are_the_frequencies_of_the_draws(self, layout, index):
         rng = np.random.default_rng(31)
         reg = layout.register_layout()
-        state = inject_state(reg, random_state_map(rng, reg.width, 40), backend)
+        state = inject_state(reg, random_state_map(rng, reg.width, 40))
         # With 7 shots most of the 40 strings draw none, and the estimates read
         # only the rows that drew.
         for plan in (SamplingPlan(seed=5, n_trials=3000), SamplingPlan(seed=5, n_trials=7)):
@@ -290,7 +290,7 @@ class TestSampledEstimates:
         # A float64 copy of the (support x m) indicator table is 8/3 of the
         # support's own bytes and pushes the peak past the bound.
         layout = FirstQuantizedLayout(n=5, m=8)
-        state = prepare_antisymmetric(layout, (1, 4, 6, 9, 12), mode="fermi", backend="sparse")
+        state = prepare_antisymmetric(layout, (1, 4, 6, 9, 12), mode="fermi")
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(t=0.1, r=1), mode="fermi")
         keys, vals = state.gather()
         plan = SamplingPlan(seed=0, n_trials=20000)
@@ -317,7 +317,7 @@ class TestMomentum:
     def test_uniform_position_is_momentum_zero(self):
         layout = FirstQuantizedLayout(n=1, m=4)
         amps = {pack_words((2 * x,), 3): 0.5 for x in range(4)}
-        state = inject_state(layout.register_layout(), amps, "dense")
+        state = inject_state(layout.register_layout(), amps)
         hist = momentum_distribution(state, layout, 0)
         assert hist.frequencies[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -354,10 +354,9 @@ class TestMomentum:
         assert hist.counts[3] == 200  # exact plane wave, single support bin
         assert hist.frequencies[3] == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_sampled_histogram_carries_the_exact_frequencies(self, backend):
+    def test_sampled_histogram_carries_the_exact_frequencies(self, index):
         layout = FirstQuantizedLayout(n=2, m=4)
-        state = prepare_antisymmetric(layout, (2, 7), backend=backend)
+        state = prepare_antisymmetric(layout, (2, 7))
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(0.7, 3))
         exact = momentum_distribution(state, layout, 1)
         sampled = momentum_distribution(state, layout, 1, SamplingPlan(seed=4, n_trials=300))
@@ -399,7 +398,7 @@ class TestEnergy:
         rng = np.random.default_rng(9)
         layout = FirstQuantizedLayout(n=2, m=4)
         reg = layout.register_layout()
-        state = inject_state(reg, random_state_map(rng, reg.width, 40), "dense")
+        state = inject_state(reg, random_state_map(rng, reg.width, 40))
         vec = state.to_vector()
         h_v = build_fq_hamiltonian(layout, HubbardParams(PARAMS.v0, 0.0))
         h_t = build_fq_hamiltonian(layout, HubbardParams(0.0, PARAMS.t0))
@@ -410,7 +409,7 @@ class TestEnergy:
     def test_single_particle_has_kinetic_energy_only(self):
         # The uniform state on a 4-site open chain: 3 bonds, each 2 * t0 / 4.
         layout = FirstQuantizedLayout(n=1, m=4)
-        state = single_particle_plane_wave(layout, 0, backend="sparse")
+        state = single_particle_plane_wave(layout, 0)
         vec = state.to_vector()
         h = build_fq_hamiltonian(layout, PARAMS)
         report = expected_energy(state, layout, PARAMS)
@@ -425,7 +424,7 @@ class TestEnergy:
         b = encode_occupation(layout, ((2, UP),))
         amp = 1 / np.sqrt(2)
         for sign in (1.0, -1.0):
-            state = inject_state(layout.register_layout(), {a: amp, b: sign * amp}, "dense")
+            state = inject_state(layout.register_layout(), {a: amp, b: sign * amp})
             report = expected_energy(state, layout, free)
             assert report.total == pytest.approx(sign * PARAMS.t0, abs=1e-12)
             assert report.potential == pytest.approx(0.0, abs=1e-12)
@@ -474,19 +473,19 @@ class TestEnergy:
         assert report.total == 2.0
 
 
-def _evolved_sq(backend, m=3, seed=21):
+def _evolved_sq(m=3, seed=21):
     rng = np.random.default_rng(seed)
     layout = ModeLayout(m)
-    state = inject_state(layout.register_layout(), random_state_map(rng, 2 * m, 24), backend)
+    state = inject_state(layout.register_layout(), random_state_map(rng, 2 * m, 24))
     trotter_evolve(state, layout, PARAMS, TrotterPlan(0.7, 3))
     return state, layout
 
 
-def _evolved_fq(backend, n=2, m=4, seed=22):
+def _evolved_fq(n=2, m=4, seed=22):
     rng = np.random.default_rng(seed)
     layout = FirstQuantizedLayout(n=n, m=m)
     labels = sorted(int(v) for v in rng.choice(np.arange(1, 2 * m + 1), size=n, replace=False))
-    state = prepare_antisymmetric(layout, labels, backend=backend)
+    state = prepare_antisymmetric(layout, labels)
     trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(0.7, 3))
     return state, layout
 
@@ -495,16 +494,16 @@ def _evolved_sq_wide(m=40):
     """Two particles on 40 sites: 80 modes, so the keys are Python-int objects."""
     layout = ModeLayout(m)
     bits = encode_occupation(layout, ((1, UP), (2, DOWN)))
-    state = init_basis_state(layout.register_layout(), bits, "sparse")
+    state = init_basis_state(layout.register_layout(), bits)
     trotter_evolve(state, layout, PARAMS, TrotterPlan(0.7, 2))
     return state, layout
 
 
 class TestMatrixFreeEnergy:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
+    @BOTH_INDEXES
     @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
-    def test_total_is_the_dense_rayleigh_quotient(self, backend, evolved):
-        state, layout = evolved(backend)
+    def test_total_is_the_dense_rayleigh_quotient(self, index, evolved):
+        state, layout = evolved()
         if isinstance(layout, ModeLayout):
             h = build_sq_hamiltonian(layout, PARAMS)
         else:
@@ -515,7 +514,7 @@ class TestMatrixFreeEnergy:
 
     @pytest.mark.parametrize(
         "evolved",
-        [lambda: _evolved_sq("dense", m=8), lambda: _evolved_fq("sparse", n=3, m=16),
+        [lambda: _evolved_sq(m=8), lambda: _evolved_fq(n=3, m=16),
          _evolved_sq_wide],
         ids=["sq-m8-dense", "fq-n3-m16-sparse", "sq-m40-sparse"],
     )
@@ -531,12 +530,12 @@ class TestMatrixFreeEnergy:
         monkeypatch.setattr(oracle, "build_sq_hamiltonian", refuse)
         monkeypatch.setattr(oracle, "build_fq_hamiltonian", refuse)
         monkeypatch.setattr(oracle, "fq_kinetic_matrix", refuse)
-        for state, layout in (_evolved_sq("dense"), _evolved_fq("sparse")):
+        for state, layout in (_evolved_sq(), _evolved_fq()):
             expected_energy(state, layout, PARAMS)
 
     @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
     def test_validation_mode_catches_a_corrupted_matrix_free_result(self, monkeypatch, evolved):
-        state, layout = evolved("dense")
+        state, layout = evolved()
         name = "apply_sq_hamiltonian" if isinstance(layout, ModeLayout) else "apply_fq_hamiltonian"
         exact = getattr(oracle, name)
 
@@ -572,7 +571,7 @@ class TestSampling:
         both1 = encode_occupation(layout, ((1, UP), (1, DOWN)))
         split = encode_occupation(layout, ((1, UP), (2, DOWN)))
         state = inject_state(
-            layout.register_layout(), {both1: 0.6, split: 0.8}, "dense"
+            layout.register_layout(), {both1: 0.6, split: 0.8}
         )
         plan = SamplingPlan(seed=12345, n_trials=10_000, epsilon=0.02)
         for est in charge_density(state, layout, plan):
@@ -583,7 +582,7 @@ class TestSampling:
         both1 = encode_occupation(layout, ((1, UP), (1, DOWN)))
         split = encode_occupation(layout, ((1, UP), (2, DOWN)))
         state = inject_state(
-            layout.register_layout(), {both1: 0.6, split: 0.8}, "dense"
+            layout.register_layout(), {both1: 0.6, split: 0.8}
         )
         corr = k_point_correlation(state, layout, (1, 2), SamplingPlan(seed=12345, n_trials=4000))
         assert 0.0 <= corr.sampled <= 1.0
@@ -594,7 +593,7 @@ class TestSampling:
         both1 = encode_occupation(layout, ((1, UP), (1, DOWN)))
         split = encode_occupation(layout, ((1, UP), (2, DOWN)))
         state = inject_state(
-            layout.register_layout(), {both1: 0.6, split: 0.8}, "dense"
+            layout.register_layout(), {both1: 0.6, split: 0.8}
         )
         small = k_point_correlation(state, layout, (1, 2), SamplingPlan(seed=4, n_trials=1000))
         large = k_point_correlation(state, layout, (1, 2), SamplingPlan(seed=4, n_trials=16000))
@@ -610,7 +609,7 @@ class TestSampling:
         b = encode_occupation(layout, ((1, UP), (2, DOWN)))
         c = encode_occupation(layout, ((2, UP), (3, DOWN)))
         state = inject_state(
-            layout.register_layout(), {a: 0.5, b: 0.5, c: np.sqrt(0.5)}, "dense"
+            layout.register_layout(), {a: 0.5, b: 0.5, c: np.sqrt(0.5)}
         )
 
         def rmse(n_trials, seed_base):

@@ -307,7 +307,7 @@ class TestCrossEncoding:
     def test_exact_evolutions_intertwine(self, n, m):
         layout = FirstQuantizedLayout(n=n, m=m)
         labels = tuple(range(1, n + 1))
-        psi0 = prepare_antisymmetric(layout, labels, backend="dense").to_vector()
+        psi0 = prepare_antisymmetric(layout, labels).to_vector()
         t = 0.9
         u_fq = propagator(build_fq_hamiltonian(layout, PARAMS), t)
         u_sq = propagator(build_sq_hamiltonian(ModeLayout(m), PARAMS), t)

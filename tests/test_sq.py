@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_state_map
+from conftest import INDEXES, forced_index, random_state_map
 
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.oracle import build_sq_hamiltonian, hopping_term, propagator
@@ -31,12 +31,12 @@ PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
 
 def dense_state(m, amplitudes):
-    return inject_state(ModeLayout(m).register_layout(), amplitudes, "dense")
+    return inject_state(ModeLayout(m).register_layout(), amplitudes)
 
 
 def random_dense_state(rng, m, support=12):
     layout = ModeLayout(m).register_layout()
-    return inject_state(layout, random_state_map(rng, layout.width, support), "dense")
+    return inject_state(layout, random_state_map(rng, layout.width, support))
 
 
 class TestLatticeSpec:
@@ -157,8 +157,7 @@ class TestHoppingPair:
         evolve_hopping_pair(state, layout, 2, 3, DOWN, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
-    @pytest.mark.parametrize("backend", ("dense", "sparse"))
-    def test_one_mix_is_bitwise_the_two_parity_class_mixes(self, backend):
+    def test_one_mix_is_bitwise_the_two_parity_class_mixes(self, index):
         rng = np.random.default_rng(1208)
         m, dt = 4, 0.29
         layout = ModeLayout(m)
@@ -166,9 +165,9 @@ class TestHoppingPair:
         for _ in range(8):
             amps = random_state_map(rng, reg.width, int(rng.integers(1, 120)))
             site, spin = int(rng.integers(1, m)), int(rng.integers(2))
-            state = inject_state(reg, amps, backend)
+            state = inject_state(reg, amps)
             evolve_hopping_pair(state, layout, site, site + 1, spin, PARAMS, dt)
-            want = inject_state(reg, amps, backend)
+            want = inject_state(reg, amps)
             parity_class_mixes(want, layout.mode(site, spin), layout.mode(site + 1, spin), PARAMS.t0 * dt)
             (got_keys, got_amps), (want_keys, want_amps) = state.gather(), want.gather()
             assert np.array_equal(got_keys, want_keys)
@@ -250,9 +249,8 @@ def test_every_step_keeps_each_strings_up_and_down_counts(data):
     entries = data.draw(st.dictionaries(st.integers(0, (1 << (2 * m)) - 1), amplitude,
                                         min_size=1, max_size=10), label="entries")
     norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
-    backend = data.draw(st.sampled_from(("dense", "sparse")), label="backend")
-    state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()},
-                         backend)
+    with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
+        state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()})
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
                            t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
     before = _spin_sector_weights(state, layout)

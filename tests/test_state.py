@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from conftest import (
+    BOTH_INDEXES,
+    INDEXES,
     dft_matrix,
     embed_controlled,
     embed_register,
     embed_single,
+    forced_index,
     make_state,
     random_program,
     random_state_map,
@@ -17,8 +20,8 @@ from conftest import (
 )
 
 from fermisim.state import (
-    DENSE_QUBIT_LIMIT,
     MAX_TRIALS,
+    SLOT_INDEX_QUBITS,
     InvariantViolation,
     QuantumState,
     RegisterLayout,
@@ -33,7 +36,6 @@ H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 TWO = RegisterLayout.of(("q", 2))
 THREE = RegisterLayout.of(("q", 3))
-BACKENDS = ("dense", "sparse")
 
 
 class TestRegisterLayout:
@@ -64,54 +66,50 @@ class TestRegisterLayout:
 
 
 class TestInit:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_basis_state(self, backend):
-        state = init_basis_state(TWO, 0b00, backend)
+    def test_basis_state(self, index):
+        state = init_basis_state(TWO, 0b00)
         assert state.norm() == 1.0
         assert state.amplitude(0) == 1.0
         assert state.support() == [0]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bits_out_of_range(self, backend):
+    def test_bits_out_of_range(self, index):
         with pytest.raises(ValueError):
-            init_basis_state(TWO, 4, backend)
+            init_basis_state(TWO, 4)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_inject_normalized(self, backend):
+    def test_inject_normalized(self, index):
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0b00: s, 0b11: s}, backend)
+        state = inject_state(TWO, {0b00: s, 0b11: s})
         assert abs(state.amplitude(3) - s) < 1e-15
 
     def test_inject_rejects_unnormalized(self):
         with pytest.raises(ValueError):
             inject_state(TWO, {0: 0.9, 3: 0.5})
 
-    def test_dense_width_cap(self):
-        wide = RegisterLayout.of(("w", 27))
-        with pytest.raises(ValueError):
-            QuantumState(wide, "dense")
-        assert QuantumState(wide, "sparse").norm() == 1.0
+    def test_repeated_keys_rejected(self, index):
+        with pytest.raises(ValueError, match="repeats a basis string"):
+            QuantumState(TWO, (TWO.keys([1, 3, 1]), np.array([0.6, 0.0, 0.8], dtype=complex)))
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError):
-            QuantumState(TWO, "lazy")
+    def test_index_follows_the_width(self):
+        """The slot index up to SLOT_INDEX_QUBITS qubits, a binary search above, and no width cap."""
+        narrow = QuantumState(RegisterLayout.of(("w", SLOT_INDEX_QUBITS)))
+        assert len(narrow._slot) == 1 << SLOT_INDEX_QUBITS
+        assert QuantumState(RegisterLayout.of(("w", SLOT_INDEX_QUBITS + 1)))._slot is None
+        assert QuantumState(RegisterLayout.of(("w", 27))).norm() == 1.0
 
 
 class TestSingleQubit:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_x_flips_bit_zero(self, backend):
-        state = init_basis_state(TWO, 0b00, backend)
+    def test_x_flips_bit_zero(self, index):
+        state = init_basis_state(TWO, 0b00)
         state.apply_single_qubit_unitary(0, X)
         assert abs(state.amplitude(0b01) - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_against_kronecker_oracle(self, backend):
+    def test_against_kronecker_oracle(self, index):
         rng = np.random.default_rng(11)
         for width in (3, 4):
             layout = RegisterLayout.of(("q", width))
             for _ in range(20):
                 amps = random_state_map(rng, width, 1 << width)
-                state = make_state(layout, amps, backend)
+                state = make_state(layout, amps)
                 qubit = int(rng.integers(width))
                 gate = random_unitary(rng)
                 state.apply_single_qubit_unitary(qubit, gate)
@@ -128,31 +126,28 @@ class TestSingleQubit:
         with pytest.raises(ValueError):
             state.apply_single_qubit_unitary(2, X)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hadamard_twice_is_identity(self, backend):
-        state = init_basis_state(THREE, 0b101, backend)
+    def test_hadamard_twice_is_identity(self, index):
+        state = init_basis_state(THREE, 0b101)
         state.apply_single_qubit_unitary(1, H)
         state.apply_single_qubit_unitary(1, H)
         assert abs(state.amplitude(0b101) - 1.0) < 1e-12
 
 
 class TestControlled:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cnot_truth_table(self, backend):
+    def test_cnot_truth_table(self, index):
         for control_val, flipped in ((0, False), (1, True)):
-            state = init_basis_state(TWO, control_val << 1, backend)
+            state = init_basis_state(TWO, control_val << 1)
             state.apply_controlled_unitary(((1, 1),), 0, X)
             expect = (control_val << 1) | (1 if flipped else 0)
             assert abs(state.amplitude(expect) - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self, index):
         rng = np.random.default_rng(7)
         width = 4
         layout = RegisterLayout.of(("q", width))
         for _ in range(20):
             amps = random_state_map(rng, width, 12)
-            state = make_state(layout, amps, backend)
+            state = make_state(layout, amps)
             qubits = rng.choice(width, size=3, replace=False)
             controls = tuple((int(q), int(rng.integers(2))) for q in qubits[1:])
             gate = random_unitary(rng)
@@ -172,10 +167,9 @@ class TestControlled:
 
 
 class TestPhase:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_phase_on_selected_strings(self, backend):
+    def test_phase_on_selected_strings(self, index):
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0b00: s, 0b11: s}, backend)
+        state = inject_state(TWO, {0b00: s, 0b11: s})
         state.apply_phase_if(lambda b: b == 0b11, math.pi / 2)
         assert abs(state.amplitude(0b11) - s * 1j) < 1e-15
         assert abs(state.amplitude(0b00) - s) < 1e-15
@@ -187,7 +181,7 @@ class TestPhase:
 
     def test_sign_flip_is_exact(self):
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0: s, 3: s}, "sparse")
+        state = inject_state(TWO, {0: s, 3: s})
         state.apply_sign_if(lambda b: b == 3)
         assert state.amplitude(3) == -s
 
@@ -198,20 +192,18 @@ class TestPhase:
 
 
 class TestBasisPermutation:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cyclic_shift(self, backend):
+    def test_cyclic_shift(self, index):
         dim = 4
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0: s, 3: s}, backend)
+        state = inject_state(TWO, {0: s, 3: s})
         state.apply_basis_permutation(lambda b: (b + 1) % dim)
         assert abs(state.amplitude(1) - s) < 1e-15
         assert abs(state.amplitude(0) - s) < 1e-15
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_round_trip_is_exact(self, backend):
+    def test_round_trip_is_exact(self, index):
         rng = np.random.default_rng(3)
         amps = random_state_map(rng, 3, 6)
-        state = make_state(THREE, amps, backend)
+        state = make_state(THREE, amps)
         table = [int(t) for t in rng.permutation(8)]
         inverse = [0] * 8
         for i, t in enumerate(table):
@@ -222,9 +214,13 @@ class TestBasisPermutation:
 
     def test_non_injective_on_support_rejected(self):
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0: s, 3: s})
-        with pytest.raises(ValueError):
-            state.apply_basis_permutation(lambda b: 0)
+        for index in INDEXES:
+            state = make_state(TWO, {0: s, 3: s}, index)
+            with pytest.raises(ValueError, match="not injective"):
+                state.apply_basis_permutation(lambda b: 0)
+            # The rejection leaves the store and its index as they were.
+            assert state.to_map() == {0: s, 3: s}
+            assert state.gather(TWO.keys([0, 1, 2, 3]))[1].tolist() == [s, 0, 0, s]
 
     def test_validation_mode_checks_whole_domain(self):
         state = init_basis_state(TWO, 0)
@@ -235,28 +231,25 @@ class TestBasisPermutation:
 
 
 class TestTwoLevelMix:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_swap_pair(self, backend):
-        state = init_basis_state(TWO, 0b01, backend)
+    def test_swap_pair(self, index):
+        state = init_basis_state(TWO, 0b01)
         state.apply_two_level_mix([(0b01, 0b10)], X)
         assert abs(state.amplitude(0b10) - 1.0) < 1e-15
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unpaired_strings_untouched(self, backend):
+    def test_unpaired_strings_untouched(self, index):
         s = 1 / math.sqrt(2)
-        state = inject_state(TWO, {0b00: s, 0b11: s}, backend)
+        state = inject_state(TWO, {0b00: s, 0b11: s})
         state.apply_two_level_mix([(0b01, 0b10)], random_unitary(np.random.default_rng(0)))
         assert abs(state.amplitude(0b00) - s) < 1e-15
         assert abs(state.amplitude(0b11) - s) < 1e-15
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_against_oracle(self, backend):
+    def test_against_oracle(self, index):
         rng = np.random.default_rng(21)
         width = 4
         layout = RegisterLayout.of(("q", width))
         for _ in range(10):
             amps = random_state_map(rng, width, 10)
-            state = make_state(layout, amps, backend)
+            state = make_state(layout, amps)
             flat = [int(b) for b in rng.permutation(1 << width)[:8]]
             pairs = list(zip(flat[0::2], flat[1::2]))
             gate = random_unitary(rng)
@@ -281,15 +274,15 @@ class TestTwoLevelMix:
 
 
 class TestQft:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @BOTH_INDEXES
     @pytest.mark.parametrize("width", (1, 2, 3))
-    def test_matches_dft_matrix(self, backend, width):
+    def test_matches_dft_matrix(self, index, width):
         layout = RegisterLayout.of(("low", 1), ("r", width), ("high", 2))
         rng = np.random.default_rng(width)
         oracle = embed_register(layout, "r", dft_matrix(width))
         for _ in range(5):
             amps = random_state_map(rng, layout.width, 10)
-            state = make_state(layout, amps, backend)
+            state = make_state(layout, amps)
             state.qft_register("r")
             _assert_matches_vector(state, oracle @ _to_vec(amps, layout.width), 1e-10)
 
@@ -315,8 +308,8 @@ class TestQft:
                     target = layout.with_field(b, "r", k)
                     want[target] = want.get(target, 0) + dft[k, layout.field(b, "r")] * a
         states = []
-        for backend in BACKENDS if layout.width <= DENSE_QUBIT_LIMIT else ("sparse",):
-            state = make_state(layout, entries, backend)
+        for index in INDEXES:
+            state = make_state(layout, entries, index)
             state.qft_register("r")
             for b in set(want) | set(state.support()):
                 assert abs(state.amplitude(b) - want.get(b, 0)) <= 1e-12
@@ -330,8 +323,9 @@ class TestQft:
 
         for name in ("apply_controlled_unitary", "_mix", "permute_register", "apply_basis_map", "_move_keys"):
             monkeypatch.setattr(QuantumState, name, refuse)
-        for backend in BACKENDS:
-            state = init_basis_state(RegisterLayout.of(("low", 2), ("r", 3)), 0b101_10, backend)
+        for index in INDEXES:
+            with forced_index(index):
+                state = init_basis_state(RegisterLayout.of(("low", 2), ("r", 3)), 0b101_10)
             state.qft_register("r")
             assert len(state.support()) == 8
 
@@ -347,7 +341,7 @@ class TestQft:
 
     def test_preserves_other_registers(self):
         layout = RegisterLayout.of(("r", 2), ("tag", 2))
-        state = init_basis_state(layout, 0b10_01, "sparse")
+        state = init_basis_state(layout, 0b10_01)
         state.qft_register("r")
         for b in state.support():
             assert layout.field(b, "tag") == 0b10
@@ -385,12 +379,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             state.sample(seed=0, n_trials=MAX_TRIALS + 1)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_deterministic_for_backend(self, backend):
+    def test_deterministic_for_backend(self, index):
         rng = np.random.default_rng(5)
         amps = random_state_map(rng, 3, 5)
-        a = make_state(THREE, amps, backend).sample(seed=9, n_trials=200)
-        b = make_state(THREE, amps, backend).sample(seed=9, n_trials=200)
+        a = make_state(THREE, amps).sample(seed=9, n_trials=200)
+        b = make_state(THREE, amps).sample(seed=9, n_trials=200)
         assert a == b
 
 
@@ -402,9 +395,10 @@ class TestInnerProduct:
         assert abs(inner_product(a, a) - 1.0) < 1e-15
 
     def test_mixed_backends(self):
+        """States on different store indexes."""
         s = 1 / math.sqrt(2)
-        a = inject_state(TWO, {0: s, 3: s}, "dense")
-        b = inject_state(TWO, {0: s, 3: -s}, "sparse")
+        a = make_state(TWO, {0: s, 3: s}, "slot")
+        b = make_state(TWO, {0: s, 3: -s}, "search")
         assert abs(inner_product(a, b)) < 1e-15
 
     def test_layout_mismatch_rejected(self):
@@ -421,16 +415,16 @@ class TestBackendEquivalence:
         for trial in range(100):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 20)))
             program = random_program(rng, layout, n_ops=8)
-            dense = make_state(layout, amps, "dense")
-            sparse = make_state(layout, amps, "sparse")
-            run_program(dense, program)
-            run_program(sparse, program)
-            assert states_agree(dense, sparse, 1e-12), f"trial {trial} diverged"
+            slot = make_state(layout, amps, "slot")
+            search = make_state(layout, amps, "search")
+            run_program(slot, program)
+            run_program(search, program)
+            assert states_agree(slot, search, 1e-12), f"trial {trial} diverged"
 
     def test_norm_drift_stays_small(self):
         layout = RegisterLayout.of(("r0", 3), ("r1", 3))
         rng = np.random.default_rng(77)
-        state = init_basis_state(layout, 0, "dense")
+        state = init_basis_state(layout, 0)
         for _ in range(1000):
             state.apply_single_qubit_unitary(int(rng.integers(6)), random_unitary(rng))
         assert abs(state.norm() - 1.0) < 1e-9

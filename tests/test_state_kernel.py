@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from conftest import make_state, random_state_map, random_unitary
+from conftest import BOTH_INDEXES, INDEXES, forced_index, make_state, random_state_map, random_unitary
 
 from fermisim import cli
 from fermisim.sq import jw_parity
@@ -24,9 +24,6 @@ from fermisim.state import (
     inject_state,
     validation_mode,
 )
-
-BACKENDS = ("dense", "sparse")
-
 
 class TestRegisterLayoutArrays:
     def test_field_and_with_field_accept_key_arrays(self):
@@ -124,15 +121,14 @@ def _run_per_string(state, ops):
 
 
 class TestArrayEntryPoints:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_array_and_per_string_forms_give_identical_states(self, backend):
+    def test_array_and_per_string_forms_give_identical_states(self, index):
         layout = RegisterLayout.of(("r0", 2), ("r1", 3), ("r2", 1))
         rng = np.random.default_rng(2718)
         for trial in range(40):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 24)))
             ops = _random_ops(rng, layout, n_ops=10)
-            by_array = make_state(layout, amps, backend)
-            by_string = make_state(layout, amps, backend)
+            by_array = make_state(layout, amps)
+            by_string = make_state(layout, amps)
             _run_array(by_array, ops)
             _run_per_string(by_string, ops)
             assert by_array.to_map() == by_string.to_map(), f"trial {trial} diverged"
@@ -140,14 +136,15 @@ class TestArrayEntryPoints:
     def test_sparse_drops_exact_zeros_only(self):
         layout = RegisterLayout.of(("q", 2))
         s = 1 / math.sqrt(2)
-        state = inject_state(layout, {0: s, 1: s}, "sparse")
-        state.apply_single_qubit_unitary(0, np.array([[s, s], [s, -s]]))
-        assert state.support() == [0]  # s*s - s*s is exactly zero
-        state = inject_state(layout, {0: 1.0, 3: 1e-200}, "sparse")
-        state.apply_sign_if(lambda b: b == 3)
-        state.apply_basis_map(lambda keys: keys ^ 1)
-        assert state.support() == [1, 2]
-        assert state.amplitude(2) == -1e-200
+        for index in INDEXES:
+            state = make_state(layout, {0: s, 1: s}, index)
+            state.apply_single_qubit_unitary(0, np.array([[s, s], [s, -s]]))
+            assert state.support() == [0]  # s*s - s*s is exactly zero
+            state = make_state(layout, {0: 1.0, 3: 1e-200}, index)
+            state.apply_sign_if(lambda b: b == 3)
+            state.apply_basis_map(lambda keys: keys ^ 1)
+            assert state.support() == [1, 2]
+            assert state.amplitude(2) == -1e-200
 
 
     def test_non_integer_basis_strings_rejected(self):
@@ -169,17 +166,16 @@ class TestArrayEntryPoints:
         assert layout.keys(np.array([np.int64(3), 1], dtype=object)).tolist() == [3, 1]
 
     def test_map_beyond_int64_raises_value_error(self):
-        state = init_basis_state(RegisterLayout.of(("q", 4)), 1, "sparse")
+        state = init_basis_state(RegisterLayout.of(("q", 4)), 1)
         with pytest.raises(ValueError, match="out of range"):
             state.apply_basis_map(lambda keys: keys.astype(object) + (1 << 64))
         with pytest.raises(ValueError, match="out of range"):
             RegisterLayout.of(("q", 4)).keys([-(1 << 70)])
         assert state.support() == [1]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_gather_rejects_keys_out_of_range(self, backend):
+    def test_gather_rejects_keys_out_of_range(self, index):
         layout = RegisterLayout.of(("q", 3))
-        state = inject_state(layout, {2: 0.6, 5: 0.8}, backend)
+        state = inject_state(layout, {2: 0.6, 5: 0.8})
         for bad in ([-1], [8], [2, 1 << 40]):
             with pytest.raises(ValueError, match="out of range"):
                 state.gather(layout.keys(bad))
@@ -204,7 +200,7 @@ class TestValidationOfArrayMaps:
 
     def test_bijection_passes_under_validation(self):
         layout = RegisterLayout.of(("a", 2), ("b", 3))
-        state = inject_state(layout, {1: 0.6, 10: 0.8j}, "sparse")
+        state = inject_state(layout, {1: 0.6, 10: 0.8j})
         with validation_mode():
             state.permute_register("b", [3, 0, 7, 1, 2, 6, 4, 5])
             state.apply_basis_map(lambda keys: keys ^ 0b10101)
@@ -213,7 +209,7 @@ class TestValidationOfArrayMaps:
 
     def test_whole_domain_check_stops_at_limit(self):
         width = BIJECTION_CHECK_LIMIT + 1
-        state = init_basis_state(RegisterLayout.of(("q", width)), 0, "sparse")
+        state = init_basis_state(RegisterLayout.of(("q", width)), 0)
         seen = []
 
         def clamp(keys):
@@ -240,19 +236,19 @@ class TestMixChecks:
         off = -1j * s * np.asarray(signs, dtype=float)
         return (c, off), (off, c)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @BOTH_INDEXES
     @pytest.mark.parametrize("entry", (float("nan"), float("inf")))
-    def test_public_mix_rejects_non_finite_gates(self, backend, entry):
-        state = inject_state(self.LAYOUT, self.START, backend)
+    def test_public_mix_rejects_non_finite_gates(self, index, entry):
+        state = inject_state(self.LAYOUT, self.START)
         with pytest.raises(ValueError, match="not unitary"):
             state.apply_two_level_mix([(0, 1)], [[entry, 0], [0, 1]])
         assert state.to_map() == self.START
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @BOTH_INDEXES
     @pytest.mark.parametrize(
         "case", ("overlap", "key out of range", "scalar gate", "per-pair gate", "nan per-pair gate")
     )
-    def test_internal_mix_checks_its_arguments_in_validation_mode(self, backend, case):
+    def test_internal_mix_checks_its_arguments_in_validation_mode(self, index, case):
         k0, k1 = self.LAYOUT.keys([2, 4]), self.LAYOUT.keys([3, 5])
         gate = self._hop_gate([1.0, -1.0])
         if case == "overlap":
@@ -265,23 +261,22 @@ class TestMixChecks:
             gate = self._hop_gate([1.0, 2.0])
         else:
             gate = self._hop_gate([1.0, float("nan")])
-        state = inject_state(self.LAYOUT, self.START, backend)
+        state = inject_state(self.LAYOUT, self.START)
         with validation_mode():
             with pytest.raises(ValueError):
                 state._mix(k0, k1, gate)
         assert state.to_map() == self.START
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_per_pair_gate_equals_one_public_mix_per_pair(self, backend):
+    def test_per_pair_gate_equals_one_public_mix_per_pair(self, index):
         rng = np.random.default_rng(808)
         amps = random_state_map(rng, self.LAYOUT.width, 6)
         signs = [1.0, -1.0, -1.0]
         pairs = [(1, 0), (2, 7), (4, 6)]
-        state = inject_state(self.LAYOUT, amps, backend)
+        state = inject_state(self.LAYOUT, amps)
         with validation_mode():
             state._mix(self.LAYOUT.keys([p[0] for p in pairs]), self.LAYOUT.keys([p[1] for p in pairs]),
                        self._hop_gate(signs))
-        want = inject_state(self.LAYOUT, amps, backend)
+        want = inject_state(self.LAYOUT, amps)
         for pair, sign in zip(pairs, signs):
             (c, off), _ = self._hop_gate([sign])
             want.apply_two_level_mix([pair], [[c, off[0]], [off[0], c]])
@@ -296,7 +291,7 @@ SWAP_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _store_step(rng, state):
-    """One random primitive on a state; returns the state it leaves (copies are new)."""
+    """One random primitive on a state; returns the state it leaves (new copies take the index in force)."""
     layout = state.layout
     dim = 1 << layout.width
     gate = (HADAMARD, SWAP_GATE, random_unitary(rng))[int(rng.integers(3))]
@@ -335,18 +330,18 @@ def _store_step(rng, state):
     else:
         keys, amps = state.gather()
         absent = np.setdiff1d(np.arange(dim), keys)[:3]
-        state = QuantumState(layout, state.backend, (np.concatenate((keys, absent)),
-                                                     np.concatenate((amps, np.zeros(len(absent))))))
+        entries = np.concatenate((keys, absent)), np.concatenate((amps, np.zeros(len(absent))))
+        state = QuantumState(layout, entries)
     return state, kind
 
 
 def _assert_store(state):
-    """`_keys` strictly ascending, `_vals` aligned and zero-free; dense `_slot` maps `_keys` to arange."""
+    """`_keys` strictly ascending, `_vals` aligned and zero-free; any `_slot` maps `_keys` to arange."""
     keys, vals = state._keys, state._vals
     assert len(keys) == len(vals)
     assert (np.diff(keys) > 0).all()
     assert (vals != 0).all()
-    if state.backend == "dense":
+    if state._slot is not None:
         assert np.array_equal(np.flatnonzero(state._slot >= 0), keys)
         assert np.array_equal(state._slot[keys], np.arange(len(keys)))
 
@@ -358,23 +353,25 @@ class TestDenseSupportKeys:
         kinds = set()
         for trial in range(30):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 12)))
-            dense, sparse = (make_state(layout, amps, backend) for backend in BACKENDS)
+            slot, search = (make_state(layout, amps, index) for index in INDEXES)
             seed = int(rng.integers(1 << 32))
-            rng_dense, rng_sparse = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng_slot, rng_search = np.random.default_rng(seed), np.random.default_rng(seed)
             for step in range(12):
-                dense, kind = _store_step(rng_dense, dense)
-                sparse, _ = _store_step(rng_sparse, sparse)
+                with forced_index("slot"):
+                    slot, kind = _store_step(rng_slot, slot)
+                with forced_index("search"):
+                    search, _ = _store_step(rng_search, search)
                 kinds.add(kind)
-                _assert_store(dense)
-                _assert_store(sparse)
+                assert slot._slot is not None and search._slot is None
+                _assert_store(slot)
+                _assert_store(search)
                 where = (trial, step, kind)
-                assert np.array_equal(dense._keys, sparse._keys), where
-                assert np.array_equal(dense._vals.view(np.int64), sparse._vals.view(np.int64)), where
+                assert np.array_equal(slot._keys, search._keys), where
+                assert np.array_equal(slot._vals.view(np.int64), search._vals.view(np.int64)), where
         assert len(kinds) == 10
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_write_on_a_closed_support_stays_in_place(self, backend):
-        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+    def test_write_on_a_closed_support_stays_in_place(self, index):
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         keys, vals = state._keys, state._vals
         state.apply_phase_where(lambda k: k == 4, 0.5)
         state.apply_two_level_mix([(1, 4)], random_unitary(np.random.default_rng(3)))
@@ -384,24 +381,21 @@ class TestDenseSupportKeys:
         assert state._vals is not vals
         _assert_store(state)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_support_views_are_read_only(self, backend):
-        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+    def test_support_views_are_read_only(self, index):
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         keys, amps = state.gather()
         for view in (keys, amps, state.support_keys()):
             with pytest.raises(ValueError):
                 view[0] = 0
         assert state.to_map() == {1: 0.6, 4: 0.8}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_norm_check_catches_a_non_isometric_write(self, backend):
-        state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
+    def test_norm_check_catches_a_non_isometric_write(self, index):
+        state = init_basis_state(RegisterLayout.of(("q", 3)), 0)
         with pytest.raises(InvariantViolation, match="squared norm"):
             state._replace(state.layout.keys([0, 1]), np.array([1.0, 0.5], dtype=complex))
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hadamard_twice_cancels_to_one_string(self, backend):
-        state = init_basis_state(RegisterLayout.of(("q", 3)), 0, backend)
+    def test_hadamard_twice_cancels_to_one_string(self, index):
+        state = init_basis_state(RegisterLayout.of(("q", 3)), 0)
         state.apply_single_qubit_unitary(1, HADAMARD)
         assert state.support() == [0, 2]
         state.apply_single_qubit_unitary(1, HADAMARD)
@@ -409,8 +403,8 @@ class TestDenseSupportKeys:
 
     @pytest.mark.parametrize("corrupt", [lambda keys: keys[::-1], lambda keys: keys[[0, 0]]])
     def test_validation_mode_catches_stale_keys(self, corrupt):
-        for backend in BACKENDS:
-            state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, backend)
+        for index in INDEXES:
+            state = make_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, index)
             state._keys = corrupt(state._keys)
             state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
             with validation_mode():
@@ -424,7 +418,7 @@ class TestDenseSupportKeys:
         lambda state: state._slot.__setitem__([1, 4], [1, 0]),  # slots swapped between the keys
     ])
     def test_validation_mode_catches_stale_slots(self, corrupt):
-        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, "dense")
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         corrupt(state)
         state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
         with validation_mode():
@@ -472,11 +466,11 @@ class TestWideKeys:
         layout = RegisterLayout.of(("q", 64))
         big = (1 << 63) + 1
         assert layout.keys([5, big]).tolist() == [5, big]
-        state = inject_state(layout, {5: 0.6, big: 0.8}, "sparse")
+        state = inject_state(layout, {5: 0.6, big: 0.8})
         assert state.support() == [5, big]
 
     def test_keys_are_python_ints(self):
-        state = inject_state(WIDE, _wide_amps(), "sparse")
+        state = inject_state(WIDE, _wide_amps())
         keys = state.gather()[0]
         assert keys.dtype == object
         assert all(type(k) is int for k in keys)
@@ -485,7 +479,7 @@ class TestWideKeys:
     def test_gates(self):
         rng = np.random.default_rng(5)
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         for controls, target in (((), 66), (((69, 1),), 0), (((66, 1), (1, 1)), 67), (((64, 0),), 68)):
             gate = random_unitary(rng)
             state.apply_controlled_unitary(controls, target, gate)
@@ -494,7 +488,7 @@ class TestWideKeys:
 
     def test_phase_and_sign(self):
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         state.apply_phase_where(lambda keys: (keys >> 66) & 1 == 1, 0.7)
         state.apply_phase_if(lambda b: b & 1 == 1, -0.3)
         state.apply_phase_where(lambda keys: keys > (1 << 68), math.pi)
@@ -510,7 +504,7 @@ class TestWideKeys:
 
     def test_permutations(self):
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         shift = (1 << 68) | 0b101
         table = [(7 * v + 3) % 128 for v in range(128)]
         state.apply_basis_map(lambda keys: keys ^ shift)
@@ -525,7 +519,7 @@ class TestWideKeys:
     def test_two_level_mix_and_qft(self):
         rng = np.random.default_rng(8)
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         gate = random_unitary(rng)
         pairs = [(HIGH | 3, (1 << 69) | 1), (5, HIGH | 5)]
         state.apply_two_level_mix(pairs, gate)
@@ -550,7 +544,7 @@ class TestWideKeys:
         # Each string splits onto itself and itself with bit 63 set, written as
         # one whole-support replace with the new keys first, out of key order.
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         c = 1 / math.sqrt(2)
         keys, vals = state.gather()
         state._replace(np.concatenate((keys | (1 << 63), keys)), np.concatenate((vals, vals)) * c)
@@ -563,7 +557,7 @@ class TestWideKeys:
 
     def test_readout(self):
         amps = _wide_amps()
-        state = inject_state(WIDE, amps, "sparse")
+        state = inject_state(WIDE, amps)
         assert state.amplitude(HIGH | 3) == amps[HIGH | 3]
         assert abs(state.norm() - 1.0) < 1e-12
         assert abs(state.inner_product(state.copy()) - 1.0) < 1e-12
@@ -571,7 +565,7 @@ class TestWideKeys:
         # holding the same amplitudes at keys 0..4 draws the same stream.
         ordered = sorted(amps)
         narrow = inject_state(
-            RegisterLayout.of(("q", 3)), {i: amps[k] for i, k in enumerate(ordered)}, "sparse"
+            RegisterLayout.of(("q", 3)), {i: amps[k] for i, k in enumerate(ordered)}
         )
         drawn = state.sample(seed=31, n_trials=4000)
         assert drawn == {ordered[i]: c for i, c in narrow.sample(seed=31, n_trials=4000).items()}
@@ -610,18 +604,16 @@ def reference_counts(keys, amps, seed, n_trials):
 class TestSamplingStream:
     """Counts of the SplitMix64 stream, computed with `reference_counts`, not with fermisim."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counts_pinned_for_fixed_seed(self, backend):
+    def test_counts_pinned_for_fixed_seed(self, index):
         layout = RegisterLayout.of(("q", 3))
         amps = {0: 0.5, 2: 0.5j, 5: -0.5, 7: 0.5 * (1 + 1j) / math.sqrt(2)}
-        counts = inject_state(layout, amps, backend).sample(seed=2026, n_trials=1000)
+        counts = inject_state(layout, amps).sample(seed=2026, n_trials=1000)
         assert counts == {0: 251, 2: 264, 5: 238, 7: 247}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_counts_pinned_for_random_state(self, backend):
+    def test_counts_pinned_for_random_state(self, index):
         layout = RegisterLayout.of(("a", 2), ("b", 3))
         amps = random_state_map(np.random.default_rng(17), 5, 12)
-        counts = make_state(layout, amps, backend).sample(seed=123456789, n_trials=5000)
+        counts = make_state(layout, amps).sample(seed=123456789, n_trials=5000)
         assert counts == {
             1: 570, 2: 703, 3: 541, 6: 592, 10: 832, 11: 152,
             12: 433, 14: 33, 15: 281, 18: 169, 20: 562, 30: 132,
@@ -632,7 +624,7 @@ class TestSamplingStream:
 # zero weight in the entries below stands for it.
 TINY = 1e-200
 NARROW = RegisterLayout.of(("q", 8))
-SAMPLE_CASES = {"dense": (NARROW, "dense"), "sparse": (NARROW, "sparse"), "wide": (WIDE, "sparse")}
+SAMPLE_CASES = {"slot": (NARROW, "slot"), "search": (NARROW, "search"), "wide": (WIDE, "search")}
 
 
 @given(
@@ -643,13 +635,13 @@ SAMPLE_CASES = {"dense": (NARROW, "dense"), "sparse": (NARROW, "sparse"), "wide"
     seed=st.integers(0, (1 << 64) - 1),
     n_trials=st.integers(1, 3000),
 )
-@example(case="dense", entries={37: 1.0}, seed=5, n_trials=1)
-@example(case="sparse", entries={200: 0.3}, seed=0, n_trials=2000)
-@example(case="dense", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
+@example(case="slot", entries={37: 1.0}, seed=5, n_trials=1)
+@example(case="search", entries={200: 0.3}, seed=0, n_trials=2000)
+@example(case="slot", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
 @example(case="wide", entries={0: 0.0, 3: 0.4, 64: 0.0, 130: 0.1, 254: 0.0}, seed=2**64 - 1, n_trials=1)
 def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
     """sample(seed, N) counts choice's draw rule over the reference uniforms and the ascending support."""
-    layout, backend = SAMPLE_CASES[case]
+    layout, index = SAMPLE_CASES[case]
     # Wide keys put the drawn byte in the low and the high register, past 62 bits.
     to_key = (lambda k: k | (k << 62)) if layout is WIDE else int
     phases = np.exp(0.7j * np.arange(len(entries)))
@@ -658,7 +650,7 @@ def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
         to_key(k): (math.sqrt(w / total) if w else TINY) * phase
         for (k, w), phase in zip(sorted(entries.items()), phases)
     }
-    drawn = inject_state(layout, amps, backend).sample(seed, n_trials)
+    drawn = make_state(layout, amps, index).sample(seed, n_trials)
 
     keys = sorted(amps)
     assert drawn == reference_counts(keys, [amps[k] for k in keys], seed, n_trials)
@@ -674,8 +666,8 @@ def test_sample_counts_the_draws_of_choice_when_batches_interleave():
     """One cached shot batch serves every state of its (seed, N); any other pair draws afresh."""
     rng = np.random.default_rng(5)
     states = [
-        make_state(NARROW, random_state_map(rng, 8, support), backend)
-        for support, backend in ((3, "dense"), (12, "sparse"), (40, "dense"))
+        make_state(NARROW, random_state_map(rng, 8, support), index)
+        for support, index in ((3, "slot"), (12, "search"), (40, "slot"))
     ]
     _sorted_uniforms.cache_clear()
     pairs = [(7, 500), (7, 500), (8, 500), (7, 501), (7, 500), (2**64 - 1, 1), (7, 500)]
@@ -696,14 +688,13 @@ def test_cached_uniforms_are_read_only():
         uniforms.sort()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(backend):
+def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(index):
     """choice sends a uniform equal to cdf[i] to outcome i + 1; so must the count."""
     a, b = 0.32610840462522955, 0.9453323798711158
     uniforms = splitmix64_reference(0, 8)
     assert a * a + b * b == 1.0 and uniforms[4] == a * a  # cdf is exactly [a*a, 1]
     counts = reference_counts([4, 9], [a, b], 0, 8)
-    assert inject_state(NARROW, {4: a, 9: b}, backend).sample(0, 8) == counts
+    assert inject_state(NARROW, {4: a, 9: b}).sample(0, 8) == counts
     assert [counts[4], counts[9]] == [(uniforms < a * a).sum(), (uniforms >= a * a).sum()] == [1, 7]
 
 
@@ -775,25 +766,25 @@ def test_generator_peak_memory_is_the_output_plus_two_blocks():
     assert peak < 8 * n + 2 * 2**20
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestNaNAmplitudes:
     """NaN fails every norm comparison, so it must fail the norm checks too."""
 
-    def _nan_state(self, backend):
+    @staticmethod
+    def _nan_state():
         keys = NARROW.keys([0, 1])
-        return QuantumState(NARROW, backend, (keys, np.array([np.nan, 1.0], dtype=complex)))
+        return QuantumState(NARROW, (keys, np.array([np.nan, 1.0], dtype=complex)))
 
-    def test_inject_state_rejects_nan(self, backend):
+    def test_inject_state_rejects_nan(self, index):
         with pytest.raises(ValueError, match="squared norm"):
-            inject_state(NARROW, {0: float("nan"), 1: 1.0}, backend)
+            inject_state(NARROW, {0: float("nan"), 1: 1.0})
 
-    def test_sample_rejects_nan_state(self, backend):
+    def test_sample_rejects_nan_state(self, index):
         with pytest.raises(InvariantViolation):
-            self._nan_state(backend).sample(seed=1, n_trials=10)
+            self._nan_state().sample(seed=1, n_trials=10)
 
-    def test_mix_rejects_nan_state(self, backend):
+    def test_mix_rejects_nan_state(self, index):
         with pytest.raises(InvariantViolation):
-            self._nan_state(backend).apply_two_level_mix([(2, 3)], np.eye(2))
+            self._nan_state().apply_two_level_mix([(2, 3)], np.eye(2))
 
 
 class TestSampledDensity:
