@@ -53,6 +53,10 @@ class FirstQuantizedLayout:
             raise ValueError(f"site count must be a power of two >= 2, got {self.m!r}")
         if self.n > 2 * self.m:
             raise ValueError(f"{self.n} fermions exceed the {2 * self.m} available modes")
+        # Built once: every step and readout checks the state's layout against it.
+        regs = [(f"{kind}{k}", width) for k in range(self.n)
+                for kind, width in (("spin", 1), ("pos", self.position_bits))]
+        object.__setattr__(self, "_registers", RegisterLayout.of(*regs))
 
     @property
     def position_bits(self) -> int:
@@ -63,11 +67,7 @@ class FirstQuantizedLayout:
         return self.position_bits + 1
 
     def register_layout(self) -> RegisterLayout:
-        regs = []
-        for k in range(self.n):
-            regs.append((f"spin{k}", 1))
-            regs.append((f"pos{k}", self.position_bits))
-        return RegisterLayout.of(*regs)
+        return self._registers
 
     def word_slices(self) -> list[tuple[int, int]]:
         return [(k * self.word_bits, self.word_bits) for k in range(self.n)]

@@ -8,13 +8,16 @@ draws them, so a (seed, n_trials) pair fully determines every estimate.  Each
 readout takes an optional SamplingPlan: omitted means exact mode, present means
 one seeded shot batch.  The state module keeps the last batch drawn, so the
 readouts of one run, which share one plan, share one batch of uniforms, each
-counted against its own state's Born distribution.  The shot counts come
-aligned with the support, so a density or correlation builds its indicator
-table once, over the support, and its sampled mean reads only the rows that
-drew a shot.  A correlation builds the columns of its own 1-3 sites, not the
-full site table.  A sampled momentum histogram also carries the exact
-frequencies of the same transformed state, so one Fourier transform (one
-array transform on a copy, see `QuantumState.qft_register`) serves both.
+counted against its own state's Born distribution; a state keeps its last
+shot counts, so readouts of one unchanged state count the batch once.  The
+shot counts come aligned with the support.  The density and the correlations
+read one table, kept for the last store state read (by its stamp, see
+`fermisim.state`): the Born probabilities and which of the m sites each
+support string occupies.  A correlation takes its 1-3 columns from that
+table, and a sampled mean reads only the rows that drew a shot.  A sampled
+momentum histogram also carries the exact frequencies of the same transformed
+state, so one Fourier transform (one array transform on a copy, see
+`QuantumState.qft_register`) serves both.
 
 Densities and correlations use the 0/1 indicator that a site is occupied at
 all, i.e. the probability a measurement finds at least one particle there.  A
@@ -151,19 +154,37 @@ def _site_counts(keys: np.ndarray, layout, sites=None) -> np.ndarray:
     return counts[:, :-1]
 
 
-def _indicator_estimates(
-    state: QuantumState, indicators, plan: SamplingPlan | None
-) -> np.ndarray | list[Estimate]:
-    """Born probability of each column of the 0/1 array `indicators(keys)`.
+# (stamp, Born probabilities, site-occupied table) of the last store state read
+# by `_occupancy`.
+_occupancy_entry = None
 
-    Without a plan, the exact values as an array; with one, an Estimate per
-    column whose shot mean and standard error come from one seeded batch.  The
-    table is built once, over the support; the mean sums the integer counts of
-    the rows that drew, so no float copy of the table is made.
+
+def _occupancy(state: QuantumState, layout) -> tuple[np.ndarray, np.ndarray]:
+    """(Born probabilities, (support, m) table of the sites each string occupies), built once per store state.
+
+    Keyed by the state's stamp, which every write renews and no other store
+    state ever takes.  The layout needs no key: `check_layout` ties it to the
+    state's registers.
     """
-    keys, amps = state.gather()
-    probs = np.abs(amps) ** 2
-    mask = indicators(keys)
+    global _occupancy_entry
+    if _occupancy_entry is None or _occupancy_entry[0] != state._stamp:
+        keys, amps = state.gather()
+        _occupancy_entry = (state._stamp, np.abs(amps) ** 2, _site_counts(keys, layout) > 0)
+    return _occupancy_entry[1:]
+
+
+def _indicator_estimates(
+    state: QuantumState, layout, indicators, plan: SamplingPlan | None
+) -> np.ndarray | list[Estimate]:
+    """Born probability of each column of the 0/1 array `indicators(occupied)`.
+
+    `occupied` is the state's site table (`_occupancy`).  Without a plan, the
+    exact values as an array; with one, an Estimate per column whose shot mean
+    and standard error come from one seeded batch.  The mean sums the integer
+    counts of the rows that drew, so no float copy of the table is made.
+    """
+    probs, occupied = _occupancy(state, layout)
+    mask = indicators(occupied)
     exact = np.array([probs[mask[:, c]].sum() for c in range(mask.shape[1])])
     if plan is None:
         return exact
@@ -190,7 +211,7 @@ def charge_density(
     per-site Estimates from a single seeded shot batch.
     """
     _check_layout(state, layout)
-    return _indicator_estimates(state, lambda keys: _site_counts(keys, layout) > 0, plan)
+    return _indicator_estimates(state, layout, lambda occupied: occupied, plan)
 
 
 def k_point_correlation(
@@ -207,10 +228,10 @@ def k_point_correlation(
         if not 1 <= s <= layout.m:
             raise ValueError(f"site {s} out of range 1..{layout.m}")
 
-    def indicator(keys):
-        return (_site_counts(keys, layout, sites) > 0).all(axis=1, keepdims=True)
+    def indicator(occupied):
+        return occupied[:, np.asarray(sites) - 1].all(axis=1, keepdims=True)
 
-    (value,) = _indicator_estimates(state, indicator, plan)
+    (value,) = _indicator_estimates(state, layout, indicator, plan)
     return float(value) if plan is None else value
 
 

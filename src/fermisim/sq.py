@@ -12,11 +12,21 @@ on an open chain, with hbar = 1 so angles are energy * time.
 The encoding's layout is the chain: the evolution and the tally take a
 ModeLayout(m), as the first-quantized code takes a FirstQuantizedLayout, and
 the bonds (s, s + 1) come from `chain_bonds(m)`.
+
+The step conserves particle number and spin, so after a few steps the support
+stops changing.  Each term returns the store positions it wrote (a phase's
+strings, a hop's pairs and their parities), and `trotter_evolve` keeps the
+positions of a step that starts on the support the previous step started and
+ended on.  Each later step that starts on that support replays them: per term
+one gather and one write at the recorded positions, with no pair building and
+no lookup, until a term changes the support.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,12 +126,36 @@ def jw_parity(bits, mode_a: int, mode_b: int):
     return np.bitwise_count(bits & between) & 1
 
 
+def _phase_factor(params: HubbardParams, dt: float) -> complex:
+    """exp(-i*dt*V0), the phase of one doubly occupied site."""
+    theta = -params.v0 * dt
+    if not math.isfinite(theta):
+        raise ValueError(f"phase angle must be finite, got {theta}")
+    return complex(math.cos(theta), math.sin(theta))
+
+
+def _double_mask(layout: ModeLayout, site: int) -> int:
+    """The two modes of one site, both set."""
+    return (1 << layout.mode(site, UP)) | (1 << layout.mode(site, DOWN))
+
+
+def _phase_site(state: QuantumState, mask: int, factor: complex, pos=None) -> np.ndarray:
+    """Multiply the strings with both modes of `mask` occupied by `factor`; returns their store positions.
+
+    `pos`, positions recorded on the current support, skips the search.
+    """
+    if pos is None:
+        pos = np.flatnonzero((state.support_keys() & mask) == mask)
+    state._scale_at(pos, factor)
+    return pos
+
+
 def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """exp(-i*dt*V) where V = V0 * sum_s n(s,up) n(s,down): a phase per doubly occupied site."""
     check_layout(state, layout)
+    factor = _phase_factor(params, dt)
     for site in range(1, layout.m + 1):
-        mask = (1 << layout.mode(site, UP)) | (1 << layout.mode(site, DOWN))
-        state.apply_phase_where(lambda keys, m=mask: (keys & m) == m, -params.v0 * dt)
+        _phase_site(state, _double_mask(layout, site), factor)
 
 
 def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, ...]:
@@ -138,6 +172,35 @@ def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, .
     return low, low ^ mask, jw_parity(low, mode_a, mode_b)
 
 
+def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
+    """exp(-i*dt*t0*(-1)**p * sigma_x) per pair, in the rows `QuantumState._mix` takes.
+
+    The off-diagonal entry -1j*s*(-1)**p is picked per pair from the two
+    parity classes' scalars.
+    """
+    theta = params.t0 * dt
+    c, s = math.cos(theta), math.sin(theta)
+    off = np.where(parity == 1, -1j * s * -1.0, -1j * s * 1.0)
+    return (complex(c), off), (off, complex(c))
+
+
+def _hop(state: QuantumState, mode_a: int, mode_b: int, params: HubbardParams, dt: float,
+         record=None) -> tuple[np.ndarray, np.ndarray]:
+    """One hop term's mix; returns the pairs' store positions (low members, then high) and parities.
+
+    `record`, a (positions, parities) pair recorded on the current support,
+    skips the pair building and the lookup.  The pairs are disjoint and built
+    from the support, and the gates are unitary closed forms, so the public
+    mix's checks are left to validation mode.
+    """
+    if record is None:
+        low, high, parity = hop_pairs(state.support_keys(), mode_a, mode_b)
+        return state._mix(low, high, _hop_gate(params, dt, parity)), parity
+    pos, parity = record
+    state._mix_at(None, pos, _hop_gate(params, dt, parity))
+    return record
+
+
 def evolve_hopping_pair(
     state: QuantumState, layout: ModeLayout, site_a: int, site_b: int, spin: int,
     params: HubbardParams, dt: float,
@@ -152,34 +215,71 @@ def evolve_hopping_pair(
     check_layout(state, layout)
     if abs(site_a - site_b) != 1:
         raise ValueError(f"sites ({site_a}, {site_b}) are not adjacent")
-    mode_a = layout.mode(min(site_a, site_b), spin)
-    mode_b = layout.mode(max(site_a, site_b), spin)
-    low, high, parity = hop_pairs(state.support_keys(), mode_a, mode_b)
+    _hop(state, layout.mode(min(site_a, site_b), spin), layout.mode(max(site_a, site_b), spin), params, dt)
 
-    # One mix of all pairs: the off-diagonal entry -1j*s*(-1)**p is picked per
-    # pair from the two parity classes' scalars.  The pairs are disjoint and
-    # built from the support, and the gates are unitary closed forms, so the
-    # public method's checks are left to validation mode.
-    theta = params.t0 * dt
-    c, s = math.cos(theta), math.sin(theta)
-    off = np.where(parity == 1, -1j * s * -1.0, -1j * s * 1.0)
-    state._mix(low, high, ((complex(c), off), (off, complex(c))))
+
+def _step(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float,
+          recorded=None, keep: bool = False) -> tuple[list | None, bool]:
+    """One first-order step: potential phase per site, then every (pair, spin) hop in fixed order.
+
+    `recorded` holds one record per term, taken on the current support: each
+    term replays its record while the support is still that object, and runs
+    afresh once a term has changed it.  Returns the records, with `keep`, and
+    whether the step ended on the support object it started on.  A record is
+    int32 positions (with the pairs' parities, for a hop), or None for a hop
+    with a pair member off the support, which a replay must run afresh.
+    """
+    # A weak reference: holding the keys would keep a replaced store's keys
+    # alive through the rest of the step.
+    support = weakref.ref(state.support_keys())
+    factor = _phase_factor(params, dt)
+    terms = [functools.partial(_phase_site, state, _double_mask(layout, site), factor)
+             for site in range(1, layout.m + 1)]
+    terms += [functools.partial(_hop, state, layout.mode(a, spin), layout.mode(b, spin), params, dt)
+              for a, b in chain_bonds(layout.m) for spin in SPINS]
+    kept = [] if keep else None
+    for term, record in zip(terms, recorded or [None] * len(terms)):
+        written = term(record if support() is state.support_keys() else None)
+        if keep:
+            kept.append(_int32(written))
+        del written  # not held through the next term
+    return kept, support() is state.support_keys()
+
+
+def _int32(written):
+    """A term's record with int32 positions, or None if a position is -1 (a key off the support)."""
+    if isinstance(written, tuple):
+        pos, parity = written
+        return None if (pos < 0).any() else (pos.astype(np.int32), parity)
+    return written.astype(np.int32)
 
 
 def trotter_step(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """One first-order step: potential phase, then every (pair, spin) hop in fixed order."""
-    evolve_potential(state, layout, params, dt)
-    for site_a, site_b in chain_bonds(layout.m):
-        for spin in SPINS:
-            evolve_hopping_pair(state, layout, site_a, site_b, spin, params, dt)
+    check_layout(state, layout)
+    _step(state, layout, params, dt)
 
 
 def trotter_evolve(
     state: QuantumState, layout: ModeLayout, params: HubbardParams, plan: TrotterPlan
 ) -> None:
-    """Apply `plan.r` first-order Trotter steps of length plan.dt in place."""
+    """Apply `plan.r` first-order Trotter steps of length plan.dt in place.
+
+    A step that starts on the support object the previous step started and
+    ended on keeps its terms' records (`_step`).  If it ends on that object
+    too, each later step that starts on it replays them, bit for bit what
+    `trotter_step` computes, and the records are dropped once a step changes
+    the support.
+    """
+    check_layout(state, layout)
+    recorded = None  # records taken on the support the current step starts on
+    closed = False  # whether the previous step started and ended on one support
     for _ in range(plan.r):
-        trotter_step(state, layout, params, plan.dt)
+        kept, closed = _step(state, layout, params, plan.dt, recorded, keep=closed and recorded is None)
+        if not closed:
+            recorded = None
+        elif kept is not None:
+            recorded = kept
 
 
 def op_count(layout: ModeLayout, plan: TrotterPlan) -> dict[str, int]:

@@ -8,18 +8,26 @@ basis string.  The store is the support as a sorted key array `_keys` and its
 nonzero amplitudes `_vals`, in the same order.  Its index is picked from the
 layout's width: up to SLOT_INDEX_QUBITS qubits the state also keeps `_slot`,
 an int64 array of length 2**Q holding each key's position in the store, or
--1; wider states binary-search `_keys`.  `_lookup` reads the amplitudes at an
-array of keys with their store positions, and is the one step that depends on
-the index.  `_write` stores amplitudes at those positions, in place while no
-entry enters or leaves the support, and otherwise rebuilds `_keys`/`_vals`
-once (re-pointing `_slot` where there is one).  Every primitive (phase and
-sign, controlled gate, two-level mix, basis permutation, register QFT,
-sampling) is written once on top of `gather`, `_lookup` and `_write`.
-`_replace`, which swaps the whole support, and the constructor sort the new
-entries once, reject a repeated key before the store is touched, and make the
-nonzero entries the store, with no search or insert.  The norm check after
-every primitive is one dot product over `_vals`, so no primitive touches all
-2**Q strings.
+-1; wider states binary-search `_keys`.  `_lookup` finds the store positions
+of an array of keys, and is the one step that depends on the index; `_read`
+takes the amplitudes at positions.  `_write` stores amplitudes at positions,
+in place while no entry enters or leaves the support, and otherwise rebuilds
+`_keys`/`_vals` once (re-pointing `_slot` where there is one).  Every
+primitive (phase and sign, controlled gate, two-level mix, basis permutation,
+register QFT, sampling) is written once on top of these.  The phase and the
+two-level mix also have a form at given positions (`_scale_at`, `_mix_at`),
+so a caller that knows the positions, such as a replayed Trotter step, skips
+the lookup.  `_replace`, which swaps the whole support, and the constructor
+sort the new entries once, reject a repeated key before the store is touched,
+and make the nonzero entries the store, with no search or insert.  `copy`
+shares the read-only `_keys` and copies `_vals` and any `_slot`.  The norm
+check after every primitive is one dot product over `_vals`, so no primitive
+touches all 2**Q strings.
+
+Stamps.  Every write takes a fresh stamp from one process-wide counter, so a
+stamp names one state of one store and is never reused, not even after the
+state is freed.  Work derived from the store is keyed on the stamp: the shot
+counts here, and the readouts' shared table in `observables`.
 
 Register QFT.  `qft_register` is one array transform, not a gate cascade: one
 `gather`, the support grouped by its key with the register cleared, the
@@ -49,12 +57,14 @@ Sampling.  A shot batch is the first `n_trials` SplitMix64 uniforms of the
 seed, sorted; numpy.random is never imported.  `_sorted_uniforms` keeps the
 last batch drawn, so every readout of one run, on any state, that uses the
 same (seed, n_trials) counts against one batch instead of drawing and sorting
-it again.
+it again.  Each state keeps its last shot counts with their (stamp, seed,
+n_trials), so readouts of an unchanged state count the batch once.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -88,6 +98,9 @@ GAMMA = 0x9E3779B97F4A7C15
 MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 # Shots the uniform draw computes at a time.
 UNIFORM_BLOCK = 1 << 14
+
+# The source of store stamps (see "Stamps" above).
+_stamps = itertools.count()
 
 
 class InvariantViolation(RuntimeError):
@@ -359,7 +372,7 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_slot", "_keys", "_vals")
+    __slots__ = ("layout", "_slot", "_keys", "_vals", "_stamp", "_counts")
 
     def __init__(self, layout: RegisterLayout, entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
@@ -367,6 +380,7 @@ class QuantumState:
         self._keys = layout.keys([])
         narrow = layout.width <= SLOT_INDEX_QUBITS
         self._slot = np.full(1 << layout.width, -1, dtype=np.int64) if narrow else None
+        self._counts = None  # ((stamp, seed, n_trials), counts) of the last `_sample_counts`
         keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
         self._fill(keys, amps)
 
@@ -383,45 +397,53 @@ class QuantumState:
             vals.flags.writeable = False
             return self._keys, vals
         self._check_keys(keys, "basis string")
-        return keys, self._lookup(keys)[0]
+        return keys, self._read(self._lookup(keys))
 
-    def _lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Amplitudes at in-range `keys` (zero off the support), and their store positions (-1 if absent).
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Store positions of in-range `keys`, -1 where a key is off the support.
 
         The one storage step that branches on the index: `_slot` where the
         state has one, a binary search of `_keys` otherwise.
         """
         if self._slot is not None:
-            pos = self._slot[keys]
+            return self._slot[keys]
+        pos = np.searchsorted(self._keys, keys)
+        if len(self._keys):
+            pos[self._keys[np.minimum(pos, len(self._keys) - 1)] != keys] = -1
         else:
-            pos = np.searchsorted(self._keys, keys)
-            if len(self._keys):
-                pos[self._keys[np.minimum(pos, len(self._keys) - 1)] != keys] = -1
-            else:
-                pos[:] = -1
+            pos[:] = -1
+        return pos
+
+    def _read(self, pos: np.ndarray) -> np.ndarray:
+        """Amplitudes at store positions `pos`, zero where a position is -1."""
         hit = pos >= 0
         if hit.all():
-            return self._vals[pos], pos
-        amps = np.zeros(len(keys), dtype=complex)
+            return self._vals[pos]
+        amps = np.zeros(len(pos), dtype=complex)
         amps[hit] = self._vals[pos[hit]]
-        return amps, pos
+        return amps
 
-    def _write(self, keys: np.ndarray, amps, pos: np.ndarray) -> None:
+    def _write(self, keys: np.ndarray | None, amps, pos: np.ndarray) -> None:
         """Store `amps` at distinct `keys`, whose store positions `_lookup(keys)` returned.
 
         In place unless an entry enters or leaves the support (an exact zero
-        leaves); then the store is rebuilt once.
+        leaves); then the store is rebuilt once.  `keys` is read only for the
+        entries that enter (position -1), so a write whose positions all hit
+        may pass None.
         """
+        self._stamp = next(_stamps)
         amps = np.asarray(amps, dtype=complex)
         hit, now = pos >= 0, amps != 0
         at = slice(None) if hit.all() else hit  # every key stored: skip the mask
         self._vals[pos[at]] = amps[at]
         if (hit != now).any():
             # Insert the new keys in order, then drop the entries just set to zero.
+            stored, vals = self._keys, self._vals
             fresh = np.flatnonzero(now & ~hit)
-            fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-            gaps = np.searchsorted(self._keys, keys[fresh])
-            stored, vals = np.insert(self._keys, gaps, keys[fresh]), np.insert(self._vals, gaps, amps[fresh])
+            if len(fresh):
+                fresh = fresh[np.argsort(keys[fresh], kind="stable")]
+                gaps = np.searchsorted(stored, keys[fresh])
+                stored, vals = np.insert(stored, gaps, keys[fresh]), np.insert(vals, gaps, amps[fresh])
             if (hit & ~now).any():
                 keep = vals != 0
                 stored, vals = stored[keep], vals[keep]
@@ -433,6 +455,7 @@ class QuantumState:
 
         A repeated key raises ValueError before the store is touched.
         """
+        self._stamp = next(_stamps)
         order = np.argsort(keys, kind="stable")
         keys = keys[order].astype(self.layout.key_dtype, copy=False)
         amps = np.asarray(amps, dtype=complex)[order]
@@ -493,7 +516,15 @@ class QuantumState:
         return float(np.linalg.norm(self._vals))
 
     def copy(self) -> QuantumState:
-        return QuantumState(self.layout, self.gather())
+        """An independent state with the same entries and index, and a stamp of its own.
+
+        The read-only `_keys` is shared; `_vals` and any `_slot` are copied.
+        """
+        twin = QuantumState.__new__(QuantumState)
+        twin.layout, twin._keys, twin._vals = self.layout, self._keys, self._vals.copy()
+        twin._slot = None if self._slot is None else self._slot.copy()
+        twin._stamp, twin._counts = next(_stamps), None
+        return twin
 
     def __repr__(self) -> str:
         keys, amps = self.gather()
@@ -550,10 +581,12 @@ class QuantumState:
         self._scale_where(_per_string(predicate, bool), -1.0)
 
     def _scale_where(self, mask_fn, factor) -> None:
-        keys, amps = self.gather()
-        selected = np.asarray(mask_fn(keys), dtype=bool)
         # The keys are the whole store in order, so their positions are their indices.
-        self._write(keys[selected], amps[selected] * factor, np.flatnonzero(selected))
+        self._scale_at(np.flatnonzero(np.asarray(mask_fn(self._keys), dtype=bool)), factor)
+
+    def _scale_at(self, pos: np.ndarray, factor) -> None:
+        """Multiply the amplitudes at store positions `pos` (all on the support) by a unit `factor`."""
+        self._write(None, self._vals[pos] * factor, pos)
         self._check_norm()
 
     def apply_basis_map(self, map_fn: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -624,11 +657,18 @@ class QuantumState:
         return dict(zip(self._keys[drawn].tolist(), counts[drawn].tolist()))
 
     def _sample_counts(self, seed: int, n_trials: int) -> np.ndarray:
-        """`sample` as an array: the shot count of each support string, aligned with `gather()`."""
+        """`sample` as a read-only array: the shot count of each support string, aligned with `gather()`.
+
+        Kept with its (stamp, seed, n_trials) until the next write, so another
+        readout of the same store and batch returns the same array.
+        """
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
+        tag = (self._stamp, int(seed), int(n_trials))
+        if self._counts is not None and self._counts[0] == tag:
+            return self._counts[1]
         probs = np.abs(self._vals) ** 2
         total = probs.sum()
         if not abs(total - 1.0) <= NORM_TOL:
@@ -637,8 +677,10 @@ class QuantumState:
         # The cdf is built exactly as Generator.choice builds it.
         cdf = probs.cumsum()
         cdf /= cdf[-1]
-        uniforms = _sorted_uniforms(int(seed), int(n_trials))
-        return np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
+        counts = np.diff(np.searchsorted(_sorted_uniforms(*tag[1:]), cdf, side="left"), prepend=0)
+        counts.flags.writeable = False
+        self._counts = (tag, counts)
+        return counts
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""
@@ -670,8 +712,8 @@ class QuantumState:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
-    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate) -> None:
-        """Apply `gate` to each amplitude pair (k0[i], k1[i]): one lookup, one write.
+    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate) -> np.ndarray:
+        """Apply `gate` to each amplitude pair (k0[i], k1[i]): one lookup, then `_mix_at`.
 
         `gate` is a 2x2 array, or rows ((g00, g01), (g10, g11)) whose entries
         are scalars or arrays with one entry per pair, so pair i is mixed by
@@ -679,15 +721,34 @@ class QuantumState:
         checks: a unitary gate, keys of this layout in range, disjoint pairs.
         Internal callers build these by construction and skip the checks; in
         validation mode they run here, as the public method runs them.
+        Returns the store positions of (k0, k1) before the write.
         """
-        (g00, g01), (g10, g11) = gate
         if validation_enabled():
+            (g00, g01), (g10, g11) = gate
             _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
             self._check_pairs(k0, k1)
         keys = np.concatenate((k0, k1))
-        amps, pos = self._lookup(keys)
-        a0, a1 = amps[: len(k0)], amps[len(k0):]
-        self._write(keys, np.concatenate((g00 * a0 + g01 * a1, g10 * a0 + g11 * a1)), pos)
+        pos = self._lookup(keys)
+        self._mix_at(keys, pos, gate)
+        return pos
+
+    def _mix_at(self, keys: np.ndarray | None, pos: np.ndarray, gate) -> None:
+        """Apply `gate` to the amplitude pairs at store positions (pos[i], pos[n + i]), n = len(pos) / 2.
+
+        `keys` are the keys at `pos`, as `_write` takes them: None is allowed
+        when every position is on the support.
+        """
+        (g00, g01), (g10, g11) = gate
+        amps = self._read(pos)
+        half = len(pos) // 2
+        a0, a1 = amps[:half], amps[half:]
+        # g00*a0 + g01*a1, then g10*a0 + g11*a1, each summed into its half of the output.
+        out = np.empty_like(amps)
+        np.multiply(g00, a0, out=out[:half])
+        out[:half] += g01 * a1
+        np.multiply(g10, a0, out=out[half:])
+        out[half:] += g11 * a1
+        self._write(keys, out, pos)
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -266,6 +267,45 @@ def test_field_edits_parse_or_raise_config_error(formalism, edits):
     except ConfigError:
         return
     assert isinstance(config, RunConfig)
+
+
+# Field-level edits of the shipped example configs, run end to end.  The values
+# come from a small pool, so an accepted edit stays a run of milliseconds.
+EXAMPLE_CONFIGS = {path.stem: json.loads(path.read_text())
+                   for path in sorted((REPO_ROOT / "configs").glob("*.json"))}
+SMALL_JSON_VALUES = st.recursive(
+    st.sampled_from((None, True, False, -1, 0, 1, 2, 3, 4, 8, 64, 0.0, 0.5, -2.5, 1e308,
+                     float("nan"), float("inf"), "", "up", "down", "first", "second", "open",
+                     "fermi", "bose", "dense", "charge_density", "pair_correlation",
+                     "k_point_correlation", "momentum_distribution", "energy")),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(("kind", "sites", "particle", "m", "N", "seed", "t", "r")),
+                      inner, max_size=3),
+    max_leaves=5,
+)
+
+
+# Values most numeric fields accept, drawn as often as the pool, so that
+# many edited documents run rather than exit 2.
+PLAUSIBLE_VALUES = st.sampled_from((1, 2, 4, 8, 0.5, [1, 2], [2, "down"]))
+
+
+@settings(max_examples=100)
+@given(name=st.sampled_from(sorted(EXAMPLE_CONFIGS)),
+       edits=st.lists(st.tuples(st.sampled_from(FIELD_PATHS),
+                                PLAUSIBLE_VALUES | SMALL_JSON_VALUES | st.just(DELETE)),
+                      min_size=1, max_size=3))
+def test_field_edits_of_the_examples_evolve_or_exit_with_a_code(name, edits):
+    """`fermisim evolve` exits 0, 1 or 2 on any edited document, and raises nothing."""
+    raw = copy.deepcopy(EXAMPLE_CONFIGS[name])
+    for path, value in edits:
+        _edit(raw, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        config, output = Path(tmp) / "run.json", Path(tmp) / "out.json"
+        config.write_text(json.dumps(raw))
+        code = main(["evolve", "--config", str(config), "--output", str(output)])
+        assert code in (0, 1, 2)
+        assert output.exists() == (code == 0)
 
 
 class TestEvolve:

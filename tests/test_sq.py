@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import INDEXES, forced_index, random_state_map
 
+from fermisim import sq
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.oracle import build_sq_hamiltonian, hopping_term, propagator
 from fermisim.sq import (
@@ -25,7 +26,7 @@ from fermisim.sq import (
     trotter_evolve,
     trotter_step,
 )
-from fermisim.state import init_basis_state, inject_state
+from fermisim.state import InvariantViolation, init_basis_state, inject_state, validation_mode
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -226,6 +227,114 @@ class TestTrotterStep:
         state = init_basis_state(layout, 0b0100)
         with pytest.raises(ValueError, match="does not match"):
             trotter_evolve(state, ModeLayout(2), PARAMS, TrotterPlan(t=0.1, r=1))
+
+
+def _sector_state(layout, index=None):
+    """Two up and two down particles on four sites, spread over their whole 36-string sector.
+
+    Every step keeps the support at the sector, so each step is closed.
+    """
+    up, down = ([sum(1 << layout.mode(s, spin) for s in sites) for sites in
+                 ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))] for spin in (UP, DOWN))
+    rng = np.random.default_rng(21)
+    amps = rng.normal(size=36) + 1j * rng.normal(size=36)
+    amps /= np.linalg.norm(amps)
+    entries = {u | d: complex(a) for (u, d), a in zip(((u, d) for u in up for d in down), amps)}
+    if index is None:
+        return inject_state(layout.register_layout(), entries)
+    with forced_index(index):
+        return inject_state(layout.register_layout(), entries)
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a.support_keys(), b.support_keys())
+    assert np.array_equal(a.gather()[1].view(np.int64), b.gather()[1].view(np.int64))
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of sq.`name`, still running it."""
+    calls = []
+    original = getattr(sq, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sq, name, counted)
+    return calls
+
+
+class TestClosedStepReplay:
+    LAYOUT = ModeLayout(4)
+    HOPS = 2 * len(chain_bonds(4))
+
+    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("start", ["sector", "one string"])
+    def test_evolution_is_bitwise_a_loop_of_steps(self, index, start):
+        """Replayed steps, and the steps before the support closes, compute what trotter_step computes."""
+        layout, plan = self.LAYOUT, TrotterPlan(t=2.0, r=12)
+        if start == "sector":
+            evolved, looped = _sector_state(layout, index), _sector_state(layout, index)
+        else:  # the support grows over the first steps, then closes
+            bits = encode_occupation(layout, ((1, UP), (2, DOWN), (3, UP)))
+            with forced_index(index):
+                evolved, looped = (init_basis_state(layout.register_layout(), bits) for _ in range(2))
+        trotter_evolve(evolved, layout, PARAMS, plan)
+        for _ in range(plan.r):
+            trotter_step(looped, layout, PARAMS, plan.dt)
+        _assert_bitwise(evolved, looped)
+
+    @pytest.mark.parametrize("r", [3, 10])
+    def test_recorded_step_builds_no_more_pairs(self, monkeypatch, r):
+        """Step 1 closes the support and step 2 records; every later step replays without hop_pairs."""
+        calls = _count_calls(monkeypatch, "hop_pairs")
+        state = _sector_state(self.LAYOUT)
+        trotter_evolve(state, self.LAYOUT, PARAMS, TrotterPlan(t=1.0, r=r))
+        assert len(calls) == 2 * self.HOPS
+
+    def test_a_term_that_changes_the_support_ends_the_replay(self, monkeypatch):
+        """After a term rebuilds the store, the rest of the step and every later step run afresh."""
+        layout = self.LAYOUT
+        state, looped = _sector_state(layout), _sector_state(layout)
+        kept, closed = sq._step(state, layout, PARAMS, 0.1, keep=True)
+        trotter_step(looped, layout, PARAMS, 0.1)
+        assert closed and len(kept) == layout.m + self.HOPS
+        original = sq._hop
+
+        def rebuilding(state, *args, **kwargs):
+            written = original(state, *args, **kwargs)
+            if not rebuilt:
+                rebuilt.append(True)
+                state._replace(*state.gather())  # same entries, new support object
+            return written
+
+        rebuilt = []
+        monkeypatch.setattr(sq, "_hop", rebuilding)
+        calls = _count_calls(monkeypatch, "hop_pairs")
+        _, closed = sq._step(state, layout, PARAMS, 0.1, kept)
+        assert not closed
+        assert len(calls) == self.HOPS - 1  # the first hop replayed, then the support changed
+        trotter_step(looped, layout, PARAMS, 0.1)
+        _assert_bitwise(state, looped)
+
+    def test_validation_mode_checks_the_store_on_replayed_writes(self, monkeypatch):
+        """A `_slot` corrupted before a replayed step trips the store check of its first write."""
+        layout = self.LAYOUT
+        original = sq._step
+
+        def corrupting(state, layout, params, dt, recorded=None, keep=False):
+            if recorded is not None:
+                absent = int(np.flatnonzero(state._slot < 0)[0])
+                state._slot[absent] = 0  # a slot for an absent key, which no replayed write touches
+            return original(state, layout, params, dt, recorded, keep)
+
+        monkeypatch.setattr(sq, "_step", corrupting)
+        state = _sector_state(layout, "slot")
+        trotter_evolve(state, layout, PARAMS, TrotterPlan(t=1.0, r=3))  # production mode: no check
+        state = _sector_state(layout, "slot")
+        with validation_mode():
+            with pytest.raises(InvariantViolation, match="_slot"):
+                trotter_evolve(state, layout, PARAMS, TrotterPlan(t=1.0, r=3))
 
 
 def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import BOTH_INDEXES, INDEXES, forced_index, make_state, random_state_map, random_unitary
 
 from fermisim import cli
-from fermisim.sq import jw_parity
+from fermisim.observables import SamplingPlan, charge_density, k_point_correlation
+from fermisim.sq import ModeLayout, jw_parity
 from fermisim.state import (
     BIJECTION_CHECK_LIMIT,
     KEY_BITS,
@@ -675,8 +676,97 @@ def test_sample_counts_the_draws_of_choice_when_batches_interleave():
         for state in states:
             assert state.sample(seed, n_trials) == _choice_counts(state, seed, n_trials)
     info = _sorted_uniforms.cache_info()
-    # One draw per run of equal consecutive pairs, shared by all three states.
-    assert (info.misses, info.hits) == (6, 3 * len(pairs) - 6)
+    # One draw per run of equal consecutive pairs, shared by all three states;
+    # the second (7, 500) finds each state's own counts and asks for no batch.
+    assert (info.misses, info.hits) == (6, 3 * (len(pairs) - 1) - 6)
+
+
+# ------------------------------------------------------------------ derived work keyed by stamp
+
+
+MEMO_LAYOUT = ModeLayout(3)
+MEMO_PLAN = SamplingPlan(seed=9, n_trials=4000)
+
+
+def _readouts(state):
+    """Sampled and exact readouts of one state, as plain values."""
+    layout = MEMO_LAYOUT
+    return (
+        state.sample(MEMO_PLAN.seed, MEMO_PLAN.n_trials),
+        charge_density(state, layout).tolist(),
+        charge_density(state, layout, MEMO_PLAN),
+        k_point_correlation(state, layout, (1, 3)),
+        k_point_correlation(state, layout, (2, 3), MEMO_PLAN),
+    )
+
+
+def _replayed_mix(state):
+    """A mix through `_mix_at` at positions looked up beforehand, as a replayed Trotter step writes."""
+    keys = state.support_keys()
+    low = keys[:2]
+    state._mix_at(None, state._lookup(np.concatenate((low, keys[-2:]))), HADAMARD)
+
+
+def _replayed_phase(state):
+    state._scale_at(np.array([0, 2], dtype=np.int32), -1j)
+
+
+WRITERS = {
+    "phase": lambda state: state.apply_phase_where(lambda keys: (keys & 3) == 1, 0.7),
+    "sign": lambda state: state.apply_sign_if(lambda b: b % 3 == 0),
+    "mix": lambda state: state.apply_two_level_mix(state.support_keys()[[0, 1]].reshape(1, 2), HADAMARD),
+    "basis map": lambda state: state.apply_basis_map(lambda keys: keys ^ 0b100101),
+    "qft": lambda state: state.qft_register("modes"),
+    "replace": lambda state: state._replace(state.support_keys() ^ 0b11, state.gather()[1][::-1]),
+    "replayed mix": _replayed_mix,
+    "replayed phase": _replayed_phase,
+}
+
+
+def test_every_write_renews_the_readouts_of_the_state(index):
+    """After each writer, sampled and exact readouts are those of a fresh state with the same entries."""
+    state = make_state(MEMO_LAYOUT.register_layout(),
+                       random_state_map(np.random.default_rng(31), MEMO_LAYOUT.n_modes, 20))
+    for name, write in WRITERS.items():
+        _readouts(state)  # keep this store state's counts and table
+        counts = state._sample_counts(MEMO_PLAN.seed, MEMO_PLAN.n_trials)
+        stamp = state._stamp
+        write(state)
+        assert state._stamp != stamp, name
+        assert state._sample_counts(MEMO_PLAN.seed, MEMO_PLAN.n_trials) is not counts, name
+        fresh = QuantumState(state.layout, tuple(a.copy() for a in state.gather()))
+        assert _readouts(state) == _readouts(fresh), name
+
+
+def test_readouts_of_an_unchanged_state_share_one_count(index):
+    state = make_state(MEMO_LAYOUT.register_layout(),
+                       random_state_map(np.random.default_rng(32), MEMO_LAYOUT.n_modes, 20))
+    counts = state._sample_counts(3, 500)
+    assert state._sample_counts(3, 500) is counts
+    assert state._sample_counts(3, 501) is not counts
+    with pytest.raises(ValueError, match="read-only"):
+        state._sample_counts(3, 501)[0] = 1
+    copy = state.copy()
+    assert copy._stamp != state._stamp and copy._sample_counts(3, 501) is not state._sample_counts(3, 501)
+
+
+def test_a_write_to_a_copy_leaves_the_original_unchanged(index):
+    state = make_state(MEMO_LAYOUT.register_layout(),
+                       random_state_map(np.random.default_rng(33), MEMO_LAYOUT.n_modes, 20))
+    counts = state._sample_counts(4, 700).copy()
+    keys, vals = state._keys.copy(), state._vals.copy()
+    slot = None if state._slot is None else state._slot.copy()
+    copy = state.copy()
+    assert copy._keys is state._keys and (copy._slot is None) == (slot is None)
+    _assert_store(copy)
+    for write in WRITERS.values():
+        write(copy)
+    assert np.array_equal(state._keys, keys)
+    assert np.array_equal(state._vals.view(np.int64), vals.view(np.int64))
+    assert slot is None or np.array_equal(state._slot, slot)
+    assert np.array_equal(state._sample_counts(4, 700), counts)
+    _assert_store(state)
+    _assert_store(copy)
 
 
 def test_cached_uniforms_are_read_only():
