@@ -8,10 +8,12 @@ pipeline, not by the encoding.
 
 The kinetic term of the chain splits into two block-diagonal halves,
 T1 summing the hops (1,2), (3,4), ... and T2 the hops (2,3), (4,5), ...
-(`KineticSplit`).  The pairs of one half are disjoint, so each half's pairs
-are mixed directly: one two-level mix of the shared 2x2 closed form applies
-every hop of that half at once.  The two boundary sites are unpaired in T2 and
-stay untouched.
+(`KineticSplit`).  The pairs of one half are disjoint, so one two-level mix
+applies every hop of that half at once.  The two boundary sites are unpaired
+in T2 and stay untouched.
+
+The layout's `terms` (see `fermisim.sq`) are a phase per particle pair
+(`coincide`), then per particle a mix per half (`kinetic_pairs`, no sign).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fermisim.antisym import (
 from fermisim.state import (
     QuantumState, RegisterLayout, check_layout, distinct_keys, inject_state, validation_enabled,
 )
-from fermisim.sq import HubbardParams, TrotterPlan
+from fermisim.sq import HubbardParams, TrotterPlan, _step, trotter_evolve
 
 SYMMETRY_TOL = 1e-9
 
@@ -68,6 +70,14 @@ class FirstQuantizedLayout:
 
     def register_layout(self) -> RegisterLayout:
         return self._registers
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """The step's terms in its order: a phase per particle pair, then per particle its T1 and T2 mix."""
+        reg = self._registers
+        pairs = tuple(lambda keys, k=k, l=l: coincide(reg, keys, k, l)
+                      for k, l in combinations(range(self.n), 2))
+        return pairs + tuple(t for k in range(self.n) for t in _particle_terms(self, k))
 
     def word_slices(self) -> list[tuple[int, int]]:
         return [(k * self.word_bits, self.word_bits) for k in range(self.n)]
@@ -134,9 +144,7 @@ def evolve_potential_fq(
 ) -> None:
     """Phase exp(-i*V0*dt) on every unordered particle pair sharing a site with opposite spins."""
     check_layout(state, layout)
-    reg = state.layout
-    for k, l in combinations(range(layout.n), 2):
-        state.apply_phase_where(lambda keys, k=k, l=l: coincide(reg, keys, k, l), -params.v0 * dt)
+    _step(state, layout.terms[:math.comb(layout.n, 2)], params, dt)
 
 
 @functools.lru_cache(maxsize=4)
@@ -155,17 +163,26 @@ def kinetic_partners(m: int) -> tuple[np.ndarray, ...]:
 
 
 def kinetic_pairs(keys: np.ndarray, reg: RegisterLayout, k: int,
-                  partner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(low, high): the pairs among `keys` that one kinetic half couples on particle k.
+                  partner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(low, high, parity): the pairs among `keys` that one kinetic half couples on particle k.
 
     low holds each pair's member with k on the lower site, distinct and
-    ascending; high is its partner, with k on the other site.
+    ascending; high is its partner, with k on the other site.  parity is all
+    zero: a hop within one particle's word passes no other fermion.
     """
     name = f"pos{k}"
     pos = reg.field(keys, name)
     paired = partner[pos] != pos
     low = distinct_keys(reg.with_field(keys[paired], name, np.minimum(pos, partner[pos])[paired]))
-    return low, reg.with_field(low, name, partner[reg.field(low, name)])
+    high = reg.with_field(low, name, partner[reg.field(low, name)])
+    return low, high, np.zeros(len(low), dtype=np.uint8)
+
+
+def _particle_terms(layout: FirstQuantizedLayout, k: int) -> tuple:
+    """Particle k's kinetic mix terms: T1's pairs, then T2's (`kinetic_pairs`)."""
+    reg = layout.register_layout()
+    return tuple(lambda keys, partner=partner: kinetic_pairs(keys, reg, k, partner)
+                 for partner in kinetic_partners(layout.m))
 
 
 def evolve_kinetic_particle(
@@ -181,21 +198,7 @@ def evolve_kinetic_particle(
     check_layout(state, layout)
     if not 0 <= k < layout.n:
         raise ValueError(f"particle index {k} out of range 0..{layout.n - 1}")
-    theta = params.t0 * dt
-    c, s = math.cos(theta), math.sin(theta)
-    mix = np.array([[c, -1j * s], [-1j * s, c]])
-    for partner in kinetic_partners(layout.m):
-        low, high = kinetic_pairs(state.support_keys(), state.layout, k, partner)
-        state._mix(low, high, mix)  # disjoint pairs from the support; checked in validation mode
-
-
-def trotter_step_fq(
-    state: QuantumState, layout: FirstQuantizedLayout, params: HubbardParams, dt: float
-) -> None:
-    """One first-order step: potential phases, then the kinetic sweep per particle."""
-    evolve_potential_fq(state, layout, params, dt)
-    for k in range(layout.n):
-        evolve_kinetic_particle(state, layout, k, params, dt)
+    _step(state, _particle_terms(layout, k), params, dt)
 
 
 def trotter_evolve_fq(
@@ -205,14 +208,13 @@ def trotter_evolve_fq(
     plan: TrotterPlan,
     mode: str = "fermi",
 ) -> None:
-    """Apply plan.r first-order steps; every step commutes with particle exchange."""
+    """Apply plan.r first-order steps (`sq.trotter_evolve`); every step commutes with particle exchange."""
     check_layout(state, layout)
     if validation_enabled():
         worst = exchange_symmetry_violation(state, layout, mode)
         if worst > SYMMETRY_TOL:
             raise ValueError(f"input breaks {mode} exchange symmetry by {worst:.3g}")
-    for _ in range(plan.r):
-        trotter_step_fq(state, layout, params, plan.dt)
+    trotter_evolve(state, layout, params, plan)
 
 
 def exchange_symmetry_violation(

@@ -24,21 +24,21 @@ all, i.e. the probability a measurement finds at least one particle there.  A
 doubly occupied site therefore contributes 1, not 2, and the density only sums
 to the particle number when no site can hold two.  The energy estimator is the
 exception: its potential part needs the up-count times down-count product, not
-the indicator.  Its split reads the encodings' own coupling rules, the ones the
-Trotter steps apply: `sq.hop_pairs`, `fq.kinetic_pairs` and `fq.coincide`.
+the indicator.  Its split reads the layout's term list, the one the Trotter
+step applies (`ModeLayout.terms`, `FirstQuantizedLayout.terms`): each phase
+term's strings carry V0, and each mix term's pairs couple with the step's sign.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from fermisim import oracle
-from fermisim.fq import FirstQuantizedLayout, coincide, kinetic_pairs, kinetic_partners
-from fermisim.sq import SPINS, HubbardParams, ModeLayout, chain_bonds, hop_pairs
+from fermisim.fq import FirstQuantizedLayout
+from fermisim.sq import SPINS, HubbardParams, ModeLayout
 from fermisim.state import (
     MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled,
 )
@@ -131,27 +131,23 @@ def required_trials(epsilon: float) -> int:
 # ------------------------------------------------------------- basis readouts
 
 
-def _site_counts(keys: np.ndarray, layout, sites=None) -> np.ndarray:
-    """(len(keys), len(sites)) particles on each listed site (all m by default), under either encoding."""
-    sites = range(1, layout.m + 1) if sites is None else sites
+def _site_counts(keys: np.ndarray, layout) -> np.ndarray:
+    """(len(keys), m) particles on each site, under either encoding."""
     # Column-major over one flat buffer, so each site's column is contiguous
-    # and entry (row, column) is flat[column * len(keys) + row].  The last
-    # column collects the particles on sites not listed and is dropped.
-    flat = np.zeros((len(sites) + 1) * len(keys), dtype=np.uint8)
-    counts = flat.reshape(len(sites) + 1, len(keys)).T
+    # and entry (row, site - 1) is flat[(site - 1) * len(keys) + row].
+    flat = np.zeros(layout.m * len(keys), dtype=np.uint8)
+    counts = flat.reshape(layout.m, len(keys)).T
     if isinstance(layout, ModeLayout):
-        for column, site in enumerate(sites):
+        for site in range(1, layout.m + 1):
             for spin in SPINS:
-                counts[:, column] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
+                counts[:, site - 1] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
     else:
-        column = np.full(layout.m, len(sites))
-        column[np.asarray(sites) - 1] = np.arange(len(sites))
         rows = np.arange(len(keys))
         reg = layout.register_layout()
         for k in range(layout.n):
             # One particle per row, so the flat indices are distinct.
-            flat[column[reg.field(keys, f"pos{k}")] * len(keys) + rows] += 1
-    return counts[:, :-1]
+            flat[reg.field(keys, f"pos{k}") * len(keys) + rows] += 1
+    return counts
 
 
 # (stamp, Born probabilities, site-occupied table) of the last store state read
@@ -299,10 +295,9 @@ def expected_energy(state: QuantumState, layout, params: HubbardParams) -> Energ
     keys, amps = state.gather()
     if isinstance(layout, ModeLayout):
         h_keys, h_amps = oracle.apply_sq_hamiltonian(layout, params, keys, amps)
-        potential, kinetic = _sq_energy(state, layout, params)
     else:
         h_keys, h_amps = oracle.apply_fq_hamiltonian(layout, params, keys, amps)
-        potential, kinetic = _fq_energy(state, layout, params)
+    potential, kinetic = _energy_split(state, layout.terms, params)
     total = float(np.vdot(state.gather(h_keys)[1], h_amps).real)
     if validation_enabled():
         dense = _dense_energy(state, layout, params)
@@ -332,37 +327,22 @@ def _dense_energy(state, layout, params) -> float | None:
     return float(np.real(vec.conj() @ (h @ vec)))
 
 
-def _pair_amplitudes(state: QuantumState, low: np.ndarray, high: np.ndarray) -> list[np.ndarray]:
-    """[psi(low), psi(high)] from one lookup."""
-    return np.split(state.gather(np.concatenate((low, high)))[1], 2)
+def _energy_split(state: QuantumState, terms, params: HubbardParams) -> tuple[float, float]:
+    """(potential, kinetic) summed over a layout's `terms`, the ones its Trotter step applies.
 
-
-def _sq_energy(state, layout, params) -> tuple[float, float]:
+    A string carries V0 once per phase term it is in.  Each mix term couples
+    its pairs with the sign its Trotter factor uses: 2 t0 (1 - 2 parity)
+    Re(conj(a_low) a_high) per pair.
+    """
     keys, amps = state.gather()
-    doubly = (_site_counts(keys, layout) == 2).sum(axis=1)
-    potential = params.v0 * float(np.abs(amps) ** 2 @ doubly)
-
-    # Each hop term couples the pairs its Trotter factor mixes, with the same sign.
+    on = np.zeros(len(keys))  # phase terms each string is in
     kinetic = 0.0
-    for i, j in chain_bonds(layout.m):
-        for spin in SPINS:
-            low, high, parity = hop_pairs(keys, layout.mode(i, spin), layout.mode(j, spin))
-            a_low, a_high = _pair_amplitudes(state, low, high)
+    for term in terms:
+        found = term(keys)
+        if isinstance(found, tuple):
+            low, high, parity = found
+            a_low, a_high = np.split(state.gather(np.concatenate((low, high)))[1], 2)  # one lookup
             kinetic += 2.0 * params.t0 * float((1.0 - 2.0 * parity) @ (a_low.conj() * a_high).real)
-    return potential, kinetic
-
-
-def _fq_energy(state, layout, params) -> tuple[float, float]:
-    reg = state.layout
-    keys, amps = state.gather()
-    pairs = combinations(range(layout.n), 2)
-    coincidences = sum((coincide(reg, keys, k, l) for k, l in pairs), np.zeros(len(keys)))
-    potential = params.v0 * float(np.abs(amps) ** 2 @ coincidences)
-
-    # Each bond of the chain lies in one kinetic half, whose pairs the Trotter step mixes.
-    kinetic = 0.0
-    for k in range(layout.n):
-        for partner in kinetic_partners(layout.m):
-            a_low, a_high = _pair_amplitudes(state, *kinetic_pairs(keys, reg, k, partner))
-            kinetic += 2.0 * params.t0 * float(np.vdot(a_low, a_high).real)
-    return potential, kinetic
+        else:
+            on += found
+    return params.v0 * float(np.abs(amps) ** 2 @ on), kinetic

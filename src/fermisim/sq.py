@@ -13,9 +13,16 @@ The encoding's layout is the chain: the evolution and the tally take a
 ModeLayout(m), as the first-quantized code takes a FirstQuantizedLayout, and
 the bonds (s, s + 1) come from `chain_bonds(m)`.
 
-The step conserves particle number and spin, so after a few steps the support
+Each layout, this one and `fq.FirstQuantizedLayout`, lists its Hubbard terms
+once, as `terms`, in the order a first-order step applies them.  A term maps
+the support's keys to the mask of strings it turns by exp(-i*dt*V0), or to the
+pairs (low, high, parity) it mixes by exp(-i*dt*t0*(-1)**parity * sigma_x).
+`trotter_step` and `trotter_evolve` run either encoding's list, and the energy
+split sums over it.
+
+The step conserves particle number, so after a few steps the support often
 stops changing.  Each term returns the store positions it wrote (a phase's
-strings, a hop's pairs and their parities), and `trotter_evolve` keeps the
+strings, a mix's pairs and their parities), and `trotter_evolve` keeps the
 positions of a step that starts on the support the previous step started and
 ended on.  Each later step that starts on that support replays them: per term
 one gather and one write at the recorded positions, with no pair building and
@@ -100,6 +107,14 @@ class ModeLayout:
     def register_layout(self) -> RegisterLayout:
         return self._registers
 
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """The step's terms in the order it applies them: a phase per site, then a hop per (bond, spin)."""
+        sites = tuple(_site_term((1 << self.mode(s, UP)) | (1 << self.mode(s, DOWN)))
+                      for s in range(1, self.m + 1))
+        return sites + tuple(_hop_term(self.mode(a, spin), self.mode(b, spin))
+                             for a, b in chain_bonds(self.m) for spin in SPINS)
+
 
 def encode_occupation(layout: ModeLayout, occupied: tuple[tuple[int, int], ...]) -> int:
     """Basis string with the listed (site, spin) modes occupied.
@@ -134,28 +149,15 @@ def _phase_factor(params: HubbardParams, dt: float) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def _double_mask(layout: ModeLayout, site: int) -> int:
-    """The two modes of one site, both set."""
-    return (1 << layout.mode(site, UP)) | (1 << layout.mode(site, DOWN))
-
-
-def _phase_site(state: QuantumState, mask: int, factor: complex, pos=None) -> np.ndarray:
-    """Multiply the strings with both modes of `mask` occupied by `factor`; returns their store positions.
-
-    `pos`, positions recorded on the current support, skips the search.
-    """
-    if pos is None:
-        pos = np.flatnonzero((state.support_keys() & mask) == mask)
-    state._scale_at(pos, factor)
-    return pos
+def _site_term(mask: int):
+    """A phase term: the strings with both modes of `mask` occupied."""
+    return lambda keys: (keys & mask) == mask
 
 
 def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """exp(-i*dt*V) where V = V0 * sum_s n(s,up) n(s,down): a phase per doubly occupied site."""
     check_layout(state, layout)
-    factor = _phase_factor(params, dt)
-    for site in range(1, layout.m + 1):
-        _phase_site(state, _double_mask(layout, site), factor)
+    _step(state, layout.terms[:layout.m], params, dt)
 
 
 def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, ...]:
@@ -172,6 +174,11 @@ def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, .
     return low, low ^ mask, jw_parity(low, mode_a, mode_b)
 
 
+def _hop_term(mode_a: int, mode_b: int):
+    """A mix term: the pairs the hop mode_a < mode_b couples (`hop_pairs`)."""
+    return lambda keys: hop_pairs(keys, mode_a, mode_b)
+
+
 def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
     """exp(-i*dt*t0*(-1)**p * sigma_x) per pair, in the rows `QuantumState._mix` takes.
 
@@ -184,20 +191,27 @@ def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
     return (complex(c), off), (off, complex(c))
 
 
-def _hop(state: QuantumState, mode_a: int, mode_b: int, params: HubbardParams, dt: float,
-         record=None) -> tuple[np.ndarray, np.ndarray]:
-    """One hop term's mix; returns the pairs' store positions (low members, then high) and parities.
+def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
+    """Apply one term; returns what it wrote: a phase's store positions, or a mix's pairs and parities.
 
-    `record`, a (positions, parities) pair recorded on the current support,
-    skips the pair building and the lookup.  The pairs are disjoint and built
-    from the support, and the gates are unitary closed forms, so the public
-    mix's checks are left to validation mode.
+    A phase term's strings are multiplied by `_phase_factor`; a mix term's
+    pairs are mixed by `_hop_gate`, and its positions are the low members',
+    then the high ones'.  `record`, what the term wrote on the current
+    support, skips the term's own search and the lookup.  The pairs are
+    disjoint and built from the support, and the gates are unitary closed
+    forms, so the public mix's checks are left to validation mode.
     """
     if record is None:
-        low, high, parity = hop_pairs(state.support_keys(), mode_a, mode_b)
-        return state._mix(low, high, _hop_gate(params, dt, parity)), parity
-    pos, parity = record
-    state._mix_at(None, pos, _hop_gate(params, dt, parity))
+        found = term(state.support_keys())
+        if isinstance(found, tuple):
+            low, high, parity = found
+            return state._mix(low, high, _hop_gate(params, dt, parity)), parity
+        record = np.flatnonzero(found)
+    if isinstance(record, tuple):
+        pos, parity = record
+        state._mix_at(None, pos, _hop_gate(params, dt, parity))
+    else:
+        state._scale_at(record, _phase_factor(params, dt))
     return record
 
 
@@ -215,31 +229,27 @@ def evolve_hopping_pair(
     check_layout(state, layout)
     if abs(site_a - site_b) != 1:
         raise ValueError(f"sites ({site_a}, {site_b}) are not adjacent")
-    _hop(state, layout.mode(min(site_a, site_b), spin), layout.mode(max(site_a, site_b), spin), params, dt)
+    a, b = sorted((site_a, site_b))
+    _step(state, (_hop_term(layout.mode(a, spin), layout.mode(b, spin)),), params, dt)
 
 
-def _step(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float,
+def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
           recorded=None, keep: bool = False) -> tuple[list | None, bool]:
-    """One first-order step: potential phase per site, then every (pair, spin) hop in fixed order.
+    """Apply `terms` in order with step length dt; a layout's `terms` make one first-order step.
 
     `recorded` holds one record per term, taken on the current support: each
     term replays its record while the support is still that object, and runs
     afresh once a term has changed it.  Returns the records, with `keep`, and
     whether the step ended on the support object it started on.  A record is
-    int32 positions (with the pairs' parities, for a hop), or None for a hop
+    int32 positions (with the pairs' parities, for a mix), or None for a mix
     with a pair member off the support, which a replay must run afresh.
     """
     # A weak reference: holding the keys would keep a replaced store's keys
     # alive through the rest of the step.
     support = weakref.ref(state.support_keys())
-    factor = _phase_factor(params, dt)
-    terms = [functools.partial(_phase_site, state, _double_mask(layout, site), factor)
-             for site in range(1, layout.m + 1)]
-    terms += [functools.partial(_hop, state, layout.mode(a, spin), layout.mode(b, spin), params, dt)
-              for a, b in chain_bonds(layout.m) for spin in SPINS]
     kept = [] if keep else None
     for term, record in zip(terms, recorded or [None] * len(terms)):
-        written = term(record if support() is state.support_keys() else None)
+        written = _apply(state, term, record if support() is state.support_keys() else None, params, dt)
         if keep:
             kept.append(_int32(written))
         del written  # not held through the next term
@@ -254,16 +264,14 @@ def _int32(written):
     return written.astype(np.int32)
 
 
-def trotter_step(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
-    """One first-order step: potential phase, then every (pair, spin) hop in fixed order."""
+def trotter_step(state: QuantumState, layout, params: HubbardParams, dt: float) -> None:
+    """One first-order step of either encoding: the layout's `terms` in order."""
     check_layout(state, layout)
-    _step(state, layout, params, dt)
+    _step(state, layout.terms, params, dt)
 
 
-def trotter_evolve(
-    state: QuantumState, layout: ModeLayout, params: HubbardParams, plan: TrotterPlan
-) -> None:
-    """Apply `plan.r` first-order Trotter steps of length plan.dt in place.
+def trotter_evolve(state: QuantumState, layout, params: HubbardParams, plan: TrotterPlan) -> None:
+    """Apply `plan.r` first-order steps of length plan.dt in place, under either encoding.
 
     A step that starts on the support object the previous step started and
     ended on keeps its terms' records (`_step`).  If it ends on that object
@@ -275,7 +283,7 @@ def trotter_evolve(
     recorded = None  # records taken on the support the current step starts on
     closed = False  # whether the previous step started and ended on one support
     for _ in range(plan.r):
-        kept, closed = _step(state, layout, params, plan.dt, recorded, keep=closed and recorded is None)
+        kept, closed = _step(state, layout.terms, params, plan.dt, recorded, keep=closed and recorded is None)
         if not closed:
             recorded = None
         elif kept is not None:

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fermisim import cli, observables
-from fermisim.cli import MAX_SITES, ConfigError, RunConfig, cmd_antisym, main, parse_config
+from fermisim.cli import MAX_SITES, MAX_STEPS, ConfigError, RunConfig, cmd_antisym, main, parse_config
 from fermisim.observables import ENERGY_SPLIT_TOL, SamplingPlan
 from fermisim.state import MAX_TRIALS, QuantumState, _sorted_uniforms, set_validation_mode
 
@@ -133,6 +133,7 @@ class TestConfigParsing:
              "params: unknown fields ['U']"),
             (lambda r: r.update(plan={"t": 1.0, "r": 8, "dt": 0.125}),
              "plan: unknown fields ['dt']"),
+            (lambda r: r.update(plan={"t": 1.0, "r": MAX_STEPS + 1}), f"plan.r: must be <= {MAX_STEPS}"),
         ],
     )
     def test_schema_violations_name_their_path(self, mangle, needle):
@@ -449,12 +450,14 @@ class TestEvolve:
         "raw, extra, needle",
         [
             (base_config(plan={"t": 1e308, "r": 1}), (), ": plan.t:"),
+            (base_config(plan={"t": 1.0, "r": 2**64}), (), ": plan.r:"),
         ],
     )
     def test_capability_limits_rejected_before_the_run(self, tmp_path, capsys, raw, extra, needle):
         code, output = run_evolve(tmp_path, raw, *extra)
+        err = capsys.readouterr().err
         assert code == 2
-        assert needle in capsys.readouterr().err
+        assert needle in err and "Traceback" not in err
         assert not output.exists()
 
     def test_state_wider_than_the_old_dense_cap_runs(self, tmp_path):

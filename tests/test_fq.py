@@ -19,7 +19,6 @@ from fermisim.fq import (
     prepare_antisymmetric,
     single_particle_plane_wave,
     trotter_evolve_fq,
-    trotter_step_fq,
 )
 from fermisim.oracle import (
     build_fq_hamiltonian,
@@ -27,7 +26,7 @@ from fermisim.oracle import (
     pack_words,
     propagator,
 )
-from fermisim.sq import HubbardParams, TrotterPlan, chain_bonds
+from fermisim.sq import HubbardParams, TrotterPlan, chain_bonds, trotter_step
 from fermisim.state import inject_state, init_basis_state, validation_mode
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
@@ -212,7 +211,7 @@ class TestTrotterFq:
         vec = propagator(h_v, dt) @ vec
         for k in range(layout.n):
             vec = kinetic_step_oracle(layout, k, dt) @ vec
-        trotter_step_fq(state, layout, PARAMS, dt)
+        trotter_step(state, layout, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), vec, atol=1e-12)
 
     def test_converges_to_exact_propagator(self):
@@ -249,7 +248,7 @@ class TestTrotterFq:
 @settings(max_examples=30)
 @given(st.data())
 def test_every_step_keeps_exchange_symmetry(data):
-    """Each trotter_step_fq commutes with particle exchange, from any prepared state."""
+    """Each first-quantized trotter_step commutes with particle exchange, from any prepared state."""
     m = data.draw(st.sampled_from((2, 4, 8)), label="m")
     n = data.draw(st.integers(1, 3), label="n")
     layout = FirstQuantizedLayout(n=n, m=m)
@@ -261,7 +260,7 @@ def test_every_step_keeps_exchange_symmetry(data):
                            t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
     dt = data.draw(st.floats(-3.0, 3.0), label="dt")
     for _ in range(data.draw(st.integers(1, 3), label="steps")):
-        trotter_step_fq(state, layout, params, dt)
+        trotter_step(state, layout, params, dt)
         assert exchange_symmetry_violation(state, layout, mode) <= 1e-10
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import BOTH_INDEXES, random_state_map
 
@@ -28,6 +29,7 @@ from fermisim.observables import (
     pair_correlation,
     required_trials,
     _check_energy,
+    _energy_split,
     _site_counts,
 )
 from fermisim.oracle import (
@@ -180,11 +182,10 @@ class TestChargeDensity:
         with pytest.raises(ValueError):
             charge_density(state, layout)
 
-    @pytest.mark.parametrize("sites", [None, (3, 1), (4,)])
     @pytest.mark.parametrize("layout", [FirstQuantizedLayout(n=3, m=4), FirstQuantizedLayout(n=7, m=512)],
                              ids=["narrow", "wide"])
-    def test_fq_site_table_counts_each_particle(self, layout, sites):
-        """Every (string, site) entry is the number of particle words on that site."""
+    def test_fq_site_table_counts_each_particle(self, layout):
+        """Every (string, site) entry of the m-column table is the number of particle words on that site."""
         if layout.n == 3:  # all 512 strings, so up to three particles share a site
             keys = np.arange(1 << (layout.n * layout.word_bits), dtype=np.int64)
         else:  # 70-bit object keys, with every particle on one of sites 1..4
@@ -192,14 +193,13 @@ class TestChargeDensity:
             words = rng.integers(0, 8, size=(60, layout.n))
             keys = np.array([sum(int(w) << (k * layout.word_bits) for k, w in enumerate(row))
                              for row in words], dtype=object)
-        listed = range(1, layout.m + 1) if sites is None else sites
         mask = (1 << layout.word_bits) - 1
 
         def on_site(key, site):
             return sum(((key >> (k * layout.word_bits) & mask) >> 1) + 1 == site for k in range(layout.n))
 
-        want = [[on_site(int(key), site) for site in listed] for key in keys]
-        assert _site_counts(keys, layout, sites).tolist() == want
+        want = [[on_site(int(key), site) for site in range(1, layout.m + 1)] for key in keys]
+        assert _site_counts(keys, layout).tolist() == want
 
 
 class TestCorrelations:
@@ -547,6 +547,57 @@ class TestMatrixFreeEnergy:
         with validation_mode():
             with pytest.raises(InvariantViolation, match="dense oracle"):
                 expected_energy(state, layout, PARAMS)
+
+
+def _rayleigh(state, layout, params) -> float:
+    """<psi|H psi> with H psi from the oracle's matrix-free Hamiltonian."""
+    apply = oracle.apply_sq_hamiltonian if isinstance(layout, ModeLayout) else oracle.apply_fq_hamiltonian
+    h_keys, h_amps = apply(layout, params, *state.gather())
+    return float(np.vdot(state.gather(h_keys)[1], h_amps).real)
+
+
+def _assert_split_is_the_oracle_energy(state, layout, params):
+    """Each part of the split is the Rayleigh quotient of its own part of H."""
+    potential, kinetic = _energy_split(state, layout.terms, params)
+    for part, alone in ((potential, HubbardParams(params.v0, 0.0)), (kinetic, HubbardParams(0.0, params.t0))):
+        want = _rayleigh(state, layout, alone)
+        assert abs(part - want) <= ENERGY_SPLIT_TOL * max(1.0, abs(want))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_energy_split_is_the_oracle_energy_on_random_states(data):
+    """Either encoding, any normalized state: the split of the step's terms matches the oracle."""
+    if data.draw(st.booleans(), label="first-quantized"):
+        layout = FirstQuantizedLayout(n=data.draw(st.integers(1, 3), label="n"),
+                                      m=data.draw(st.sampled_from((2, 4)), label="m"))
+    else:
+        layout = ModeLayout(data.draw(st.integers(1, 4), label="m"))
+    width = layout.register_layout().width
+    support = data.draw(st.integers(1, min(1 << width, 64)), label="support")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    state = inject_state(layout.register_layout(), random_state_map(rng, width, support))
+    coupling = st.floats(0.25, 8.0) | st.floats(-8.0, -0.25)
+    params = HubbardParams(v0=data.draw(coupling, label="v0"), t0=data.draw(coupling, label="t0"))
+    _assert_split_is_the_oracle_energy(state, layout, params)
+
+
+@pytest.mark.parametrize("layout", [ModeLayout(32), FirstQuantizedLayout(n=7, m=512)],
+                         ids=["sq-64-qubits", "fq-70-qubits"])
+def test_energy_split_is_the_oracle_energy_on_object_keys(layout):
+    """Past 62 qubits the keys are Python ints; a state on few sites keeps many couplings."""
+    rng = np.random.default_rng(31)
+    if isinstance(layout, ModeLayout):  # modes of sites 1-4 only
+        keys = rng.choice(1 << 8, size=24, replace=False)
+    else:  # every particle on sites 1-4, next to each string's T1 partner for every particle
+        words = rng.integers(0, 8, size=(6, layout.n))
+        base = {sum(int(w) << (k * layout.word_bits) for k, w in enumerate(row)) for row in words}
+        keys = base | {b ^ (2 << (k * layout.word_bits)) for b in base for k in range(layout.n)}
+    amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+    amps /= np.linalg.norm(amps)
+    state = inject_state(layout.register_layout(), {int(b): complex(a) for b, a in zip(keys, amps)})
+    assert state.support_keys().dtype == object
+    _assert_split_is_the_oracle_energy(state, layout, PARAMS)
 
 
 class TestSampling:

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import INDEXES, forced_index, random_state_map
 
-from fermisim import sq
-from fermisim.fq import FirstQuantizedLayout
-from fermisim.oracle import build_sq_hamiltonian, hopping_term, propagator
+from fermisim import fq, sq
+from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric, trotter_evolve_fq
+from fermisim.oracle import build_sq_hamiltonian, hopping_term, pack_words, propagator
 from fermisim.sq import (
     DOWN,
     UP,
@@ -229,7 +229,7 @@ class TestTrotterStep:
             trotter_evolve(state, ModeLayout(2), PARAMS, TrotterPlan(t=0.1, r=1))
 
 
-def _sector_state(layout, index=None):
+def _sector_state(layout, index):
     """Two up and two down particles on four sites, spread over their whole 36-string sector.
 
     Every step keeps the support at the sector, so each step is closed.
@@ -240,8 +240,6 @@ def _sector_state(layout, index=None):
     amps = rng.normal(size=36) + 1j * rng.normal(size=36)
     amps /= np.linalg.norm(amps)
     entries = {u | d: complex(a) for (u, d), a in zip(((u, d) for u in up for d in down), amps)}
-    if index is None:
-        return inject_state(layout.register_layout(), entries)
     with forced_index(index):
         return inject_state(layout.register_layout(), entries)
 
@@ -251,90 +249,116 @@ def _assert_bitwise(a, b):
     assert np.array_equal(a.gather()[1].view(np.int64), b.gather()[1].view(np.int64))
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of sq.`name`, still running it."""
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.`name`, still running it."""
     calls = []
-    original = getattr(sq, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(sq, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 class TestClosedStepReplay:
+    """Closed steps replay on the mode encoding; the subclass below runs the same tests first-quantized."""
+
     LAYOUT = ModeLayout(4)
-    HOPS = 2 * len(chain_bonds(4))
+    PHASES, MIXES = 4, 2 * len(chain_bonds(4))  # a phase per site, a hop per (bond, spin)
+    PAIR_BUILDER = (sq, "hop_pairs")
+    evolve = staticmethod(trotter_evolve)
+
+    def start(self, start="sector", index="slot"):
+        """A state whose every step is closed ("sector"), or one whose support grows, then closes."""
+        if start == "sector":
+            return _sector_state(self.LAYOUT, index)
+        bits = encode_occupation(self.LAYOUT, ((1, UP), (2, DOWN), (3, UP)))
+        with forced_index(index):
+            return init_basis_state(self.LAYOUT.register_layout(), bits)
 
     @pytest.mark.parametrize("index", INDEXES)
     @pytest.mark.parametrize("start", ["sector", "one string"])
     def test_evolution_is_bitwise_a_loop_of_steps(self, index, start):
         """Replayed steps, and the steps before the support closes, compute what trotter_step computes."""
         layout, plan = self.LAYOUT, TrotterPlan(t=2.0, r=12)
-        if start == "sector":
-            evolved, looped = _sector_state(layout, index), _sector_state(layout, index)
-        else:  # the support grows over the first steps, then closes
-            bits = encode_occupation(layout, ((1, UP), (2, DOWN), (3, UP)))
-            with forced_index(index):
-                evolved, looped = (init_basis_state(layout.register_layout(), bits) for _ in range(2))
-        trotter_evolve(evolved, layout, PARAMS, plan)
+        evolved, looped = self.start(start, index), self.start(start, index)
+        self.evolve(evolved, layout, PARAMS, plan)
         for _ in range(plan.r):
             trotter_step(looped, layout, PARAMS, plan.dt)
         _assert_bitwise(evolved, looped)
 
     @pytest.mark.parametrize("r", [3, 10])
     def test_recorded_step_builds_no_more_pairs(self, monkeypatch, r):
-        """Step 1 closes the support and step 2 records; every later step replays without hop_pairs."""
-        calls = _count_calls(monkeypatch, "hop_pairs")
-        state = _sector_state(self.LAYOUT)
-        trotter_evolve(state, self.LAYOUT, PARAMS, TrotterPlan(t=1.0, r=r))
-        assert len(calls) == 2 * self.HOPS
+        """Step 1 closes the support and step 2 records; every later step replays without the pair builder."""
+        state = self.start()
+        calls = _count_calls(monkeypatch, *self.PAIR_BUILDER)
+        self.evolve(state, self.LAYOUT, PARAMS, TrotterPlan(t=1.0, r=r))
+        assert len(calls) == 2 * self.MIXES
 
     def test_a_term_that_changes_the_support_ends_the_replay(self, monkeypatch):
         """After a term rebuilds the store, the rest of the step and every later step run afresh."""
         layout = self.LAYOUT
-        state, looped = _sector_state(layout), _sector_state(layout)
-        kept, closed = sq._step(state, layout, PARAMS, 0.1, keep=True)
+        state, looped = self.start(), self.start()
+        kept, closed = sq._step(state, layout.terms, PARAMS, 0.1, keep=True)
         trotter_step(looped, layout, PARAMS, 0.1)
-        assert closed and len(kept) == layout.m + self.HOPS
-        original = sq._hop
+        assert closed and len(kept) == self.PHASES + self.MIXES
+        original = sq._apply
 
         def rebuilding(state, *args, **kwargs):
             written = original(state, *args, **kwargs)
-            if not rebuilt:
+            if isinstance(written, tuple) and not rebuilt:  # the first mix
                 rebuilt.append(True)
                 state._replace(*state.gather())  # same entries, new support object
             return written
 
         rebuilt = []
-        monkeypatch.setattr(sq, "_hop", rebuilding)
-        calls = _count_calls(monkeypatch, "hop_pairs")
-        _, closed = sq._step(state, layout, PARAMS, 0.1, kept)
+        monkeypatch.setattr(sq, "_apply", rebuilding)
+        calls = _count_calls(monkeypatch, *self.PAIR_BUILDER)
+        _, closed = sq._step(state, layout.terms, PARAMS, 0.1, kept)
         assert not closed
-        assert len(calls) == self.HOPS - 1  # the first hop replayed, then the support changed
+        assert len(calls) == self.MIXES - 1  # the first mix replayed, then the support changed
         trotter_step(looped, layout, PARAMS, 0.1)
         _assert_bitwise(state, looped)
 
     def test_validation_mode_checks_the_store_on_replayed_writes(self, monkeypatch):
         """A `_slot` corrupted before a replayed step trips the store check of its first write."""
-        layout = self.LAYOUT
+        layout, plan = self.LAYOUT, TrotterPlan(t=1.0, r=3)
+        clean, checked = self.start(), self.start()
         original = sq._step
 
-        def corrupting(state, layout, params, dt, recorded=None, keep=False):
+        def corrupting(state, terms, params, dt, recorded=None, keep=False):
             if recorded is not None:
                 absent = int(np.flatnonzero(state._slot < 0)[0])
                 state._slot[absent] = 0  # a slot for an absent key, which no replayed write touches
-            return original(state, layout, params, dt, recorded, keep)
+            return original(state, terms, params, dt, recorded, keep)
 
         monkeypatch.setattr(sq, "_step", corrupting)
-        state = _sector_state(layout, "slot")
-        trotter_evolve(state, layout, PARAMS, TrotterPlan(t=1.0, r=3))  # production mode: no check
-        state = _sector_state(layout, "slot")
+        self.evolve(clean, layout, PARAMS, plan)  # production mode: no check
         with validation_mode():
             with pytest.raises(InvariantViolation, match="_slot"):
-                trotter_evolve(state, layout, PARAMS, TrotterPlan(t=1.0, r=3))
+                self.evolve(checked, layout, PARAMS, plan)
+
+
+class TestClosedStepReplayFirstQuantized(TestClosedStepReplay):
+    """Two fermions on m = 4, labels 1 and 4 (site 1 up, site 2 down): their 32-string sector closes."""
+
+    LAYOUT = FirstQuantizedLayout(n=2, m=4)
+    PHASES, MIXES = 1, 4  # a phase per particle pair, a mix per (particle, kinetic half)
+    PAIR_BUILDER = (fq, "kinetic_pairs")
+    evolve = staticmethod(trotter_evolve_fq)
+
+    def start(self, start="sector", index="slot"):
+        """The prepared pair after two steps, which fill the sector ("sector"), or the bare product string."""
+        with forced_index(index):
+            if start != "sector":
+                return init_basis_state(self.LAYOUT.register_layout(), pack_words((0, 3), 3))
+            state = prepare_antisymmetric(self.LAYOUT, (1, 4))
+        for _ in range(2):
+            trotter_step(state, self.LAYOUT, PARAMS, 0.5)
+        assert len(state.support_keys()) == 32
+        return state
 
 
 def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:
