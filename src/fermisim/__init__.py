@@ -6,7 +6,7 @@ import os
 # their environment once, at load time.  Results never depend on this, only
 # wall time does.
 _threads = os.environ.get("FERMISIM_THREADS")
-if _threads is not None and _threads.isdigit() and int(_threads) >= 1:
+if _threads is not None and _threads.isascii() and _threads.isdigit() and int(_threads) >= 1:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 del _threads

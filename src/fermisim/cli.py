@@ -10,12 +10,16 @@ failed after its config was accepted, or a validation suite failed, 2 anything
 wrong with the user's input.  Result documents echo their fully normalized
 config, so a document alone is enough to reproduce the run; reruns are
 byte-identical except for the wall-time field.
+
+Importing this module freezes the import-time heap (`gc.freeze`), since a CLI
+process keeps it until exit; collection of everything made later is unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -54,6 +58,13 @@ from fermisim.sq import (
 )
 from fermisim.state import MAX_TRIALS, InvariantViolation, init_basis_state, set_validation_mode
 from fermisim.validate import SUITES, run_suite, slater_overlap
+
+# A CLI process keeps everything alive after these imports (numpy, fermisim's
+# modules, classes and functions) until exit.  Freezing it into the permanent
+# generation spares the final collection, and any full one, from walking it;
+# objects made later are collected as before.  Here, not in the package
+# `__init__`, so code that imports only the library keeps its GC state.
+gc.freeze()
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
 # Largest accepted lattice.m, a power of two so that first-quantized runs may
@@ -519,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     threads = os.environ.get(THREAD_ENV_VAR)
-    if threads is not None and (not threads.isdigit() or int(threads) < 1):
+    if threads is not None and not (threads.isascii() and threads.isdigit() and int(threads) >= 1):
         print(f"error: {THREAD_ENV_VAR} must be a positive integer, got {threads!r}",
               file=sys.stderr)
         return 2

@@ -60,6 +60,36 @@ def run_evolve(tmp_path, raw, *extra):
     return code, output
 
 
+def subprocess_env(**extra):
+    """This environment plus `extra`, with the source tree first on PYTHONPATH."""
+    path = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def evolve_in_subprocess(tmp_path, hook_source):
+    """Run `evolve` on base_config() in a fresh interpreter whose last atexit hook is `hook`.
+
+    `hook_source` defines `hook()`; it is registered before fermisim.cli is
+    imported, so it runs after every handler the CLI or numpy registers.  The
+    hook sees `sys`, and the output path as the last argument.
+    """
+    config = tmp_path / "run.json"
+    output = tmp_path / "out.json"
+    config.write_text(json.dumps(base_config()))
+    script = (
+        "import atexit, sys\n"
+        + hook_source
+        + "atexit.register(hook)\n"
+        "from fermisim.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script, "evolve", "--config", str(config), "--output", str(output)],
+        capture_output=True, text=True, env=subprocess_env(), timeout=120,
+    )
+    return done, output
+
+
 class TestConfigParsing:
     def test_round_trip_is_field_wise_identity(self):
         config = parse_config(base_config())
@@ -396,24 +426,43 @@ class TestEvolve:
 
     def test_sampled_run_never_imports_numpy_random(self, tmp_path):
         """The shots come from fermisim's own generator; numpy.random stays unloaded."""
-        config = tmp_path / "run.json"
-        output = tmp_path / "out.json"
-        config.write_text(json.dumps(base_config()))
-        script = (
-            "import atexit, sys\n"
-            "atexit.register(lambda: print('numpy.random' in sys.modules))\n"
-            "from fermisim.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-        done = subprocess.run(
-            [sys.executable, "-c", script, "evolve", "--config", str(config), "--output", str(output)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        done, output = evolve_in_subprocess(
+            tmp_path, "def hook():\n    print('numpy.random' in sys.modules)\n")
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
         assert any(row["sampled"] is not None for row in json.loads(output.read_text())["observables"][0]["values"])
+
+    def test_frozen_heap_leaves_collection_and_outputs_whole(self, tmp_path):
+        """After a full run, the import-time heap is frozen, GC still runs, and both outputs are complete."""
+        hook = (
+            "def hook():\n"
+            "    import csv, gc, json, pathlib, weakref\n"
+            "    class Node:\n"
+            "        pass\n"
+            "    node = Node()\n"
+            "    node.self = node\n"
+            "    alive = weakref.ref(node)\n"
+            "    del node\n"
+            "    gc.collect()\n"
+            "    output = pathlib.Path(sys.argv[-1])\n"
+            "    with output.with_suffix('.csv').open(newline='') as handle:\n"
+            "        rows = list(csv.reader(handle))\n"
+            "    print(json.dumps({'frozen': gc.get_freeze_count(), 'enabled': gc.isenabled(),\n"
+            "                      'cycle_collected': alive() is None,\n"
+            "                      'document': json.loads(output.read_text()), 'rows': rows}))\n"
+        )
+        done, output = evolve_in_subprocess(tmp_path, hook)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        assert seen["frozen"] > 0
+        assert seen["enabled"]
+        assert seen["cycle_collected"]
+        document = json.loads(output.read_text())
+        assert seen["document"] == document
+        values = document["observables"][0]["values"]
+        assert seen["rows"][0] == ["observable", "index", "exact", "sampled", "stderr"]
+        assert [(row[0], row[1], float(row[2])) for row in seen["rows"][1:]] == [
+            ("charge_density", str(v["index"]), v["exact"]) for v in values]
 
     def test_seed_override_without_sampling_block_is_a_user_error(self, tmp_path, capsys):
         code, _ = run_evolve(tmp_path, base_config(sampling=None), "--seed", "99")
@@ -745,9 +794,17 @@ class TestValidateCommand:
 
 class TestThreadEnvVar:
     def test_garbage_thread_count_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("FERMISIM_THREADS", "many")
-        assert main(["validate", "scaling"]) == 2
-        assert "FERMISIM_THREADS" in capsys.readouterr().err
+        # "²" passes str.isdigit but not int(); "٣" (Arabic-Indic three) passes
+        # both, but the BLAS pools would not read it.
+        for value in ("many", "²", "٣"):
+            monkeypatch.setenv("FERMISIM_THREADS", value)
+            assert main(["validate", "scaling"]) == 2
+            assert "FERMISIM_THREADS" in capsys.readouterr().err
+
+    def test_package_import_ignores_a_non_ascii_digit(self):
+        done = subprocess.run([sys.executable, "-c", "import fermisim"], capture_output=True,
+                              text=True, env=subprocess_env(FERMISIM_THREADS="²"), timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_valid_thread_count_is_accepted(self, monkeypatch):
         monkeypatch.setenv("FERMISIM_THREADS", "2")

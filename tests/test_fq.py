@@ -256,9 +256,10 @@ def test_every_step_keeps_exchange_symmetry(data):
     mode = data.draw(st.sampled_from(("fermi", "bose")), label="mode")
     with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
         state = prepare_antisymmetric(layout, labels, mode)
+    # |t0| >= 0.25 and |dt| >= 0.2, so |t0 * dt| >= 0.05 and every step hops.
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
-                           t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
-    dt = data.draw(st.floats(-3.0, 3.0), label="dt")
+                           t0=data.draw(st.floats(-2.0, -0.25) | st.floats(0.25, 2.0), label="t0"))
+    dt = data.draw(st.floats(-3.0, -0.2) | st.floats(0.2, 3.0), label="dt")
     for _ in range(data.draw(st.integers(1, 3), label="steps")):
         trotter_step(state, layout, params, dt)
         assert exchange_symmetry_violation(state, layout, mode) <= 1e-10

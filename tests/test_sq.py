@@ -380,14 +380,15 @@ def test_every_step_keeps_each_strings_up_and_down_counts(data):
     amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0, allow_nan=False,
                                    allow_infinity=False)
     entries = data.draw(st.dictionaries(st.integers(0, (1 << (2 * m)) - 1), amplitude,
-                                        min_size=1, max_size=10), label="entries")
+                                        min_size=2, max_size=10), label="entries")
     norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
     with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
         state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()})
+    # |t0| >= 0.25 and |dt| >= 0.2, so |t0 * dt| >= 0.05 and the step hops.
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
-                           t0=data.draw(st.floats(-2.0, 2.0), label="t0"))
+                           t0=data.draw(st.floats(-2.0, -0.25) | st.floats(0.25, 2.0), label="t0"))
     before = _spin_sector_weights(state, layout)
-    trotter_step(state, layout, params, data.draw(st.floats(-3.0, 3.0), label="dt"))
+    trotter_step(state, layout, params, data.draw(st.floats(-3.0, -0.2) | st.floats(0.2, 3.0), label="dt"))
     after = _spin_sector_weights(state, layout)
     assert after.keys() == before.keys()
     for sector, weight in before.items():
