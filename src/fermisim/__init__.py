@@ -2,11 +2,17 @@
 
 import os
 
+
+def valid_thread_count(value: str) -> bool:
+    """Whether FERMISIM_THREADS=`value` is a thread count: ASCII digits, at least 1."""
+    return value.isascii() and value.isdigit() and int(value) >= 1
+
+
 # Honor the thread cap before anything pulls in numpy: the BLAS pools read
 # their environment once, at load time.  Results never depend on this, only
 # wall time does.
 _threads = os.environ.get("FERMISIM_THREADS")
-if _threads is not None and _threads.isascii() and _threads.isdigit() and int(_threads) >= 1:
+if _threads is not None and valid_thread_count(_threads):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, _threads)
 del _threads

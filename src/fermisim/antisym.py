@@ -190,8 +190,8 @@ def _rank_tuples(n: int) -> np.ndarray:
 
 
 def _pack_rows(rows: np.ndarray, word_bits: int) -> np.ndarray:
-    """encode_labels of every row of 1-based labels, as int64 keys up to KEY_BITS bits, Python ints above."""
-    dtype = np.int64 if rows.shape[1] * word_bits <= KEY_BITS else object
+    """encode_labels of every row of 1-based labels, as keys of the key dtype of that many bits."""
+    dtype = RegisterLayout.of(("A", rows.shape[1] * word_bits)).key_dtype
     packed = np.zeros(len(rows), dtype=dtype)
     for i, column in enumerate((rows - 1).astype(dtype).T):
         packed |= column << (i * word_bits)

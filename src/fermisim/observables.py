@@ -50,24 +50,16 @@ ENERGY_SPLIT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Seed, shot count, and accuracy targets for a reproducible measurement run.
-
-    epsilon is the accuracy the shot count was planned for (see
-    required_trials); it is bookkeeping for planning, and the estimates
-    themselves only consume (seed, n_trials).
-    """
+    """Seed and shot count of a reproducible measurement run (required_trials plans the count)."""
 
     seed: int
     n_trials: int
-    epsilon: float = 0.1
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(self.n_trials, int) or not 1 <= self.n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {self.n_trials!r}")
-        if not (self.epsilon > 0) or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -192,12 +184,6 @@ def _indicator_estimates(
     return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]
 
 
-def _check_layout(state: QuantumState, layout) -> None:
-    if not isinstance(layout, (ModeLayout, FirstQuantizedLayout)):
-        raise ValueError(f"unsupported layout type {type(layout).__name__}")
-    check_layout(state, layout)
-
-
 def charge_density(
     state: QuantumState, layout, plan: SamplingPlan | None = None
 ) -> np.ndarray | list[Estimate]:
@@ -206,7 +192,7 @@ def charge_density(
     Without a plan, returns the exact length-m vector.  With one, returns
     per-site Estimates from a single seeded shot batch.
     """
-    _check_layout(state, layout)
+    check_layout(state, layout)
     return _indicator_estimates(state, layout, lambda occupied: occupied, plan)
 
 
@@ -214,7 +200,7 @@ def k_point_correlation(
     state: QuantumState, layout, sites, plan: SamplingPlan | None = None
 ) -> float | Estimate:
     """Probability that every listed site is occupied by at least one particle."""
-    _check_layout(state, layout)
+    check_layout(state, layout)
     sites = tuple(int(s) for s in sites)
     if not 1 <= len(sites) <= MAX_CORRELATION_POINTS:
         raise ValueError(f"correlations support 1..{MAX_CORRELATION_POINTS} sites, got {len(sites)}")
@@ -251,7 +237,7 @@ def momentum_distribution(
     per-particle encodings are supported; the mode-number encoding has no
     per-particle register to transform.
     """
-    _check_layout(state, layout)
+    check_layout(state, layout)
     if not isinstance(layout, FirstQuantizedLayout):
         raise ValueError("momentum readout needs the per-particle encoding")
     if not 0 <= particle < layout.n:
@@ -291,7 +277,7 @@ def expected_energy(state: QuantumState, layout, params: HubbardParams) -> Energ
     validation mode the total is also checked against the dense oracle matrix
     wherever that fits under the oracle's caps.
     """
-    _check_layout(state, layout)
+    check_layout(state, layout)
     keys, amps = state.gather()
     if isinstance(layout, ModeLayout):
         h_keys, h_amps = oracle.apply_sq_hamiltonian(layout, params, keys, amps)

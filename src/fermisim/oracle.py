@@ -240,12 +240,7 @@ def slater_antisymmetrize(labels, mode: str = "fermi") -> dict[tuple[int, ...], 
     coeff = 1.0 / math.sqrt(math.factorial(n))
     out: dict[tuple[int, ...], complex] = {}
     for perm in permutations(range(n)):
-        sign = 1.0
-        if mode == "fermi":
-            inversions = sum(
-                1 for a in range(n) for b in range(a + 1, n) if perm[a] > perm[b]
-            )
-            sign = -1.0 if inversions & 1 else 1.0
+        sign = _permutation_sign(perm) if mode == "fermi" else 1.0
         out[tuple(labels[p] for p in perm)] = sign * coeff
     return out
 
@@ -287,7 +282,7 @@ def fq_to_sq(vector: np.ndarray, layout: FirstQuantizedLayout, atol: float = 1e-
             continue
         ordered = tuple(sorted(words))
         ref = vector[pack_words(ordered, w)]
-        sign = _permutation_sign(words, ordered)
+        sign = _permutation_sign([ordered.index(v) for v in words])
         if abs(vector[basis] - sign * ref) > atol:
             raise ValueError("input vector is not antisymmetric under label exchange")
         if words == ordered:
@@ -298,8 +293,8 @@ def fq_to_sq(vector: np.ndarray, layout: FirstQuantizedLayout, atol: float = 1e-
     return out
 
 
-def _permutation_sign(words, ordered) -> float:
-    order = [ordered.index(v) for v in words]
+def _permutation_sign(order) -> float:
+    """(-1)**inversions of a sequence of distinct values."""
     inversions = sum(
         1 for a in range(len(order)) for b in range(a + 1, len(order)) if order[a] > order[b]
     )

@@ -539,10 +539,6 @@ class QuantumState:
 
     # ------------------------------------------------------------------ gates
 
-    def apply_single_qubit_unitary(self, qubit: int, matrix) -> None:
-        """Apply a 2x2 unitary to one qubit."""
-        self.apply_controlled_unitary((), qubit, matrix)
-
     def apply_controlled_unitary(self, controls, target: int, matrix) -> None:
         """Apply a 2x2 unitary to `target` where every (qubit, value) control matches."""
         gate = _as_gate(matrix)
@@ -787,6 +783,9 @@ def inner_product(a: QuantumState, b: QuantumState) -> complex:
 
 
 def check_layout(state: QuantumState, encoding) -> None:
-    """ValueError unless `state` holds exactly the registers of `encoding.register_layout()`."""
-    if state.layout != encoding.register_layout():
+    """ValueError unless `encoding` is a layout and `state` holds exactly its registers."""
+    register_layout = getattr(encoding, "register_layout", None)
+    if register_layout is None:
+        raise ValueError(f"unsupported layout type {type(encoding).__name__}")
+    if state.layout != register_layout():
         raise ValueError("state register layout does not match the given encoding")

@@ -153,8 +153,16 @@ def validate_antisym() -> list[CheckResult]:
     return results
 
 
-def _convergence(suite: str, error, final_bound: float) -> list[CheckResult]:
-    """Halving ratios of error(r), the L2 error after r steps, for r = 32..256, and e(256)."""
+def _trotter_suite(suite: str, layout, start, evolve, hamiltonian, final_bound: float) -> list[CheckResult]:
+    """Halving ratios of e(r) for r = 32..256, and e(256): the L2 distance after r steps over
+    t = 1 between `evolve` from `start` and the dense propagator of `hamiltonian`."""
+    exact = expm_propagate(hamiltonian(layout, BENCH_PARAMS), 1.0, start.to_vector())
+
+    def error(r):
+        state = start.copy()
+        evolve(state, layout, BENCH_PARAMS, TrotterPlan(1.0, r))
+        return float(np.linalg.norm(state.to_vector() - exact))
+
     errors = {r: error(r) for r in (32, 64, 128, 256)}
     lo, hi = TROTTER_RATIO_WINDOW
     results = []
@@ -178,31 +186,17 @@ def _convergence(suite: str, error, final_bound: float) -> list[CheckResult]:
 def validate_trotter_sq() -> list[CheckResult]:
     """First-order convergence of the mode-register evolution on two sites."""
     layout = ModeLayout(2)
-    plan_t = 1.0
     start = init_basis_state(layout.register_layout(), encode_occupation(layout, ((1, UP), (1, DOWN))))
-    exact = expm_propagate(build_sq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector())
-
-    def error(r):
-        state = start.copy()
-        trotter_evolve(state, layout, BENCH_PARAMS, TrotterPlan(plan_t, r))
-        return float(np.linalg.norm(state.to_vector() - exact))
-
-    return _convergence("trotter-sq", error, SQ_FINAL_ERROR_BOUND)
+    return _trotter_suite("trotter-sq", layout, start, trotter_evolve, build_sq_hamiltonian,
+                          SQ_FINAL_ERROR_BOUND)
 
 
 def validate_trotter_fq() -> list[CheckResult]:
     """First-order convergence of the per-particle evolution on four sites."""
     layout = FirstQuantizedLayout(n=2, m=4)
-    plan_t = 1.0
     start = prepare_antisymmetric(layout, (1, 4))
-    exact = expm_propagate(build_fq_hamiltonian(layout, BENCH_PARAMS), plan_t, start.to_vector())
-
-    def error(r):
-        state = start.copy()
-        trotter_evolve_fq(state, layout, BENCH_PARAMS, TrotterPlan(plan_t, r))
-        return float(np.linalg.norm(state.to_vector() - exact))
-
-    return _convergence("trotter-fq", error, FQ_FINAL_ERROR_BOUND)
+    return _trotter_suite("trotter-fq", layout, start, trotter_evolve_fq, build_fq_hamiltonian,
+                          FQ_FINAL_ERROR_BOUND)
 
 
 def validate_crossform() -> list[CheckResult]:

@@ -144,7 +144,7 @@ def run_program(state: QuantumState, program: list) -> None:
     for op in program:
         kind = op[0]
         if kind == "unitary":
-            state.apply_single_qubit_unitary(op[1], op[2])
+            state.apply_controlled_unitary((), op[1], op[2])
         elif kind == "controlled":
             state.apply_controlled_unitary(op[1], op[2], op[3])
         elif kind == "phase":

@@ -110,9 +110,11 @@ class TestConfigParsing:
         assert echoed["lattice"]["boundary"] == "open"
         assert echoed["sampling"] is None
 
-    def test_sampling_epsilon_defaults(self):
-        config = parse_config(base_config())
-        assert config.sampling.epsilon == 0.1
+    def test_sampling_epsilon_is_checked_then_dropped(self):
+        # Older configs carry the accuracy their shot count was planned for; no estimate reads it.
+        config = parse_config(base_config(sampling={"N": 200, "seed": 3, "epsilon": 0.05}))
+        assert config == parse_config(base_config())
+        assert config.to_dict()["sampling"] == {"N": 200, "seed": 3}
 
     @pytest.mark.parametrize(
         "mangle, needle",
@@ -199,7 +201,7 @@ class TestConfigParsing:
 
     def test_sampling_block_becomes_a_sampling_plan(self):
         config = parse_config(base_config())
-        assert config.sampling == SamplingPlan(seed=3, n_trials=200, epsilon=0.1)
+        assert config.sampling == SamplingPlan(seed=3, n_trials=200)
 
     def test_seed_past_64_bits_rejected_at_parse_time(self):
         with pytest.raises(ConfigError, match="sampling.seed"):
@@ -792,20 +794,46 @@ class TestValidateCommand:
         assert all(line.endswith("pass") for line in lines[2:])
 
 
+# FERMISIM_THREADS values and whether each is a thread count.  The package
+# import passes the accepted ones to the BLAS pools and ignores the rest;
+# cli.main exits 2 on the rest.  "²" passes str.isdigit but not int(); "٣"
+# (Arabic-Indic three) passes both, but the BLAS pools would not read it.
+THREAD_COUNTS = (("1", True), ("2", True), ("01", True), ("0", False), (" 1", False),
+                 ("many", False), ("²", False), ("٣", False))
+BLAS_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class TestThreadEnvVar:
     def test_garbage_thread_count_exits_two(self, monkeypatch, capsys):
-        # "²" passes str.isdigit but not int(); "٣" (Arabic-Indic three) passes
-        # both, but the BLAS pools would not read it.
-        for value in ("many", "²", "٣"):
+        for value in (value for value, accepted in THREAD_COUNTS if not accepted):
             monkeypatch.setenv("FERMISIM_THREADS", value)
             assert main(["validate", "scaling"]) == 2
             assert "FERMISIM_THREADS" in capsys.readouterr().err
 
     def test_package_import_ignores_a_non_ascii_digit(self):
-        done = subprocess.run([sys.executable, "-c", "import fermisim"], capture_output=True,
+        # One interpreter imports the package under "²", then re-runs its
+        # import for every value and reports what reached the pool variables.
+        script = (
+            "import importlib, json, os, sys\n"
+            "import fermisim\n"
+            "seen = {}\n"
+            "for value in json.loads(sys.argv[1]):\n"
+            f"    for var in {BLAS_POOL_VARS!r}:\n"
+            "        os.environ.pop(var, None)\n"
+            "    os.environ['FERMISIM_THREADS'] = value\n"
+            "    importlib.reload(fermisim)\n"
+            f"    seen[value] = [os.environ.get(var) for var in {BLAS_POOL_VARS!r}]\n"
+            "print(json.dumps(seen))\n"
+        )
+        values = [value for value, _ in THREAD_COUNTS]
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(values)], capture_output=True,
                               text=True, env=subprocess_env(FERMISIM_THREADS="²"), timeout=120)
         assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout)
+        for value, accepted in THREAD_COUNTS:
+            assert seen[value] == [value if accepted else None] * len(BLAS_POOL_VARS), value
 
     def test_valid_thread_count_is_accepted(self, monkeypatch):
-        monkeypatch.setenv("FERMISIM_THREADS", "2")
-        assert main(["validate", "scaling"]) == 0
+        for value in (value for value, accepted in THREAD_COUNTS if accepted):
+            monkeypatch.setenv("FERMISIM_THREADS", value)
+            assert main(["validate", "scaling"]) == 0

@@ -1,5 +1,6 @@
 """Observable readouts checked against dense expectation values and hand cases."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -94,12 +95,10 @@ class TestSamplingPlan:
             SamplingPlan(seed=0, n_trials=0)
         with pytest.raises(ValueError):
             SamplingPlan(seed=0, n_trials=MAX_TRIALS + 1)
-        with pytest.raises(ValueError):
-            SamplingPlan(seed=0, n_trials=10, epsilon=0.0)
 
     def test_defaults(self):
-        plan = SamplingPlan(seed=3, n_trials=100)
-        assert plan.epsilon == 0.1
+        # A plan is the seed and the shot count, with nothing defaulted beside them.
+        assert [f.name for f in dataclasses.fields(SamplingPlan(seed=3, n_trials=100))] == ["seed", "n_trials"]
 
 
 class TestHistogram:
@@ -624,7 +623,7 @@ class TestSampling:
         state = inject_state(
             layout.register_layout(), {both1: 0.6, split: 0.8}
         )
-        plan = SamplingPlan(seed=12345, n_trials=10_000, epsilon=0.02)
+        plan = SamplingPlan(seed=12345, n_trials=10_000)
         for est in charge_density(state, layout, plan):
             assert abs(est.sampled - est.exact) < 0.02
 

@@ -10,6 +10,7 @@ from conftest import INDEXES, forced_index, random_state_map
 
 from fermisim import fq, sq
 from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric, trotter_evolve_fq
+from fermisim.observables import charge_density
 from fermisim.oracle import build_sq_hamiltonian, hopping_term, pack_words, propagator
 from fermisim.sq import (
     DOWN,
@@ -452,3 +453,18 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             TrotterPlan(t=float("nan"), r=4)
         assert TrotterPlan(t=2.0, r=8).dt == pytest.approx(0.25)
+
+    def test_a_non_layout_is_rejected_naming_its_type(self):
+        state = init_basis_state(ModeLayout(2).register_layout(), 0b11)
+        plan = TrotterPlan(1.0, 1)
+        calls = (
+            lambda layout: trotter_evolve(state, layout, PARAMS, plan),
+            lambda layout: evolve_potential(state, layout, PARAMS, 0.1),
+            lambda layout: trotter_evolve_fq(state, layout, PARAMS, plan),
+            lambda layout: charge_density(state, layout),
+        )
+        # A register layout is the state's own, not an encoding of the chain.
+        for call in calls:
+            for layout, name in (("junk", "str"), (state.layout, "RegisterLayout")):
+                with pytest.raises(ValueError, match=f"unsupported layout type {name}$"):
+                    call(layout)

@@ -100,7 +100,7 @@ class TestInit:
 class TestSingleQubit:
     def test_x_flips_bit_zero(self, index):
         state = init_basis_state(TWO, 0b00)
-        state.apply_single_qubit_unitary(0, X)
+        state.apply_controlled_unitary((), 0, X)
         assert abs(state.amplitude(0b01) - 1.0) < 1e-15
 
     def test_against_kronecker_oracle(self, index):
@@ -112,24 +112,24 @@ class TestSingleQubit:
                 state = make_state(layout, amps)
                 qubit = int(rng.integers(width))
                 gate = random_unitary(rng)
-                state.apply_single_qubit_unitary(qubit, gate)
+                state.apply_controlled_unitary((), qubit, gate)
                 vec = embed_single(width, qubit, gate) @ _to_vec(amps, width)
                 _assert_matches_vector(state, vec, 1e-12)
 
     def test_non_unitary_rejected(self):
         state = init_basis_state(TWO, 0)
         with pytest.raises(ValueError):
-            state.apply_single_qubit_unitary(0, [[1, 1], [0, 1]])
+            state.apply_controlled_unitary((), 0, [[1, 1], [0, 1]])
 
     def test_qubit_out_of_range(self):
         state = init_basis_state(TWO, 0)
         with pytest.raises(ValueError):
-            state.apply_single_qubit_unitary(2, X)
+            state.apply_controlled_unitary((), 2, X)
 
     def test_hadamard_twice_is_identity(self, index):
         state = init_basis_state(THREE, 0b101)
-        state.apply_single_qubit_unitary(1, H)
-        state.apply_single_qubit_unitary(1, H)
+        state.apply_controlled_unitary((), 1, H)
+        state.apply_controlled_unitary((), 1, H)
         assert abs(state.amplitude(0b101) - 1.0) < 1e-12
 
 
@@ -426,7 +426,7 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(77)
         state = init_basis_state(layout, 0)
         for _ in range(1000):
-            state.apply_single_qubit_unitary(int(rng.integers(6)), random_unitary(rng))
+            state.apply_controlled_unitary((), int(rng.integers(6)), random_unitary(rng))
         assert abs(state.norm() - 1.0) < 1e-9
 
 

@@ -96,7 +96,7 @@ def _run_array(state, ops):
         elif kind == "mix":
             state.apply_two_level_mix(op[1], op[2])
         else:
-            state.apply_single_qubit_unitary(op[1], op[2])
+            state.apply_controlled_unitary((), op[1], op[2])
 
 
 def _run_per_string(state, ops):
@@ -118,7 +118,7 @@ def _run_per_string(state, ops):
         elif kind == "mix":
             state.apply_two_level_mix([(int(p), int(q)) for p, q in op[1]], op[2])
         else:
-            state.apply_single_qubit_unitary(op[1], op[2])
+            state.apply_controlled_unitary((), op[1], op[2])
 
 
 class TestArrayEntryPoints:
@@ -139,7 +139,7 @@ class TestArrayEntryPoints:
         s = 1 / math.sqrt(2)
         for index in INDEXES:
             state = make_state(layout, {0: s, 1: s}, index)
-            state.apply_single_qubit_unitary(0, np.array([[s, s], [s, -s]]))
+            state.apply_controlled_unitary((), 0, np.array([[s, s], [s, -s]]))
             assert state.support() == [0]  # s*s - s*s is exactly zero
             state = make_state(layout, {0: 1.0, 3: 1e-200}, index)
             state.apply_sign_if(lambda b: b == 3)
@@ -397,9 +397,9 @@ class TestDenseSupportKeys:
 
     def test_hadamard_twice_cancels_to_one_string(self, index):
         state = init_basis_state(RegisterLayout.of(("q", 3)), 0)
-        state.apply_single_qubit_unitary(1, HADAMARD)
+        state.apply_controlled_unitary((), 1, HADAMARD)
         assert state.support() == [0, 2]
-        state.apply_single_qubit_unitary(1, HADAMARD)
+        state.apply_controlled_unitary((), 1, HADAMARD)
         assert state.support() == [0]  # s*s - s*s is exactly zero
 
     @pytest.mark.parametrize("corrupt", [lambda keys: keys[::-1], lambda keys: keys[[0, 0]]])
