@@ -4,8 +4,16 @@ import os
 
 
 def valid_thread_count(value: str) -> bool:
-    """Whether FERMISIM_THREADS=`value` is a thread count: ASCII digits, at least 1."""
-    return value.isascii() and value.isdigit() and int(value) >= 1
+    """Whether FERMISIM_THREADS=`value` is a thread count: ASCII digits, at least 1.
+
+    A value past Python's integer-string digit limit is not one.
+    """
+    if not (value.isascii() and value.isdigit()):
+        return False
+    try:
+        return int(value) >= 1
+    except ValueError:  # more digits than `sys.get_int_max_str_digits()` allows
+        return False
 
 
 # Honor the thread cap before anything pulls in numpy: the BLAS pools read

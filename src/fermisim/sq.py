@@ -22,11 +22,14 @@ split sums over it.
 
 The step conserves particle number, so after a few steps the support often
 stops changing.  Each term returns the store positions it wrote (a phase's
-strings, a mix's pairs and their parities), and `trotter_evolve` keeps the
-positions of a step that starts on the support the previous step started and
-ended on.  Each later step that starts on that support replays them: per term
-one gather and one write at the recorded positions, with no pair building and
-no lookup, until a term changes the support.
+strings, a mix's pairs and their parities), and every step but the last
+records them, as int32 positions, while the support it started on stays the
+same object; the first term that changes the support drops the records.  So
+the first step that starts and ends on one support records, and each later
+step that starts on it replays: per term one gather, the arithmetic, one
+scatter and the norm check at the recorded positions, with no pair building,
+no lookup and no membership mask, until a term changes the support.  The last
+step takes no record, so a run's peak holds no records it cannot use.
 """
 
 from __future__ import annotations
@@ -239,10 +242,11 @@ def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
 
     `recorded` holds one record per term, taken on the current support: each
     term replays its record while the support is still that object, and runs
-    afresh once a term has changed it.  Returns the records, with `keep`, and
-    whether the step ended on the support object it started on.  A record is
-    int32 positions (with the pairs' parities, for a mix), or None for a mix
-    with a pair member off the support, which a replay must run afresh.
+    afresh once a term has changed it.  With `keep`, each term's record is
+    kept while the support is the one the step started on, and the records
+    are dropped at the first term that changes it.  Returns the records (None
+    without `keep` or once dropped) and whether the step ended on the support
+    object it started on.  A record is int32 positions (`_int32`).
     """
     # A weak reference: holding the keys would keep a replaced store's keys
     # alive through the rest of the step.
@@ -250,14 +254,21 @@ def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
     kept = [] if keep else None
     for term, record in zip(terms, recorded or [None] * len(terms)):
         written = _apply(state, term, record if support() is state.support_keys() else None, params, dt)
-        if keep:
-            kept.append(_int32(written))
+        if support() is not state.support_keys():
+            kept = None
+        elif kept is not None:
+            kept.append(_int32(written) if written is not record else record)
         del written  # not held through the next term
     return kept, support() is state.support_keys()
 
 
 def _int32(written):
-    """A term's record with int32 positions, or None if a position is -1 (a key off the support)."""
+    """A term's record: int32 positions (with the pairs' parities, for a mix).
+
+    int32 halves the records' memory against intp.  A mix with a position of
+    -1 (a pair member off the support that stayed zero) records None, and a
+    replay runs that term afresh: a replayed write trusts its positions.
+    """
     if isinstance(written, tuple):
         pos, parity = written
         return None if (pos < 0).any() else (pos.astype(np.int32), parity)
@@ -273,21 +284,16 @@ def trotter_step(state: QuantumState, layout, params: HubbardParams, dt: float) 
 def trotter_evolve(state: QuantumState, layout, params: HubbardParams, plan: TrotterPlan) -> None:
     """Apply `plan.r` first-order steps of length plan.dt in place, under either encoding.
 
-    A step that starts on the support object the previous step started and
-    ended on keeps its terms' records (`_step`).  If it ends on that object
-    too, each later step that starts on it replays them, bit for bit what
-    `trotter_step` computes, and the records are dropped once a step changes
-    the support.
+    Every step but the last records its terms (`_step`), so the first step
+    that starts and ends on one support object records, and each later step
+    that starts on it replays the records, bit for bit what `trotter_step`
+    computes.  The records are int32 positions; they are dropped once a term
+    changes the support, and the last step takes none, as no step follows.
     """
     check_layout(state, layout)
     recorded = None  # records taken on the support the current step starts on
-    closed = False  # whether the previous step started and ended on one support
-    for _ in range(plan.r):
-        kept, closed = _step(state, layout.terms, params, plan.dt, recorded, keep=closed and recorded is None)
-        if not closed:
-            recorded = None
-        elif kept is not None:
-            recorded = kept
+    for step in range(plan.r):
+        recorded, _ = _step(state, layout.terms, params, plan.dt, recorded, keep=step < plan.r - 1)
 
 
 def op_count(layout: ModeLayout, plan: TrotterPlan) -> dict[str, int]:

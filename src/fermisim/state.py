@@ -12,7 +12,11 @@ an int64 array of length 2**Q holding each key's position in the store, or
 of an array of keys, and is the one step that depends on the index; `_read`
 takes the amplitudes at positions.  `_write` stores amplitudes at positions,
 in place while no entry enters or leaves the support, and otherwise rebuilds
-`_keys`/`_vals` once (re-pointing `_slot` where there is one).  Every
+`_keys`/`_vals` once (re-pointing `_slot` where there is one): entering keys
+are merged in with one sort of the new keys and one search of the store, and
+exact zeros are dropped.  A write given keys=None promises that every
+position is on the support, so it is one scatter into `_vals` plus one test
+for an exact zero, and the store is rebuilt only when an entry left.  Every
 primitive (phase and sign, controlled gate, two-level mix, basis permutation,
 register QFT, sampling) is written once on top of these.  The phase and the
 two-level mix also have a form at given positions (`_scale_at`, `_mix_at`),
@@ -428,27 +432,45 @@ class QuantumState:
 
         In place unless an entry enters or leaves the support (an exact zero
         leaves); then the store is rebuilt once.  `keys` is read only for the
-        entries that enter (position -1), so a write whose positions all hit
-        may pass None.
+        entries that enter (position -1).  None promises that every position
+        is on the support: the write is then one scatter and one zero test.
         """
         self._stamp = next(_stamps)
         amps = np.asarray(amps, dtype=complex)
+        if keys is None:
+            self._vals[pos] = amps
+            if not amps.all():
+                self._drop_zeros(self._keys, self._vals)
+            self._check_store()
+            return
         hit, now = pos >= 0, amps != 0
         at = slice(None) if hit.all() else hit  # every key stored: skip the mask
         self._vals[pos[at]] = amps[at]
         if (hit != now).any():
-            # Insert the new keys in order, then drop the entries just set to zero.
             stored, vals = self._keys, self._vals
             fresh = np.flatnonzero(now & ~hit)
             if len(fresh):
+                # Merge the sorted new keys into the store: new key j lands at
+                # its insertion point among the stored keys plus j.
                 fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-                gaps = np.searchsorted(stored, keys[fresh])
-                stored, vals = np.insert(stored, gaps, keys[fresh]), np.insert(vals, gaps, amps[fresh])
+                dest = np.searchsorted(stored, keys[fresh]) + np.arange(len(fresh))
+                size = len(stored) + len(fresh)
+                old = np.ones(size, dtype=bool)
+                old[dest] = False
+                merged_keys, merged_vals = np.empty(size, dtype=stored.dtype), np.empty(size, dtype=complex)
+                merged_keys[dest], merged_keys[old] = keys[fresh], stored
+                merged_vals[dest], merged_vals[old] = amps[fresh], vals
+                stored, vals = merged_keys, merged_vals
             if (hit & ~now).any():
-                keep = vals != 0
-                stored, vals = stored[keep], vals[keep]
-            self._store(stored, vals)
+                self._drop_zeros(stored, vals)
+            else:
+                self._store(stored, vals)
         self._check_store()
+
+    def _drop_zeros(self, keys: np.ndarray, vals: np.ndarray) -> None:
+        """Make the nonzero entries of sorted (keys, vals) the whole store."""
+        keep = vals != 0
+        self._store(keys[keep], vals[keep])
 
     def _fill(self, keys: np.ndarray, amps) -> None:
         """Make the entries (keys, amps) the whole store: one sort, then the nonzero entries.
@@ -582,7 +604,7 @@ class QuantumState:
 
     def _scale_at(self, pos: np.ndarray, factor) -> None:
         """Multiply the amplitudes at store positions `pos` (all on the support) by a unit `factor`."""
-        self._write(None, self._vals[pos] * factor, pos)
+        self._write(None, self._vals.take(pos) * factor, pos)
         self._check_norm()
 
     def apply_basis_map(self, map_fn: Callable[[np.ndarray], np.ndarray]) -> None:
@@ -731,11 +753,12 @@ class QuantumState:
     def _mix_at(self, keys: np.ndarray | None, pos: np.ndarray, gate) -> None:
         """Apply `gate` to the amplitude pairs at store positions (pos[i], pos[n + i]), n = len(pos) / 2.
 
-        `keys` are the keys at `pos`, as `_write` takes them: None is allowed
-        when every position is on the support.
+        `keys` are the keys at `pos`, as `_write` takes them: None promises
+        that every position is on the support, and the amplitudes are read
+        with one `take`.
         """
         (g00, g01), (g10, g11) = gate
-        amps = self._read(pos)
+        amps = self._read(pos) if keys is not None else self._vals.take(pos)
         half = len(pos) // 2
         a0, a1 = amps[:half], amps[half:]
         # g00*a0 + g01*a1, then g10*a0 + g11*a1, each summed into its half of the output.

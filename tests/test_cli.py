@@ -798,8 +798,10 @@ class TestValidateCommand:
 # import passes the accepted ones to the BLAS pools and ignores the rest;
 # cli.main exits 2 on the rest.  "²" passes str.isdigit but not int(); "٣"
 # (Arabic-Indic three) passes both, but the BLAS pools would not read it.
+# The last two have more digits than int() parses by default (4300).
 THREAD_COUNTS = (("1", True), ("2", True), ("01", True), ("0", False), (" 1", False),
-                 ("many", False), ("²", False), ("٣", False))
+                 ("many", False), ("²", False), ("٣", False), ("1" * 5000, False),
+                 ("0" * 4999 + "1", False))
 BLAS_POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

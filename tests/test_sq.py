@@ -292,11 +292,11 @@ class TestClosedStepReplay:
 
     @pytest.mark.parametrize("r", [3, 10])
     def test_recorded_step_builds_no_more_pairs(self, monkeypatch, r):
-        """Step 1 closes the support and step 2 records; every later step replays without the pair builder."""
+        """Step 1 closes and records; every later step replays without the pair builder."""
         state = self.start()
         calls = _count_calls(monkeypatch, *self.PAIR_BUILDER)
         self.evolve(state, self.LAYOUT, PARAMS, TrotterPlan(t=1.0, r=r))
-        assert len(calls) == 2 * self.MIXES
+        assert len(calls) == self.MIXES
 
     def test_a_term_that_changes_the_support_ends_the_replay(self, monkeypatch):
         """After a term rebuilds the store, the rest of the step and every later step run afresh."""
@@ -360,6 +360,67 @@ class TestClosedStepReplayFirstQuantized(TestClosedStepReplay):
             trotter_step(state, self.LAYOUT, PARAMS, 0.5)
         assert len(state.support_keys()) == 32
         return state
+
+
+def test_a_single_step_takes_no_record(monkeypatch):
+    """The last step records nothing, so r = 1 records nothing; r = 2 records its first step."""
+    layout = ModeLayout(4)
+    for r, recorded in ((1, False), (2, True)):
+        calls = _count_calls(monkeypatch, sq, "_int32")
+        trotter_evolve(_sector_state(layout, "slot"), layout, PARAMS, TrotterPlan(t=1.0, r=r))
+        assert bool(calls) == recorded, r
+
+
+@pytest.mark.parametrize("index", INDEXES)
+def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, index):
+    """A replayed hop that zeroes a string drops the records; the rest of the step runs afresh.
+
+    One up fermion holds (cos(theta), i*sin(theta)) on sites 1 and 2, so the
+    up hop exp(-i*theta*sigma_x) sends site 2's amplitude to exactly 0.
+    """
+    layout, dt = ModeLayout(2), 0.3
+    theta = PARAMS.t0 * dt
+    up1, up2 = (encode_occupation(layout, ((site, UP),)) for site in (1, 2))
+    with forced_index(index):
+        recorder = inject_state(layout.register_layout(), {up1: 0.6, up2: 0.8})
+        state, looped = (inject_state(layout.register_layout(),
+                                      {up1: math.cos(theta), up2: 1j * math.sin(theta)}) for _ in range(2))
+    recorded, closed = sq._step(recorder, layout.terms, PARAMS, dt, keep=True)
+    assert closed and len(recorded) == len(layout.terms)
+    calls = _count_calls(monkeypatch, sq, "hop_pairs")
+    assert sq._step(state, layout.terms, PARAMS, dt, recorded, keep=True) == (None, False)
+    assert len(calls) == 1  # the up hop replayed and dropped up2; the down hop ran afresh
+    assert state.support() == [up1]
+    trotter_step(looped, layout, PARAMS, dt)
+    _assert_bitwise(state, looped)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_evolution_from_random_starts_is_bitwise_a_loop_of_steps(data):
+    """Recording and replay never change a result: either encoding, either index, any start and r."""
+    index = data.draw(st.sampled_from(INDEXES), label="index")
+    if data.draw(st.booleans(), label="first quantized"):
+        layout = FirstQuantizedLayout(n=data.draw(st.integers(1, 3), label="n"),
+                                      m=data.draw(st.sampled_from((2, 4)), label="m"))
+        labels = sorted(data.draw(st.lists(st.integers(1, 2 * layout.m), min_size=layout.n,
+                                           max_size=layout.n, unique=True), label="labels"))
+
+        def start():
+            return prepare_antisymmetric(layout, labels)
+    else:
+        layout = ModeLayout(data.draw(st.integers(2, 5), label="m"))
+        bits = data.draw(st.integers(0, (1 << layout.n_modes) - 1), label="occupation")
+
+        def start():
+            return init_basis_state(layout.register_layout(), bits)
+    plan = TrotterPlan(t=data.draw(st.floats(0.1, 4.0), label="t"), r=data.draw(st.integers(1, 8), label="r"))
+    with forced_index(index):
+        evolved, looped = start(), start()
+    trotter_evolve(evolved, layout, PARAMS, plan)
+    for _ in range(plan.r):
+        trotter_step(looped, layout, PARAMS, plan.dt)
+    _assert_bitwise(evolved, looped)
 
 
 def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:

@@ -382,6 +382,24 @@ class TestDenseSupportKeys:
         assert state._vals is not vals
         _assert_store(state)
 
+    @pytest.mark.parametrize("entries, write", [
+        # A Hadamard on two equal amplitudes: s*a - s*a is exactly zero at key 4.
+        ({1: 0.5, 2: math.sqrt(0.5), 4: 0.5},
+         lambda state: state._mix_at(None, state._lookup(state.layout.keys([1, 4])), HADAMARD)),
+        # A unit factor never zeroes an amplitude, so key 4's negligible one is scaled by 0.
+        ({1: 0.6, 2: 0.8, 4: 1e-9},
+         lambda state: state._scale_at(state._lookup(state.layout.keys([2, 4])), np.array([1j, 0.0]))),
+    ], ids=["mix", "scale"])
+    def test_a_write_at_positions_drops_an_exact_zero(self, index, entries, write):
+        """A write that trusts its positions (keys=None) still takes an exact zero off the support."""
+        state = inject_state(RegisterLayout.of(("q", 3)), entries)
+        keys = state.support_keys()
+        with validation_mode():  # the store check runs after the write
+            write(state)
+        assert state.support() == [1, 2]
+        assert state.support_keys() is not keys
+        _assert_store(state)
+
     def test_support_views_are_read_only(self, index):
         state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         keys, amps = state.gather()
