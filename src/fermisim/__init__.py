@@ -1,5 +1,6 @@
 """Classical simulator of fermionic quantum-simulation algorithms on Hubbard chains."""
 
+import gc
 import os
 
 
@@ -25,59 +26,74 @@ if _threads is not None and valid_thread_count(_threads):
         os.environ.setdefault(_var, _threads)
 del _threads
 
-from fermisim.state import (
-    InvariantViolation,
-    QuantumState,
-    RegisterLayout,
-    init_basis_state,
-    inject_state,
-    inner_product,
-    set_validation_mode,
-    validation_mode,
-)
+# No collection while the package and numpy import: what they make lives as
+# long as they do, so a collection would walk it for nothing.  freeze/unfreeze
+# then moves it into the oldest generation without a walk, and the collector
+# ends as the caller left it, with nothing frozen (`cli` freezes its own heap).
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from fermisim.state import (
+        InvariantViolation,
+        QuantumState,
+        RegisterLayout,
+        init_basis_state,
+        inject_state,
+        inner_product,
+        set_validation_mode,
+        validation_mode,
+    )
 
-__version__ = "0.1.0"
+    __version__ = "0.1.0"
 
-from fermisim.antisym import (
-    OrderedConfiguration,
-    QuWordLayout,
-    RegisterBank,
-    antisymmetrize,
-    antisymmetrize_inverse,
-    collapse_ancillas,
-    prepare_ordered_input,
-    transposition_test,
-)
-from fermisim.sq import (
-    DOWN,
-    UP,
-    HubbardParams,
-    ModeLayout,
-    TrotterPlan,
-    encode_occupation,
-    op_count,
-    trotter_evolve,
-)
-from fermisim.fq import (
-    FirstQuantizedLayout,
-    op_count_fq,
-    prepare_antisymmetric,
-    single_particle_plane_wave,
-    trotter_evolve_fq,
-)
-from fermisim.observables import (
-    EnergyReport,
-    Estimate,
-    Histogram,
-    SamplingPlan,
-    charge_density,
-    expected_energy,
-    k_point_correlation,
-    momentum_distribution,
-    pair_correlation,
-    required_trials,
-)
-from fermisim.validate import CheckResult, SUITES, run_suite
+    from fermisim.antisym import (
+        OrderedConfiguration,
+        QuWordLayout,
+        RegisterBank,
+        antisymmetrize,
+        antisymmetrize_inverse,
+        collapse_ancillas,
+        prepare_ordered_input,
+        transposition_test,
+    )
+    from fermisim.sq import (
+        DOWN,
+        UP,
+        HubbardParams,
+        ModeLayout,
+        TrotterPlan,
+        encode_occupation,
+        op_count,
+        trotter_evolve,
+    )
+    from fermisim.fq import (
+        FirstQuantizedLayout,
+        op_count_fq,
+        prepare_antisymmetric,
+        single_particle_plane_wave,
+        trotter_evolve_fq,
+    )
+    from fermisim.observables import (
+        EnergyReport,
+        Estimate,
+        Histogram,
+        SamplingPlan,
+        charge_density,
+        expected_energy,
+        k_point_correlation,
+        momentum_distribution,
+        pair_correlation,
+        required_trials,
+    )
+    from fermisim.validate import CheckResult, SUITES, run_suite
+finally:
+    if not gc.get_freeze_count():  # a caller's frozen objects stay frozen
+        gc.freeze()
+        gc.unfreeze()
+    if _collecting:
+        gc.enable()
+    del _collecting
+
 
 __all__ = [
     "CheckResult",

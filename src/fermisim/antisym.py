@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -43,6 +42,7 @@ from fermisim.state import (
     RegisterLayout,
     distinct_keys,
     inject_state,
+    value_class,
 )
 
 MODES = ("fermi", "bose")
@@ -83,7 +83,7 @@ def oblivious_schedule(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(slots)
 
 
-@dataclass(frozen=True)
+@value_class
 class QuWordLayout:
     """n qu-words of word_bits bits each; labels 1..2**word_bits stored as label-1."""
 
@@ -108,7 +108,7 @@ class QuWordLayout:
         return 1 << self.word_bits
 
 
-@dataclass(frozen=True)
+@value_class
 class OrderedConfiguration:
     """Strictly increasing label tuple, the stipulated input ordering."""
 

@@ -13,6 +13,9 @@ byte-identical except for the wall-time field.
 
 Importing this module freezes the import-time heap (`gc.freeze`), since a CLI
 process keeps it until exit; collection of everything made later is unchanged.
+The package import before it runs with the collector off (`fermisim/__init__`),
+so a process that only imports this module takes about 61 ms, 25 ms of it the
+bare interpreter (FERMISIM_THREADS=1, 2-core Xeon, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 
 from fermisim import __version__, valid_thread_count
@@ -57,22 +59,26 @@ from fermisim.sq import (
     op_count,
     trotter_evolve,
 )
-from fermisim.state import MAX_TRIALS, InvariantViolation, init_basis_state, set_validation_mode
+from fermisim.state import (
+    MAX_TRIALS, InvariantViolation, init_basis_state, replace, set_validation_mode, value_class,
+)
 from fermisim.validate import SUITES, run_suite, slater_overlap
 
 # A CLI process keeps everything alive after these imports (numpy, fermisim's
 # modules, classes and functions) until exit.  Freezing it into the permanent
 # generation spares the final collection, and any full one, from walking it;
-# objects made later are collected as before.  Here, not in the package
-# `__init__`, so code that imports only the library keeps its GC state.
+# objects made later are collected as before.  The package `__init__` only
+# keeps the collector off while it imports and leaves nothing frozen, so code
+# that imports only the library keeps its GC state.
 gc.freeze()
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
 # Largest accepted lattice.m, a power of two so that first-quantized runs may
 # use it.  One particle with r = 1 at the cap takes 5 ms first-quantized (label
-# 16385) and about 37 s at a 113 MB peak second-quantized (site 8192 up), whose
-# 2m-bit keys are Python ints (in process, FERMISIM_THREADS=1, 2-core Xeon,
-# Python 3.11.7).
+# 16385) and, second-quantized (site 8192 up), about 37 s at a 113 MB peak for
+# the step alone, whose 2m-bit keys are Python ints; a `charge_density` readout
+# of that state took about 139 s more (in process, FERMISIM_THREADS=1, 2-core
+# Xeon, Python 3.11.7).
 MAX_SITES = 1 << 14
 # Largest accepted plan.r, so every accepted document finishes: a step on one
 # or two sites takes 7-40 microseconds (same machine), longer on bigger chains.
@@ -85,7 +91,7 @@ class ConfigError(ValueError):
     """Schema violation, annotated with the offending config path."""
 
 
-@dataclass(frozen=True)
+@value_class
 class RunConfig:
     """One fully validated evolution run."""
 

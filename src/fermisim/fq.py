@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,14 +33,14 @@ from fermisim.antisym import (
     transposition_test,
 )
 from fermisim.state import (
-    QuantumState, RegisterLayout, check_layout, distinct_keys, inject_state, validation_enabled,
+    QuantumState, RegisterLayout, check_layout, distinct_keys, inject_state, validation_enabled, value_class,
 )
 from fermisim.sq import HubbardParams, TrotterPlan, _step, trotter_evolve
 
 SYMMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@value_class
 class FirstQuantizedLayout:
     """n particles on m = 2**b sites; per-particle word = spin bit + b position bits."""
 
@@ -91,7 +90,7 @@ class FirstQuantizedLayout:
         return 2 * (site - 1) + spin + 1
 
 
-@dataclass(frozen=True)
+@value_class
 class KineticSplit:
     """The chain's hops split into two sets of disjoint pairs applied back to back."""
 

@@ -32,7 +32,6 @@ term's strings carry V0, and each mix term's pairs couple with the step's sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.sq import SPINS, HubbardParams, ModeLayout
 from fermisim.state import (
-    MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled,
+    MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled, value_class,
 )
 
 MAX_CORRELATION_POINTS = 3
@@ -48,7 +47,7 @@ FREQUENCY_TOL = 1e-12
 ENERGY_SPLIT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@value_class
 class SamplingPlan:
     """Seed and shot count of a reproducible measurement run (required_trials plans the count)."""
 
@@ -62,7 +61,7 @@ class SamplingPlan:
             raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {self.n_trials!r}")
 
 
-@dataclass(frozen=True)
+@value_class
 class Estimate:
     """Exact expectation next to its sampled estimate and standard error."""
 
@@ -71,7 +70,7 @@ class Estimate:
     stderr: float
 
 
-@dataclass(frozen=True)
+@value_class
 class Histogram:
     """Distribution over integer-keyed bins, exact or from a finite shot batch.
 
@@ -100,7 +99,7 @@ class Histogram:
             raise InvariantViolation("histogram counts do not add up to the trial count")
 
 
-@dataclass(frozen=True)
+@value_class
 class EnergyReport:
     """Total energy with its potential/kinetic estimator decomposition."""
 

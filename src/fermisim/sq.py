@@ -37,11 +37,10 @@ from __future__ import annotations
 import functools
 import math
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
-from fermisim.state import QuantumState, RegisterLayout, check_layout, distinct_keys
+from fermisim.state import QuantumState, RegisterLayout, check_layout, distinct_keys, value_class
 
 UP = 0
 DOWN = 1
@@ -53,7 +52,7 @@ def chain_bonds(m: int) -> tuple[tuple[int, int], ...]:
     return tuple((s, s + 1) for s in range(1, m))
 
 
-@dataclass(frozen=True)
+@value_class
 class HubbardParams:
     """On-site repulsion V0 and hopping amplitude t0 (energy units of choice)."""
 
@@ -66,7 +65,7 @@ class HubbardParams:
                 raise ValueError(f"{label} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
+@value_class
 class TrotterPlan:
     """Evolve for total time t in r first-order steps of dt = t / r."""
 
@@ -84,7 +83,7 @@ class TrotterPlan:
         return self.t / self.r
 
 
-@dataclass(frozen=True)
+@value_class
 class ModeLayout:
     """Mode indexing for m sites: mode(s, sigma) = 2*(s-1) + sigma."""
 
@@ -237,16 +236,15 @@ def evolve_hopping_pair(
 
 
 def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
-          recorded=None, keep: bool = False) -> tuple[list | None, bool]:
+          recorded=None, keep: bool = False) -> list | None:
     """Apply `terms` in order with step length dt; a layout's `terms` make one first-order step.
 
     `recorded` holds one record per term, taken on the current support: each
     term replays its record while the support is still that object, and runs
     afresh once a term has changed it.  With `keep`, each term's record is
     kept while the support is the one the step started on, and the records
-    are dropped at the first term that changes it.  Returns the records (None
-    without `keep` or once dropped) and whether the step ended on the support
-    object it started on.  A record is int32 positions (`_int32`).
+    are dropped at the first term that changes it.  Returns the records: None
+    without `keep` or once dropped.  A record is int32 positions (`_int32`).
     """
     # A weak reference: holding the keys would keep a replaced store's keys
     # alive through the rest of the step.
@@ -259,7 +257,7 @@ def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
         elif kept is not None:
             kept.append(_int32(written) if written is not record else record)
         del written  # not held through the next term
-    return kept, support() is state.support_keys()
+    return kept
 
 
 def _int32(written):
@@ -293,7 +291,7 @@ def trotter_evolve(state: QuantumState, layout, params: HubbardParams, plan: Tro
     check_layout(state, layout)
     recorded = None  # records taken on the support the current step starts on
     for step in range(plan.r):
-        recorded, _ = _step(state, layout.terms, params, plan.dt, recorded, keep=step < plan.r - 1)
+        recorded = _step(state, layout.terms, params, plan.dt, recorded, keep=step < plan.r - 1)
 
 
 def op_count(layout: ModeLayout, plan: TrotterPlan) -> dict[str, int]:

@@ -72,7 +72,6 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,7 +134,48 @@ def validation_mode(enabled: bool = True):
         set_validation_mode(previous)
 
 
-@dataclass(frozen=True)
+def value_class(cls):
+    """`cls` as `dataclass(frozen=True)` makes it, with no code compiled.
+
+    The fields, `_fields`, are the annotated names in order, passed by position
+    or keyword (a class attribute is the default); `__post_init__` runs after
+    them.  `==` and the hash use the field tuple within one class, the repr is
+    `Name(field=value, ...)`, and assignment or deletion raises AttributeError.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", lambda self: None)
+
+    def __init__(self, *args, **kwargs):
+        given = {**defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]) or len(given) < len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {names}, got {len(args)} by position "
+                            f"and {sorted(kwargs)} by keyword")
+        self.__dict__.update(given)
+        post_init(self)
+
+    def values(self) -> tuple:
+        return tuple(getattr(self, name) for name in names)
+
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {cls.__name__}")
+
+    cls._fields, cls.__init__, cls.__eq__ = names, __init__, __eq__
+    cls.__hash__ = lambda self: hash(values(self))
+    cls.__repr__ = lambda self: f"{cls.__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in names)})"
+    cls.__setattr__ = cls.__delattr__ = frozen
+    return cls
+
+
+def replace(obj, **changes):
+    """A new value-class instance: `obj` with `changes` to its fields, built (and checked) anew."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})
+
+
+@value_class
 class RegisterLayout:
     """Named contiguous qubit registers, listed in order of increasing qubit index.
 

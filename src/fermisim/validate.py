@@ -10,7 +10,6 @@ timing or platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,7 +46,7 @@ from fermisim.sq import (
     op_count,
     trotter_evolve,
 )
-from fermisim.state import init_basis_state
+from fermisim.state import init_basis_state, value_class
 
 BENCH_PARAMS = HubbardParams(v0=4.0, t0=1.0)
 ANTISYM_LABEL_RANGE = 8
@@ -60,7 +59,7 @@ CROSSFORM_BOUND = 1e-10
 SCALING_BOUND = 4.5
 
 
-@dataclass(frozen=True)
+@value_class
 class CheckResult:
     """One measured quantity with its bound and verdict."""
 

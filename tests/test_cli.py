@@ -466,6 +466,14 @@ class TestEvolve:
         assert [(row[0], row[1], float(row[2])) for row in seen["rows"][1:]] == [
             ("charge_density", str(v["index"]), v["exact"]) for v in values]
 
+    def test_run_never_imports_dataclasses(self, tmp_path):
+        """The value classes compile no code at start-up, so `dataclasses` stays unloaded."""
+        done, output = evolve_in_subprocess(
+            tmp_path, "def hook():\n    print('dataclasses' in sys.modules)\n")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
+        assert output.exists()
+
     def test_seed_override_without_sampling_block_is_a_user_error(self, tmp_path, capsys):
         code, _ = run_evolve(tmp_path, base_config(sampling=None), "--seed", "99")
         assert code == 2
@@ -792,6 +800,32 @@ class TestValidateCommand:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].split() == ["suite", "check", "measured", "bound", "result"]
         assert all(line.endswith("pass") for line in lines[2:])
+
+
+# The collector as the importer left it (the line run before `import
+# fermisim`), and what the import must leave: the collector on or off as
+# before, and exactly the objects frozen before still frozen.
+IMPORT_GC_CASES = {"enabled": "", "disabled": "gc.disable()", "caller froze": "gc.freeze()"}
+
+
+@pytest.mark.parametrize("before", IMPORT_GC_CASES.values(), ids=IMPORT_GC_CASES.keys())
+def test_package_import_leaves_the_collector_as_it_was(before):
+    script = (
+        "import gc, json, sys\n"
+        + before + "\n"
+        "state = [gc.isenabled(), gc.get_freeze_count()]\n"
+        "import fermisim\n"
+        "print(json.dumps({'before': state, 'after': [gc.isenabled(), gc.get_freeze_count()],\n"
+        "                  'cli': 'fermisim.cli' in sys.modules}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen["after"] == seen["before"]
+    assert seen["before"][0] == (before != "gc.disable()")
+    assert (seen["before"][1] > 0) == (before == "gc.freeze()")
+    assert not seen["cli"]
 
 
 # FERMISIM_THREADS values and whether each is a thread count.  The package

@@ -302,9 +302,10 @@ class TestClosedStepReplay:
         """After a term rebuilds the store, the rest of the step and every later step run afresh."""
         layout = self.LAYOUT
         state, looped = self.start(), self.start()
-        kept, closed = sq._step(state, layout.terms, PARAMS, 0.1, keep=True)
+        start = state.support_keys()
+        kept = sq._step(state, layout.terms, PARAMS, 0.1, keep=True)
         trotter_step(looped, layout, PARAMS, 0.1)
-        assert closed and len(kept) == self.PHASES + self.MIXES
+        assert state.support_keys() is start and len(kept) == self.PHASES + self.MIXES
         original = sq._apply
 
         def rebuilding(state, *args, **kwargs):
@@ -317,8 +318,8 @@ class TestClosedStepReplay:
         rebuilt = []
         monkeypatch.setattr(sq, "_apply", rebuilding)
         calls = _count_calls(monkeypatch, *self.PAIR_BUILDER)
-        _, closed = sq._step(state, layout.terms, PARAMS, 0.1, kept)
-        assert not closed
+        sq._step(state, layout.terms, PARAMS, 0.1, kept)
+        assert state.support_keys() is not start
         assert len(calls) == self.MIXES - 1  # the first mix replayed, then the support changed
         trotter_step(looped, layout, PARAMS, 0.1)
         _assert_bitwise(state, looped)
@@ -385,10 +386,13 @@ def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, index
         recorder = inject_state(layout.register_layout(), {up1: 0.6, up2: 0.8})
         state, looped = (inject_state(layout.register_layout(),
                                       {up1: math.cos(theta), up2: 1j * math.sin(theta)}) for _ in range(2))
-    recorded, closed = sq._step(recorder, layout.terms, PARAMS, dt, keep=True)
-    assert closed and len(recorded) == len(layout.terms)
+    start = recorder.support_keys()
+    recorded = sq._step(recorder, layout.terms, PARAMS, dt, keep=True)
+    assert recorder.support_keys() is start and len(recorded) == len(layout.terms)
     calls = _count_calls(monkeypatch, sq, "hop_pairs")
-    assert sq._step(state, layout.terms, PARAMS, dt, recorded, keep=True) == (None, False)
+    start = state.support_keys()
+    assert sq._step(state, layout.terms, PARAMS, dt, recorded, keep=True) is None
+    assert state.support_keys() is not start
     assert len(calls) == 1  # the up hop replayed and dropped up2; the down hop ran afresh
     assert state.support() == [up1]
     trotter_step(looped, layout, PARAMS, dt)
