@@ -39,7 +39,6 @@ try:
         RegisterLayout,
         init_basis_state,
         inject_state,
-        inner_product,
         set_validation_mode,
         validation_mode,
     )
@@ -48,7 +47,6 @@ try:
 
     from fermisim.antisym import (
         OrderedConfiguration,
-        QuWordLayout,
         RegisterBank,
         antisymmetrize,
         antisymmetrize_inverse,
@@ -106,7 +104,6 @@ __all__ = [
     "InvariantViolation",
     "ModeLayout",
     "OrderedConfiguration",
-    "QuWordLayout",
     "QuantumState",
     "RegisterBank",
     "RegisterLayout",
@@ -122,7 +119,6 @@ __all__ = [
     "expected_energy",
     "init_basis_state",
     "inject_state",
-    "inner_product",
     "k_point_correlation",
     "momentum_distribution",
     "op_count",

@@ -25,6 +25,8 @@ Every step is a rewrite of the support's key array (register words are read
 as int64 arrays) plus one exact sign flip, so the pipeline runs at any
 register width; its cost is the n! branches per input branch,
 which MAX_PARTICLES bounds.  Labels are stored as value-minus-one in binary.
+`RegisterBank(n, word_bits)` lays the registers out: A and B of n words of
+word_bits bits each, one record bit per schedule slot, then the parity bit.
 """
 
 from __future__ import annotations
@@ -42,13 +44,15 @@ from fermisim.state import (
     RegisterLayout,
     distinct_keys,
     inject_state,
+    positions,
     value_class,
 )
 
 MODES = ("fermi", "bose")
 # Every input branch becomes n! branches carrying both word registers:
-# n = 8 on m = 8 (40320 branches) prepares in about 0.55 s, and a run with r = 1
-# takes about 12 s at an 886 MB peak (2-core Xeon, Python 3.11.7, numpy 2.4.6);
+# n = 8 on m = 8 (40320 branches) prepares in about 0.45 s, and one Trotter step
+# then takes 8.3-9.7 s at a 995 MB peak (labels 1,3,...,15, no readout, in a child
+# process with FERMISIM_THREADS=1; 2-core Xeon, Python 3.11.7, numpy 2.4.6);
 # each further particle multiplies that by n.
 MAX_PARTICLES = 8
 
@@ -84,31 +88,6 @@ def oblivious_schedule(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @value_class
-class QuWordLayout:
-    """n qu-words of word_bits bits each; labels 1..2**word_bits stored as label-1."""
-
-    n: int
-    word_bits: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"particle count must be a positive integer, got {self.n!r}")
-        if self.n > MAX_PARTICLES:
-            raise ValueError(f"{self.n} particles exceed the limit of {MAX_PARTICLES}")
-        # The stages read words as int64 arrays.
-        if not isinstance(self.word_bits, int) or not 1 <= self.word_bits <= KEY_BITS:
-            raise ValueError(f"word width must be an integer in 1..{KEY_BITS}, got {self.word_bits!r}")
-        if self.n > self.capacity:
-            raise ValueError(
-                f"{self.n} distinct labels cannot fit in {self.word_bits}-bit words"
-            )
-
-    @property
-    def capacity(self) -> int:
-        return 1 << self.word_bits
-
-
-@value_class
 class OrderedConfiguration:
     """Strictly increasing label tuple, the stipulated input ordering."""
 
@@ -122,25 +101,33 @@ class OrderedConfiguration:
             raise ValueError(f"labels are 1-based, got {self.labels}")
 
 
+@value_class
 class RegisterBank:
-    """Register layout for the pipeline: A, B, exchange record, parity bit."""
+    """Register layout for the pipeline: A, B, exchange record, parity bit.
 
-    def __init__(self, words: QuWordLayout):
-        self.words_layout = words
-        self.schedule = oblivious_schedule(words.n)
-        n, w = words.n, words.word_bits
-        self.layout = RegisterLayout.of(
-            ("A", n * w), ("B", n * w), ("rec", len(self.schedule)), ("par", 1),
-        )
-        self._word_mask = (1 << w) - 1
+    A and B hold n qu-words of word_bits bits each; labels 1..2**word_bits are stored as label-1.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.words_layout.n
+    n: int
+    word_bits: int
 
-    @property
-    def word_bits(self) -> int:
-        return self.words_layout.word_bits
+    def __post_init__(self):
+        if not isinstance(self.n, int) or self.n < 1:
+            raise ValueError(f"particle count must be a positive integer, got {self.n!r}")
+        if self.n > MAX_PARTICLES:
+            raise ValueError(f"{self.n} particles exceed the limit of {MAX_PARTICLES}")
+        # The stages read words as int64 arrays.
+        if not isinstance(self.word_bits, int) or not 1 <= self.word_bits <= KEY_BITS:
+            raise ValueError(f"word width must be an integer in 1..{KEY_BITS}, got {self.word_bits!r}")
+        if self.n > 1 << self.word_bits:
+            raise ValueError(f"{self.n} distinct labels cannot fit in {self.word_bits}-bit words")
+        schedule = oblivious_schedule(self.n)
+        width = self.n * self.word_bits
+        object.__setattr__(self, "schedule", schedule)
+        object.__setattr__(self, "layout", RegisterLayout.of(
+            ("A", width), ("B", width), ("rec", len(schedule)), ("par", 1),
+        ))
+        object.__setattr__(self, "_word_mask", (1 << self.word_bits) - 1)
 
     def block(self, name: str) -> tuple[int, int]:
         """(offset, mask) of a whole register within the basis string."""
@@ -169,10 +156,6 @@ class RegisterBank:
     def ancillas_clear(self, basis):
         """B, record and parity all zero (elementwise on a key array)."""
         return (basis >> self.layout.offset("B")) == 0
-
-    def identity_block(self) -> int:
-        """Packed encoding of the constant tuple (1, 2, ..., n)."""
-        return encode_labels(range(1, self.n + 1), self.word_bits)
 
     def rank_blocks(self) -> np.ndarray:
         """Packed encodings of every falling-rank tuple, ascending (shared; do not modify)."""
@@ -245,7 +228,7 @@ def prepare_ordered_input(bank: RegisterBank, configuration) -> QuantumState:
     branches = _as_branches(configuration)
     amplitudes: dict[int, complex] = {}
     for labels, amp in branches:
-        config = labels if isinstance(labels, OrderedConfiguration) else OrderedConfiguration(tuple(labels))
+        config = OrderedConfiguration(labels)
         if len(config.labels) != bank.n:
             raise ValueError(f"expected {bank.n} labels, got {len(config.labels)}")
         basis = encode_labels(config.labels, bank.word_bits)
@@ -294,12 +277,11 @@ def unsuperpose_ranks(state: QuantumState, bank: RegisterBank) -> None:
     keys, amps = state.gather()
     values = bank.layout.field(keys, "B")
     blocks = bank.rank_blocks().astype(values.dtype)
-    at = np.minimum(np.searchsorted(blocks, values), len(blocks) - 1)
     base = keys & ~(mask << off)
     order = np.argsort(base, kind="stable")
     base = base[order]
     starts = np.flatnonzero(np.concatenate(([True], base[1:] != base[:-1])))
-    if (blocks[at] != values).any() or (np.diff(starts, append=len(base)) != len(blocks)).any():
+    if (positions(blocks, values) < 0).any() or (np.diff(starts, append=len(base)) != len(blocks)).any():
         raise ValueError("state is not in the image of the rank preparation")
     coeff = 1.0 / math.sqrt(len(blocks))
     state._replace(base[starts], np.add.reduceat(amps[order], starts) * coeff)
@@ -324,8 +306,8 @@ def _relabel_b(state, bank, table, error: str) -> None:
 
     def mapping(keys):
         values = layout.field(keys, "B")
-        at = np.minimum(np.searchsorted(sources, values), len(sources) - 1)
-        if (sources[at] != values).any():
+        at = positions(sources, values)
+        if (at < 0).any():
             raise ValueError(error)
         return layout.with_field(keys, "B", targets[at])
 
@@ -334,7 +316,7 @@ def _relabel_b(state, bank, table, error: str) -> None:
 
 def assign_identity(state: QuantumState, bank: RegisterBank) -> None:
     """XOR the constant tuple (1, 2, ..., n) into B: sets a zero B, clears a sorted one."""
-    expect = bank.identity_block()
+    expect = encode_labels(range(1, bank.n + 1), bank.word_bits)
     field = bank.layout.field(state.support_keys(), "B")
     if ((field != expect) & (field != 0)).any():
         raise InvariantViolation("register B holds neither 0 nor the identity tuple")

@@ -33,7 +33,6 @@ from pathlib import Path
 from fermisim import __version__, valid_thread_count
 from fermisim.antisym import (
     MAX_PARTICLES,
-    QuWordLayout,
     RegisterBank,
     antisymmetrize,
     collapse_ancillas,
@@ -462,7 +461,7 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
         return 2
     # The layout, the ordered input and the pipeline reject every other bad input.
     try:
-        bank = RegisterBank(QuWordLayout(len(labels), max(2, max(labels, default=0).bit_length())))
+        bank = RegisterBank(len(labels), max(2, max(labels, default=0).bit_length()))
         state = prepare_ordered_input(bank, labels)
         antisymmetrize(state, bank, mode)
         out = collapse_ancillas(state, bank)

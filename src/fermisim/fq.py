@@ -25,7 +25,6 @@ from itertools import combinations
 import numpy as np
 
 from fermisim.antisym import (
-    QuWordLayout,
     RegisterBank,
     antisymmetrize,
     collapse_ancillas,
@@ -106,7 +105,7 @@ class KineticSplit:
 
 def prepare_antisymmetric(layout: FirstQuantizedLayout, labels, mode: str = "fermi") -> QuantumState:
     """Antisymmetrized (or symmetrized) n-particle state from ordered labels 1..2m."""
-    bank = RegisterBank(QuWordLayout(layout.n, layout.word_bits))
+    bank = RegisterBank(layout.n, layout.word_bits)
     staged = prepare_ordered_input(bank, labels)
     antisymmetrize(staged, bank, mode)
     return collapse_ancillas(staged, bank, layout.register_layout())

@@ -288,6 +288,16 @@ def distinct_keys(keys: np.ndarray) -> np.ndarray:
     return keys
 
 
+def positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Index of each of `keys` in the sorted distinct array `table`, -1 where a key is absent."""
+    pos = np.searchsorted(table, keys)
+    if len(table):
+        pos[table[np.minimum(pos, len(table) - 1)] != keys] = -1
+    else:
+        pos[:] = -1
+    return pos
+
+
 def _splitmix64_uniforms(seed: int, n_trials: int) -> np.ndarray:
     """The first `n_trials` uniforms of SplitMix64 started from state `seed`, in stream order.
 
@@ -451,12 +461,7 @@ class QuantumState:
         """
         if self._slot is not None:
             return self._slot[keys]
-        pos = np.searchsorted(self._keys, keys)
-        if len(self._keys):
-            pos[self._keys[np.minimum(pos, len(self._keys) - 1)] != keys] = -1
-        else:
-            pos[:] = -1
-        return pos
+        return positions(self._keys, keys)
 
     def _read(self, pos: np.ndarray) -> np.ndarray:
         """Amplitudes at store positions `pos`, zero where a position is -1."""
@@ -839,10 +844,6 @@ def inject_state(layout: RegisterLayout, amplitudes: Mapping[int, complex]) -> Q
         raise ValueError(f"amplitude map has squared norm {total}, expected 1 within 1e-10")
     keys = layout.keys(list(amplitudes))
     return QuantumState(layout, (keys, np.array(list(amplitudes.values()), dtype=complex)))
-
-
-def inner_product(a: QuantumState, b: QuantumState) -> complex:
-    return a.inner_product(b)
 
 
 def check_layout(state: QuantumState, encoding) -> None:

@@ -15,7 +15,6 @@ from itertools import combinations
 import numpy as np
 
 from fermisim.antisym import (
-    QuWordLayout,
     RegisterBank,
     antisymmetrize,
     prepare_ordered_input,
@@ -93,7 +92,7 @@ def slater_overlap(labels, mode, rows, amps) -> complex:
 def _pipeline_case(labels, mode):
     """Run the full pipeline; return (fidelity, dirty branches, norm, violation)."""
     n = len(labels)
-    bank = RegisterBank(QuWordLayout(n, 3))
+    bank = RegisterBank(n, 3)
     state = prepare_ordered_input(bank, labels)
     antisymmetrize(state, bank, mode)
     keys, amps = state.gather()

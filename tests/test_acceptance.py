@@ -15,7 +15,6 @@ import numpy as np
 from conftest import make_state, random_program, random_state_map, run_program, states_agree
 
 from fermisim.antisym import (
-    QuWordLayout,
     RegisterBank,
     antisymmetrize,
     prepare_ordered_input,
@@ -65,7 +64,7 @@ def _all_label_tuples():
 
 def _pipeline(labels, mode):
     """Run the antisymmetrization pipeline on one ordered input."""
-    bank = RegisterBank(QuWordLayout(len(labels), 3))
+    bank = RegisterBank(len(labels), 3)
     state = prepare_ordered_input(bank, labels)
     antisymmetrize(state, bank, mode)
     return bank, state

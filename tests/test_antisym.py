@@ -12,7 +12,6 @@ from fermisim import state as state_module
 from fermisim.antisym import (
     MODES,
     OrderedConfiguration,
-    QuWordLayout,
     RegisterBank,
     antisymmetrize,
     antisymmetrize_inverse,
@@ -101,7 +100,7 @@ class TestRankMachinery:
 
     def test_rank_block_count(self):
         for n, w in [(1, 1), (2, 1), (2, 3), (3, 2), (4, 3)]:
-            bank = RegisterBank(QuWordLayout(n, w))
+            bank = RegisterBank(n, w)
             blocks = bank.rank_blocks()
             assert len(blocks) == math.factorial(n)
             assert len(set(blocks)) == len(blocks)
@@ -113,7 +112,7 @@ class TestRankMachinery:
         assert len(set(perms.tolist())) == len(perms) == math.factorial(n)
 
     def test_decode_rejects_out_of_range_ranks(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         # B[1] = 2 is out of range: the last rank component is always 1.
         basis = bank.layout.with_field(0, "B", encode_labels([1, 2], 2))
         state = init_basis_state(bank.layout, basis)
@@ -121,9 +120,9 @@ class TestRankMachinery:
             ranks_to_permutation(state, bank)
 
     def test_particle_limit(self):
-        assert QuWordLayout(MAX_PARTICLES, 4).n == MAX_PARTICLES
+        assert RegisterBank(MAX_PARTICLES, 4).n == MAX_PARTICLES
         with pytest.raises(ValueError, match="limit"):
-            QuWordLayout(MAX_PARTICLES + 1, 4)
+            RegisterBank(MAX_PARTICLES + 1, 4)
 
     @pytest.mark.parametrize("n,w", [(2, 2), (3, 2)])
     def test_decode_table_matches_reference_decode(self, n, w):
@@ -146,24 +145,24 @@ def _rank_block(ranks, w):
 
 class TestPreparation:
     def test_single_configuration(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 3))
         assert state.support() == [encode_labels((1, 3), 2)]
         assert state.amplitude(encode_labels((1, 3), 2)) == pytest.approx(1.0)
 
     def test_ordered_configuration_object(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, OrderedConfiguration((2, 4)))
         assert state.support() == [encode_labels((2, 4), 2)]
 
     def test_branch_list(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, [((1, 2), 0.6), ((3, 4), 0.8j)])
         assert state.amplitude(encode_labels((1, 2), 2)) == pytest.approx(0.6)
         assert state.amplitude(encode_labels((3, 4), 2)) == pytest.approx(0.8j)
 
     def test_rejects_unordered_or_duplicate_labels(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         with pytest.raises(ValueError):
             prepare_ordered_input(bank, (3, 1))
         with pytest.raises(ValueError):
@@ -172,7 +171,7 @@ class TestPreparation:
             prepare_ordered_input(bank, [((1, 2), 1.0), ((1, 2), 0.0)])
 
     def test_rejects_wrong_length_and_range(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         with pytest.raises(ValueError):
             prepare_ordered_input(bank, (1, 2, 3))
         with pytest.raises(ValueError):
@@ -181,14 +180,14 @@ class TestPreparation:
             prepare_ordered_input(bank, [])
 
     def test_unnormalized_branches_rejected(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         with pytest.raises(ValueError):
             prepare_ordered_input(bank, [((1, 2), 1.0), ((3, 4), 1.0)])
 
 
 class TestStages:
     def test_superpose_ranks_amplitudes(self):
-        bank = RegisterBank(QuWordLayout(3, 2))
+        bank = RegisterBank(3, 2)
         state = prepare_ordered_input(bank, (1, 2, 4))
         superpose_ranks(state, bank)
         assert len(state.support()) == 6
@@ -197,14 +196,14 @@ class TestStages:
             assert bank.get_words(b, "A") == [0, 1, 3]
 
     def test_superpose_requires_clear_b(self):
-        bank = RegisterBank(QuWordLayout(2, 1))
+        bank = RegisterBank(2, 1)
         state = prepare_ordered_input(bank, (1, 2))
         superpose_ranks(state, bank)
         with pytest.raises(ValueError):
             superpose_ranks(state, bank)
 
     def test_unsuperpose_round_trip(self):
-        bank = RegisterBank(QuWordLayout(3, 2))
+        bank = RegisterBank(3, 2)
         state = prepare_ordered_input(bank, (1, 2, 3))
         before = state.to_map()
         superpose_ranks(state, bank)
@@ -219,7 +218,7 @@ class TestStages:
         ids=[f"{n}-{w}-{INDEX_IDS[index]}" for n, w, index in SUPERPOSE_CASES],
     )
     def test_superpose_ranks_matches_per_string_reference(self, n, w, index):
-        bank = RegisterBank(QuWordLayout(n, w))
+        bank = RegisterBank(n, w)
         assert (bank.layout.key_dtype == object) == ((n, w) == (6, 5))  # 73 qubits
         rng = np.random.default_rng(31 * n + w)
         branches = _random_branches(rng, n, w, 4)
@@ -233,7 +232,7 @@ class TestStages:
         assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # bitwise, signed zeros too
 
     def test_unsuperpose_rejects_foreign_states(self):
-        bank = RegisterBank(QuWordLayout(2, 1))
+        bank = RegisterBank(2, 1)
         state = prepare_ordered_input(bank, (1, 2))
         with pytest.raises(ValueError):
             unsuperpose_ranks(state, bank)
@@ -275,7 +274,7 @@ class TestSortRecord:
         return out
 
     def test_sorted_key_records_no_swaps(self):
-        bank = RegisterBank(QuWordLayout(3, 2))
+        bank = RegisterBank(3, 2)
         out = self.run_sort(bank, [0, 1, 2], co_a=[3, 2, 1])
         rec_off, rec_mask = bank.block("rec")
         par_off, _ = bank.block("par")
@@ -287,7 +286,7 @@ class TestSortRecord:
     def test_backward_replay_gives_a_sorted_register_the_keys_order_pattern(self):
         # The pipeline's erasure: undoing beta's sort on a sorted A lays A out
         # in beta's order pattern, so sorting A writes the same record.
-        bank = RegisterBank(QuWordLayout(4, 3))
+        bank = RegisterBank(4, 3)
         basis = bank.layout.with_field(0, "B", encode_labels([3, 1, 4, 2], 3))  # words 2, 0, 3, 1
         basis = bank.layout.with_field(basis, "A", encode_labels([2, 3, 6, 8], 3))  # words 1, 2, 5, 7
         state = init_basis_state(bank.layout, basis)
@@ -300,7 +299,7 @@ class TestSortRecord:
         assert bank.layout.field(out, "rec") == 0
 
     def test_single_transposition(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         out = self.run_sort(bank, [1, 0], co_a=[2, 3])
         par_off, _ = bank.block("par")
         assert bank.get_words(out, "B") == [0, 1]
@@ -311,7 +310,7 @@ class TestSortRecord:
     def test_parity_universality(self, n):
         # The accumulated exchange parity must equal the permutation parity of
         # the input key for every key, whatever the fixed schedule looks like.
-        bank = RegisterBank(QuWordLayout(n, 2))
+        bank = RegisterBank(n, 2)
         rec_off, rec_mask = bank.block("rec")
         par_off, _ = bank.block("par")
         for perm in permutations(range(n)):
@@ -330,7 +329,7 @@ def pipeline_amplitudes(labels, mode, word_bits=None, superposed=None):
     """Run the full pipeline and return {permuted labels: amplitude}."""
     n = len(labels)
     w = word_bits or max(2, max(labels).bit_length())
-    bank = RegisterBank(QuWordLayout(n, w))
+    bank = RegisterBank(n, w)
     state = prepare_ordered_input(bank, superposed if superposed is not None else labels)
     antisymmetrize(state, bank, mode)
     out = {}
@@ -375,7 +374,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_inverse_restores_ordered_input(self, mode):
-        bank = RegisterBank(QuWordLayout(3, 2))
+        bank = RegisterBank(3, 2)
         state = prepare_ordered_input(bank, [((1, 2, 3), 0.6), ((1, 3, 4), 0.8)])
         before = state.to_map()
         antisymmetrize(state, bank, mode)
@@ -403,7 +402,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_inverse_restores_ordered_input_on_wide_keys(self, mode):
-        bank = RegisterBank(QuWordLayout(6, 5))
+        bank = RegisterBank(6, 5)
         assert bank.layout.key_dtype == object  # 73 qubits
         state = prepare_ordered_input(bank, [((1, 4, 6, 9, 12, 30), 0.6), ((2, 3, 5, 7, 16, 32), 0.8j)])
         before = state.to_map()
@@ -416,7 +415,7 @@ class TestPipeline:
             assert after[b] == pytest.approx(a, abs=1e-12)
 
     def test_rejects_unordered_a_register(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 3))
         antisymmetrize(state, bank)
         with pytest.raises(ValueError):
@@ -437,7 +436,7 @@ class TestPipeline:
         ],
     )
     def test_entry_check_names_the_first_offending_string(self, branches, message):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         amplitudes = {}
         for (labels, dirty), amp in zip(branches, (0.6, 0.8)):
             key = encode_labels(labels, 2)
@@ -450,8 +449,10 @@ class TestPipeline:
 
     @pytest.mark.parametrize("n,w", [(1, 1), (3, 2), (6, 5), (8, 4)])
     def test_register_bank_holds_a_b_record_and_parity(self, n, w):
-        bank = RegisterBank(QuWordLayout(n, w))
+        bank = RegisterBank(n, w)
         assert bank.layout.names() == ("A", "B", "rec", "par")
+        widths = tuple(bank.layout.register_width(name) for name in bank.layout.names())
+        assert widths == (n * w, n * w, len(oblivious_schedule(n)), 1)
         assert bank.layout.width == 2 * n * w + len(bank.schedule) + 1
 
     @pytest.mark.parametrize("mode", MODES)
@@ -477,14 +478,14 @@ class TestPipeline:
         assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))
 
     def test_rejects_bad_mode(self):
-        bank = RegisterBank(QuWordLayout(2, 1))
+        bank = RegisterBank(2, 1)
         state = prepare_ordered_input(bank, (1, 2))
         with pytest.raises(ValueError):
             antisymmetrize(state, bank, "anyon")
 
     def test_full_domain_bijectivity_under_validation(self):
         # Small enough that every basis permutation is checked exhaustively.
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         assert bank.layout.width <= 20
         with validation_mode(True):
             got = pipeline_amplitudes((1, 4), "fermi")
@@ -518,7 +519,7 @@ def ordered_superpositions(draw):
 def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode, dense):
     """antisymmetrize_inverse after antisymmetrize is the identity, on int64 and on object keys."""
     n, w, branches = case
-    bank = RegisterBank(QuWordLayout(n, w))
+    bank = RegisterBank(n, w)
     with forced_index("slot" if dense else "search"):  # the slot index only up to 20 qubits
         state = prepare_ordered_input(bank, branches)
     before = state.to_map()
@@ -534,7 +535,7 @@ def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode, dens
 class TestTranspositionTest:
     @pytest.mark.parametrize("mode", MODES)
     def test_pipeline_output_passes(self, mode):
-        bank = RegisterBank(QuWordLayout(3, 2))
+        bank = RegisterBank(3, 2)
         state = prepare_ordered_input(bank, (1, 2, 4))
         antisymmetrize(state, bank, mode)
         slices = bank.word_slices("A")
@@ -542,14 +543,14 @@ class TestTranspositionTest:
             assert transposition_test(state, slices, i, j, mode) < 1e-12
 
     def test_wrong_statistics_fail(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 2))
         antisymmetrize(state, bank, "fermi")
         slices = bank.word_slices("A")
         assert transposition_test(state, slices, 0, 1, "bose") > 1.0
 
     def test_validates_arguments(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 2))
         slices = bank.word_slices("A")
         with pytest.raises(ValueError):
@@ -562,7 +563,7 @@ class TestTranspositionTest:
 
 class TestCollapse:
     def test_default_layout(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 3))
         antisymmetrize(state, bank)
         out = collapse_ancillas(state, bank)
@@ -573,7 +574,7 @@ class TestCollapse:
     def test_custom_layout_and_backend(self, monkeypatch):
         """The collapsed state picks its store index from the target layout's width."""
         monkeypatch.setattr(state_module, "SLOT_INDEX_QUBITS", 4)
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (2, 3))
         assert state._slot is None  # the bank is wider than 4 qubits
         antisymmetrize(state, bank)
@@ -583,14 +584,14 @@ class TestCollapse:
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_rejects_dirty_ancillas(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 2))
         superpose_ranks(state, bank)
         with pytest.raises(ValueError):
             collapse_ancillas(state, bank)
 
     def test_rejects_wrong_width_layout(self):
-        bank = RegisterBank(QuWordLayout(2, 2))
+        bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (1, 2))
         antisymmetrize(state, bank)
         with pytest.raises(ValueError):

@@ -828,6 +828,15 @@ def test_package_import_leaves_the_collector_as_it_was(before):
     assert not seen["cli"]
 
 
+def test_public_names_are_package_attributes_listed_once():
+    import fermisim
+
+    assert [name for name in fermisim.__all__ if not hasattr(fermisim, name)] == []
+    assert len(set(fermisim.__all__)) == len(fermisim.__all__)
+    # Deleted from the package: no stale export may name them.
+    assert not {"QuWordLayout", "inner_product"} & set(fermisim.__all__)
+
+
 # FERMISIM_THREADS values and whether each is a thread count.  The package
 # import passes the accepted ones to the BLAS pools and ignores the rest;
 # cli.main exits 2 on the rest.  "²" passes str.isdigit but not int(); "٣"

@@ -27,7 +27,6 @@ from fermisim.state import (
     RegisterLayout,
     init_basis_state,
     inject_state,
-    inner_product,
     validation_mode,
 )
 
@@ -391,21 +390,21 @@ class TestInnerProduct:
     def test_orthogonal_and_self(self):
         a = init_basis_state(TWO, 0)
         b = init_basis_state(TWO, 3)
-        assert inner_product(a, b) == 0
-        assert abs(inner_product(a, a) - 1.0) < 1e-15
+        assert a.inner_product(b) == 0
+        assert abs(a.inner_product(a) - 1.0) < 1e-15
 
     def test_mixed_backends(self):
         """States on different store indexes."""
         s = 1 / math.sqrt(2)
         a = make_state(TWO, {0: s, 3: s}, "slot")
         b = make_state(TWO, {0: s, 3: -s}, "search")
-        assert abs(inner_product(a, b)) < 1e-15
+        assert abs(a.inner_product(b)) < 1e-15
 
     def test_layout_mismatch_rejected(self):
         a = init_basis_state(TWO, 0)
         b = init_basis_state(RegisterLayout.of(("p", 2)), 0)
         with pytest.raises(ValueError):
-            inner_product(a, b)
+            a.inner_product(b)
 
 
 class TestBackendEquivalence:

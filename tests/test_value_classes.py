@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from fermisim.antisym import OrderedConfiguration, QuWordLayout
+from fermisim.antisym import MAX_PARTICLES, OrderedConfiguration, RegisterBank
 from fermisim.cli import RunConfig
 from fermisim.fq import FirstQuantizedLayout, KineticSplit
 from fermisim.observables import EnergyReport, Estimate, Histogram, SamplingPlan
 from fermisim.sq import HubbardParams, ModeLayout, TrotterPlan
-from fermisim.state import RegisterLayout, replace, value_class
+from fermisim.state import KEY_BITS, RegisterLayout, replace, value_class
 from fermisim.validate import CheckResult
 
 # Each class with the keyword arguments of one valid instance and, where
@@ -21,7 +21,7 @@ CASES = [
     (ModeLayout, {"m": 4}, {"m": 0}),
     (FirstQuantizedLayout, {"n": 2, "m": 4}, {"m": 3}),
     (KineticSplit, {"t1_pairs": ((1, 2), (3, 4)), "t2_pairs": ((2, 3),)}, None),
-    (QuWordLayout, {"n": 3, "word_bits": 3}, {"n": 0}),
+    (RegisterBank, {"n": 3, "word_bits": 3}, {"n": 0}),
     (OrderedConfiguration, {"labels": (1, 3, 4)}, {"labels": (3, 1)}),
     (SamplingPlan, {"seed": 3, "n_trials": 100}, {"n_trials": 0}),
     (Estimate, {"exact": 0.5, "sampled": 0.49, "stderr": 0.01}, None),
@@ -110,7 +110,15 @@ class TestValueClass:
             replace(made, bogus=1)
 
 
-@pytest.mark.parametrize("cls, kwargs, invalid", [param for param in PARAMS if param.values[2]])
+# More values a `__post_init__` rejects, beyond the one in CASES.
+MORE_INVALID = [
+    pytest.param(RegisterBank, {"n": 3, "word_bits": 3}, invalid, id=f"RegisterBank-{name}")
+    for name, invalid in [("over_limit", {"n": MAX_PARTICLES + 1}), ("zero_width", {"word_bits": 0}),
+                          ("wider_than_a_key", {"word_bits": KEY_BITS + 1}), ("too_narrow", {"n": 5, "word_bits": 2})]
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, invalid", [param for param in PARAMS if param.values[2]] + MORE_INVALID)
 def test_post_init_still_rejects_an_invalid_value(cls, kwargs, invalid):
     with pytest.raises(ValueError):
         cls(**{**kwargs, **invalid})
