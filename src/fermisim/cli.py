@@ -292,16 +292,14 @@ def parse_config(raw) -> RunConfig:
         block = raw["sampling"]
         n_trials = _as_int(_require(block, "N", "sampling"), "sampling.N",
                            minimum=1, maximum=MAX_TRIALS)
-        seed = _as_int(_require(block, "seed", "sampling"), "sampling.seed", minimum=0)
+        seed = _as_int(_require(block, "seed", "sampling"), "sampling.seed",
+                       minimum=0, maximum=2**64 - 1)
         # Older configs and documents carry "epsilon": checked, then dropped, as no estimate reads it.
         epsilon = _as_number(block.get("epsilon", 0.1), "sampling.epsilon")
         if epsilon <= 0:
             raise ConfigError(f"sampling.epsilon: must be positive, got {epsilon}")
         _reject_unknown(block, ("N", "seed", "epsilon"), "sampling")
-        try:
-            sampling = SamplingPlan(seed=seed, n_trials=n_trials)
-        except ValueError as exc:  # N passed above, so this is the seed
-            raise ConfigError(f"sampling.seed: {exc}") from None
+        sampling = SamplingPlan(seed=seed, n_trials=n_trials)
 
     return RunConfig(
         formalism=formalism, m=m, boundary=boundary, v0=v0, t0=t0,
@@ -426,7 +424,7 @@ def cmd_evolve(config_path: str, output_path: str, seed_override: int | None = N
     except json.JSONDecodeError as exc:
         print(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # undecodable bytes, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, a too long integer, too deep nesting
         print(f"error: {path}: {exc}", file=sys.stderr)
         return 2
     try:

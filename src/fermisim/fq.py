@@ -12,8 +12,9 @@ T1 summing the hops (1,2), (3,4), ... and T2 the hops (2,3), (4,5), ...
 applies every hop of that half at once.  The two boundary sites are unpaired
 in T2 and stay untouched.
 
-The layout's `terms` (see `fermisim.sq`) are a phase per particle pair
-(`coincide`), then per particle a mix per half (`kinetic_pairs`, no sign).
+The layout's `terms` (see `fermisim.sq`) are the potential, each string's
+count of same-site, opposite-spin particle pairs (`_coincidences`), then per
+particle a mix per half (`kinetic_pairs`, no sign).
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ class FirstQuantizedLayout:
 
     @functools.cached_property
     def terms(self) -> tuple:
-        """The step's terms in its order: a phase per particle pair, then per particle its T1 and T2 mix."""
-        reg = self._registers
-        pairs = tuple(lambda keys, k=k, l=l: coincide(reg, keys, k, l)
-                      for k, l in combinations(range(self.n), 2))
-        return pairs + tuple(t for k in range(self.n) for t in _particle_terms(self, k))
+        """The step's terms in its order: the potential, then per particle its T1 and T2 mix."""
+        slices = self.word_slices()
+        potential = lambda keys: _coincidences(keys, slices)
+        return (potential,) + tuple(t for k in range(self.n) for t in _particle_terms(self, k))
 
     def word_slices(self) -> list[tuple[int, int]]:
         return [(k * self.word_bits, self.word_bits) for k in range(self.n)]
@@ -131,18 +131,19 @@ def single_particle_plane_wave(layout: FirstQuantizedLayout, k: int, spin: int =
     return inject_state(layout.register_layout(), amps)
 
 
-def coincide(reg: RegisterLayout, keys: np.ndarray, k: int, l: int) -> np.ndarray:
-    """Mask of the keys where particles k and l share a site with opposite spins."""
-    same_site = reg.field(keys, f"pos{k}") == reg.field(keys, f"pos{l}")
-    return same_site & (reg.field(keys, f"spin{k}") != reg.field(keys, f"spin{l}"))
+def _coincidences(keys: np.ndarray, slices) -> np.ndarray:
+    """Per key (int64), the particle pairs whose words differ in the spin bit alone: one site, opposite spins."""
+    words = [((keys >> off) & ((1 << width) - 1)).astype(np.int64, copy=False) for off, width in slices]
+    return sum((words[k] ^ words[l] == 1 for k, l in combinations(range(len(words)), 2)),
+               np.zeros(len(keys), dtype=np.int64))
 
 
 def evolve_potential_fq(
     state: QuantumState, layout: FirstQuantizedLayout, params: HubbardParams, dt: float
 ) -> None:
-    """Phase exp(-i*V0*dt) on every unordered particle pair sharing a site with opposite spins."""
+    """`terms[0]`: phase exp(-i*V0*dt) per unordered particle pair sharing a site with opposite spins."""
     check_layout(state, layout)
-    _step(state, layout.terms[:math.comb(layout.n, 2)], params, dt)
+    _step(state, layout.terms[:1], params, dt)
 
 
 @functools.lru_cache(maxsize=4)

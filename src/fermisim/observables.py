@@ -25,8 +25,8 @@ doubly occupied site therefore contributes 1, not 2, and the density only sums
 to the particle number when no site can hold two.  The energy estimator is the
 exception: its potential part needs the up-count times down-count product, not
 the indicator.  Its split reads the layout's term list, the one the Trotter
-step applies (`ModeLayout.terms`, `FirstQuantizedLayout.terms`): each phase
-term's strings carry V0, and each mix term's pairs couple with the step's sign.
+step applies (`ModeLayout.terms`, `FirstQuantizedLayout.terms`): V0 times the
+potential term's count, and each mix term's pairs with the step's sign.
 """
 
 from __future__ import annotations
@@ -315,12 +315,12 @@ def _dense_energy(state, layout, params) -> float | None:
 def _energy_split(state: QuantumState, terms, params: HubbardParams) -> tuple[float, float]:
     """(potential, kinetic) summed over a layout's `terms`, the ones its Trotter step applies.
 
-    A string carries V0 once per phase term it is in.  Each mix term couples
-    its pairs with the sign its Trotter factor uses: 2 t0 (1 - 2 parity)
+    A string carries V0 times its potential count.  Each mix term couples its
+    pairs with the sign its Trotter factor uses: 2 t0 (1 - 2 parity)
     Re(conj(a_low) a_high) per pair.
     """
     keys, amps = state.gather()
-    on = np.zeros(len(keys))  # phase terms each string is in
+    on = np.zeros(len(keys))  # each string's potential count
     kinetic = 0.0
     for term in terms:
         found = term(keys)

@@ -14,20 +14,20 @@ ModeLayout(m), as the first-quantized code takes a FirstQuantizedLayout, and
 the bonds (s, s + 1) come from `chain_bonds(m)`.
 
 Each layout, this one and `fq.FirstQuantizedLayout`, lists its Hubbard terms
-once, as `terms`, in the order a first-order step applies them.  A term maps
-the support's keys to the mask of strings it turns by exp(-i*dt*V0), or to the
-pairs (low, high, parity) it mixes by exp(-i*dt*t0*(-1)**parity * sigma_x).
-`trotter_step` and `trotter_evolve` run either encoding's list, and the energy
-split sums over it.
+once, as `terms`, in the order a first-order step applies them.  The first term
+maps the support's keys to each string's count c of doubly occupied sites,
+which the step turns by exp(-i*dt*V0) c times; the others map them to the pairs
+(low, high, parity) they mix by exp(-i*dt*t0*(-1)**parity * sigma_x).
+`trotter_step` and `trotter_evolve` run either list; the energy split sums it.
 
 The step conserves particle number, so after a few steps the support often
-stops changing.  Each term returns the store positions it wrote (a phase's
-strings, a mix's pairs and their parities), and every step but the last
+stops changing.  Each term returns the store positions it wrote (a phase
+level's strings, a mix's pairs and their parities), and every step but the last
 records them, as int32 positions, while the support it started on stays the
-same object; the first term that changes the support drops the records.  So
-the first step that starts and ends on one support records, and each later
-step that starts on it replays: per term one gather, the arithmetic, one
-scatter and the norm check at the recorded positions, with no pair building,
+same object; the first term that changes the support drops the records.  So the
+first step that starts and ends on one support records, and each later step
+that starts on it replays: per write one gather, the arithmetic, one scatter
+and the norm check at the recorded positions, with no count, no pair building,
 no lookup and no membership mask, until a term changes the support.  The last
 step takes no record, so a run's peak holds no records it cannot use.
 """
@@ -111,11 +111,11 @@ class ModeLayout:
 
     @functools.cached_property
     def terms(self) -> tuple:
-        """The step's terms in the order it applies them: a phase per site, then a hop per (bond, spin)."""
-        sites = tuple(_site_term((1 << self.mode(s, UP)) | (1 << self.mode(s, DOWN)))
-                      for s in range(1, self.m + 1))
-        return sites + tuple(_hop_term(self.mode(a, spin), self.mode(b, spin))
-                             for a, b in chain_bonds(self.m) for spin in SPINS)
+        """The step's terms in the order it applies them: the potential, then a hop per (bond, spin)."""
+        up = sum(1 << self.mode(s, UP) for s in range(1, self.m + 1))  # each down mode sits one above
+        potential = lambda keys: np.bitwise_count(keys & (keys >> 1) & up).astype(np.int64)
+        return (potential,) + tuple(_hop_term(self.mode(a, spin), self.mode(b, spin))
+                                    for a, b in chain_bonds(self.m) for spin in SPINS)
 
 
 def encode_occupation(layout: ModeLayout, occupied: tuple[tuple[int, int], ...]) -> int:
@@ -151,15 +151,10 @@ def _phase_factor(params: HubbardParams, dt: float) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def _site_term(mask: int):
-    """A phase term: the strings with both modes of `mask` occupied."""
-    return lambda keys: (keys & mask) == mask
-
-
 def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
-    """exp(-i*dt*V) where V = V0 * sum_s n(s,up) n(s,down): a phase per doubly occupied site."""
+    """exp(-i*dt*V), V = V0 * sum_s n(s,up) n(s,down): `terms[0]`, a phase per doubly occupied site."""
     check_layout(state, layout)
-    _step(state, layout.terms[:layout.m], params, dt)
+    _step(state, layout.terms[:1], params, dt)
 
 
 def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, ...]:
@@ -194,12 +189,14 @@ def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
 
 
 def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
-    """Apply one term; returns what it wrote: a phase's store positions, or a mix's pairs and parities.
+    """Apply one term; returns what it wrote: positions per potential level, or a mix's pairs and parities.
 
-    A phase term's strings are multiplied by `_phase_factor`; a mix term's
-    pairs are mixed by `_hop_gate`, and its positions are the low members',
-    then the high ones'.  `record`, what the term wrote on the current
-    support, skips the term's own search and the lookup.  The pairs are
+    The potential's count c turns a string by `_phase_factor` c times, level j
+    taking the strings whose count exceeds j, as a phase per doubly occupied
+    site would; a unit factor zeroes no amplitude, so the levels share one
+    support.  A mix term's pairs are mixed by `_hop_gate`, its positions the
+    low members', then the high ones'.  `record`, what the term wrote on the
+    current support, skips the term's own search and the lookup.  The pairs are
     disjoint and built from the support, and the gates are unitary closed
     forms, so the public mix's checks are left to validation mode.
     """
@@ -208,12 +205,14 @@ def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
         if isinstance(found, tuple):
             low, high, parity = found
             return state._mix(low, high, _hop_gate(params, dt, parity)), parity
-        record = np.flatnonzero(found)
+        record = [np.flatnonzero(found > j) for j in range(found.max(initial=0))]
     if isinstance(record, tuple):
         pos, parity = record
         state._mix_at(None, pos, _hop_gate(params, dt, parity))
     else:
-        state._scale_at(record, _phase_factor(params, dt))
+        factor = _phase_factor(params, dt)  # raises on a non-finite angle, even with no level
+        for pos in record:
+            state._scale_at(pos, factor)
     return record
 
 
@@ -261,7 +260,7 @@ def _step(state: QuantumState, terms, params: HubbardParams, dt: float,
 
 
 def _int32(written):
-    """A term's record: int32 positions (with the pairs' parities, for a mix).
+    """A term's record: int32 positions per level (the potential), or with the pairs' parities (a mix).
 
     int32 halves the records' memory against intp.  A mix with a position of
     -1 (a pair member off the support that stayed zero) records None, and a
@@ -270,7 +269,7 @@ def _int32(written):
     if isinstance(written, tuple):
         pos, parity = written
         return None if (pos < 0).any() else (pos.astype(np.int32), parity)
-    return written.astype(np.int32)
+    return [pos.astype(np.int32) for pos in written]
 
 
 def trotter_step(state: QuantumState, layout, params: HubbardParams, dt: float) -> None:

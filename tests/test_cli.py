@@ -560,8 +560,10 @@ class TestEvolve:
             # json.loads refuses an integer of more than 4300 digits with a plain ValueError.
             json.dumps(base_config(lattice={"m": 0})).replace('"m": 0', '"m": ' + "1" * 5000).encode(),
             b'{"formalism": "\xff"}',
+            # Nesting past the recursion limit makes json.loads raise RecursionError.
+            b"[" * 200000 + b"]" * 200000,
         ],
-        ids=["5000-digit-lattice-m", "not-utf8"],
+        ids=["5000-digit-lattice-m", "not-utf8", "200000-deep-nesting"],
     )
     def test_undecodable_config_exits_two_without_traceback(self, tmp_path, capsys, data):
         config = tmp_path / "run.json"
@@ -649,6 +651,19 @@ class TestEvolve:
         code = main(["--validation-mode", "evolve", "--config", str(config),
                      "--output", str(out2)])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(REPO_ROOT))
+    )
+    def test_validation_mode_writes_the_production_outputs(self, tmp_path, path):
+        """Every shipped config, read only: the checks behind each write change no output but the wall time."""
+        outputs = []
+        for flags in ([], ["--validation-mode"]):  # validation mode stays on once set
+            output = tmp_path / f"out{len(outputs)}.json"
+            assert main([*flags, "evolve", "--config", str(path), "--output", str(output)]) == 0
+            lines = [l for l in output.read_text().splitlines() if "wall_time_s" not in l]
+            outputs.append((lines, output.with_suffix(".csv").read_text()))
+        assert outputs[0] == outputs[1]
 
 
 # The benchmark's `readout` workload, copied: three momentum readouts and four

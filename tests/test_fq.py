@@ -1,6 +1,7 @@
 """Per-particle (first-quantized) evolution tested against dense embeddings."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -96,6 +97,12 @@ class TestKineticSplit:
         assert set(split.t1_pairs) | set(split.t2_pairs) == set(chain_bonds(m))
 
 
+def _coincide(reg, keys, k, l):
+    """Particles k and l share a site with opposite spins (a basis string, or a mask over a key array)."""
+    same_site = reg.field(keys, f"pos{k}") == reg.field(keys, f"pos{l}")
+    return same_site & (reg.field(keys, f"spin{k}") != reg.field(keys, f"spin{l}"))
+
+
 class TestPotentialFq:
     def test_phase_on_coinciding_opposite_spins(self):
         layout = FirstQuantizedLayout(n=2, m=2)
@@ -127,6 +134,40 @@ class TestPotentialFq:
         want = propagator(h_v, 0.21) @ state.to_vector()
         evolve_potential_fq(state, layout, PARAMS, 0.21)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(3, 2), (5, 4096)])
+    def test_term_counts_the_coinciding_pairs(self, n, m):
+        """terms[0] against a per-pair count: every string at n = 3, m = 2, object keys at n = 5, m = 4096."""
+        layout = FirstQuantizedLayout(n=n, m=m)
+        reg = layout.register_layout()
+        rng = np.random.default_rng(n)
+        keys = (np.arange(1 << reg.width) if m == 2 else reg.keys(
+            [pack_words(rng.integers(6 if i % 2 else 2 * m, size=n), layout.word_bits) for i in range(300)]))
+        count = layout.terms[0](keys)
+        want = [sum(_coincide(reg, k, a, b) for a, b in combinations(range(n), 2)) for k in keys.tolist()]
+        assert count.dtype == np.int64 and count.tolist() == want
+
+    @pytest.mark.parametrize("n, m, index", [(4, 2, "slot"), (4, 2, "search"), (5, 4096, "search")])
+    def test_bitwise_a_phase_per_pair(self, n, m, index):
+        """One count term multiplies each amplitude as a phase per coinciding pair does, pair by pair.
+
+        The words sit on the lowest two sites, so the strings hold 0-4
+        coinciding pairs; n = 5, m = 4096 has object keys.
+        """
+        layout, dt = FirstQuantizedLayout(n=n, m=m), 0.37
+        reg = layout.register_layout()
+        rng = np.random.default_rng(m)
+        strings = sorted({pack_words(rng.integers(4, size=n), layout.word_bits) for _ in range(60)})
+        amps = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+        amps /= np.linalg.norm(amps)
+        with forced_index(index):
+            state, looped = (inject_state(reg, dict(zip(strings, amps))) for _ in range(2))
+        assert {0, 1, 2, 3} <= {int(c) for c in layout.terms[0](state.support_keys())}
+        evolve_potential_fq(state, layout, PARAMS, dt)
+        for a, b in combinations(range(n), 2):
+            looped.apply_phase_where(lambda keys: _coincide(reg, keys, a, b), -PARAMS.v0 * dt)
+        assert np.array_equal(state.support_keys(), looped.support_keys())
+        assert np.array_equal(state.gather()[1].view(np.int64), looped.gather()[1].view(np.int64))
 
 
 class TestKineticFq:

@@ -100,6 +100,46 @@ class TestPotential:
         evolve_potential(state, layout, PARAMS, dt=0.17)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 40])
+    def test_term_counts_the_doubly_occupied_sites(self, m):
+        """terms[0] against a per-site count: every key at m = 3, random object keys at m = 40."""
+        layout = ModeLayout(m)
+        rng = np.random.default_rng(m)
+        keys = (np.arange(1 << layout.n_modes) if m == 3 else layout.register_layout().keys(
+            [int.from_bytes(rng.bytes(10), "little") for _ in range(300)]))
+        count = layout.terms[0](keys)
+        want = [sum((k >> layout.mode(s, UP)) & (k >> layout.mode(s, DOWN)) & 1 for s in range(1, m + 1))
+                for k in keys.tolist()]
+        assert count.dtype == np.int64 and count.tolist() == want
+
+    @pytest.mark.parametrize("m, index", [(3, "slot"), (3, "search"), (32, "search")])
+    def test_bitwise_a_phase_per_site(self, m, index):
+        """One count term multiplies each amplitude as a phase per doubly occupied site does, in site order.
+
+        The strings hold 0-3 doubly occupied sites; m = 32 has object keys.
+        """
+        layout, dt = ModeLayout(m), 0.37
+        rng = np.random.default_rng(m)
+        strings = set()
+        for _ in range(40):
+            sites = rng.permutation(m)
+            doubles = int(rng.integers(4))
+            bits = sum(3 << layout.mode(int(s) + 1, UP) for s in sites[:doubles])
+            strings.add(bits | sum(1 << layout.mode(int(s) + 1, int(rng.integers(2)))
+                                   for s in sites[doubles:doubles + 3]))
+        strings = sorted(strings)
+        amps = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
+        amps /= np.linalg.norm(amps)
+        with forced_index(index):
+            state, looped = (inject_state(layout.register_layout(), dict(zip(strings, amps)))
+                             for _ in range(2))
+        assert {int(c) for c in layout.terms[0](state.support_keys())} == {0, 1, 2, 3}
+        evolve_potential(state, layout, PARAMS, dt)
+        for s in range(1, m + 1):
+            both = (1 << layout.mode(s, UP)) | (1 << layout.mode(s, DOWN))
+            looped.apply_phase_where(lambda keys: (keys & both) == both, -PARAMS.v0 * dt)
+        _assert_bitwise(state, looped)
+
 
 def parity_class_mixes(state, mode_a, mode_b, theta):
     """The hop as two public mixes, one per Jordan-Wigner parity class of its pairs."""
@@ -267,7 +307,7 @@ class TestClosedStepReplay:
     """Closed steps replay on the mode encoding; the subclass below runs the same tests first-quantized."""
 
     LAYOUT = ModeLayout(4)
-    PHASES, MIXES = 4, 2 * len(chain_bonds(4))  # a phase per site, a hop per (bond, spin)
+    PHASES, MIXES = 1, 2 * len(chain_bonds(4))  # the potential, a hop per (bond, spin)
     PAIR_BUILDER = (sq, "hop_pairs")
     evolve = staticmethod(trotter_evolve)
 
@@ -347,7 +387,7 @@ class TestClosedStepReplayFirstQuantized(TestClosedStepReplay):
     """Two fermions on m = 4, labels 1 and 4 (site 1 up, site 2 down): their 32-string sector closes."""
 
     LAYOUT = FirstQuantizedLayout(n=2, m=4)
-    PHASES, MIXES = 1, 4  # a phase per particle pair, a mix per (particle, kinetic half)
+    PHASES, MIXES = 1, 4  # the potential, a mix per (particle, kinetic half)
     PAIR_BUILDER = (fq, "kinetic_pairs")
     evolve = staticmethod(trotter_evolve_fq)
 
