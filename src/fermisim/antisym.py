@@ -42,7 +42,6 @@ from fermisim.state import (
     InvariantViolation,
     QuantumState,
     RegisterLayout,
-    distinct_keys,
     inject_state,
     positions,
     value_class,
@@ -193,7 +192,7 @@ def _decode_table(n: int, word_bits: int, inverse: bool = False) -> tuple[np.nda
     """
     blocks = _pack_rows(_rank_tuples(n), word_bits)
     perms = _pack_rows(_rows(itertools.permutations(range(1, n + 1)), n), word_bits)
-    if distinct_keys(perms).size != perms.size:
+    if not np.diff(np.sort(perms)).all():
         raise InvariantViolation("rank decode sends two rank tuples to one permutation")
     sources, targets = (perms, blocks) if inverse else (blocks, perms)
     order = np.argsort(sources, kind="stable")

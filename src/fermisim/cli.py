@@ -73,11 +73,12 @@ gc.freeze()
 
 THREAD_ENV_VAR = "FERMISIM_THREADS"
 # Largest accepted lattice.m, a power of two so that first-quantized runs may
-# use it.  One particle with r = 1 at the cap takes 5 ms first-quantized (label
-# 16385) and, second-quantized (site 8192 up), about 37 s at a 113 MB peak for
-# the step alone, whose 2m-bit keys are Python ints; a `charge_density` readout
-# of that state took about 139 s more (in process, FERMISIM_THREADS=1, 2-core
-# Xeon, Python 3.11.7).
+# use it.  One particle with r = 1 at the cap takes about 30 ms first-quantized
+# (label 16385) and, second-quantized (site 8192 up), about 57 s at a 73 MB peak
+# for the step alone, whose 2m-bit keys are Python ints, or 259 s at a 330 MB
+# peak with a `charge_density` readout; at m = 4096 (site 2048 up) those two
+# take 1.3 s and 3.6-3.9 s (in process, FERMISIM_THREADS=1, 2-core Xeon,
+# Python 3.11.7).
 MAX_SITES = 1 << 14
 # Largest accepted plan.r, so every accepted document finishes: a step on one
 # or two sites takes 7-40 microseconds (same machine), longer on bigger chains.
@@ -269,7 +270,7 @@ def parse_config(raw) -> RunConfig:
         if not math.isfinite(energy * step):
             raise ConfigError(f"plan.t: the step angle {name}*t/r overflows at t = {plan_t!r}")
 
-    # Older configs and documents carry "backend": checked, then dropped, as the state picks its index.
+    # Older configs and documents carry "backend": checked, then dropped, as the store has one index.
     _as_choice(raw.get("backend", "dense"), ("dense", "sparse"), "backend")
     mode = _as_choice(raw.get("mode", "fermi"), ("fermi", "bose"), "mode")
     if mode == "bose" and formalism == "second":

@@ -14,7 +14,10 @@ in T2 and stay untouched.
 
 The layout's `terms` (see `fermisim.sq`) are the potential, each string's
 count of same-site, opposite-spin particle pairs (`_coincidences`), then per
-particle a mix per half (`kinetic_pairs`, no sign).
+particle a mix per half (`kinetic_pairs`, no sign).  Each pair of a half puts
+particle k on sites x and x + 1, so its high member is its low one plus one
+step of k's position register, and `state.support_pairs` reads the pairs off
+the sorted support, as it does for a second-quantized hop.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from fermisim.antisym import (
     transposition_test,
 )
 from fermisim.state import (
-    QuantumState, RegisterLayout, check_layout, distinct_keys, inject_state, validation_enabled, value_class,
+    QuantumState, RegisterLayout, check_layout, inject_state, support_pairs, validation_enabled, value_class,
 )
 from fermisim.sq import HubbardParams, TrotterPlan, _step, trotter_evolve
 
@@ -99,7 +102,7 @@ class KineticSplit:
     @classmethod
     def for_chain(cls, m: int) -> KineticSplit:
         t1 = tuple((x, x + 1) for x in range(1, m, 2))
-        t2 = tuple((x, x + 1) for x in range(2, m - 1, 2))
+        t2 = tuple((x, x + 1) for x in range(2, m, 2))
         return cls(t1, t2)
 
 
@@ -163,18 +166,18 @@ def kinetic_partners(m: int) -> tuple[np.ndarray, ...]:
 
 def kinetic_pairs(keys: np.ndarray, reg: RegisterLayout, k: int,
                   partner: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(low, high, parity): the pairs among `keys` that one kinetic half couples on particle k.
+    """(low, high, parity, pos): the pairs that one kinetic half couples on particle k on the sorted support `keys`.
 
-    low holds each pair's member with k on the lower site, distinct and
-    ascending; high is its partner, with k on the other site.  parity is all
-    zero: a hop within one particle's word passes no other fermion.
+    low holds each pair's member with k on the lower site x, distinct and
+    ascending; high is its partner, with k on site x + 1, so high = low +
+    2**offset(pos_k).  parity is all zero: a hop within one particle's word
+    passes no other fermion.  pos holds the members' positions in `keys`
+    (`support_pairs`).
     """
     name = f"pos{k}"
-    pos = reg.field(keys, name)
-    paired = partner[pos] != pos
-    low = distinct_keys(reg.with_field(keys[paired], name, np.minimum(pos, partner[pos])[paired]))
-    high = reg.with_field(low, name, partner[reg.field(low, name)])
-    return low, high, np.zeros(len(low), dtype=np.uint8)
+    site = reg.field(keys, name)
+    low, high, pos = support_pairs(keys, partner[site] > site, partner[site] < site, 1 << reg.offset(name))
+    return low, high, np.zeros(len(low), dtype=np.uint8), pos
 
 
 def _particle_terms(layout: FirstQuantizedLayout, k: int) -> tuple:

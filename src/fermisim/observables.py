@@ -325,8 +325,8 @@ def _energy_split(state: QuantumState, terms, params: HubbardParams) -> tuple[fl
     for term in terms:
         found = term(keys)
         if isinstance(found, tuple):
-            low, high, parity = found
-            a_low, a_high = np.split(state.gather(np.concatenate((low, high)))[1], 2)  # one lookup
+            *_, parity, pos = found
+            a_low, a_high = np.split(state._read(pos), 2)
             kinetic += 2.0 * params.t0 * float((1.0 - 2.0 * parity) @ (a_low.conj() * a_high).real)
         else:
             on += found

@@ -17,7 +17,10 @@ Each layout, this one and `fq.FirstQuantizedLayout`, lists its Hubbard terms
 once, as `terms`, in the order a first-order step applies them.  The first term
 maps the support's keys to each string's count c of doubly occupied sites,
 which the step turns by exp(-i*dt*V0) c times; the others map them to the pairs
-(low, high, parity) they mix by exp(-i*dt*t0*(-1)**parity * sigma_x).
+(low, high, parity, pos) they mix by exp(-i*dt*t0*(-1)**parity * sigma_x).  In
+both encodings a mix term pairs each string x with x + delta, one particle's
+hop, so `state.support_pairs` reads every term's pairs and their store
+positions off the sorted support, with no sort and no lookup.
 `trotter_step` and `trotter_evolve` run either list; the energy split sums it.
 
 The step conserves particle number, so after a few steps the support often
@@ -40,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from fermisim.state import QuantumState, RegisterLayout, check_layout, distinct_keys, value_class
+from fermisim.state import QuantumState, RegisterLayout, check_layout, support_pairs, value_class
 
 UP = 0
 DOWN = 1
@@ -158,17 +161,16 @@ def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardPar
 
 
 def hop_pairs(keys: np.ndarray, mode_a: int, mode_b: int) -> tuple[np.ndarray, ...]:
-    """(low, high, parity): the pairs among `keys` that the hop mode_a < mode_b couples.
+    """(low, high, parity, pos): the pairs that the hop mode_a < mode_b couples on the sorted support `keys`.
 
-    low holds each pair's member with mode_a occupied, distinct and ascending;
-    high = low ^ (2**mode_a + 2**mode_b) is its partner, and parity the
-    Jordan-Wigner parity of the modes between, which both members share.
+    low holds each pair's member with mode_a occupied and mode_b empty,
+    distinct and ascending; high = low + 2**mode_b - 2**mode_a is its partner,
+    and parity the Jordan-Wigner parity of the modes between, which both
+    members share.  pos holds the members' positions in `keys` (`support_pairs`).
     """
-    mask = (1 << mode_a) | (1 << mode_b)
-    occ = keys & mask
-    single = keys[(occ != 0) & (occ != mask)]
-    low = distinct_keys((single & ~mask) | (1 << mode_a))
-    return low, low ^ mask, jw_parity(low, mode_a, mode_b)
+    occ = keys & ((1 << mode_a) | (1 << mode_b))
+    low, high, pos = support_pairs(keys, occ == 1 << mode_a, occ == 1 << mode_b, (1 << mode_b) - (1 << mode_a))
+    return low, high, jw_parity(low, mode_a, mode_b), pos
 
 
 def _hop_term(mode_a: int, mode_b: int):
@@ -177,7 +179,7 @@ def _hop_term(mode_a: int, mode_b: int):
 
 
 def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
-    """exp(-i*dt*t0*(-1)**p * sigma_x) per pair, in the rows `QuantumState._mix` takes.
+    """exp(-i*dt*t0*(-1)**p * sigma_x) per pair, in the rows `QuantumState._mix_at` takes.
 
     The off-diagonal entry -1j*s*(-1)**p is picked per pair from the two
     parity classes' scalars.
@@ -194,17 +196,19 @@ def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
     The potential's count c turns a string by `_phase_factor` c times, level j
     taking the strings whose count exceeds j, as a phase per doubly occupied
     site would; a unit factor zeroes no amplitude, so the levels share one
-    support.  A mix term's pairs are mixed by `_hop_gate`, its positions the
-    low members', then the high ones'.  `record`, what the term wrote on the
-    current support, skips the term's own search and the lookup.  The pairs are
-    disjoint and built from the support, and the gates are unitary closed
-    forms, so the public mix's checks are left to validation mode.
+    support.  A mix term's pairs are mixed by `_hop_gate` at the positions the
+    term read off the support, the low members', then the high ones'.
+    `record`, what the term wrote on the current support, skips the term's own
+    pair building.  The pairs are disjoint and built from the support, and the
+    gates are unitary closed forms, so the public mix's checks are left to
+    validation mode.
     """
     if record is None:
         found = term(state.support_keys())
         if isinstance(found, tuple):
-            low, high, parity = found
-            return state._mix(low, high, _hop_gate(params, dt, parity)), parity
+            low, high, parity, pos = found
+            state._mix_at(np.concatenate((low, high)), pos, _hop_gate(params, dt, parity))
+            return pos, parity
         record = [np.flatnonzero(found > j) for j in range(found.max(initial=0))]
     if isinstance(record, tuple):
         pos, parity = record

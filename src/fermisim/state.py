@@ -5,28 +5,26 @@ the first register of the layout.
 
 Storage model.  A state is a set of (key, amplitude) entries, where a key is a
 basis string.  The store is the support as a sorted key array `_keys` and its
-nonzero amplitudes `_vals`, in the same order.  Its index is picked from the
-layout's width: up to SLOT_INDEX_QUBITS qubits the state also keeps `_slot`,
-an int64 array of length 2**Q holding each key's position in the store, or
--1; wider states binary-search `_keys`.  `_lookup` finds the store positions
-of an array of keys, and is the one step that depends on the index; `_read`
-takes the amplitudes at positions.  `_write` stores amplitudes at positions,
-in place while no entry enters or leaves the support, and otherwise rebuilds
-`_keys`/`_vals` once (re-pointing `_slot` where there is one): entering keys
-are merged in with one sort of the new keys and one search of the store, and
-exact zeros are dropped.  A write given keys=None promises that every
-position is on the support, so it is one scatter into `_vals` plus one test
-for an exact zero, and the store is rebuilt only when an entry left.  Every
-primitive (phase and sign, controlled gate, two-level mix, basis permutation,
-register QFT, sampling) is written once on top of these.  The phase and the
-two-level mix also have a form at given positions (`_scale_at`, `_mix_at`),
-so a caller that knows the positions, such as a replayed Trotter step, skips
-the lookup.  `_replace`, which swaps the whole support, and the constructor
-sort the new entries once, reject a repeated key before the store is touched,
-and make the nonzero entries the store, with no search or insert.  `copy`
-shares the read-only `_keys` and copies `_vals` and any `_slot`.  The norm
-check after every primitive is one dot product over `_vals`, so no primitive
-touches all 2**Q strings.
+nonzero amplitudes `_vals`, in the same order, and its one index is a binary
+search of `_keys`: `_lookup` finds the store positions of an array of keys,
+and `_read` takes the amplitudes at positions.  `_write` stores amplitudes at
+positions, in place while no entry enters or leaves the support, and
+otherwise rebuilds `_keys`/`_vals` once: entering keys are merged in with one
+sort of the new keys and one search of the store, and exact zeros are
+dropped.  A write given keys=None promises that every position is on the
+support, so it is one scatter into `_vals` plus one test for an exact zero,
+and the store is rebuilt only when an entry left.  Every primitive (phase and
+sign, controlled gate, two-level mix, basis permutation, register QFT,
+sampling) is written once on top of these.  The phase and the two-level mix
+also have a form at given positions (`_scale_at`, `_mix_at`), so a caller
+that knows the positions skips the lookup: a replayed Trotter step, and any
+mix whose pairs `support_pairs` reads off the sorted support, as the
+controlled gate's and every Trotter step's are.  `_replace`, which swaps the
+whole support, and the constructor sort the new entries once, reject a
+repeated key before the store is touched, and make the nonzero entries the
+store, with no search or insert.  `copy` shares the read-only `_keys` and
+copies `_vals`.  The norm check after every primitive is one dot product
+over `_vals`, so no primitive touches all 2**Q strings.
 
 Stamps.  Every write takes a fresh stamp from one process-wide counter, so a
 stamp names one state of one store and is never reused, not even after the
@@ -48,8 +46,8 @@ code.
 
 Exact zeros.  An entry leaves the support only when its amplitude is exactly
 zero; small amplitudes are never thresholded away.  In validation mode every
-write checks the store: keys ascending, no zero amplitude, and any `_slot`
-pointing exactly at `_keys`.
+write checks the store: keys ascending, one amplitude per key, and no zero
+amplitude.
 
 The array entry points `apply_phase_where`, `apply_basis_map` and
 `permute_register` take a function of the key array (or a value table) and make
@@ -80,11 +78,6 @@ import numpy as np
 NORM_TOL = 1e-10
 # Max deviation of U'U from the identity for accepted 2x2 gate matrices.
 UNITARY_TOL = 1e-12
-# States up to this many qubits index their store with `_slot`, 8 bytes per
-# basis string (512 KB at 16 qubits); wider ones binary-search `_keys`.  Past
-# 16 qubits the slot array costs megabytes for a few percent of evolve time,
-# and from 22 qubits on it is slower than the search.
-SLOT_INDEX_QUBITS = 16
 # `to_vector` densifies at most this many qubits: 16 bytes per basis string,
 # 1 GB at 26 qubits.
 DENSE_QUBIT_LIMIT = 26
@@ -280,14 +273,6 @@ class RegisterLayout:
         return int(basis)
 
 
-def distinct_keys(keys: np.ndarray) -> np.ndarray:
-    """Sorted keys with duplicates removed (sort plus adjacent differences)."""
-    keys = np.sort(keys)
-    if keys.size > 1:
-        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    return keys
-
-
 def positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Index of each of `keys` in the sorted distinct array `table`, -1 where a key is absent."""
     pos = np.searchsorted(table, keys)
@@ -296,6 +281,31 @@ def positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
     else:
         pos[:] = -1
     return pos
+
+
+def support_pairs(keys: np.ndarray, is_low: np.ndarray, is_high: np.ndarray, delta) -> tuple[np.ndarray, ...]:
+    """(low, high, pos): the pairs (x, x + delta) with a member among the sorted distinct `keys`.
+
+    keys[is_low] are pairs' low members and keys[is_high] high ones.  low is
+    distinct and ascending and high = low + delta; pos holds the positions in
+    `keys` of the lows, then of the highs, -1 for a member not in `keys`.
+    x -> x + delta is increasing, so each high member's low is found by one
+    search among the ascending lows, and the lows not in `keys` merge in order.
+    """
+    at_low, at_high = np.flatnonzero(is_low), np.flatnonzero(is_high)
+    lows, partners = keys[at_low], keys[at_high] - delta  # each high member's low
+    found = np.searchsorted(lows, partners)
+    lone = np.append(lows, -1)[found] != partners  # a high member whose low is not in `keys` (-1 is no key)
+    # Lone low j lands at its insertion point among the lows, plus j.
+    dest = found[lone] + np.arange(np.count_nonzero(lone))
+    held = np.ones(len(lows) + len(dest), dtype=bool)
+    held[dest] = False
+    rows = np.flatnonzero(held)  # where each low in `keys` lands
+    pos = np.full((2, len(held)), -1)
+    pos[0, rows], pos[1, dest], pos[1, rows[found[~lone]]] = at_low, at_high[lone], at_high[~lone]
+    low = np.empty(len(held), dtype=keys.dtype)
+    low[rows], low[dest] = lows, partners[lone]
+    return low, low + delta, pos.reshape(-1)
 
 
 def _splitmix64_uniforms(seed: int, n_trials: int) -> np.ndarray:
@@ -426,14 +436,12 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_slot", "_keys", "_vals", "_stamp", "_counts")
+    __slots__ = ("layout", "_keys", "_vals", "_stamp", "_counts")
 
     def __init__(self, layout: RegisterLayout, entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
         self.layout = layout
         self._keys = layout.keys([])
-        narrow = layout.width <= SLOT_INDEX_QUBITS
-        self._slot = np.full(1 << layout.width, -1, dtype=np.int64) if narrow else None
         self._counts = None  # ((stamp, seed, n_trials), counts) of the last `_sample_counts`
         keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
         self._fill(keys, amps)
@@ -454,13 +462,7 @@ class QuantumState:
         return keys, self._read(self._lookup(keys))
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
-        """Store positions of in-range `keys`, -1 where a key is off the support.
-
-        The one storage step that branches on the index: `_slot` where the
-        state has one, a binary search of `_keys` otherwise.
-        """
-        if self._slot is not None:
-            return self._slot[keys]
+        """Store positions of in-range `keys`, -1 where a key is off the support: a binary search of `_keys`."""
         return positions(self._keys, keys)
 
     def _read(self, pos: np.ndarray) -> np.ndarray:
@@ -533,24 +535,15 @@ class QuantumState:
         self._check_store()
 
     def _store(self, keys: np.ndarray, vals: np.ndarray) -> None:
-        """Make sorted (keys, vals) the whole store, keys read-only; re-point any `_slot`."""
-        if self._slot is not None:
-            self._slot[self._keys] = -1
-            self._slot[keys] = np.arange(len(keys))
+        """Make sorted (keys, vals) the whole store, keys read-only."""
         keys.flags.writeable = False
         self._keys, self._vals = keys, vals
 
     def _check_store(self) -> None:
-        """In validation mode, check the store: keys ascending, no zero amplitude, any `_slot` matching."""
-        if not validation_enabled():
-            return
-        keys, vals, slot = self._keys, self._vals, self._slot
-        ok = len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()
-        if ok and slot is not None:
-            ok = np.array_equal(np.flatnonzero(slot >= 0), keys)
-            ok = ok and np.array_equal(slot[keys], np.arange(len(keys)))
-        if not ok:
-            raise InvariantViolation("support store is unsorted, holds a zero, or disagrees with `_slot`")
+        """In validation mode, check the store: keys ascending, one amplitude per key, no zero amplitude."""
+        keys, vals = self._keys, self._vals
+        if validation_enabled() and not (len(keys) == len(vals) and (keys[1:] > keys[:-1]).all() and vals.all()):
+            raise InvariantViolation("support store is unsorted, misaligned, or holds a zero")
 
     # ------------------------------------------------------------------ access
 
@@ -583,13 +576,12 @@ class QuantumState:
         return float(np.linalg.norm(self._vals))
 
     def copy(self) -> QuantumState:
-        """An independent state with the same entries and index, and a stamp of its own.
+        """An independent state with the same entries and a stamp of its own.
 
-        The read-only `_keys` is shared; `_vals` and any `_slot` are copied.
+        The read-only `_keys` is shared; `_vals` is copied.
         """
         twin = QuantumState.__new__(QuantumState)
         twin.layout, twin._keys, twin._vals = self.layout, self._keys, self._vals.copy()
-        twin._slot = None if self._slot is None else self._slot.copy()
         twin._stamp, twin._counts = next(_stamps), None
         return twin
 
@@ -618,12 +610,13 @@ class QuantumState:
             if v not in (0, 1):
                 raise ValueError(f"control value must be 0 or 1, got {v}")
         self._check_qubit(target)
-        tbit = 1 << target
-        keys = self._keys
+        keys, tbit = self._keys, 1 << target
+        match = np.ones(len(keys), dtype=bool)
         for q, v in controls:
-            keys = keys[((keys >> q) & 1) == v]
-        low = distinct_keys(keys & ~tbit)
-        self._mix(low, low | tbit, gate)
+            match &= ((keys >> q) & 1) == v
+        on = (keys & tbit) != 0
+        low, high, pos = support_pairs(keys, match & ~on, match & on, tbit)
+        self._mix_at(np.concatenate((low, high)), pos, gate)
 
     def apply_phase_where(self, mask_fn: Callable[[np.ndarray], np.ndarray], theta: float) -> None:
         """Multiply amplitudes by exp(i*theta) where mask_fn(keys) is true."""
@@ -687,7 +680,8 @@ class QuantumState:
             pairs = list(pairs)
         k0, k1 = self.layout.keys(pairs).reshape(-1, 2).T
         self._check_pairs(k0, k1)
-        self._mix(k0, k1, gate)
+        keys = np.concatenate((k0, k1))
+        self._mix_at(keys, self._lookup(keys), gate)
 
     def qft_register(self, name: str) -> None:
         """Quantum Fourier transform of one register, other registers untouched.
@@ -710,10 +704,10 @@ class QuantumState:
         with the cdf built as choice builds it and u_j the j-th uniform of
         SplitMix64 started from state `seed` (specified on
         `_splitmix64_uniforms`).  So the stream is fully determined by the 64
-        bit seed and equal under either index.  The draws are counted rather than
-        indexed: outcome i gets the sorted uniforms of `_sorted_uniforms(seed,
-        n_trials)` that fall in [cdf[i-1], cdf[i]).  The batch holds one
-        float64 per shot, hence at most MAX_TRIALS shots.
+        bit seed.  The draws are counted rather than indexed: outcome i gets
+        the sorted uniforms of `_sorted_uniforms(seed, n_trials)` that fall in
+        [cdf[i-1], cdf[i]).  The batch holds one float64 per shot, hence at
+        most MAX_TRIALS shots.
         """
         counts = self._sample_counts(seed, n_trials)
         drawn = np.flatnonzero(counts)
@@ -775,36 +769,25 @@ class QuantumState:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"squared norm drifted to {total!r}")
 
-    def _mix(self, k0: np.ndarray, k1: np.ndarray, gate) -> np.ndarray:
-        """Apply `gate` to each amplitude pair (k0[i], k1[i]): one lookup, then `_mix_at`.
-
-        `gate` is a 2x2 array, or rows ((g00, g01), (g10, g11)) whose entries
-        are scalars or arrays with one entry per pair, so pair i is mixed by
-        its own matrix.  The caller guarantees what `apply_two_level_mix`
-        checks: a unitary gate, keys of this layout in range, disjoint pairs.
-        Internal callers build these by construction and skip the checks; in
-        validation mode they run here, as the public method runs them.
-        Returns the store positions of (k0, k1) before the write.
-        """
-        if validation_enabled():
-            (g00, g01), (g10, g11) = gate
-            _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
-            self._check_pairs(k0, k1)
-        keys = np.concatenate((k0, k1))
-        pos = self._lookup(keys)
-        self._mix_at(keys, pos, gate)
-        return pos
-
     def _mix_at(self, keys: np.ndarray | None, pos: np.ndarray, gate) -> None:
         """Apply `gate` to the amplitude pairs at store positions (pos[i], pos[n + i]), n = len(pos) / 2.
 
         `keys` are the keys at `pos`, as `_write` takes them: None promises
         that every position is on the support, and the amplitudes are read
-        with one `take`.
+        with one `take`.  `gate` is a 2x2 array, or rows ((g00, g01), (g10,
+        g11)) whose entries are scalars or arrays with one entry per pair, so
+        pair i is mixed by its own matrix.  The caller guarantees what
+        `apply_two_level_mix` checks: a unitary gate, keys of this layout in
+        range, disjoint pairs.  Internal callers build these by construction
+        and skip the checks; in validation mode they run here on given keys,
+        as the public method runs them.
         """
         (g00, g01), (g10, g11) = gate
-        amps = self._read(pos) if keys is not None else self._vals.take(pos)
         half = len(pos) // 2
+        if keys is not None and validation_enabled():
+            _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
+            self._check_pairs(keys[:half], keys[half:])
+        amps = self._read(pos) if keys is not None else self._vals.take(pos)
         a0, a1 = amps[:half], amps[half:]
         # g00*a0 + g01*a1, then g10*a0 + g11*a1, each summed into its half of the output.
         out = np.empty_like(amps)

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from fermisim import state as state_module
-from fermisim.state import QuantumState, RegisterLayout, inject_state
+from fermisim.state import QuantumState, RegisterLayout, validation_mode
 
 
 # Property tests draw the same examples on every run, so Tier-1 stays
@@ -18,37 +15,26 @@ settings.register_profile("fermisim", derandomize=True, database=None, deadline=
 settings.load_profile("fermisim")
 
 
-# A state indexes its store by a 2**Q slot array up to SLOT_INDEX_QUBITS qubits
-# and binary-searches its keys above.  Tests force either index by moving that
-# limit: "slot" up to 20 qubits (an 8 MB array at most), "search" at every
-# width.  The test ids keep "dense" and "sparse", the names these two indexes
-# had as backends, so test ids carry over.
-INDEXES = ("slot", "search")
-INDEX_IDS = {"slot": "dense", "search": "sparse"}
-_SLOT_LIMIT = {"slot": 20, "search": -1}
+# Store and step tests run twice: in validation mode, where every write checks
+# the store and the exhaustive checks over all 2**Q strings run where they fit,
+# and in production mode, which runs none of them.  The two runs keep the test
+# ids they had when they chose between two store indexes: "dense" (or "slot")
+# is validation mode and "sparse" (or "search") production mode.
+CHECKS = ("validation", "production")
+CHECK_IDS = {"validation": "dense", "production": "sparse"}
+STEP_IDS = {"validation": "slot", "production": "search"}
 
 
-@contextmanager
-def forced_index(index: str):
-    """States built inside the block use `index` ("slot" or "search")."""
-    saved = state_module.SLOT_INDEX_QUBITS
-    state_module.SLOT_INDEX_QUBITS = _SLOT_LIMIT[index]
-    try:
-        yield
-    finally:
-        state_module.SLOT_INDEX_QUBITS = saved
+@pytest.fixture(params=CHECKS, ids=CHECK_IDS.get)
+def checks(request):
+    """Run the test once in each mode."""
+    with validation_mode(request.param == "validation"):
+        yield request.param
 
 
-@pytest.fixture(params=INDEXES, ids=INDEX_IDS.get)
-def index(request, monkeypatch):
-    """Run the test once with each store index."""
-    monkeypatch.setattr(state_module, "SLOT_INDEX_QUBITS", _SLOT_LIMIT[request.param])
-    return request.param
-
-
-# The same two runs as an explicit mark, for tests whose ids name the index
+# The same two runs as an explicit mark, for tests whose ids name the mode
 # after their other parameters.
-BOTH_INDEXES = pytest.mark.parametrize("index", INDEXES, indirect=True, ids=INDEX_IDS.get)
+BOTH_CHECKS = pytest.mark.parametrize("checks", CHECKS, indirect=True, ids=CHECK_IDS.get)
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -108,8 +94,8 @@ def embed_register(layout: RegisterLayout, name: str, block: np.ndarray) -> np.n
 
 
 # ----------------------------------------------------------------- op programs
-# A "program" is a list of plain-data op descriptions that can be replayed on
-# either index, used by the index equivalence tests.
+# A "program" is a list of plain-data op descriptions, run on a state by
+# `run_program` and on a dense vector by `run_dense_program`.
 
 
 def random_program(rng: np.random.Generator, layout: RegisterLayout, n_ops: int) -> list:
@@ -161,14 +147,30 @@ def run_program(state: QuantumState, program: list) -> None:
             raise AssertionError(kind)
 
 
-def states_agree(a: QuantumState, b: QuantumState, atol: float = 1e-12) -> bool:
-    keys = set(a.support()) | set(b.support())
-    return all(abs(a.amplitude(k) - b.amplitude(k)) <= atol for k in keys)
-
-
-def make_state(layout: RegisterLayout, amplitudes, index: str | None = None) -> QuantumState:
-    """`inject_state`, on the given index if one is named."""
-    if index is None:
-        return inject_state(layout, amplitudes)
-    with forced_index(index):
-        return inject_state(layout, amplitudes)
+def run_dense_program(vec: np.ndarray, layout: RegisterLayout, program: list) -> np.ndarray:
+    """`program` applied to the statevector `vec` of `layout`, one full matrix per op; no store code runs."""
+    width = layout.width
+    dim = 1 << width
+    basis = np.arange(dim)
+    for op in program:
+        kind = op[0]
+        if kind == "unitary":
+            mat = embed_single(width, op[1], op[2])
+        elif kind == "controlled":
+            mat = embed_controlled(width, op[1], op[2], op[3])
+        elif kind == "phase":
+            _, mask, value, theta = op
+            mat = np.diag(np.where((basis & mask) == value, np.exp(1j * theta), 1.0))
+        elif kind == "perm":
+            mat = np.zeros((dim, dim))
+            mat[op[1], basis] = 1.0  # the amplitude at b moves to table[b]
+        elif kind == "mix":
+            mat = np.eye(dim, dtype=complex)
+            for b0, b1 in op[1]:
+                mat[np.ix_([b0, b1], [b0, b1])] = op[2]
+        elif kind == "qft":
+            mat = embed_register(layout, op[1], dft_matrix(layout.register_width(op[1])))
+        else:
+            raise AssertionError(kind)
+        vec = mat @ vec
+    return vec

@@ -12,7 +12,7 @@ import math
 import time
 
 import numpy as np
-from conftest import make_state, random_program, random_state_map, run_program, states_agree
+from conftest import random_program, random_state_map, run_dense_program, run_program
 
 from fermisim.antisym import (
     RegisterBank,
@@ -317,24 +317,23 @@ def test_criterion_09_momentum_readout_of_a_plane_wave():
 
 
 def test_criterion_10_backend_equivalence_on_random_programs():
-    """The slot index and the binary search give the same states on random programs."""
+    """The support store and a dense statevector, one full matrix per op, agree on random programs."""
     rng = np.random.default_rng(20260814)
     layout = RegisterLayout.of(("a", 3), ("b", 3))
     mismatches = 0
     for _ in range(100):
         amplitudes = random_state_map(rng, 6, 12)
-        slot = make_state(layout, amplitudes, "slot")
-        search = make_state(layout, amplitudes, "search")
-        assert slot._slot is not None and search._slot is None
+        state = inject_state(layout, amplitudes)
+        vec = np.zeros(64, dtype=complex)
+        vec[list(amplitudes)] = list(amplitudes.values())
         program = random_program(rng, layout, 10)
-        run_program(slot, program)
-        run_program(search, program)
-        if not states_agree(slot, search, atol=1e-12):
+        run_program(state, program)
+        if not np.abs(state.to_vector() - run_dense_program(vec, layout, program)).max() <= 1e-12:
             mismatches += 1
     ok = mismatches == 0
     _verdict(
         10,
         ok,
-        f"100 random 10-op programs on 6 qubits, {mismatches} slot/search "
+        f"100 random 10-op programs on 6 qubits, {mismatches} store/dense "
         f"mismatches at 1e-12",
     )

@@ -5,10 +5,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
-from conftest import INDEX_IDS, INDEXES, forced_index
+from conftest import CHECK_IDS
 from hypothesis import example, given, strategies as st
 
-from fermisim import state as state_module
 from fermisim.antisym import (
     MODES,
     OrderedConfiguration,
@@ -41,9 +40,10 @@ from fermisim.state import (
 )
 
 
-# (n, w, index): object keys at (6, 5); the slot index only on the narrow banks.
-SUPERPOSE_CASES = [(1, 1, "search"), (2, 2, "search"), (3, 2, "search"), (4, 2, "search"), (5, 3, "search"),
-                   (5, 4, "search"), (6, 5, "search"), (1, 1, "slot"), (2, 1, "slot"), (2, 2, "slot")]
+# (n, w, checks): object keys at (6, 5); validation mode only on the narrow banks.
+SUPERPOSE_CASES = [(1, 1, "production"), (2, 2, "production"), (3, 2, "production"), (4, 2, "production"),
+                   (5, 3, "production"), (5, 4, "production"), (6, 5, "production"),
+                   (1, 1, "validation"), (2, 1, "validation"), (2, 2, "validation")]
 
 
 def apply_schedule(values, schedule):
@@ -214,10 +214,10 @@ class TestStages:
             assert after[b] == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "n, w, index", SUPERPOSE_CASES, indirect=["index"],
-        ids=[f"{n}-{w}-{INDEX_IDS[index]}" for n, w, index in SUPERPOSE_CASES],
+        "n, w, checks", SUPERPOSE_CASES, indirect=["checks"],
+        ids=[f"{n}-{w}-{CHECK_IDS[checks]}" for n, w, checks in SUPERPOSE_CASES],
     )
-    def test_superpose_ranks_matches_per_string_reference(self, n, w, index):
+    def test_superpose_ranks_matches_per_string_reference(self, n, w, checks):
         bank = RegisterBank(n, w)
         assert (bank.layout.key_dtype == object) == ((n, w) == (6, 5))  # 73 qubits
         rng = np.random.default_rng(31 * n + w)
@@ -443,9 +443,8 @@ class TestPipeline:
             if dirty is not None:
                 key |= 1 << bank.layout.offset(dirty)
             amplitudes[key] = amp
-        for index in INDEXES:
-            with forced_index(index), pytest.raises(ValueError, match=message):
-                antisymmetrize(inject_state(bank.layout, amplitudes), bank)
+        with pytest.raises(ValueError, match=message):
+            antisymmetrize(inject_state(bank.layout, amplitudes), bank)
 
     @pytest.mark.parametrize("n,w", [(1, 1), (3, 2), (6, 5), (8, 4)])
     def test_register_bank_holds_a_b_record_and_parity(self, n, w):
@@ -464,11 +463,9 @@ class TestPipeline:
                 for perm, amp in slater_antisymmetrize(labels, mode).items()}
         want_keys = sorted(want)
         want_amps = np.array([want[k] for k in want_keys], dtype=complex)
-        for index in INDEXES if n <= 3 else ("search",):
-            with forced_index(index):
-                keys, amps = prepare_antisymmetric(layout, labels, mode).gather()
-            assert keys.tolist() == want_keys
-            assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # signed zeros too
+        keys, amps = prepare_antisymmetric(layout, labels, mode).gather()
+        assert keys.tolist() == want_keys
+        assert np.array_equal(amps.view(np.int64), want_amps.view(np.int64))  # signed zeros too
 
     def test_numpy_integer_labels_prepare_the_same_state(self):
         layout = FirstQuantizedLayout(n=3, m=4)
@@ -508,20 +505,19 @@ def ordered_superpositions(draw):
     return n, w, list(zip(tuples, amps.tolist()))
 
 
-@given(case=ordered_superpositions(), mode=st.sampled_from(MODES), dense=st.booleans())
+@given(case=ordered_superpositions(), mode=st.sampled_from(MODES))
 # Pinned on both sides of KEY_BITS: 6 particles on 5-bit words are a 73-qubit
 # bank with object keys, which the drawn sizes (n <= 6, w <= 4) never reach;
 # 4 on 4-bit words a 38-qubit bank with int64 keys.
-@example(case=(6, 5, [((1, 4, 6, 9, 12, 30), 0.6), ((2, 3, 5, 7, 16, 32), 0.8j)]), mode="fermi", dense=False)
-@example(case=(6, 3, [((1, 2, 3, 5, 7, 8), 1.0)]), mode="bose", dense=False)
-@example(case=(4, 4, [((1, 2, 3, 16), 0.8), ((5, 6, 9, 11), -0.6j)]), mode="fermi", dense=False)
-@example(case=(2, 2, [((1, 2), 0.6j), ((2, 4), 0.8)]), mode="bose", dense=True)
-def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode, dense):
+@example(case=(6, 5, [((1, 4, 6, 9, 12, 30), 0.6), ((2, 3, 5, 7, 16, 32), 0.8j)]), mode="fermi")
+@example(case=(6, 3, [((1, 2, 3, 5, 7, 8), 1.0)]), mode="bose")
+@example(case=(4, 4, [((1, 2, 3, 16), 0.8), ((5, 6, 9, 11), -0.6j)]), mode="fermi")
+@example(case=(2, 2, [((1, 2), 0.6j), ((2, 4), 0.8)]), mode="bose")
+def test_inverse_undoes_antisymmetrize_on_random_superpositions(case, mode):
     """antisymmetrize_inverse after antisymmetrize is the identity, on int64 and on object keys."""
     n, w, branches = case
     bank = RegisterBank(n, w)
-    with forced_index("slot" if dense else "search"):  # the slot index only up to 20 qubits
-        state = prepare_ordered_input(bank, branches)
+    state = prepare_ordered_input(bank, branches)
     before = state.to_map()
     antisymmetrize(state, bank, mode)
     assert len(state.support()) == len(branches) * math.factorial(n)
@@ -571,16 +567,14 @@ class TestCollapse:
         assert out.amplitude(encode_labels((1, 3), 2)) == pytest.approx(1 / math.sqrt(2))
         assert out.amplitude(encode_labels((3, 1), 2)) == pytest.approx(-1 / math.sqrt(2))
 
-    def test_custom_layout_and_backend(self, monkeypatch):
-        """The collapsed state picks its store index from the target layout's width."""
-        monkeypatch.setattr(state_module, "SLOT_INDEX_QUBITS", 4)
+    def test_custom_layout_and_backend(self):
+        """The collapsed state takes the target layout's registers, narrower than the bank."""
         bank = RegisterBank(2, 2)
         state = prepare_ordered_input(bank, (2, 3))
-        assert state._slot is None  # the bank is wider than 4 qubits
         antisymmetrize(state, bank)
         layout = RegisterLayout.of(("s0", 1), ("p0", 1), ("s1", 1), ("p1", 1))
         out = collapse_ancillas(state, bank, layout)
-        assert out._slot is not None
+        assert out.layout == layout and layout.width < bank.layout.width
         assert abs(out.norm() - 1.0) < 1e-12
 
     def test_rejects_dirty_ancillas(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INDEXES, forced_index, random_state_map
+from conftest import random_state_map
 
 from fermisim.antisym import transposition_test
 from fermisim.fq import (
@@ -96,6 +96,15 @@ class TestKineticSplit:
         split = KineticSplit.for_chain(m)
         assert set(split.t1_pairs) | set(split.t2_pairs) == set(chain_bonds(m))
 
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_every_bond_once_at_any_length(self, m):
+        """T1 and T2 split the chain's bonds, the last one too when m is odd, into disjoint site pairs."""
+        split = KineticSplit.for_chain(m)
+        assert sorted(split.t1_pairs + split.t2_pairs) == list(chain_bonds(m))
+        for half in (split.t1_pairs, split.t2_pairs):
+            sites = [site for pair in half for site in pair]
+            assert len(set(sites)) == len(sites)
+
 
 def _coincide(reg, keys, k, l):
     """Particles k and l share a site with opposite spins (a basis string, or a mask over a key array)."""
@@ -147,8 +156,9 @@ class TestPotentialFq:
         want = [sum(_coincide(reg, k, a, b) for a, b in combinations(range(n), 2)) for k in keys.tolist()]
         assert count.dtype == np.int64 and count.tolist() == want
 
-    @pytest.mark.parametrize("n, m, index", [(4, 2, "slot"), (4, 2, "search"), (5, 4096, "search")])
-    def test_bitwise_a_phase_per_pair(self, n, m, index):
+    @pytest.mark.parametrize("n, m, checks", [(4, 2, "validation"), (4, 2, "production"), (5, 4096, "production")],
+                             indirect=["checks"], ids=["4-2-slot", "4-2-search", "5-4096-search"])
+    def test_bitwise_a_phase_per_pair(self, n, m, checks):
         """One count term multiplies each amplitude as a phase per coinciding pair does, pair by pair.
 
         The words sit on the lowest two sites, so the strings hold 0-4
@@ -160,8 +170,7 @@ class TestPotentialFq:
         strings = sorted({pack_words(rng.integers(4, size=n), layout.word_bits) for _ in range(60)})
         amps = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
         amps /= np.linalg.norm(amps)
-        with forced_index(index):
-            state, looped = (inject_state(reg, dict(zip(strings, amps))) for _ in range(2))
+        state, looped = (inject_state(reg, dict(zip(strings, amps))) for _ in range(2))
         assert {0, 1, 2, 3} <= {int(c) for c in layout.terms[0](state.support_keys())}
         evolve_potential_fq(state, layout, PARAMS, dt)
         for a, b in combinations(range(n), 2):
@@ -295,8 +304,7 @@ def test_every_step_keeps_exchange_symmetry(data):
     layout = FirstQuantizedLayout(n=n, m=m)
     labels = sorted(data.draw(st.sets(st.integers(1, 2 * m), min_size=n, max_size=n), label="labels"))
     mode = data.draw(st.sampled_from(("fermi", "bose")), label="mode")
-    with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
-        state = prepare_antisymmetric(layout, labels, mode)
+    state = prepare_antisymmetric(layout, labels, mode)
     # |t0| >= 0.25 and |dt| >= 0.2, so |t0 * dt| >= 0.05 and every step hops.
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
                            t0=data.draw(st.floats(-2.0, -0.25) | st.floats(0.25, 2.0), label="t0"))

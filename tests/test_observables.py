@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BOTH_INDEXES, random_state_map
+from conftest import BOTH_CHECKS, random_state_map
 
 from fermisim import oracle
 from fermisim.fq import (
@@ -258,10 +258,10 @@ def occupied_sites(layout, key):
 
 
 class TestSampledEstimates:
-    @BOTH_INDEXES
+    @BOTH_CHECKS
     @pytest.mark.parametrize("layout", [ModeLayout(3), FirstQuantizedLayout(n=2, m=4)],
                              ids=["sq", "fq"])
-    def test_estimates_are_the_frequencies_of_the_draws(self, layout, index):
+    def test_estimates_are_the_frequencies_of_the_draws(self, layout, checks):
         rng = np.random.default_rng(31)
         reg = layout.register_layout()
         state = inject_state(reg, random_state_map(rng, reg.width, 40))
@@ -352,7 +352,7 @@ class TestMomentum:
         assert hist.counts[3] == 200  # exact plane wave, single support bin
         assert hist.frequencies[3] == pytest.approx(1.0)
 
-    def test_sampled_histogram_carries_the_exact_frequencies(self, index):
+    def test_sampled_histogram_carries_the_exact_frequencies(self, checks):
         layout = FirstQuantizedLayout(n=2, m=4)
         state = prepare_antisymmetric(layout, (2, 7))
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(0.7, 3))
@@ -498,9 +498,9 @@ def _evolved_sq_wide(m=40):
 
 
 class TestMatrixFreeEnergy:
-    @BOTH_INDEXES
+    @BOTH_CHECKS
     @pytest.mark.parametrize("evolved", [_evolved_sq, _evolved_fq], ids=["sq", "fq"])
-    def test_total_is_the_dense_rayleigh_quotient(self, index, evolved):
+    def test_total_is_the_dense_rayleigh_quotient(self, checks, evolved):
         state, layout = evolved()
         if isinstance(layout, ModeLayout):
             h = build_sq_hamiltonian(layout, PARAMS)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import INDEXES, forced_index, random_state_map
+from conftest import CHECKS, STEP_IDS, random_state_map
 
 from fermisim import fq, sq
 from fermisim.fq import FirstQuantizedLayout, prepare_antisymmetric, trotter_evolve_fq
-from fermisim.observables import charge_density
+from fermisim.observables import _energy_split, charge_density
 from fermisim.oracle import build_sq_hamiltonian, hopping_term, pack_words, propagator
 from fermisim.sq import (
     DOWN,
@@ -27,7 +27,9 @@ from fermisim.sq import (
     trotter_evolve,
     trotter_step,
 )
-from fermisim.state import InvariantViolation, init_basis_state, inject_state, validation_mode
+from fermisim.state import (
+    InvariantViolation, QuantumState, init_basis_state, inject_state, positions, validation_mode,
+)
 
 PARAMS = HubbardParams(v0=4.0, t0=1.0)
 
@@ -112,8 +114,9 @@ class TestPotential:
                 for k in keys.tolist()]
         assert count.dtype == np.int64 and count.tolist() == want
 
-    @pytest.mark.parametrize("m, index", [(3, "slot"), (3, "search"), (32, "search")])
-    def test_bitwise_a_phase_per_site(self, m, index):
+    @pytest.mark.parametrize("m, checks", [(3, "validation"), (3, "production"), (32, "production")],
+                             indirect=["checks"], ids=["3-slot", "3-search", "32-search"])
+    def test_bitwise_a_phase_per_site(self, m, checks):
         """One count term multiplies each amplitude as a phase per doubly occupied site does, in site order.
 
         The strings hold 0-3 doubly occupied sites; m = 32 has object keys.
@@ -130,9 +133,7 @@ class TestPotential:
         strings = sorted(strings)
         amps = rng.normal(size=len(strings)) + 1j * rng.normal(size=len(strings))
         amps /= np.linalg.norm(amps)
-        with forced_index(index):
-            state, looped = (inject_state(layout.register_layout(), dict(zip(strings, amps)))
-                             for _ in range(2))
+        state, looped = (inject_state(layout.register_layout(), dict(zip(strings, amps))) for _ in range(2))
         assert {int(c) for c in layout.terms[0](state.support_keys())} == {0, 1, 2, 3}
         evolve_potential(state, layout, PARAMS, dt)
         for s in range(1, m + 1):
@@ -199,7 +200,7 @@ class TestHoppingPair:
         evolve_hopping_pair(state, layout, 2, 3, DOWN, PARAMS, dt)
         np.testing.assert_allclose(state.to_vector(), want, atol=1e-12)
 
-    def test_one_mix_is_bitwise_the_two_parity_class_mixes(self, index):
+    def test_one_mix_is_bitwise_the_two_parity_class_mixes(self, checks):
         rng = np.random.default_rng(1208)
         m, dt = 4, 0.29
         layout = ModeLayout(m)
@@ -270,7 +271,7 @@ class TestTrotterStep:
             trotter_evolve(state, ModeLayout(2), PARAMS, TrotterPlan(t=0.1, r=1))
 
 
-def _sector_state(layout, index):
+def _sector_state(layout):
     """Two up and two down particles on four sites, spread over their whole 36-string sector.
 
     Every step keeps the support at the sector, so each step is closed.
@@ -281,8 +282,7 @@ def _sector_state(layout, index):
     amps = rng.normal(size=36) + 1j * rng.normal(size=36)
     amps /= np.linalg.norm(amps)
     entries = {u | d: complex(a) for (u, d), a in zip(((u, d) for u in up for d in down), amps)}
-    with forced_index(index):
-        return inject_state(layout.register_layout(), entries)
+    return inject_state(layout.register_layout(), entries)
 
 
 def _assert_bitwise(a, b):
@@ -311,20 +311,19 @@ class TestClosedStepReplay:
     PAIR_BUILDER = (sq, "hop_pairs")
     evolve = staticmethod(trotter_evolve)
 
-    def start(self, start="sector", index="slot"):
+    def start(self, start="sector"):
         """A state whose every step is closed ("sector"), or one whose support grows, then closes."""
         if start == "sector":
-            return _sector_state(self.LAYOUT, index)
+            return _sector_state(self.LAYOUT)
         bits = encode_occupation(self.LAYOUT, ((1, UP), (2, DOWN), (3, UP)))
-        with forced_index(index):
-            return init_basis_state(self.LAYOUT.register_layout(), bits)
+        return init_basis_state(self.LAYOUT.register_layout(), bits)
 
-    @pytest.mark.parametrize("index", INDEXES)
+    @pytest.mark.parametrize("checks", CHECKS, indirect=True, ids=STEP_IDS.get)
     @pytest.mark.parametrize("start", ["sector", "one string"])
-    def test_evolution_is_bitwise_a_loop_of_steps(self, index, start):
+    def test_evolution_is_bitwise_a_loop_of_steps(self, checks, start):
         """Replayed steps, and the steps before the support closes, compute what trotter_step computes."""
         layout, plan = self.LAYOUT, TrotterPlan(t=2.0, r=12)
-        evolved, looped = self.start(start, index), self.start(start, index)
+        evolved, looped = self.start(start), self.start(start)
         self.evolve(evolved, layout, PARAMS, plan)
         for _ in range(plan.r):
             trotter_step(looped, layout, PARAMS, plan.dt)
@@ -365,21 +364,21 @@ class TestClosedStepReplay:
         _assert_bitwise(state, looped)
 
     def test_validation_mode_checks_the_store_on_replayed_writes(self, monkeypatch):
-        """A `_slot` corrupted before a replayed step trips the store check of its first write."""
+        """A store corrupted before a replayed step trips the store check of its first write."""
         layout, plan = self.LAYOUT, TrotterPlan(t=1.0, r=3)
         clean, checked = self.start(), self.start()
         original = sq._step
 
         def corrupting(state, terms, params, dt, recorded=None, keep=False):
             if recorded is not None:
-                absent = int(np.flatnonzero(state._slot < 0)[0])
-                state._slot[absent] = 0  # a slot for an absent key, which no replayed write touches
+                # A zero amplitude past the last key, at a position no replayed write touches.
+                state._vals = np.append(state._vals, 0.0)
             return original(state, terms, params, dt, recorded, keep)
 
         monkeypatch.setattr(sq, "_step", corrupting)
         self.evolve(clean, layout, PARAMS, plan)  # production mode: no check
         with validation_mode():
-            with pytest.raises(InvariantViolation, match="_slot"):
+            with pytest.raises(InvariantViolation, match="support store"):
                 self.evolve(checked, layout, PARAMS, plan)
 
 
@@ -389,14 +388,15 @@ class TestClosedStepReplayFirstQuantized(TestClosedStepReplay):
     LAYOUT = FirstQuantizedLayout(n=2, m=4)
     PHASES, MIXES = 1, 4  # the potential, a mix per (particle, kinetic half)
     PAIR_BUILDER = (fq, "kinetic_pairs")
-    evolve = staticmethod(trotter_evolve_fq)
+    # The shared driver, not `trotter_evolve_fq`: that one refuses the bare
+    # product string, which is not antisymmetric, in validation mode.
+    evolve = staticmethod(trotter_evolve)
 
-    def start(self, start="sector", index="slot"):
+    def start(self, start="sector"):
         """The prepared pair after two steps, which fill the sector ("sector"), or the bare product string."""
-        with forced_index(index):
-            if start != "sector":
-                return init_basis_state(self.LAYOUT.register_layout(), pack_words((0, 3), 3))
-            state = prepare_antisymmetric(self.LAYOUT, (1, 4))
+        if start != "sector":
+            return init_basis_state(self.LAYOUT.register_layout(), pack_words((0, 3), 3))
+        state = prepare_antisymmetric(self.LAYOUT, (1, 4))
         for _ in range(2):
             trotter_step(state, self.LAYOUT, PARAMS, 0.5)
         assert len(state.support_keys()) == 32
@@ -408,12 +408,12 @@ def test_a_single_step_takes_no_record(monkeypatch):
     layout = ModeLayout(4)
     for r, recorded in ((1, False), (2, True)):
         calls = _count_calls(monkeypatch, sq, "_int32")
-        trotter_evolve(_sector_state(layout, "slot"), layout, PARAMS, TrotterPlan(t=1.0, r=r))
+        trotter_evolve(_sector_state(layout), layout, PARAMS, TrotterPlan(t=1.0, r=r))
         assert bool(calls) == recorded, r
 
 
-@pytest.mark.parametrize("index", INDEXES)
-def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, index):
+@pytest.mark.parametrize("checks", CHECKS, indirect=True, ids=STEP_IDS.get)
+def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, checks):
     """A replayed hop that zeroes a string drops the records; the rest of the step runs afresh.
 
     One up fermion holds (cos(theta), i*sin(theta)) on sites 1 and 2, so the
@@ -422,10 +422,9 @@ def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, index
     layout, dt = ModeLayout(2), 0.3
     theta = PARAMS.t0 * dt
     up1, up2 = (encode_occupation(layout, ((site, UP),)) for site in (1, 2))
-    with forced_index(index):
-        recorder = inject_state(layout.register_layout(), {up1: 0.6, up2: 0.8})
-        state, looped = (inject_state(layout.register_layout(),
-                                      {up1: math.cos(theta), up2: 1j * math.sin(theta)}) for _ in range(2))
+    recorder = inject_state(layout.register_layout(), {up1: 0.6, up2: 0.8})
+    state, looped = (inject_state(layout.register_layout(),
+                                  {up1: math.cos(theta), up2: 1j * math.sin(theta)}) for _ in range(2))
     start = recorder.support_keys()
     recorded = sq._step(recorder, layout.terms, PARAMS, dt, keep=True)
     assert recorder.support_keys() is start and len(recorded) == len(layout.terms)
@@ -442,8 +441,7 @@ def test_a_replayed_write_that_drops_an_entry_ends_the_replay(monkeypatch, index
 @settings(max_examples=40)
 @given(st.data())
 def test_evolution_from_random_starts_is_bitwise_a_loop_of_steps(data):
-    """Recording and replay never change a result: either encoding, either index, any start and r."""
-    index = data.draw(st.sampled_from(INDEXES), label="index")
+    """Recording and replay never change a result: either encoding, any start and r."""
     if data.draw(st.booleans(), label="first quantized"):
         layout = FirstQuantizedLayout(n=data.draw(st.integers(1, 3), label="n"),
                                       m=data.draw(st.sampled_from((2, 4)), label="m"))
@@ -459,12 +457,118 @@ def test_evolution_from_random_starts_is_bitwise_a_loop_of_steps(data):
         def start():
             return init_basis_state(layout.register_layout(), bits)
     plan = TrotterPlan(t=data.draw(st.floats(0.1, 4.0), label="t"), r=data.draw(st.integers(1, 8), label="r"))
-    with forced_index(index):
-        evolved, looped = start(), start()
+    evolved, looped = start(), start()
     trotter_evolve(evolved, layout, PARAMS, plan)
     for _ in range(plan.r):
         trotter_step(looped, layout, PARAMS, plan.dt)
     _assert_bitwise(evolved, looped)
+
+
+def _hop_pairs_by_sorting(keys, mode_a, mode_b):
+    """Each hop pair's members normalized to the low one and sorted, then searched in the store."""
+    mask = (1 << mode_a) | (1 << mode_b)
+    occ = keys & mask
+    single = keys[(occ != 0) & (occ != mask)]
+    low = np.unique((single & ~mask) | (1 << mode_a))
+    return low, low ^ mask, positions(keys, np.concatenate((low, low ^ mask)))
+
+
+def _kinetic_pairs_by_sorting(keys, reg, k, partner):
+    """Each kinetic pair's members moved to the lower site and sorted, then searched in the store."""
+    name = f"pos{k}"
+    site = reg.field(keys, name)
+    paired = partner[site] != site
+    low = np.unique(reg.with_field(keys[paired], name, np.minimum(site, partner[site])[paired]))
+    high = reg.with_field(low, name, partner[reg.field(low, name)])
+    return low, high, positions(keys, np.concatenate((low, high)))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_pair_builders_find_the_pairs_that_sorting_finds(data):
+    """hop_pairs and kinetic_pairs read off the support the pairs, order and positions of the sorted construction.
+
+    Each drawn string stands for its pair; `sides` keeps both members, only
+    the lows, only the highs, or a random choice per pair (lows with no high
+    and highs with no low).  Wide layouts have object keys.
+    """
+    wide = data.draw(st.booleans(), label="wide")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="first quantized"):
+        layout = (FirstQuantizedLayout(n=5, m=4096) if wide else
+                  FirstQuantizedLayout(n=data.draw(st.integers(1, 3), label="n"),
+                                       m=data.draw(st.sampled_from((2, 4, 8)), label="m")))
+        reg = layout.register_layout()
+        k = data.draw(st.integers(0, layout.n - 1), label="k")
+        partner = data.draw(st.sampled_from(fq.kinetic_partners(layout.m)), label="half")
+
+        def members(key):
+            site = reg.field(key, f"pos{k}")
+            return [reg.with_field(key, f"pos{k}", s) for s in sorted({site, int(partner[site])})]
+
+        def build(keys):
+            return fq.kinetic_pairs(keys, reg, k, partner)
+
+        def reference(keys):
+            return _kinetic_pairs_by_sorting(keys, reg, k, partner)
+    else:
+        layout = ModeLayout(32 if wide else data.draw(st.integers(2, 5), label="m"))
+        reg = layout.register_layout()
+        a = data.draw(st.integers(0, layout.n_modes - 3), label="mode_a")
+        b = a + data.draw(st.sampled_from((1, 2)), label="gap")
+
+        def members(key):
+            rest = key & ~((1 << a) | (1 << b))
+            return [rest | (1 << a), rest | (1 << b)]
+
+        def build(keys):
+            return sq.hop_pairs(keys, a, b)
+
+        def reference(keys):
+            return _hop_pairs_by_sorting(keys, a, b)
+    sides = data.draw(st.sampled_from(("both", "lows", "highs", "random")), label="sides")
+    strings = set()
+    for _ in range(int(rng.integers(0, 40))):
+        pair = members(int.from_bytes(rng.bytes(16), "little") % (1 << reg.width))
+        keep = {"both": pair, "lows": pair[:1], "highs": pair[1:], "random": [pair[int(rng.integers(len(pair)))]]}
+        strings.update(keep[sides])
+    # Strings in no pair: both hop modes occupied, or both empty.
+    strings.update(int.from_bytes(rng.bytes(16), "little") % (1 << reg.width) for _ in range(5))
+    keys = reg.keys(sorted(strings))
+    low, high, parity, pos = build(keys)
+    want_low, want_high, want_pos = reference(keys)
+    assert low.dtype == keys.dtype and np.array_equal(low, want_low)
+    assert np.array_equal(high, want_high)
+    assert np.array_equal(pos, want_pos)
+    assert len(parity) == len(low)
+
+
+@pytest.mark.parametrize("strings", [[], [0, 1]], ids=["empty", "unpaired"])
+@pytest.mark.parametrize("layout", [ModeLayout(2), ModeLayout(32), FirstQuantizedLayout(n=1, m=4),
+                                    FirstQuantizedLayout(n=5, m=4096)], ids=["sq", "sq-wide", "fq", "fq-wide"])
+def test_pair_builders_on_a_support_with_no_pair(layout, strings):
+    """No pair gives empty arrays: the support's key dtype for the members, one position per member."""
+    keys = layout.register_layout().keys(strings)
+    if isinstance(layout, ModeLayout):
+        found = sq.hop_pairs(keys, 1, 3)  # modes 1 and 3 are empty in both strings
+    else:  # particle 0 on site 1, which T2 leaves unpaired
+        found = fq.kinetic_pairs(keys, layout.register_layout(), 0, fq.kinetic_partners(layout.m)[1])
+    low, high, parity, pos = found
+    assert (len(low), len(high), len(parity), len(pos)) == (0, 0, 0, 0)
+    assert low.dtype == high.dtype == keys.dtype
+
+
+def test_a_trotter_step_looks_up_no_keys(monkeypatch):
+    """Every pair a step mixes, and every pair the energy split reads, comes with its store positions."""
+    sq_layout, fq_layout = ModeLayout(4), FirstQuantizedLayout(n=2, m=4)
+    states = [(init_basis_state(sq_layout.register_layout(), 0b10010110), sq_layout),
+              (prepare_antisymmetric(fq_layout, (1, 4)), fq_layout)]
+    calls = _count_calls(monkeypatch, QuantumState, "_lookup")
+    trotter_evolve(states[0][0], sq_layout, PARAMS, TrotterPlan(t=1.0, r=4))
+    trotter_evolve_fq(states[1][0], fq_layout, PARAMS, TrotterPlan(t=1.0, r=4))
+    for state, layout in states:
+        _energy_split(state, layout.terms, PARAMS)
+    assert calls == []
 
 
 def _spin_sector_weights(state, layout) -> dict[tuple[int, int], float]:
@@ -488,8 +592,7 @@ def test_every_step_keeps_each_strings_up_and_down_counts(data):
     entries = data.draw(st.dictionaries(st.integers(0, (1 << (2 * m)) - 1), amplitude,
                                         min_size=2, max_size=10), label="entries")
     norm = math.sqrt(sum(abs(a) ** 2 for a in entries.values()))
-    with forced_index(data.draw(st.sampled_from(INDEXES), label="index")):
-        state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()})
+    state = inject_state(layout.register_layout(), {b: a / norm for b, a in entries.items()})
     # |t0| >= 0.25 and |dt| >= 0.2, so |t0 * dt| >= 0.05 and the step hops.
     params = HubbardParams(v0=data.draw(st.floats(-8.0, 8.0), label="v0"),
                            t0=data.draw(st.floats(-2.0, -0.25) | st.floats(0.25, 2.0), label="t0"))

@@ -1,27 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from conftest import (
-    BOTH_INDEXES,
-    INDEXES,
+    BOTH_CHECKS,
     dft_matrix,
     embed_controlled,
     embed_register,
     embed_single,
-    forced_index,
-    make_state,
     random_program,
     random_state_map,
     random_unitary,
     run_program,
-    states_agree,
 )
 
 from fermisim.state import (
     MAX_TRIALS,
-    SLOT_INDEX_QUBITS,
     InvariantViolation,
     QuantumState,
     RegisterLayout,
@@ -65,17 +61,17 @@ class TestRegisterLayout:
 
 
 class TestInit:
-    def test_basis_state(self, index):
+    def test_basis_state(self, checks):
         state = init_basis_state(TWO, 0b00)
         assert state.norm() == 1.0
         assert state.amplitude(0) == 1.0
         assert state.support() == [0]
 
-    def test_bits_out_of_range(self, index):
+    def test_bits_out_of_range(self, checks):
         with pytest.raises(ValueError):
             init_basis_state(TWO, 4)
 
-    def test_inject_normalized(self, index):
+    def test_inject_normalized(self, checks):
         s = 1 / math.sqrt(2)
         state = inject_state(TWO, {0b00: s, 0b11: s})
         assert abs(state.amplitude(3) - s) < 1e-15
@@ -84,31 +80,38 @@ class TestInit:
         with pytest.raises(ValueError):
             inject_state(TWO, {0: 0.9, 3: 0.5})
 
-    def test_repeated_keys_rejected(self, index):
+    def test_repeated_keys_rejected(self, checks):
         with pytest.raises(ValueError, match="repeats a basis string"):
             QuantumState(TWO, (TWO.keys([1, 3, 1]), np.array([0.6, 0.0, 0.8], dtype=complex)))
 
-    def test_index_follows_the_width(self):
-        """The slot index up to SLOT_INDEX_QUBITS qubits, a binary search above, and no width cap."""
-        narrow = QuantumState(RegisterLayout.of(("w", SLOT_INDEX_QUBITS)))
-        assert len(narrow._slot) == 1 << SLOT_INDEX_QUBITS
-        assert QuantumState(RegisterLayout.of(("w", SLOT_INDEX_QUBITS + 1)))._slot is None
-        assert QuantumState(RegisterLayout.of(("w", 27))).norm() == 1.0
+    def test_one_index_at_every_width(self):
+        """One index, a search of the sorted keys, at every width: a state allocates nothing per basis string."""
+        for width in (1, 16, 17, 27):
+            layout = RegisterLayout.of(("w", width))
+            tracemalloc.start()
+            try:
+                state = QuantumState(layout)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16384, width  # a 2**Q array of positions would take 16 KB at 11 qubits
+            assert state.norm() == 1.0
+            assert state._lookup(layout.keys([0, (1 << width) - 1])).tolist() == [0, -1]
 
 
 class TestSingleQubit:
-    def test_x_flips_bit_zero(self, index):
+    def test_x_flips_bit_zero(self, checks):
         state = init_basis_state(TWO, 0b00)
         state.apply_controlled_unitary((), 0, X)
         assert abs(state.amplitude(0b01) - 1.0) < 1e-15
 
-    def test_against_kronecker_oracle(self, index):
+    def test_against_kronecker_oracle(self, checks):
         rng = np.random.default_rng(11)
         for width in (3, 4):
             layout = RegisterLayout.of(("q", width))
             for _ in range(20):
                 amps = random_state_map(rng, width, 1 << width)
-                state = make_state(layout, amps)
+                state = inject_state(layout, amps)
                 qubit = int(rng.integers(width))
                 gate = random_unitary(rng)
                 state.apply_controlled_unitary((), qubit, gate)
@@ -125,7 +128,7 @@ class TestSingleQubit:
         with pytest.raises(ValueError):
             state.apply_controlled_unitary((), 2, X)
 
-    def test_hadamard_twice_is_identity(self, index):
+    def test_hadamard_twice_is_identity(self, checks):
         state = init_basis_state(THREE, 0b101)
         state.apply_controlled_unitary((), 1, H)
         state.apply_controlled_unitary((), 1, H)
@@ -133,20 +136,20 @@ class TestSingleQubit:
 
 
 class TestControlled:
-    def test_cnot_truth_table(self, index):
+    def test_cnot_truth_table(self, checks):
         for control_val, flipped in ((0, False), (1, True)):
             state = init_basis_state(TWO, control_val << 1)
             state.apply_controlled_unitary(((1, 1),), 0, X)
             expect = (control_val << 1) | (1 if flipped else 0)
             assert abs(state.amplitude(expect) - 1.0) < 1e-15
 
-    def test_against_oracle(self, index):
+    def test_against_oracle(self, checks):
         rng = np.random.default_rng(7)
         width = 4
         layout = RegisterLayout.of(("q", width))
         for _ in range(20):
             amps = random_state_map(rng, width, 12)
-            state = make_state(layout, amps)
+            state = inject_state(layout, amps)
             qubits = rng.choice(width, size=3, replace=False)
             controls = tuple((int(q), int(rng.integers(2))) for q in qubits[1:])
             gate = random_unitary(rng)
@@ -166,7 +169,7 @@ class TestControlled:
 
 
 class TestPhase:
-    def test_phase_on_selected_strings(self, index):
+    def test_phase_on_selected_strings(self, checks):
         s = 1 / math.sqrt(2)
         state = inject_state(TWO, {0b00: s, 0b11: s})
         state.apply_phase_if(lambda b: b == 0b11, math.pi / 2)
@@ -191,7 +194,7 @@ class TestPhase:
 
 
 class TestBasisPermutation:
-    def test_cyclic_shift(self, index):
+    def test_cyclic_shift(self, checks):
         dim = 4
         s = 1 / math.sqrt(2)
         state = inject_state(TWO, {0: s, 3: s})
@@ -199,10 +202,10 @@ class TestBasisPermutation:
         assert abs(state.amplitude(1) - s) < 1e-15
         assert abs(state.amplitude(0) - s) < 1e-15
 
-    def test_round_trip_is_exact(self, index):
+    def test_round_trip_is_exact(self, checks):
         rng = np.random.default_rng(3)
         amps = random_state_map(rng, 3, 6)
-        state = make_state(THREE, amps)
+        state = inject_state(THREE, amps)
         table = [int(t) for t in rng.permutation(8)]
         inverse = [0] * 8
         for i, t in enumerate(table):
@@ -213,13 +216,12 @@ class TestBasisPermutation:
 
     def test_non_injective_on_support_rejected(self):
         s = 1 / math.sqrt(2)
-        for index in INDEXES:
-            state = make_state(TWO, {0: s, 3: s}, index)
-            with pytest.raises(ValueError, match="not injective"):
-                state.apply_basis_permutation(lambda b: 0)
-            # The rejection leaves the store and its index as they were.
-            assert state.to_map() == {0: s, 3: s}
-            assert state.gather(TWO.keys([0, 1, 2, 3]))[1].tolist() == [s, 0, 0, s]
+        state = inject_state(TWO, {0: s, 3: s})
+        with pytest.raises(ValueError, match="not injective"):
+            state.apply_basis_permutation(lambda b: 0)
+        # The rejection leaves the store as it was.
+        assert state.to_map() == {0: s, 3: s}
+        assert state.gather(TWO.keys([0, 1, 2, 3]))[1].tolist() == [s, 0, 0, s]
 
     def test_validation_mode_checks_whole_domain(self):
         state = init_basis_state(TWO, 0)
@@ -230,25 +232,25 @@ class TestBasisPermutation:
 
 
 class TestTwoLevelMix:
-    def test_swap_pair(self, index):
+    def test_swap_pair(self, checks):
         state = init_basis_state(TWO, 0b01)
         state.apply_two_level_mix([(0b01, 0b10)], X)
         assert abs(state.amplitude(0b10) - 1.0) < 1e-15
 
-    def test_unpaired_strings_untouched(self, index):
+    def test_unpaired_strings_untouched(self, checks):
         s = 1 / math.sqrt(2)
         state = inject_state(TWO, {0b00: s, 0b11: s})
         state.apply_two_level_mix([(0b01, 0b10)], random_unitary(np.random.default_rng(0)))
         assert abs(state.amplitude(0b00) - s) < 1e-15
         assert abs(state.amplitude(0b11) - s) < 1e-15
 
-    def test_against_oracle(self, index):
+    def test_against_oracle(self, checks):
         rng = np.random.default_rng(21)
         width = 4
         layout = RegisterLayout.of(("q", width))
         for _ in range(10):
             amps = random_state_map(rng, width, 10)
-            state = make_state(layout, amps)
+            state = inject_state(layout, amps)
             flat = [int(b) for b in rng.permutation(1 << width)[:8]]
             pairs = list(zip(flat[0::2], flat[1::2]))
             gate = random_unitary(rng)
@@ -273,15 +275,15 @@ class TestTwoLevelMix:
 
 
 class TestQft:
-    @BOTH_INDEXES
+    @BOTH_CHECKS
     @pytest.mark.parametrize("width", (1, 2, 3))
-    def test_matches_dft_matrix(self, index, width):
+    def test_matches_dft_matrix(self, checks, width):
         layout = RegisterLayout.of(("low", 1), ("r", width), ("high", 2))
         rng = np.random.default_rng(width)
         oracle = embed_register(layout, "r", dft_matrix(width))
         for _ in range(5):
             amps = random_state_map(rng, layout.width, 10)
-            state = make_state(layout, amps)
+            state = inject_state(layout, amps)
             state.qft_register("r")
             _assert_matches_vector(state, oracle @ _to_vec(amps, layout.width), 1e-10)
 
@@ -306,27 +308,20 @@ class TestQft:
                 for k in range(1 << width):
                     target = layout.with_field(b, "r", k)
                     want[target] = want.get(target, 0) + dft[k, layout.field(b, "r")] * a
-        states = []
-        for index in INDEXES:
-            state = make_state(layout, entries, index)
-            state.qft_register("r")
-            for b in set(want) | set(state.support()):
-                assert abs(state.amplitude(b) - want.get(b, 0)) <= 1e-12
-            states.append(state.gather())
-        for keys, vals in states[1:]:
-            assert np.array_equal(keys, states[0][0]) and vals.tobytes() == states[0][1].tobytes()
+        state = inject_state(layout, entries)
+        state.qft_register("r")
+        for b in set(want) | set(state.support()):
+            assert abs(state.amplitude(b) - want.get(b, 0)) <= 1e-12
 
     def test_runs_as_one_transform(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the QFT went through a gate or a basis permutation")
 
-        for name in ("apply_controlled_unitary", "_mix", "permute_register", "apply_basis_map", "_move_keys"):
+        for name in ("apply_controlled_unitary", "_mix_at", "permute_register", "apply_basis_map", "_move_keys"):
             monkeypatch.setattr(QuantumState, name, refuse)
-        for index in INDEXES:
-            with forced_index(index):
-                state = init_basis_state(RegisterLayout.of(("low", 2), ("r", 3)), 0b101_10)
-            state.qft_register("r")
-            assert len(state.support()) == 8
+        state = init_basis_state(RegisterLayout.of(("low", 2), ("r", 3)), 0b101_10)
+        state.qft_register("r")
+        assert len(state.support()) == 8
 
     def test_plane_wave_collapses_to_single_bin(self):
         width = 3
@@ -378,11 +373,11 @@ class TestSampling:
         with pytest.raises(ValueError):
             state.sample(seed=0, n_trials=MAX_TRIALS + 1)
 
-    def test_deterministic_for_backend(self, index):
+    def test_deterministic_for_backend(self, checks):
         rng = np.random.default_rng(5)
         amps = random_state_map(rng, 3, 5)
-        a = make_state(THREE, amps).sample(seed=9, n_trials=200)
-        b = make_state(THREE, amps).sample(seed=9, n_trials=200)
+        a = inject_state(THREE, amps).sample(seed=9, n_trials=200)
+        b = inject_state(THREE, amps).sample(seed=9, n_trials=200)
         assert a == b
 
 
@@ -394,10 +389,9 @@ class TestInnerProduct:
         assert abs(a.inner_product(a) - 1.0) < 1e-15
 
     def test_mixed_backends(self):
-        """States on different store indexes."""
         s = 1 / math.sqrt(2)
-        a = make_state(TWO, {0: s, 3: s}, "slot")
-        b = make_state(TWO, {0: s, 3: -s}, "search")
+        a = inject_state(TWO, {0: s, 3: s})
+        b = inject_state(TWO, {0: s, 3: -s})
         assert abs(a.inner_product(b)) < 1e-15
 
     def test_layout_mismatch_rejected(self):
@@ -409,16 +403,18 @@ class TestInnerProduct:
 
 class TestBackendEquivalence:
     def test_random_programs_agree(self):
+        """A program gives bitwise the same store in validation and production mode."""
         layout = RegisterLayout.of(("r0", 3), ("r1", 3))
         rng = np.random.default_rng(1234)
         for trial in range(100):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 20)))
             program = random_program(rng, layout, n_ops=8)
-            slot = make_state(layout, amps, "slot")
-            search = make_state(layout, amps, "search")
-            run_program(slot, program)
-            run_program(search, program)
-            assert states_agree(slot, search, 1e-12), f"trial {trial} diverged"
+            checked, unchecked = inject_state(layout, amps), inject_state(layout, amps)
+            with validation_mode():
+                run_program(checked, program)
+            run_program(unchecked, program)
+            assert np.array_equal(checked._keys, unchecked._keys), f"trial {trial} diverged"
+            assert checked._vals.tobytes() == unchecked._vals.tobytes(), f"trial {trial} diverged"
 
     def test_norm_drift_stays_small(self):
         layout = RegisterLayout.of(("r0", 3), ("r1", 3))

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from conftest import BOTH_INDEXES, INDEXES, forced_index, make_state, random_state_map, random_unitary
+from conftest import BOTH_CHECKS, random_state_map, random_unitary
 
 from fermisim import cli
 from fermisim.observables import SamplingPlan, charge_density, k_point_correlation
@@ -122,14 +122,14 @@ def _run_per_string(state, ops):
 
 
 class TestArrayEntryPoints:
-    def test_array_and_per_string_forms_give_identical_states(self, index):
+    def test_array_and_per_string_forms_give_identical_states(self, checks):
         layout = RegisterLayout.of(("r0", 2), ("r1", 3), ("r2", 1))
         rng = np.random.default_rng(2718)
         for trial in range(40):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 24)))
             ops = _random_ops(rng, layout, n_ops=10)
-            by_array = make_state(layout, amps)
-            by_string = make_state(layout, amps)
+            by_array = inject_state(layout, amps)
+            by_string = inject_state(layout, amps)
             _run_array(by_array, ops)
             _run_per_string(by_string, ops)
             assert by_array.to_map() == by_string.to_map(), f"trial {trial} diverged"
@@ -137,15 +137,14 @@ class TestArrayEntryPoints:
     def test_sparse_drops_exact_zeros_only(self):
         layout = RegisterLayout.of(("q", 2))
         s = 1 / math.sqrt(2)
-        for index in INDEXES:
-            state = make_state(layout, {0: s, 1: s}, index)
-            state.apply_controlled_unitary((), 0, np.array([[s, s], [s, -s]]))
-            assert state.support() == [0]  # s*s - s*s is exactly zero
-            state = make_state(layout, {0: 1.0, 3: 1e-200}, index)
-            state.apply_sign_if(lambda b: b == 3)
-            state.apply_basis_map(lambda keys: keys ^ 1)
-            assert state.support() == [1, 2]
-            assert state.amplitude(2) == -1e-200
+        state = inject_state(layout, {0: s, 1: s})
+        state.apply_controlled_unitary((), 0, np.array([[s, s], [s, -s]]))
+        assert state.support() == [0]  # s*s - s*s is exactly zero
+        state = inject_state(layout, {0: 1.0, 3: 1e-200})
+        state.apply_sign_if(lambda b: b == 3)
+        state.apply_basis_map(lambda keys: keys ^ 1)
+        assert state.support() == [1, 2]
+        assert state.amplitude(2) == -1e-200
 
 
     def test_non_integer_basis_strings_rejected(self):
@@ -174,7 +173,7 @@ class TestArrayEntryPoints:
             RegisterLayout.of(("q", 4)).keys([-(1 << 70)])
         assert state.support() == [1]
 
-    def test_gather_rejects_keys_out_of_range(self, index):
+    def test_gather_rejects_keys_out_of_range(self, checks):
         layout = RegisterLayout.of(("q", 3))
         state = inject_state(layout, {2: 0.6, 5: 0.8})
         for bad in ([-1], [8], [2, 1 << 40]):
@@ -226,7 +225,7 @@ class TestValidationOfArrayMaps:
 
 
 class TestMixChecks:
-    """The public mix checks every argument; the internal `_mix` does so in validation mode."""
+    """The public mix checks every argument; the internal `_mix_at` does so in validation mode."""
 
     LAYOUT = RegisterLayout.of(("q", 3))
     START = {2: 0.6, 5: 0.8}
@@ -237,19 +236,19 @@ class TestMixChecks:
         off = -1j * s * np.asarray(signs, dtype=float)
         return (c, off), (off, c)
 
-    @BOTH_INDEXES
+    @BOTH_CHECKS
     @pytest.mark.parametrize("entry", (float("nan"), float("inf")))
-    def test_public_mix_rejects_non_finite_gates(self, index, entry):
+    def test_public_mix_rejects_non_finite_gates(self, checks, entry):
         state = inject_state(self.LAYOUT, self.START)
         with pytest.raises(ValueError, match="not unitary"):
             state.apply_two_level_mix([(0, 1)], [[entry, 0], [0, 1]])
         assert state.to_map() == self.START
 
-    @BOTH_INDEXES
+    @BOTH_CHECKS
     @pytest.mark.parametrize(
         "case", ("overlap", "key out of range", "scalar gate", "per-pair gate", "nan per-pair gate")
     )
-    def test_internal_mix_checks_its_arguments_in_validation_mode(self, index, case):
+    def test_internal_mix_checks_its_arguments_in_validation_mode(self, checks, case):
         k0, k1 = self.LAYOUT.keys([2, 4]), self.LAYOUT.keys([3, 5])
         gate = self._hop_gate([1.0, -1.0])
         if case == "overlap":
@@ -263,20 +262,21 @@ class TestMixChecks:
         else:
             gate = self._hop_gate([1.0, float("nan")])
         state = inject_state(self.LAYOUT, self.START)
+        keys = np.concatenate((k0, k1))
         with validation_mode():
             with pytest.raises(ValueError):
-                state._mix(k0, k1, gate)
+                state._mix_at(keys, state._lookup(keys), gate)
         assert state.to_map() == self.START
 
-    def test_per_pair_gate_equals_one_public_mix_per_pair(self, index):
+    def test_per_pair_gate_equals_one_public_mix_per_pair(self, checks):
         rng = np.random.default_rng(808)
         amps = random_state_map(rng, self.LAYOUT.width, 6)
         signs = [1.0, -1.0, -1.0]
         pairs = [(1, 0), (2, 7), (4, 6)]
         state = inject_state(self.LAYOUT, amps)
+        keys = self.LAYOUT.keys([p[0] for p in pairs] + [p[1] for p in pairs])
         with validation_mode():
-            state._mix(self.LAYOUT.keys([p[0] for p in pairs]), self.LAYOUT.keys([p[1] for p in pairs]),
-                       self._hop_gate(signs))
+            state._mix_at(keys, state._lookup(keys), self._hop_gate(signs))
         want = inject_state(self.LAYOUT, amps)
         for pair, sign in zip(pairs, signs):
             (c, off), _ = self._hop_gate([sign])
@@ -292,7 +292,7 @@ SWAP_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def _store_step(rng, state):
-    """One random primitive on a state; returns the state it leaves (new copies take the index in force)."""
+    """One random primitive on a state; returns the state it leaves (a copy, or one built from entries)."""
     layout = state.layout
     dim = 1 << layout.width
     gate = (HADAMARD, SWAP_GATE, random_unitary(rng))[int(rng.integers(3))]
@@ -337,41 +337,37 @@ def _store_step(rng, state):
 
 
 def _assert_store(state):
-    """`_keys` strictly ascending, `_vals` aligned and zero-free; any `_slot` maps `_keys` to arange."""
+    """`_keys` strictly ascending, `_vals` aligned and zero-free."""
     keys, vals = state._keys, state._vals
     assert len(keys) == len(vals)
     assert (np.diff(keys) > 0).all()
     assert (vals != 0).all()
-    if state._slot is not None:
-        assert np.array_equal(np.flatnonzero(state._slot >= 0), keys)
-        assert np.array_equal(state._slot[keys], np.arange(len(keys)))
 
 
 class TestDenseSupportKeys:
     def test_both_stores_hold_the_support_bitwise_after_every_primitive(self):
+        """The same primitives in validation and in production mode leave bitwise equal, well-formed stores."""
         layout = RegisterLayout.of(("a", 2), ("b", 3))
         rng = np.random.default_rng(4242)
         kinds = set()
         for trial in range(30):
             amps = random_state_map(rng, layout.width, int(rng.integers(1, 12)))
-            slot, search = (make_state(layout, amps, index) for index in INDEXES)
+            checked, unchecked = inject_state(layout, amps), inject_state(layout, amps)
             seed = int(rng.integers(1 << 32))
-            rng_slot, rng_search = np.random.default_rng(seed), np.random.default_rng(seed)
+            rng_checked, rng_unchecked = np.random.default_rng(seed), np.random.default_rng(seed)
             for step in range(12):
-                with forced_index("slot"):
-                    slot, kind = _store_step(rng_slot, slot)
-                with forced_index("search"):
-                    search, _ = _store_step(rng_search, search)
+                with validation_mode():
+                    checked, kind = _store_step(rng_checked, checked)
+                unchecked, _ = _store_step(rng_unchecked, unchecked)
                 kinds.add(kind)
-                assert slot._slot is not None and search._slot is None
-                _assert_store(slot)
-                _assert_store(search)
+                _assert_store(checked)
+                _assert_store(unchecked)
                 where = (trial, step, kind)
-                assert np.array_equal(slot._keys, search._keys), where
-                assert np.array_equal(slot._vals.view(np.int64), search._vals.view(np.int64)), where
+                assert np.array_equal(checked._keys, unchecked._keys), where
+                assert np.array_equal(checked._vals.view(np.int64), unchecked._vals.view(np.int64)), where
         assert len(kinds) == 10
 
-    def test_write_on_a_closed_support_stays_in_place(self, index):
+    def test_write_on_a_closed_support_stays_in_place(self, checks):
         state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         keys, vals = state._keys, state._vals
         state.apply_phase_where(lambda k: k == 4, 0.5)
@@ -390,7 +386,7 @@ class TestDenseSupportKeys:
         ({1: 0.6, 2: 0.8, 4: 1e-9},
          lambda state: state._scale_at(state._lookup(state.layout.keys([2, 4])), np.array([1j, 0.0]))),
     ], ids=["mix", "scale"])
-    def test_a_write_at_positions_drops_an_exact_zero(self, index, entries, write):
+    def test_a_write_at_positions_drops_an_exact_zero(self, checks, entries, write):
         """A write that trusts its positions (keys=None) still takes an exact zero off the support."""
         state = inject_state(RegisterLayout.of(("q", 3)), entries)
         keys = state.support_keys()
@@ -400,7 +396,7 @@ class TestDenseSupportKeys:
         assert state.support_keys() is not keys
         _assert_store(state)
 
-    def test_support_views_are_read_only(self, index):
+    def test_support_views_are_read_only(self, checks):
         state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         keys, amps = state.gather()
         for view in (keys, amps, state.support_keys()):
@@ -408,12 +404,12 @@ class TestDenseSupportKeys:
                 view[0] = 0
         assert state.to_map() == {1: 0.6, 4: 0.8}
 
-    def test_norm_check_catches_a_non_isometric_write(self, index):
+    def test_norm_check_catches_a_non_isometric_write(self, checks):
         state = init_basis_state(RegisterLayout.of(("q", 3)), 0)
         with pytest.raises(InvariantViolation, match="squared norm"):
             state._replace(state.layout.keys([0, 1]), np.array([1.0, 0.5], dtype=complex))
 
-    def test_hadamard_twice_cancels_to_one_string(self, index):
+    def test_hadamard_twice_cancels_to_one_string(self, checks):
         state = init_basis_state(RegisterLayout.of(("q", 3)), 0)
         state.apply_controlled_unitary((), 1, HADAMARD)
         assert state.support() == [0, 2]
@@ -422,21 +418,19 @@ class TestDenseSupportKeys:
 
     @pytest.mark.parametrize("corrupt", [lambda keys: keys[::-1], lambda keys: keys[[0, 0]]])
     def test_validation_mode_catches_stale_keys(self, corrupt):
-        for index in INDEXES:
-            state = make_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8}, index)
-            state._keys = corrupt(state._keys)
-            state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
-            with validation_mode():
-                with pytest.raises(InvariantViolation):
-                    state.apply_phase_where(lambda keys: keys == 4, 0.5)
+        state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
+        state._keys = corrupt(state._keys)
+        state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
+        with validation_mode():
+            with pytest.raises(InvariantViolation):
+                state.apply_phase_where(lambda keys: keys == 4, 0.5)
 
     @pytest.mark.parametrize("corrupt", [
-        lambda state: state._slot.__setitem__(4, -1),  # a stored key without its slot
-        lambda state: state._slot.__setitem__(7, 0),  # a slot for an absent key
-        lambda state: setattr(state, "_keys", state._keys | 2),  # keys no slot points at
-        lambda state: state._slot.__setitem__([1, 4], [1, 0]),  # slots swapped between the keys
-    ])
-    def test_validation_mode_catches_stale_slots(self, corrupt):
+        lambda state: state._vals.__setitem__(slice(None), [0.0, 1.0]),  # a zero that no write touches
+        lambda state: setattr(state, "_keys", state._keys[:1]),  # an amplitude without its key
+        lambda state: setattr(state, "_vals", np.append(state._vals, 0.0)),  # a zero without its key
+    ], ids=["zero", "short", "long"])
+    def test_validation_mode_catches_a_corrupt_store(self, corrupt):
         state = inject_state(RegisterLayout.of(("q", 3)), {1: 0.6, 4: 0.8})
         corrupt(state)
         state.apply_phase_where(lambda keys: keys == 4, 0.5)  # production mode does not check
@@ -623,16 +617,16 @@ def reference_counts(keys, amps, seed, n_trials):
 class TestSamplingStream:
     """Counts of the SplitMix64 stream, computed with `reference_counts`, not with fermisim."""
 
-    def test_counts_pinned_for_fixed_seed(self, index):
+    def test_counts_pinned_for_fixed_seed(self, checks):
         layout = RegisterLayout.of(("q", 3))
         amps = {0: 0.5, 2: 0.5j, 5: -0.5, 7: 0.5 * (1 + 1j) / math.sqrt(2)}
         counts = inject_state(layout, amps).sample(seed=2026, n_trials=1000)
         assert counts == {0: 251, 2: 264, 5: 238, 7: 247}
 
-    def test_counts_pinned_for_random_state(self, index):
+    def test_counts_pinned_for_random_state(self, checks):
         layout = RegisterLayout.of(("a", 2), ("b", 3))
         amps = random_state_map(np.random.default_rng(17), 5, 12)
-        counts = make_state(layout, amps).sample(seed=123456789, n_trials=5000)
+        counts = inject_state(layout, amps).sample(seed=123456789, n_trials=5000)
         assert counts == {
             1: 570, 2: 703, 3: 541, 6: 592, 10: 832, 11: 152,
             12: 433, 14: 33, 15: 281, 18: 169, 20: 562, 30: 132,
@@ -643,7 +637,7 @@ class TestSamplingStream:
 # zero weight in the entries below stands for it.
 TINY = 1e-200
 NARROW = RegisterLayout.of(("q", 8))
-SAMPLE_CASES = {"slot": (NARROW, "slot"), "search": (NARROW, "search"), "wide": (WIDE, "search")}
+SAMPLE_CASES = {"narrow": NARROW, "wide": WIDE}
 
 
 @given(
@@ -654,13 +648,13 @@ SAMPLE_CASES = {"slot": (NARROW, "slot"), "search": (NARROW, "search"), "wide": 
     seed=st.integers(0, (1 << 64) - 1),
     n_trials=st.integers(1, 3000),
 )
-@example(case="slot", entries={37: 1.0}, seed=5, n_trials=1)
-@example(case="search", entries={200: 0.3}, seed=0, n_trials=2000)
-@example(case="slot", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
+@example(case="narrow", entries={37: 1.0}, seed=5, n_trials=1)
+@example(case="narrow", entries={200: 0.3}, seed=0, n_trials=2000)
+@example(case="narrow", entries={1: 0.0, 4: 0.5, 9: 0.0, 20: 0.2, 255: 0.0}, seed=11, n_trials=3000)
 @example(case="wide", entries={0: 0.0, 3: 0.4, 64: 0.0, 130: 0.1, 254: 0.0}, seed=2**64 - 1, n_trials=1)
 def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
     """sample(seed, N) counts choice's draw rule over the reference uniforms and the ascending support."""
-    layout, index = SAMPLE_CASES[case]
+    layout = SAMPLE_CASES[case]
     # Wide keys put the drawn byte in the low and the high register, past 62 bits.
     to_key = (lambda k: k | (k << 62)) if layout is WIDE else int
     phases = np.exp(0.7j * np.arange(len(entries)))
@@ -669,7 +663,7 @@ def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
         to_key(k): (math.sqrt(w / total) if w else TINY) * phase
         for (k, w), phase in zip(sorted(entries.items()), phases)
     }
-    drawn = make_state(layout, amps, index).sample(seed, n_trials)
+    drawn = inject_state(layout, amps).sample(seed, n_trials)
 
     keys = sorted(amps)
     assert drawn == reference_counts(keys, [amps[k] for k in keys], seed, n_trials)
@@ -684,10 +678,7 @@ def _choice_counts(state, seed, n_trials):
 def test_sample_counts_the_draws_of_choice_when_batches_interleave():
     """One cached shot batch serves every state of its (seed, N); any other pair draws afresh."""
     rng = np.random.default_rng(5)
-    states = [
-        make_state(NARROW, random_state_map(rng, 8, support), index)
-        for support, index in ((3, "slot"), (12, "search"), (40, "slot"))
-    ]
+    states = [inject_state(NARROW, random_state_map(rng, 8, support)) for support in (3, 12, 40)]
     _sorted_uniforms.cache_clear()
     pairs = [(7, 500), (7, 500), (8, 500), (7, 501), (7, 500), (2**64 - 1, 1), (7, 500)]
     for seed, n_trials in pairs:
@@ -741,9 +732,9 @@ WRITERS = {
 }
 
 
-def test_every_write_renews_the_readouts_of_the_state(index):
+def test_every_write_renews_the_readouts_of_the_state(checks):
     """After each writer, sampled and exact readouts are those of a fresh state with the same entries."""
-    state = make_state(MEMO_LAYOUT.register_layout(),
+    state = inject_state(MEMO_LAYOUT.register_layout(),
                        random_state_map(np.random.default_rng(31), MEMO_LAYOUT.n_modes, 20))
     for name, write in WRITERS.items():
         _readouts(state)  # keep this store state's counts and table
@@ -756,8 +747,8 @@ def test_every_write_renews_the_readouts_of_the_state(index):
         assert _readouts(state) == _readouts(fresh), name
 
 
-def test_readouts_of_an_unchanged_state_share_one_count(index):
-    state = make_state(MEMO_LAYOUT.register_layout(),
+def test_readouts_of_an_unchanged_state_share_one_count(checks):
+    state = inject_state(MEMO_LAYOUT.register_layout(),
                        random_state_map(np.random.default_rng(32), MEMO_LAYOUT.n_modes, 20))
     counts = state._sample_counts(3, 500)
     assert state._sample_counts(3, 500) is counts
@@ -768,20 +759,18 @@ def test_readouts_of_an_unchanged_state_share_one_count(index):
     assert copy._stamp != state._stamp and copy._sample_counts(3, 501) is not state._sample_counts(3, 501)
 
 
-def test_a_write_to_a_copy_leaves_the_original_unchanged(index):
-    state = make_state(MEMO_LAYOUT.register_layout(),
+def test_a_write_to_a_copy_leaves_the_original_unchanged(checks):
+    state = inject_state(MEMO_LAYOUT.register_layout(),
                        random_state_map(np.random.default_rng(33), MEMO_LAYOUT.n_modes, 20))
     counts = state._sample_counts(4, 700).copy()
     keys, vals = state._keys.copy(), state._vals.copy()
-    slot = None if state._slot is None else state._slot.copy()
     copy = state.copy()
-    assert copy._keys is state._keys and (copy._slot is None) == (slot is None)
+    assert copy._keys is state._keys
     _assert_store(copy)
     for write in WRITERS.values():
         write(copy)
     assert np.array_equal(state._keys, keys)
     assert np.array_equal(state._vals.view(np.int64), vals.view(np.int64))
-    assert slot is None or np.array_equal(state._slot, slot)
     assert np.array_equal(state._sample_counts(4, 700), counts)
     _assert_store(state)
     _assert_store(copy)
@@ -796,7 +785,7 @@ def test_cached_uniforms_are_read_only():
         uniforms.sort()
 
 
-def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(index):
+def test_uniform_on_a_cdf_boundary_goes_to_the_upper_outcome(checks):
     """choice sends a uniform equal to cdf[i] to outcome i + 1; so must the count."""
     a, b = 0.32610840462522955, 0.9453323798711158
     uniforms = splitmix64_reference(0, 8)
@@ -882,15 +871,15 @@ class TestNaNAmplitudes:
         keys = NARROW.keys([0, 1])
         return QuantumState(NARROW, (keys, np.array([np.nan, 1.0], dtype=complex)))
 
-    def test_inject_state_rejects_nan(self, index):
+    def test_inject_state_rejects_nan(self, checks):
         with pytest.raises(ValueError, match="squared norm"):
             inject_state(NARROW, {0: float("nan"), 1: 1.0})
 
-    def test_sample_rejects_nan_state(self, index):
+    def test_sample_rejects_nan_state(self, checks):
         with pytest.raises(InvariantViolation):
             self._nan_state().sample(seed=1, n_trials=10)
 
-    def test_mix_rejects_nan_state(self, index):
+    def test_mix_rejects_nan_state(self, checks):
         with pytest.raises(InvariantViolation):
             self._nan_state().apply_two_level_mix([(2, 3)], np.eye(2))
 
