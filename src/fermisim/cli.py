@@ -59,7 +59,8 @@ from fermisim.sq import (
     trotter_evolve,
 )
 from fermisim.state import (
-    MAX_TRIALS, InvariantViolation, init_basis_state, replace, set_validation_mode, value_class,
+    KEY_BITS, MAX_TRIALS, InvariantViolation, init_basis_state, replace, set_validation_mode,
+    value_class,
 )
 from fermisim.validate import SUITES, run_suite, slater_overlap
 
@@ -74,11 +75,12 @@ gc.freeze()
 THREAD_ENV_VAR = "FERMISIM_THREADS"
 # Largest accepted lattice.m, a power of two so that first-quantized runs may
 # use it.  One particle with r = 1 at the cap takes about 30 ms first-quantized
-# (label 16385) and, second-quantized (site 8192 up), about 57 s at a 73 MB peak
-# for the step alone, whose 2m-bit keys are Python ints, or 259 s at a 330 MB
-# peak with a `charge_density` readout; at m = 4096 (site 2048 up) those two
-# take 1.3 s and 3.6-3.9 s (in process, FERMISIM_THREADS=1, 2-core Xeon,
-# Python 3.11.7).
+# (label 16385) and, second-quantized (site 8192 up), 57-90 s at a 73 MB peak
+# for the step alone, whose 2m-bit keys are Python ints, and 100-120 s more at
+# a 76 MB peak for a `charge_density` readout, one mask per site over the
+# support; at m = 4096 (site 2048 up) the step takes 1.3-3.2 s and the readout
+# 2.2-2.6 s (in process, FERMISIM_THREADS=1, shared 2-core Xeon, Python 3.11.7;
+# the ranges span runs on different days).
 MAX_SITES = 1 << 14
 # Largest accepted plan.r, so every accepted document finishes: a step on one
 # or two sites takes 7-40 microseconds (same machine), longer on bigger chains.
@@ -458,9 +460,11 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
     except (TypeError, ValueError):
         print(f"error: labels must be integers, got {labels!r}", file=sys.stderr)
         return 2
-    # The layout, the ordered input and the pipeline reject every other bad input.
+    # A word holds label - 1.  The layout, the ordered input and the pipeline
+    # reject every other bad input, and name a label past 2**KEY_BITS.
     try:
-        bank = RegisterBank(len(labels), max(2, max(labels, default=0).bit_length()))
+        width = max(1, (max(labels, default=1) - 1).bit_length())
+        bank = RegisterBank(len(labels), min(width, KEY_BITS))
         state = prepare_ordered_input(bank, labels)
         antisymmetrize(state, bank, mode)
         out = collapse_ancillas(state, bank)

@@ -11,10 +11,10 @@ readouts of one run, which share one plan, share one batch of uniforms, each
 counted against its own state's Born distribution; a state keeps its last
 shot counts, so readouts of one unchanged state count the batch once.  The
 shot counts come aligned with the support.  The density and the correlations
-read one table, kept for the last store state read (by its stamp, see
-`fermisim.state`): the Born probabilities and which of the m sites each
-support string occupies.  A correlation takes its 1-3 columns from that
-table, and a sampled mean reads only the rows that drew a shot.  A sampled
+ask the encoding which support strings occupy a site (`_site_masks`), kept
+with the Born probabilities for the last store state read (by its stamp, see
+`fermisim.state`).  A readout holds one event's mask at a time, and a sampled
+mean reads only the rows that drew a shot.  A sampled
 momentum histogram also carries the exact frequencies of the same transformed
 state, so one Fourier transform (one array transform on a copy, see
 `QuantumState.qft_register`) serves both.
@@ -31,13 +31,14 @@ potential term's count, and each mix term's pairs with the step's sign.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout
-from fermisim.sq import SPINS, HubbardParams, ModeLayout
+from fermisim.sq import UP, HubbardParams, ModeLayout
 from fermisim.state import (
     MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled, value_class,
 )
@@ -122,32 +123,26 @@ def required_trials(epsilon: float) -> int:
 # ------------------------------------------------------------- basis readouts
 
 
-def _site_counts(keys: np.ndarray, layout) -> np.ndarray:
-    """(len(keys), m) particles on each site, under either encoding."""
-    # Column-major over one flat buffer, so each site's column is contiguous
-    # and entry (row, site - 1) is flat[(site - 1) * len(keys) + row].
-    flat = np.zeros(layout.m * len(keys), dtype=np.uint8)
-    counts = flat.reshape(layout.m, len(keys)).T
+def _site_masks(keys: np.ndarray, layout):
+    """`occupied(site)`: the bool mask of the strings in `keys` with a particle on that site."""
     if isinstance(layout, ModeLayout):
-        for site in range(1, layout.m + 1):
-            for spin in SPINS:
-                counts[:, site - 1] += ((keys >> layout.mode(site, spin)) & 1).astype(np.uint8)
-    else:
-        rows = np.arange(len(keys))
-        reg = layout.register_layout()
-        for k in range(layout.n):
-            # One particle per row, so the flat indices are distinct.
-            flat[reg.field(keys, f"pos{k}") * len(keys) + rows] += 1
-    return counts
+        # A site's up and down modes are neighbouring bits, so the keys alone answer.
+        return lambda site: keys & (3 << layout.mode(site, UP)) != 0
+    # One row per site, scattered once from each particle's position field
+    # through the flat view, where entry (site - 1, row) is (site - 1) * len(keys) + row.
+    table = np.zeros((layout.m, len(keys)), dtype=bool)
+    flat, rows = table.reshape(-1), np.arange(len(keys))
+    for k in range(layout.n):
+        flat[layout.register_layout().field(keys, f"pos{k}") * len(keys) + rows] = True
+    return lambda site: table[site - 1]
 
 
-# (stamp, Born probabilities, site-occupied table) of the last store state read
-# by `_occupancy`.
+# (stamp, Born probabilities, `occupied`) of the last store state read by `_occupancy`.
 _occupancy_entry = None
 
 
-def _occupancy(state: QuantumState, layout) -> tuple[np.ndarray, np.ndarray]:
-    """(Born probabilities, (support, m) table of the sites each string occupies), built once per store state.
+def _occupancy(state: QuantumState, layout):
+    """(Born probabilities, `occupied(site)` of `_site_masks`) of the support, built once per store state.
 
     Keyed by the state's stamp, which every write renews and no other store
     state ever takes.  The layout needs no key: `check_layout` ties it to the
@@ -156,28 +151,29 @@ def _occupancy(state: QuantumState, layout) -> tuple[np.ndarray, np.ndarray]:
     global _occupancy_entry
     if _occupancy_entry is None or _occupancy_entry[0] != state._stamp:
         keys, amps = state.gather()
-        _occupancy_entry = (state._stamp, np.abs(amps) ** 2, _site_counts(keys, layout) > 0)
+        _occupancy_entry = (state._stamp, np.abs(amps) ** 2, _site_masks(keys, layout))
     return _occupancy_entry[1:]
 
 
 def _indicator_estimates(
-    state: QuantumState, layout, indicators, plan: SamplingPlan | None
+    state: QuantumState, layout, events, plan: SamplingPlan | None
 ) -> np.ndarray | list[Estimate]:
-    """Born probability of each column of the 0/1 array `indicators(occupied)`.
+    """Born probability of each event, a tuple of sites that are all occupied.
 
-    `occupied` is the state's site table (`_occupancy`).  Without a plan, the
-    exact values as an array; with one, an Estimate per column whose shot mean
-    and standard error come from one seeded batch.  The mean sums the integer
-    counts of the rows that drew, so no float copy of the table is made.
+    Each event's mask over the support is built, read and dropped in turn.
+    Without a plan, the exact values as an array; with one, an Estimate per
+    event whose shot mean and standard error come from one seeded batch.  The
+    mean sums the integer counts of the rows that drew, so no float copy of a
+    mask is made.
     """
     probs, occupied = _occupancy(state, layout)
-    mask = indicators(occupied)
-    exact = np.array([probs[mask[:, c]].sum() for c in range(mask.shape[1])])
+    masks = (functools.reduce(np.logical_and, map(occupied, sites)) for sites in events)
     if plan is None:
-        return exact
+        return np.array([probs[mask].sum() for mask in masks])
     counts = state._sample_counts(plan.seed, plan.n_trials)
     drawn = np.flatnonzero(counts)
-    mean = counts[drawn] @ mask[drawn] / plan.n_trials
+    exact, hits = zip(*[(probs[mask].sum(), counts[drawn] @ mask[drawn]) for mask in masks])
+    mean = np.array(hits) / plan.n_trials
     # A 0/1 indicator is its own square, so its second moment is the mean.
     stderr = np.sqrt(np.maximum(mean - mean * mean, 0.0) / plan.n_trials)
     return [Estimate(float(e), float(s), float(se)) for e, s, se in zip(exact, mean, stderr)]
@@ -192,7 +188,7 @@ def charge_density(
     per-site Estimates from a single seeded shot batch.
     """
     check_layout(state, layout)
-    return _indicator_estimates(state, layout, lambda occupied: occupied, plan)
+    return _indicator_estimates(state, layout, [(site,) for site in range(1, layout.m + 1)], plan)
 
 
 def k_point_correlation(
@@ -208,11 +204,7 @@ def k_point_correlation(
     for s in sites:
         if not 1 <= s <= layout.m:
             raise ValueError(f"site {s} out of range 1..{layout.m}")
-
-    def indicator(occupied):
-        return occupied[:, np.asarray(sites) - 1].all(axis=1, keepdims=True)
-
-    (value,) = _indicator_estimates(state, layout, indicator, plan)
+    (value,) = _indicator_estimates(state, layout, (sites,), plan)
     return float(value) if plan is None else value
 
 

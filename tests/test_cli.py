@@ -788,6 +788,23 @@ class TestAntisym:
         assert len(document["amplitudes"]) == branches
         assert abs(document["fidelity"] - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("labels,branches", [(f"{2**62}", 1), (f"1,{2**62}", 2), (f"3,7,{2**40}", 6)])
+    def test_a_word_holds_labels_up_to_two_to_the_62(self, tmp_path, labels, branches):
+        # A word stores label - 1, so 62 bits reach label 2**62.
+        code, output = self.run(tmp_path, labels)
+        assert code == 0
+        document = json.loads(output.read_text())
+        assert len(document["amplitudes"]) == branches
+        assert all(sorted(entry["labels"]) == document["labels"] for entry in document["amplitudes"])
+        assert abs(document["fidelity"] - 1.0) < 1e-10
+
+    def test_label_past_two_to_the_62_is_named(self, tmp_path, capsys):
+        code, output = self.run(tmp_path, f"1,{2**62 + 1}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(2**62 + 1) in err
+        assert not output.exists()
+
     @pytest.mark.parametrize("labels", ["1,2,3,4,5,6,7,8,9", f"1,{2**70}"])
     def test_unsupported_labels_exit_two_without_traceback(self, tmp_path, labels, capsys):
         code, output = self.run(tmp_path, labels)

@@ -1,5 +1,6 @@
 """Observable readouts checked against dense expectation values and hand cases."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -30,7 +31,7 @@ from fermisim.observables import (
     required_trials,
     _check_energy,
     _energy_split,
-    _site_counts,
+    _site_masks,
 )
 from fermisim.oracle import (
     build_fq_hamiltonian,
@@ -183,7 +184,7 @@ class TestChargeDensity:
     @pytest.mark.parametrize("layout", [FirstQuantizedLayout(n=3, m=4), FirstQuantizedLayout(n=7, m=512)],
                              ids=["narrow", "wide"])
     def test_fq_site_table_counts_each_particle(self, layout):
-        """Every (string, site) entry of the m-column table is the number of particle words on that site."""
+        """`occupied(site)` marks exactly the strings with at least one particle word on that site."""
         if layout.n == 3:  # all 512 strings, so up to three particles share a site
             keys = np.arange(1 << (layout.n * layout.word_bits), dtype=np.int64)
         else:  # 70-bit object keys, with every particle on one of sites 1..4
@@ -196,8 +197,49 @@ class TestChargeDensity:
         def on_site(key, site):
             return sum(((key >> (k * layout.word_bits) & mask) >> 1) + 1 == site for k in range(layout.n))
 
-        want = [[on_site(int(key), site) for site in range(1, layout.m + 1)] for key in keys]
-        assert _site_counts(keys, layout).tolist() == want
+        occupied = _site_masks(keys, layout)
+        for site in range(1, layout.m + 1):
+            assert occupied(site).tolist() == [on_site(int(key), site) > 0 for key in keys]
+
+    @pytest.mark.parametrize("m", [3, 32], ids=["narrow", "wide"])
+    def test_sq_site_masks_read_both_modes_of_a_site(self, m):
+        """`occupied(site)` marks exactly the strings with the site's up or down mode set."""
+        layout = ModeLayout(m)
+        if m == 3:  # all 64 strings, so a site may hold none, either or both spins
+            keys = np.arange(1 << layout.n_modes, dtype=np.int64)
+        else:  # 64-bit object keys, the top modes set in some of them
+            rng = np.random.default_rng(32)
+            bits = rng.random((60, layout.n_modes)) < 0.2
+            bits[:20, -2:] = rng.random((20, 2)) < 0.5
+            keys = np.array([sum(1 << int(mode) for mode in np.flatnonzero(row)) for row in bits],
+                            dtype=object)
+            assert max(keys) >= 1 << 63
+
+        def on_site(key, site):
+            return sum(key >> layout.mode(site, spin) & 1 for spin in (UP, DOWN))
+
+        occupied = _site_masks(keys, layout)
+        for site in range(1, layout.m + 1):
+            assert occupied(site).tolist() == [on_site(int(key), site) > 0 for key in keys]
+
+    def test_cold_sq_density_builds_no_site_table(self):
+        # Every two-particle string on m = 31 sites, the widest chain with
+        # int64 keys: a (support x m) table of one byte per entry takes 31
+        # bytes per string, more than the support's own 24.
+        layout = ModeLayout(31)
+        keys = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(layout.n_modes), 2)]
+        state = inject_state(layout.register_layout(), dict.fromkeys(keys, 1 / math.sqrt(len(keys))))
+        support_bytes = sum(a.nbytes for a in state.gather())
+        tracemalloc.start()
+        try:
+            density = charge_density(state, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A site is empty in the strings whose two particles sit on the other 2m - 2 modes.
+        empty = math.comb(layout.n_modes - 2, 2)
+        np.testing.assert_allclose(density, 1 - empty / len(keys), atol=1e-12)
+        assert peak < 2 * support_bytes
 
 
 class TestCorrelations:
