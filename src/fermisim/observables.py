@@ -14,10 +14,10 @@ shot counts come aligned with the support.  The density and the correlations
 ask the encoding which support strings occupy a site (`_site_masks`), kept
 with the Born probabilities for the last store state read (by its stamp, see
 `fermisim.state`).  A readout holds one event's mask at a time, and a sampled
-mean reads only the rows that drew a shot.  A sampled
-momentum histogram also carries the exact frequencies of the same transformed
-state, so one Fourier transform (one array transform on a copy, see
-`QuantumState.qft_register`) serves both.
+mean reads only the rows that drew a shot.  A sampled momentum histogram also
+carries the exact frequencies of the same transformed state, so one Fourier
+transform (one array transform on a copy, see `QuantumState.qft_register`)
+serves both.
 
 Densities and correlations use the 0/1 indicator that a site is occupied at
 all, i.e. the probability a measurement finds at least one particle there.  A
@@ -127,7 +127,7 @@ def _site_masks(keys: np.ndarray, layout):
     """`occupied(site)`: the bool mask of the strings in `keys` with a particle on that site."""
     if isinstance(layout, ModeLayout):
         # A site's up and down modes are neighbouring bits, so the keys alone answer.
-        return lambda site: keys & (3 << layout.mode(site, UP)) != 0
+        return lambda site: (keys & (3 << layout.mode(site, UP))) != 0
     # One row per site, scattered once from each particle's position field through
     # the flat view, (site - 1) * len(keys) + row, which is twice as fast as a 2-D index.
     table = np.zeros((layout.m, len(keys)), dtype=bool)
