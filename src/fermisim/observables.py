@@ -8,16 +8,15 @@ draws them, so a (seed, n_trials) pair fully determines every estimate.  Each
 readout takes an optional SamplingPlan: omitted means exact mode, present means
 one seeded shot batch.  The state module keeps the last batch drawn, so the
 readouts of one run, which share one plan, share one batch of uniforms, each
-counted against its own state's Born distribution; a state keeps its last
-shot counts, so readouts of one unchanged state count the batch once.  The
-shot counts come aligned with the support.  The density and the correlations
-ask the encoding which support strings occupy a site (`_site_masks`), kept
-with the Born probabilities for the last store state read (by its stamp, see
-`fermisim.state`).  A readout holds one event's mask at a time, and a sampled
-mean reads only the rows that drew a shot.  A sampled momentum histogram also
-carries the exact frequencies of the same transformed state, so one Fourier
-transform (one array transform on a copy, see `QuantumState.qft_register`)
-serves both.
+counted against its own state's Born distribution.  Every readout reads the
+Born weights, the shot counts and the site masks (`_site_masks`, which ask the
+encoding which support strings occupy a site) from the state's memo, so each
+is made once per store state and freed with it (see `fermisim.state`).  They
+come aligned with the support.  A readout holds one event's mask at a time,
+and a sampled mean reads only the rows that drew a shot.  A sampled momentum
+histogram also carries the exact frequencies of the same transformed state,
+so one Fourier transform (one array transform on a copy, see
+`QuantumState.qft_register`) serves both.
 
 Densities and correlations use the 0/1 indicator that a site is occupied at
 all, i.e. the probability a measurement finds at least one particle there.  A
@@ -137,36 +136,21 @@ def _site_masks(keys: np.ndarray, layout):
     return lambda site: table[site - 1]
 
 
-# (stamp, Born probabilities, `occupied`) of the last store state read by `_occupancy`.
-_occupancy_entry = None
-
-
-def _occupancy(state: QuantumState, layout):
-    """(Born probabilities, `occupied(site)` of `_site_masks`) of the support, built once per store state.
-
-    Keyed by the state's stamp, which every write renews and no other store
-    state ever takes.  The layout needs no key: `check_layout` ties it to the
-    state's registers.
-    """
-    global _occupancy_entry
-    if _occupancy_entry is None or _occupancy_entry[0] != state._stamp:
-        keys, amps = state.gather()
-        _occupancy_entry = (state._stamp, np.abs(amps) ** 2, _site_masks(keys, layout))
-    return _occupancy_entry[1:]
-
-
 def _indicator_estimates(
     state: QuantumState, layout, events, plan: SamplingPlan | None
 ) -> np.ndarray | list[Estimate]:
     """Born probability of each event, a tuple of sites that are all occupied.
 
-    Each event's mask over the support is built, read and dropped in turn.
-    Without a plan, the exact values as an array; with one, an Estimate per
-    event whose shot mean and standard error come from one seeded batch.  The
-    mean sums the integer counts of the rows that drew, so no float copy of a
-    mask is made.
+    Each event's mask over the support is built, read and dropped in turn;
+    `occupied` is memoized on the state, and the layout needs no key in the
+    memo, since `check_layout` ties it to the state's registers.  Without a
+    plan, the exact values as an array; with one, an Estimate per event whose
+    shot mean and standard error come from one seeded batch.  The mean sums
+    the integer counts of the rows that drew, so no float copy of a mask is
+    made.
     """
-    probs, occupied = _occupancy(state, layout)
+    probs = state._born()
+    occupied = state._memo("sites", lambda: _site_masks(state.support_keys(), layout))
     masks = (functools.reduce(np.logical_and, map(occupied, sites)) for sites in events)
     if plan is None:
         return np.array([probs[mask].sum() for mask in masks])
@@ -237,9 +221,8 @@ def momentum_distribution(
     register = f"pos{particle}"
     transformed.qft_register(register)
 
-    keys, amps = transformed.gather()
-    freqs = np.bincount(transformed.layout.field(keys, register), weights=np.abs(amps) ** 2,
-                        minlength=layout.m)
+    values = transformed.layout.field(transformed.support_keys(), register)
+    freqs = np.bincount(values, weights=transformed._born(), minlength=layout.m)
     # The state norm is only held to 1e-10, looser than the histogram
     # invariant, so renormalize the Born weights explicitly.
     weight = sum(freqs.tolist())
@@ -248,7 +231,7 @@ def momentum_distribution(
         return Histogram(frequencies=exact)
 
     shots = transformed._sample_counts(plan.seed, plan.n_trials)
-    counts = np.bincount(transformed.layout.field(keys, register), weights=shots, minlength=layout.m)
+    counts = np.bincount(values, weights=shots, minlength=layout.m)
     counts = {k: int(c) for k, c in enumerate(counts.tolist())}
     freqs = {k: c / plan.n_trials for k, c in counts.items()}
     return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials, exact=exact)
@@ -311,7 +294,7 @@ def _energy_split(state: QuantumState, terms, params: HubbardParams) -> tuple[fl
     pairs with the sign its Trotter factor uses: 2 t0 (1 - 2 parity)
     Re(conj(a_low) a_high) per pair.
     """
-    keys, amps = state.gather()
+    keys = state.support_keys()
     on = np.zeros(len(keys))  # each string's potential count
     kinetic = 0.0
     for term in terms:
@@ -322,4 +305,4 @@ def _energy_split(state: QuantumState, terms, params: HubbardParams) -> tuple[fl
             kinetic += 2.0 * params.t0 * float((1.0 - 2.0 * parity) @ (a_low.conj() * a_high).real)
         else:
             on += found
-    return params.v0 * float(np.abs(amps) ** 2 @ on), kinetic
+    return params.v0 * float(state._born() @ on), kinetic

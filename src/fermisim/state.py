@@ -26,10 +26,11 @@ store, with no search or insert.  `copy` shares the read-only `_keys` and
 copies `_vals`.  The norm check after every primitive is one dot product
 over `_vals`, so no primitive touches all 2**Q strings.
 
-Stamps.  Every write takes a fresh stamp from one process-wide counter, so a
-stamp names one state of one store and is never reused, not even after the
-state is freed.  Work derived from the store is keyed on the stamp: the shot
-counts here, and the readouts' shared table in `observables`.
+Memo.  Work derived from one store state is kept on the state, in one dict
+that `_write`, `_fill` and `copy` empty: `_memo(key, build)` runs `build()`
+once per store state.  It holds the Born weights |a|**2 (`_born`), the shot
+counts of each (seed, n_trials), and the readouts' site masks, so each lives
+exactly as long as the store state it describes.
 
 Register QFT.  `qft_register` is one array transform, not a gate cascade: one
 `gather`, the support grouped by its key with the register cleared, the
@@ -59,14 +60,13 @@ Sampling.  A shot batch is the first `n_trials` SplitMix64 uniforms of the
 seed, sorted; numpy.random is never imported.  `_sorted_uniforms` keeps the
 last batch drawn, so every readout of one run, on any state, that uses the
 same (seed, n_trials) counts against one batch instead of drawing and sorting
-it again.  Each state keeps its last shot counts with their (stamp, seed,
-n_trials), so readouts of an unchanged state count the batch once.
+it again.  The shot counts are memoized, so readouts of an unchanged state
+count the batch once.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
@@ -94,9 +94,6 @@ GAMMA = 0x9E3779B97F4A7C15
 MIX = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 # Shots the uniform draw computes at a time.
 UNIFORM_BLOCK = 1 << 14
-
-# The source of store stamps (see "Stamps" above).
-_stamps = itertools.count()
 
 
 class InvariantViolation(RuntimeError):
@@ -436,13 +433,12 @@ class QuantumState:
     simulator defect.
     """
 
-    __slots__ = ("layout", "_keys", "_vals", "_stamp", "_counts")
+    __slots__ = ("layout", "_keys", "_vals", "_derived")
 
     def __init__(self, layout: RegisterLayout, entries=None):
         """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
         self.layout = layout
         self._keys = layout.keys([])
-        self._counts = None  # ((stamp, seed, n_trials), counts) of the last `_sample_counts`
         keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
         self._fill(keys, amps)
 
@@ -482,7 +478,7 @@ class QuantumState:
         entries that enter (position -1).  None promises that every position
         is on the support: the write is then one scatter and one zero test.
         """
-        self._stamp = next(_stamps)
+        self._derived = {}
         amps = np.asarray(amps, dtype=complex)
         if keys is None:
             self._vals[pos] = amps
@@ -524,7 +520,7 @@ class QuantumState:
 
         A repeated key raises ValueError before the store is touched.
         """
-        self._stamp = next(_stamps)
+        self._derived = {}
         order = np.argsort(keys, kind="stable")
         keys = keys[order].astype(self.layout.key_dtype, copy=False)
         amps = np.asarray(amps, dtype=complex)[order]
@@ -576,14 +572,26 @@ class QuantumState:
         return float(np.linalg.norm(self._vals))
 
     def copy(self) -> QuantumState:
-        """An independent state with the same entries and a stamp of its own.
+        """An independent state with the same entries and an empty memo of its own.
 
         The read-only `_keys` is shared; `_vals` is copied.
         """
         twin = QuantumState.__new__(QuantumState)
         twin.layout, twin._keys, twin._vals = self.layout, self._keys, self._vals.copy()
-        twin._stamp, twin._counts = next(_stamps), None
+        twin._derived = {}
         return twin
+
+    def _memo(self, key, build: Callable[[], object]):
+        """`build()`, run once per store state and kept under `key` until the next write; an array read-only."""
+        if key not in self._derived:
+            value = self._derived[key] = build()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return self._derived[key]
+
+    def _born(self) -> np.ndarray:
+        """The Born weight |a|**2 of each support string, aligned with `gather()`: read-only, memoized."""
+        return self._memo("born", lambda: np.abs(self._vals) ** 2)
 
     def __repr__(self) -> str:
         keys, amps = self.gather()
@@ -716,28 +724,26 @@ class QuantumState:
     def _sample_counts(self, seed: int, n_trials: int) -> np.ndarray:
         """`sample` as a read-only array: the shot count of each support string, aligned with `gather()`.
 
-        Kept with its (stamp, seed, n_trials) until the next write, so another
-        readout of the same store and batch returns the same array.
+        Memoized under (seed, n_trials), so another readout of the same store
+        state and batch returns the same array.
         """
         if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
             raise ValueError("seed must be an unsigned 64-bit integer")
         if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
-        tag = (self._stamp, int(seed), int(n_trials))
-        if self._counts is not None and self._counts[0] == tag:
-            return self._counts[1]
-        probs = np.abs(self._vals) ** 2
-        total = probs.sum()
-        if not abs(total - 1.0) <= NORM_TOL:
-            raise InvariantViolation(f"sampling a state with squared norm {total}")
-        probs /= total
-        # The cdf is built exactly as Generator.choice builds it.
-        cdf = probs.cumsum()
-        cdf /= cdf[-1]
-        counts = np.diff(np.searchsorted(_sorted_uniforms(*tag[1:]), cdf, side="left"), prepend=0)
-        counts.flags.writeable = False
-        self._counts = (tag, counts)
-        return counts
+        batch = (int(seed), int(n_trials))
+
+        def count():
+            born = self._born()
+            total = born.sum()
+            if not abs(total - 1.0) <= NORM_TOL:
+                raise InvariantViolation(f"sampling a state with squared norm {total}")
+            # The cdf is built exactly as Generator.choice builds it.
+            cdf = (born / total).cumsum()
+            cdf /= cdf[-1]
+            return np.diff(np.searchsorted(_sorted_uniforms(*batch), cdf, side="left"), prepend=0)
+
+        return self._memo(batch, count)
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""

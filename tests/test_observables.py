@@ -1,5 +1,6 @@
 """Observable readouts checked against dense expectation values and hand cases."""
 
+import gc
 import itertools
 import math
 import tracemalloc
@@ -240,6 +241,22 @@ class TestChargeDensity:
         empty = math.comb(layout.n_modes - 2, 2)
         np.testing.assert_allclose(density, 1 - empty / len(keys), atol=1e-12)
         assert peak < 2 * support_bytes
+
+    def test_fq_site_table_is_freed_with_its_state(self):
+        # One particle on m = 4096 sites: its (m x support) site table takes
+        # 16 MB against the support's 96 KB, and nothing outlives the state.
+        layout = FirstQuantizedLayout(n=1, m=4096)
+        state = single_particle_plane_wave(layout, k=5)
+        tracemalloc.start()
+        try:
+            density = charge_density(state, layout)
+            del state
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(density, 1 / layout.m, atol=1e-12)
+        assert held < 2 * density.nbytes
 
 
 class TestCorrelations:

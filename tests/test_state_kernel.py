@@ -676,7 +676,7 @@ def _choice_counts(state, seed, n_trials):
 
 
 def test_sample_counts_the_draws_of_choice_when_batches_interleave():
-    """One cached shot batch serves every state of its (seed, N); any other pair draws afresh."""
+    """One cached shot batch serves every state of its (seed, N); a state counts each pair once."""
     rng = np.random.default_rng(5)
     states = [inject_state(NARROW, random_state_map(rng, 8, support)) for support in (3, 12, 40)]
     _sorted_uniforms.cache_clear()
@@ -685,12 +685,14 @@ def test_sample_counts_the_draws_of_choice_when_batches_interleave():
         for state in states:
             assert state.sample(seed, n_trials) == _choice_counts(state, seed, n_trials)
     info = _sorted_uniforms.cache_info()
-    # One draw per run of equal consecutive pairs, shared by all three states;
-    # the second (7, 500) finds each state's own counts and asks for no batch.
-    assert (info.misses, info.hits) == (6, 3 * (len(pairs) - 1) - 6)
+    # One draw per distinct pair, shared by all three states; each state keeps
+    # the counts of every pair it has counted, so a repeated (7, 500) asks for
+    # no batch.
+    distinct = len(set(pairs))
+    assert (info.misses, info.hits) == (distinct, 2 * distinct) == (4, 8)
 
 
-# ------------------------------------------------------------------ derived work keyed by stamp
+# ------------------------------------------------------------------ derived work memoized per store state
 
 
 MEMO_LAYOUT = ModeLayout(3)
@@ -737,12 +739,12 @@ def test_every_write_renews_the_readouts_of_the_state(checks):
     state = inject_state(MEMO_LAYOUT.register_layout(),
                        random_state_map(np.random.default_rng(31), MEMO_LAYOUT.n_modes, 20))
     for name, write in WRITERS.items():
-        _readouts(state)  # keep this store state's counts and table
+        _readouts(state)  # memoize this store state's counts, Born weights and site masks
         counts = state._sample_counts(MEMO_PLAN.seed, MEMO_PLAN.n_trials)
-        stamp = state._stamp
+        born = state._born()
         write(state)
-        assert state._stamp != stamp, name
         assert state._sample_counts(MEMO_PLAN.seed, MEMO_PLAN.n_trials) is not counts, name
+        assert state._born() is not born, name
         fresh = QuantumState(state.layout, tuple(a.copy() for a in state.gather()))
         assert _readouts(state) == _readouts(fresh), name
 
@@ -752,11 +754,20 @@ def test_readouts_of_an_unchanged_state_share_one_count(checks):
                        random_state_map(np.random.default_rng(32), MEMO_LAYOUT.n_modes, 20))
     counts = state._sample_counts(3, 500)
     assert state._sample_counts(3, 500) is counts
-    assert state._sample_counts(3, 501) is not counts
+    other = state._sample_counts(3, 501)
+    assert other is not counts
+    assert state._sample_counts(3, 500) is counts  # both batches' counts are kept
     with pytest.raises(ValueError, match="read-only"):
-        state._sample_counts(3, 501)[0] = 1
+        other[0] = 1
+    born = state._born()
+    assert state._born() is born
+    with pytest.raises(ValueError, match="read-only"):
+        born[0] = 1
     copy = state.copy()
-    assert copy._stamp != state._stamp and copy._sample_counts(3, 501) is not state._sample_counts(3, 501)
+    twin = copy._sample_counts(3, 501)
+    assert twin is not other and np.array_equal(twin, other)
+    assert copy._sample_counts(3, 501) is twin and copy._born() is not born
+    assert state._sample_counts(3, 501) is other
 
 
 def test_a_write_to_a_copy_leaves_the_original_unchanged(checks):
