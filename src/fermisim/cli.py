@@ -7,7 +7,8 @@ named self-check suite as a pass/fail table.
 
 Exit codes are uniform: 0 success, 1 an internal invariant tripped, a run
 failed after its config was accepted, or a validation suite failed, 2 anything
-wrong with the user's input.  Result documents echo their fully normalized
+wrong with the user's input, an --output path that cannot be written among
+it.  Result documents echo their fully normalized
 config, so a document alone is enough to reproduce the run; reruns are
 byte-identical except for the wall-time field.
 
@@ -399,6 +400,17 @@ def _csv_rows(document):
                 yield (kind, row["index"], row["exact"], row["sampled"], row["stderr"])
 
 
+def _write_or_report(output_path: str, write) -> int:
+    """0 once `write(Path(output_path))` returns; 2, with one line naming --output, if it raises OSError."""
+    try:
+        write(Path(output_path))
+    except OSError as exc:
+        print(f"error: cannot write --output {exc.filename or output_path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
+    return 0
+
+
 def _write_outputs(document: dict, output: Path) -> None:
     output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     with output.with_suffix(".csv").open("w", newline="") as handle:
@@ -450,8 +462,7 @@ def cmd_evolve(config_path: str, output_path: str, seed_override: int | None = N
     except ValueError as exc:  # parse_config accepted the config, so this is a simulator defect
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 1
-    _write_outputs(document, Path(output_path))
-    return 0
+    return _write_or_report(output_path, lambda output: _write_outputs(document, output))
 
 
 def cmd_antisym(labels, mode: str, output_path: str) -> int:
@@ -488,8 +499,8 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
         "fidelity": abs(slater_overlap(labels, mode, rows, amps)) ** 2,
         "library_version": __version__,
     }
-    Path(output_path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return 0
+    return _write_or_report(
+        output_path, lambda output: output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n"))
 
 
 def cmd_validate(suite: str) -> int:

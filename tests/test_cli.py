@@ -60,6 +60,18 @@ def run_evolve(tmp_path, raw, *extra):
     return code, output
 
 
+UNWRITABLE = {"missing directory": lambda tmp_path: tmp_path / "absent" / "out.json",
+              "directory": lambda tmp_path: tmp_path}
+
+
+def assert_output_refused(code, capsys, output):
+    """Exit 2 with one error line naming --output and the path, and no traceback."""
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --output ") and str(output) in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def subprocess_env(**extra):
     """This environment plus `extra`, with the source tree first on PYTHONPATH."""
     path = os.pathsep.join(filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))
@@ -491,6 +503,14 @@ class TestEvolve:
         assert code == 2
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", sorted(UNWRITABLE))
+    def test_unwritable_output_exits_two_without_traceback(self, tmp_path, capsys, where):
+        output = UNWRITABLE[where](tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config()))
+        code = main(["evolve", "--config", str(config), "--output", str(output)])
+        assert_output_refused(code, capsys, output)
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
         config.write_text('{"formalism": "second",,}')
@@ -813,6 +833,12 @@ class TestAntisym:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not output.exists()
+
+    @pytest.mark.parametrize("where", sorted(UNWRITABLE))
+    def test_unwritable_output_exits_two_without_traceback(self, tmp_path, capsys, where):
+        output = UNWRITABLE[where](tmp_path)
+        code = main(["antisym", "--labels", "1,3", "--output", str(output)])
+        assert_output_refused(code, capsys, output)
 
     def test_mode_validated_when_called_directly(self, tmp_path, capsys):
         code = cmd_antisym(("1", "2"), "anyonic", str(tmp_path / "map.json"))
