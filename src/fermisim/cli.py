@@ -8,9 +8,9 @@ named self-check suite as a pass/fail table.
 Exit codes are uniform: 0 success, 1 an internal invariant tripped, a run
 failed after its config was accepted, or a validation suite failed, 2 anything
 wrong with the user's input, an --output path that cannot be written among
-it.  Result documents echo their fully normalized
-config, so a document alone is enough to reproduce the run; reruns are
-byte-identical except for the wall-time field.
+it.  Result documents echo their fully normalized config, so a document alone
+is enough to reproduce the run; reruns are byte-identical except for the
+wall-time field.
 
 Importing this module freezes the import-time heap (`gc.freeze`), since a CLI
 process keeps it until exit; collection of everything made later is unchanged.

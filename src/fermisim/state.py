@@ -582,7 +582,7 @@ class QuantumState:
         return twin
 
     def _memo(self, key, build: Callable[[], object]):
-        """`build()`, run once per store state and kept under `key` until the next write; an array read-only."""
+        """`build()`, run once per store state and kept under `key` until the next write; an array is made read-only."""
         if key not in self._derived:
             value = self._derived[key] = build()
             if isinstance(value, np.ndarray):
