@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import io
 import json
 import math
 import os
@@ -400,30 +401,39 @@ def _csv_rows(document):
                 yield (kind, row["index"], row["exact"], row["sampled"], row["stderr"])
 
 
-def _write_or_report(output_path: str, write) -> int:
-    """0 once `write(Path(output_path))` returns; 2, with one line naming --output, if it raises OSError."""
+def _write_or_report(texts: dict) -> int:
+    """Write `texts`, {path: text}: 0 once all are in place, 2 with one line naming the path if not.
+
+    Each text goes to a temporary beside its path, and the temporaries are
+    renamed over their paths only once all are written, so a failed write
+    leaves no new or partial file and every path as it was.
+    """
+    temps = []
     try:
-        write(Path(output_path))
+        for failed, text in texts.items():
+            if failed.is_dir():
+                raise IsADirectoryError("Is a directory")
+            temp = failed.with_name(f".{failed.name}.{os.getpid()}.tmp")
+            with temp.open("w", newline="") as handle:  # once it is open, it is ours to remove
+                temps.append((temp, failed))
+                handle.write(text)
+        for temp, failed in temps:
+            os.replace(temp, failed)
     except OSError as exc:
-        print(f"error: cannot write --output {exc.filename or output_path}: {exc.strerror or exc}",
-              file=sys.stderr)
+        print(f"error: cannot write --output {failed}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    finally:
+        for temp, _ in temps:
+            temp.unlink(missing_ok=True)
     return 0
 
 
-def _write_outputs(document: dict, output: Path) -> None:
-    output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    with output.with_suffix(".csv").open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("observable", "index", "exact", "sampled", "stderr"))
-        for kind, index, exact, sampled, stderr in _csv_rows(document):
-            writer.writerow((
-                kind,
-                index,
-                repr(float(exact)),
-                "" if sampled is None else repr(float(sampled)),
-                "" if stderr is None else repr(float(stderr)),
-            ))
+def _csv_text(document: dict) -> str:
+    text = io.StringIO(newline="")
+    csv.writer(text).writerows([("observable", "index", "exact", "sampled", "stderr")] + [
+        (kind, index, *("" if value is None else repr(float(value)) for value in values))
+        for kind, index, *values in _csv_rows(document)])
+    return text.getvalue()
 
 
 # --------------------------------------------------------------- subcommands
@@ -462,7 +472,9 @@ def cmd_evolve(config_path: str, output_path: str, seed_override: int | None = N
     except ValueError as exc:  # parse_config accepted the config, so this is a simulator defect
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 1
-    return _write_or_report(output_path, lambda output: _write_outputs(document, output))
+    output = Path(output_path)
+    return _write_or_report({output: json.dumps(document, indent=2, sort_keys=True) + "\n",
+                             output.with_suffix(".csv"): _csv_text(document)})
 
 
 def cmd_antisym(labels, mode: str, output_path: str) -> int:
@@ -499,8 +511,7 @@ def cmd_antisym(labels, mode: str, output_path: str) -> int:
         "fidelity": abs(slater_overlap(labels, mode, rows, amps)) ** 2,
         "library_version": __version__,
     }
-    return _write_or_report(
-        output_path, lambda output: output.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n"))
+    return _write_or_report({Path(output_path): json.dumps(document, indent=2, sort_keys=True) + "\n"})
 
 
 def cmd_validate(suite: str) -> int:

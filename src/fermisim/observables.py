@@ -11,9 +11,9 @@ readouts of one run, which share one plan, share one batch of uniforms, each
 counted against its own state's Born distribution.  Every readout reads the
 Born weights, the shot counts and the site masks (`_site_masks`, which ask the
 encoding which support strings occupy a site) from the state's memo, so each
-is made once per store state and freed with it (see `fermisim.state`).  They
-come aligned with the support.  A readout holds one event's mask at a time,
-and a sampled mean reads only the rows that drew a shot.  A sampled momentum
+is made once per store state and freed with it (see `fermisim.state`).  The
+weights and masks align with the support, and a readout holds one event's
+mask at a time; the counts hold only the rows that drew.  A sampled momentum
 histogram also carries the exact frequencies of the same transformed state,
 so one Fourier transform (one array transform on a copy, see
 `QuantumState.qft_register`) serves both.
@@ -154,9 +154,8 @@ def _indicator_estimates(
     masks = (functools.reduce(np.logical_and, map(occupied, sites)) for sites in events)
     if plan is None:
         return np.array([probs[mask].sum() for mask in masks])
-    counts = state._sample_counts(plan.seed, plan.n_trials)
-    drawn = np.flatnonzero(counts)
-    exact, hits = zip(*[(probs[mask].sum(), counts[drawn] @ mask[drawn]) for mask in masks])
+    rows, shots = state._sample_counts(plan.seed, plan.n_trials)
+    exact, hits = zip(*[(probs[mask].sum(), shots @ mask[rows]) for mask in masks])
     mean = np.array(hits) / plan.n_trials
     # A 0/1 indicator is its own square, so its second moment is the mean.
     stderr = np.sqrt(np.maximum(mean - mean * mean, 0.0) / plan.n_trials)
@@ -230,8 +229,8 @@ def momentum_distribution(
     if plan is None:
         return Histogram(frequencies=exact)
 
-    shots = transformed._sample_counts(plan.seed, plan.n_trials)
-    counts = np.bincount(values, weights=shots, minlength=layout.m)
+    rows, shots = transformed._sample_counts(plan.seed, plan.n_trials)
+    counts = np.bincount(values[rows], weights=shots, minlength=layout.m)
     counts = {k: int(c) for k, c in enumerate(counts.tolist())}
     freqs = {k: c / plan.n_trials for k, c in counts.items()}
     return Histogram(frequencies=freqs, counts=counts, n_trials=plan.n_trials, exact=exact)

@@ -206,8 +206,9 @@ def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
     if record is None:
         found = term(state.support_keys())
         if isinstance(found, tuple):
-            low, high, parity, pos = found
-            state._mix_at(np.concatenate((low, high)), pos, _hop_gate(params, dt, parity))
+            keys, (parity, pos) = np.concatenate(found[:2]), found[2:]
+            del found  # the pair members live on in `keys` alone
+            state._mix_at(keys, pos, _hop_gate(params, dt, parity))
             return pos, parity
         record = [np.flatnonzero(found > j) for j in range(found.max(initial=0))]
     if isinstance(record, tuple):

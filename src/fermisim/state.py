@@ -7,30 +7,30 @@ Storage model.  A state is a set of (key, amplitude) entries, where a key is a
 basis string.  The store is the support as a sorted key array `_keys` and its
 nonzero amplitudes `_vals`, in the same order, and its one index is a binary
 search of `_keys`: `_lookup` finds the store positions of an array of keys,
-and `_read` takes the amplitudes at positions.  `_write` stores amplitudes at
-positions, in place while no entry enters or leaves the support, and
-otherwise rebuilds `_keys`/`_vals` once: entering keys are merged in with one
-sort of the new keys and one search of the store, and exact zeros are
-dropped.  A write given keys=None promises that every position is on the
-support, so it is one scatter into `_vals` plus one test for an exact zero,
-and the store is rebuilt only when an entry left.  Every primitive (phase and
-sign, controlled gate, two-level mix, basis permutation, register QFT,
-sampling) is written once on top of these.  The phase and the two-level mix
-also have a form at given positions (`_scale_at`, `_mix_at`), so a caller
-that knows the positions skips the lookup: a replayed Trotter step, and any
-mix whose pairs `support_pairs` reads off the sorted support, as the
-controlled gate's and every Trotter step's are.  `_replace`, which swaps the
-whole support, and the constructor sort the new entries once, reject a
-repeated key before the store is touched, and make the nonzero entries the
-store, with no search or insert.  `copy` shares the read-only `_keys` and
-copies `_vals`.  The norm check after every primitive is one dot product
-over `_vals`, so no primitive touches all 2**Q strings.
+`_read` takes the amplitudes at positions (one `take`, misses zeroed), and
+`_write` stores amplitudes at positions, in place while no entry enters or
+leaves the support.  Otherwise the exact zeros are compacted out, then the
+entering keys merged in with one sort of the new keys and one search of the
+store, so at most two versions of the store are alive.  A write given
+keys=None promises that every position is on the support: one scatter into
+`_vals` and one test for an exact zero.  Every primitive (phase and sign,
+controlled gate, two-level mix, basis permutation, register QFT, sampling) is
+written once on top of these.  The phase and the two-level mix also have a
+form at given positions (`_scale_at`, `_mix_at`, which mixes in the buffer it
+read), so a caller that knows the positions skips the lookup: a replayed
+Trotter step, and any mix whose pairs `support_pairs` reads off the sorted
+support, as the controlled gate's and every Trotter step's are.  `_replace`,
+which swaps the whole support, and the constructor sort the new entries once,
+reject a repeated key before the store is touched, and make the nonzero
+entries the store, with no search or insert.  `copy` shares the read-only
+`_keys` and copies `_vals`.  The norm check after every primitive is one dot
+product over `_vals`, so no primitive touches all 2**Q strings.
 
 Memo.  Work derived from one store state is kept on the state, in one dict
 that `_write`, `_fill` and `copy` empty: `_memo(key, build)` runs `build()`
 once per store state.  It holds the Born weights |a|**2 (`_born`), the shot
-counts of each (seed, n_trials), and the readouts' site masks, so each lives
-exactly as long as the store state it describes.
+counts of each (seed, n_trials), of the drawn rows only, and the readouts'
+site masks, so each lives exactly as long as the store state it describes.
 
 Register QFT.  `qft_register` is one array transform, not a gate cascade: one
 `gather`, the support grouped by its key with the register cleared, the
@@ -60,8 +60,8 @@ Sampling.  A shot batch is the first `n_trials` SplitMix64 uniforms of the
 seed, sorted; numpy.random is never imported.  `_sorted_uniforms` keeps the
 last batch drawn, so every readout of one run, on any state, that uses the
 same (seed, n_trials) counts against one batch instead of drawing and sorting
-it again.  The shot counts are memoized, so readouts of an unchanged state
-count the batch once.
+it again, and `count_shots` counts it from the shorter side.  The counts are
+memoized, so readouts of an unchanged state count the batch once.
 """
 
 from __future__ import annotations
@@ -361,6 +361,23 @@ def _sorted_uniforms(seed: int, n_trials: int) -> np.ndarray:
     return uniforms
 
 
+def count_shots(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """[rows; shots], a (2, D) int64 array: the rows that drew a shot, ascending, and their counts.
+
+    Row i counts the sorted `uniforms` u with cdf[i-1] <= u < cdf[i], where
+    `searchsorted(cdf, u, side="right")` puts u.  The shorter array is searched
+    in the longer (each shot's row, or each row's edge among the shots), so
+    D <= min(len(cdf), len(uniforms)).
+    """
+    if len(uniforms) < len(cdf):
+        rows = np.searchsorted(cdf, uniforms, side="right")
+        starts = np.flatnonzero(np.diff(rows, prepend=-1) != 0)  # numpy finds a bool's nonzeros faster
+        return np.stack((rows[starts], np.diff(starts, append=len(rows))))
+    counts = np.diff(np.searchsorted(uniforms, cdf, side="left"), prepend=0)
+    rows = np.flatnonzero(counts != 0)
+    return np.stack((rows, counts[rows]))
+
+
 def _register_qft(layout: RegisterLayout, name: str, keys: np.ndarray, amps: np.ndarray):
     """QFT of register `name` over the entries (keys, amps): (keys, amplitudes) of every output string.
 
@@ -463,51 +480,43 @@ class QuantumState:
 
     def _read(self, pos: np.ndarray) -> np.ndarray:
         """Amplitudes at store positions `pos`, zero where a position is -1."""
-        hit = pos >= 0
-        if hit.all():
-            return self._vals[pos]
-        amps = np.zeros(len(pos), dtype=complex)
-        amps[hit] = self._vals[pos[hit]]
+        amps = self._vals.take(pos) if len(self._vals) else np.zeros(len(pos), dtype=complex)  # empty: all miss
+        amps[pos < 0] = 0
         return amps
 
     def _write(self, keys: np.ndarray | None, amps, pos: np.ndarray) -> None:
         """Store `amps` at distinct `keys`, whose store positions `_lookup(keys)` returned.
 
         In place unless an entry enters or leaves the support (an exact zero
-        leaves); then the store is rebuilt once.  `keys` is read only for the
-        entries that enter (position -1).  None promises that every position
-        is on the support: the write is then one scatter and one zero test.
+        leaves); then the leaving entries go before the entering ones merge in.
+        `keys` is read only for the entering entries (position -1).  None
+        promises every position on the support: one scatter and one zero test.
         """
         self._derived = {}
         amps = np.asarray(amps, dtype=complex)
         if keys is None:
             self._vals[pos] = amps
-            if not amps.all():
-                self._drop_zeros(self._keys, self._vals)
-            self._check_store()
-            return
-        hit, now = pos >= 0, amps != 0
-        at = slice(None) if hit.all() else hit  # every key stored: skip the mask
-        self._vals[pos[at]] = amps[at]
-        if (hit != now).any():
-            stored, vals = self._keys, self._vals
-            fresh = np.flatnonzero(now & ~hit)
-            if len(fresh):
-                # Merge the sorted new keys into the store: new key j lands at
-                # its insertion point among the stored keys plus j.
-                fresh = fresh[np.argsort(keys[fresh], kind="stable")]
-                dest = np.searchsorted(stored, keys[fresh]) + np.arange(len(fresh))
-                size = len(stored) + len(fresh)
-                old = np.ones(size, dtype=bool)
-                old[dest] = False
-                merged_keys, merged_vals = np.empty(size, dtype=stored.dtype), np.empty(size, dtype=complex)
-                merged_keys[dest], merged_keys[old] = keys[fresh], stored
-                merged_vals[dest], merged_vals[old] = amps[fresh], vals
-                stored, vals = merged_keys, merged_vals
-            if (hit & ~now).any():
-                self._drop_zeros(stored, vals)
-            else:
-                self._store(stored, vals)
+            left, fresh = not amps.all(), ()
+        else:
+            hit, now = pos >= 0, amps != 0
+            at = slice(None) if hit.all() else hit  # every key stored: skip the mask
+            self._vals[pos[at]] = amps[at]
+            left, fresh = (hit & ~now).any(), np.flatnonzero(now & ~hit)
+            del hit, now, at
+        if left:
+            self._drop_zeros(self._keys, self._vals)
+        if len(fresh):
+            # Merge the sorted new keys into the store: new key j lands at its
+            # insertion point among the stored keys plus j.
+            fresh = fresh[np.argsort(keys[fresh], kind="stable")]
+            dest = np.searchsorted(self._keys, keys[fresh]) + np.arange(len(fresh))
+            size = len(self._keys) + len(fresh)
+            old = np.ones(size, dtype=bool)
+            old[dest] = False
+            merged_keys, merged_vals = np.empty(size, dtype=self._keys.dtype), np.empty(size, dtype=complex)
+            merged_keys[dest], merged_keys[old] = keys[fresh], self._keys
+            merged_vals[dest], merged_vals[old] = amps[fresh], self._vals
+            self._store(merged_keys, merged_vals)
         self._check_store()
 
     def _drop_zeros(self, keys: np.ndarray, vals: np.ndarray) -> None:
@@ -526,8 +535,7 @@ class QuantumState:
         amps = np.asarray(amps, dtype=complex)[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("the new support repeats a basis string (a map not injective on the support)")
-        keep = amps != 0
-        self._store(keys[keep], amps[keep])
+        self._drop_zeros(keys, amps)
         self._check_store()
 
     def _store(self, keys: np.ndarray, vals: np.ndarray) -> None:
@@ -717,12 +725,11 @@ class QuantumState:
         [cdf[i-1], cdf[i]).  The batch holds one float64 per shot, hence at
         most MAX_TRIALS shots.
         """
-        counts = self._sample_counts(seed, n_trials)
-        drawn = np.flatnonzero(counts)
-        return dict(zip(self._keys[drawn].tolist(), counts[drawn].tolist()))
+        rows, shots = self._sample_counts(seed, n_trials)
+        return dict(zip(self._keys[rows].tolist(), shots.tolist()))
 
     def _sample_counts(self, seed: int, n_trials: int) -> np.ndarray:
-        """`sample` as a read-only array: the shot count of each support string, aligned with `gather()`.
+        """`sample` as a read-only (2, D) array [rows; shots] over `gather()` (`count_shots`).
 
         Memoized under (seed, n_trials), so another readout of the same store
         state and batch returns the same array.
@@ -738,10 +745,11 @@ class QuantumState:
             total = born.sum()
             if not abs(total - 1.0) <= NORM_TOL:
                 raise InvariantViolation(f"sampling a state with squared norm {total}")
-            # The cdf is built exactly as Generator.choice builds it.
-            cdf = (born / total).cumsum()
+            # The cdf is built as Generator.choice builds it, in one buffer.
+            cdf = born / total
+            np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
-            return np.diff(np.searchsorted(_sorted_uniforms(*batch), cdf, side="left"), prepend=0)
+            return count_shots(cdf, _sorted_uniforms(*batch))
 
         return self._memo(batch, count)
 
@@ -795,13 +803,14 @@ class QuantumState:
             self._check_pairs(keys[:half], keys[half:])
         amps = self._read(pos) if keys is not None else self._vals.take(pos)
         a0, a1 = amps[:half], amps[half:]
-        # g00*a0 + g01*a1, then g10*a0 + g11*a1, each summed into its half of the output.
-        out = np.empty_like(amps)
-        np.multiply(g00, a0, out=out[:half])
-        out[:half] += g01 * a1
-        np.multiply(g10, a0, out=out[half:])
-        out[half:] += g11 * a1
-        self._write(keys, out, pos)
+        # In the buffer read, g10*a0 first; each product keeps its gate entry first, and sums commute exactly.
+        high = np.multiply(g10, a0)
+        np.multiply(g00, a0, out=a0)
+        a0 += g01 * a1
+        np.multiply(g11, a1, out=a1)
+        a1 += high
+        del high
+        self._write(keys, amps, pos)
         self._check_norm()
 
     def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -35,6 +37,17 @@ def checks(request):
 # The same two runs as an explicit mark, for tests whose ids name the mode
 # after their other parameters.
 BOTH_CHECKS = pytest.mark.parametrize("checks", CHECKS, indirect=True, ids=CHECK_IDS.get)
+
+
+def traced(fn):
+    """(fn(), peak, held): what `fn` returns, and the peak and still-held bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak, held
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -511,6 +511,18 @@ class TestEvolve:
         code = main(["evolve", "--config", str(config), "--output", str(output)])
         assert_output_refused(code, capsys, output)
 
+    @pytest.mark.parametrize("before", [None, "an earlier result\n"], ids=["no json", "earlier json"])
+    def test_unwritable_csv_leaves_the_json_path_as_it_was(self, tmp_path, capsys, before):
+        (tmp_path / "out.csv").mkdir()
+        output = tmp_path / "out.json"
+        if before is not None:
+            output.write_text(before)
+        code, _ = run_evolve(tmp_path, base_config())
+        assert_output_refused(code, capsys, tmp_path / "out.csv")
+        assert (output.read_text() if output.exists() else None) == before
+        left = {"out.csv", "run.json"} | ({output.name} if before else set())
+        assert {path.name for path in tmp_path.iterdir()} == left  # and no temporary
+
     def test_malformed_json_reports_position(self, tmp_path, capsys):
         config = tmp_path / "broken.json"
         config.write_text('{"formalism": "second",,}')

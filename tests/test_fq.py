@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_state_map
+from conftest import random_state_map, traced
 
 from fermisim.antisym import transposition_test
 from fermisim.fq import (
@@ -284,6 +284,17 @@ class TestTrotterFq:
         state = prepare_antisymmetric(layout, (2, 5))
         trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(t=0.8, r=12))
         assert exchange_symmetry_violation(state, layout, "fermi") < 1e-10
+
+    def test_fresh_step_keeps_at_most_two_store_versions(self):
+        # The fq_prepare benchmark's physics: one fresh step grows the support
+        # from 864 to 44 140 strings, rebuilding the store at every kinetic half.
+        layout = FirstQuantizedLayout(n=5, m=8)
+        state = prepare_antisymmetric(layout, (1, 4, 6, 9, 12), mode="fermi")
+        plan = TrotterPlan(t=0.1, r=1)
+        _, peak, _ = traced(lambda: trotter_evolve_fq(state, layout, HubbardParams(4.0, 1.0), plan, mode="fermi"))
+        keys, vals = state.gather()
+        assert len(keys) == 44140
+        assert peak < 4 * (keys.nbytes + vals.nbytes)  # 5.5x with three versions alive at once
 
     def test_validation_mode_rejects_asymmetric_input(self):
         layout = FirstQuantizedLayout(n=2, m=2)

@@ -3,13 +3,12 @@
 import gc
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BOTH_CHECKS, random_state_map
+from conftest import BOTH_CHECKS, random_state_map, traced
 
 from fermisim import oracle
 from fermisim.fq import (
@@ -231,12 +230,7 @@ class TestChargeDensity:
         keys = [(1 << a) | (1 << b) for a, b in itertools.combinations(range(layout.n_modes), 2)]
         state = inject_state(layout.register_layout(), dict.fromkeys(keys, 1 / math.sqrt(len(keys))))
         support_bytes = sum(a.nbytes for a in state.gather())
-        tracemalloc.start()
-        try:
-            density = charge_density(state, layout)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        density, peak, _ = traced(lambda: charge_density(state, layout))
         # A site is empty in the strings whose two particles sit on the other 2m - 2 modes.
         empty = math.comb(layout.n_modes - 2, 2)
         np.testing.assert_allclose(density, 1 - empty / len(keys), atol=1e-12)
@@ -246,15 +240,14 @@ class TestChargeDensity:
         # One particle on m = 4096 sites: its (m x support) site table takes
         # 16 MB against the support's 96 KB, and nothing outlives the state.
         layout = FirstQuantizedLayout(n=1, m=4096)
-        state = single_particle_plane_wave(layout, k=5)
-        tracemalloc.start()
-        try:
-            density = charge_density(state, layout)
-            del state
+        states = [single_particle_plane_wave(layout, k=5)]
+
+        def read_and_free():
+            density = charge_density(states.pop(), layout)
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+            return density
+
+        density, _, held = traced(read_and_free)
         np.testing.assert_allclose(density, 1 / layout.m, atol=1e-12)
         assert held < 2 * density.nbytes
 
@@ -342,6 +335,20 @@ class TestSampledEstimates:
             for sites in ((1, 3), (1, 2, 3)):
                 check(k_point_correlation(state, layout, sites, plan), sites)
 
+    def test_cold_sampled_fq_density_adds_under_one_and_a_half_stores(self):
+        # The fq_prepare benchmark state again, its readout cold: the Born
+        # weights, the site table and the shot counts are all built under the
+        # trace, against the cached batch of the run's 20 000 shots.
+        layout = FirstQuantizedLayout(n=5, m=8)
+        state = prepare_antisymmetric(layout, (1, 4, 6, 9, 12), mode="fermi")
+        trotter_evolve_fq(state, layout, PARAMS, TrotterPlan(t=0.1, r=1), mode="fermi")
+        plan = SamplingPlan(seed=0, n_trials=20000)
+        charge_density(state.copy(), layout, plan)  # draws the run's cached shot batch
+        _, peak, _ = traced(lambda: charge_density(state, layout, plan))
+        keys, vals = state.gather()
+        assert len(keys) == 44140
+        assert peak < 1.5 * (keys.nbytes + vals.nbytes)  # 2.0x with a count per support string
+
     def test_sampled_density_holds_no_float_copy_of_the_site_table(self):
         # The fq_prepare benchmark state: support 44 140 strings on m = 8 sites.
         # A float64 copy of the (support x m) indicator table is 8/3 of the
@@ -352,12 +359,7 @@ class TestSampledEstimates:
         keys, vals = state.gather()
         plan = SamplingPlan(seed=0, n_trials=20000)
         charge_density(state, layout, plan)  # draws the run's cached shot batch
-        tracemalloc.start()
-        try:
-            charge_density(state, layout, plan)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak, _ = traced(lambda: charge_density(state, layout, plan))
         assert len(keys) == 44140
         assert peak < 3 * (keys.nbytes + vals.nbytes)
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ from conftest import (
     random_state_map,
     random_unitary,
     run_program,
+    traced,
 )
 
 from fermisim.state import (
@@ -84,16 +84,16 @@ class TestInit:
         with pytest.raises(ValueError, match="repeats a basis string"):
             QuantumState(TWO, (TWO.keys([1, 3, 1]), np.array([0.6, 0.0, 0.8], dtype=complex)))
 
+    def test_an_empty_store_reads_zeros(self):
+        state = QuantumState(TWO, (TWO.keys([1, 2]), np.zeros(2, dtype=complex)))
+        assert state.support() == []
+        assert state.gather(TWO.keys([1, 3]))[1].tolist() == [0, 0]
+
     def test_one_index_at_every_width(self):
         """One index, a search of the sorted keys, at every width: a state allocates nothing per basis string."""
         for width in (1, 16, 17, 27):
             layout = RegisterLayout.of(("w", width))
-            tracemalloc.start()
-            try:
-                state = QuantumState(layout)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            state, peak, _ = traced(lambda: QuantumState(layout))
             assert peak < 16384, width  # a 2**Q array of positions would take 16 KB at 11 qubits
             assert state.norm() == 1.0
             assert state._lookup(layout.keys([0, (1 << width) - 1])).tolist() == [0, -1]

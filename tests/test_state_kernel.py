@@ -1,13 +1,12 @@
 """The array kernel of the state engine: array entry points, wide keys, sampling streams."""
 
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from conftest import BOTH_CHECKS, random_state_map, random_unitary
+from conftest import BOTH_CHECKS, random_state_map, random_unitary, traced
 
 from fermisim import cli
 from fermisim.observables import SamplingPlan, charge_density, k_point_correlation
@@ -21,6 +20,7 @@ from fermisim.state import (
     UNIFORM_BLOCK,
     _sorted_uniforms,
     _splitmix64_uniforms,
+    count_shots,
     init_basis_state,
     inject_state,
     validation_mode,
@@ -669,6 +669,46 @@ def test_sample_counts_the_draws_of_choice(case, entries, seed, n_trials):
     assert drawn == reference_counts(keys, [amps[k] for k in keys], seed, n_trials)
 
 
+@given(
+    weights=st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1.0), min_size=1, max_size=40).filter(any),
+    picks=st.lists(st.integers(0, 40) | st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=60),
+)
+@example(weights=[0.5, 0.0, 0.5], picks=[1, 2, 0.75])  # as many shots as rows, two on one edge
+@example(weights=[0.2, 0.0, 0.0, 0.3, 0.5], picks=[1, 3])  # fewer shots than rows, both on edges
+@example(weights=[1.0], picks=[0, 0.5, 0.9])
+def test_count_shots_counts_each_shot_in_its_cdf_row(weights, picks):
+    """count_shots is bincount(searchsorted(cdf, u, side="right")) at its nonzero rows, from either side.
+
+    A zero weight stands for a Born weight that underflowed (TINY), a bin of
+    zero width; an int pick is a uniform exactly on a cdf edge.
+    """
+    cdf = np.cumsum(weights) / sum(weights)
+    cdf /= cdf[-1]
+    edges = np.concatenate(([0.0], cdf[cdf < 1.0]))  # every edge a uniform in [0, 1) can sit on
+    uniforms = np.sort([edges[p % len(edges)] if isinstance(p, int) else p for p in picks])
+    want = np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf))
+    counted = count_shots(cdf, uniforms)
+    assert counted.dtype == np.int64 and counted.shape == (2, np.count_nonzero(want))
+    rows, shots = counted
+    assert rows.tolist() == np.flatnonzero(want).tolist()
+    assert shots.tolist() == want[rows].tolist()
+
+
+def test_counts_of_many_seeds_hold_only_the_drawn_rows():
+    """20 seeds of 1000 shots on 2**17 strings keep 20 counts in the memo, each of the rows that drew only."""
+    layout = RegisterLayout.of(("q", 17))
+    state = QuantumState(layout, (np.arange(1 << 17), np.full(1 << 17, 2**-8.5, dtype=complex)))
+    state._born()  # the state's own Born weights (1 MB), whatever it samples
+
+    def sample_twenty_seeds():
+        for seed in range(20):
+            state.sample(seed, 1000)
+
+    _, _, held = traced(sample_twenty_seeds)
+    assert len(state._derived) == 21  # the Born weights and every seed's counts
+    assert held < 10**6  # a count per support string took 21 MB
+
+
 def _choice_counts(state, seed, n_trials):
     """{key: count} of choice's draw rule over the state's Born weights and the reference uniforms."""
     keys, amps = state.gather()
@@ -864,12 +904,9 @@ def test_generator_streams_look_uniform_and_independent():
 def test_generator_peak_memory_is_the_output_plus_two_blocks():
     n = 1 << 22
     _sorted_uniforms.cache_clear()
-    tracemalloc.start()
     try:
-        _sorted_uniforms(7, n)
-        peak = tracemalloc.get_traced_memory()[1]
+        _, peak, _ = traced(lambda: _sorted_uniforms(7, n))
     finally:
-        tracemalloc.stop()
         _sorted_uniforms.cache_clear()
     assert peak < 8 * n + 2 * 2**20
 
