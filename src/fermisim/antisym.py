@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
@@ -214,7 +215,7 @@ def encode_labels(labels, word_bits: int) -> int:
     for i, v in enumerate(labels):
         if not 1 <= v <= (1 << word_bits):
             raise ValueError(f"label {v} out of range 1..{1 << word_bits}")
-        block |= (v - 1) << (i * word_bits)
+        block |= (operator.index(v) - 1) << (i * word_bits)  # a numpy int would wrap past bit 63
     return block
 
 
@@ -475,7 +476,7 @@ def collapse_ancillas(
     keys, amps = state.gather()
     if (keys >> width).any():
         raise ValueError("ancilla registers are not zero; run the full pipeline first")
-    return QuantumState(target_layout, (target_layout.keys(keys), amps))
+    return QuantumState(target_layout, (keys, amps))
 
 
 def transposition_test(
@@ -507,3 +508,9 @@ def transposition_test(
     )
     sign = -1.0 if mode == "fermi" else 1.0
     return float(np.abs(state.gather(swapped)[1] - sign * amps).max(initial=0.0))
+
+
+def exchange_violation(state: QuantumState, words: list[tuple[int, int]], mode: str = "fermi") -> float:
+    """Largest `transposition_test` violation over every pair of the word slots `words`; 0 for one slot."""
+    pairs = itertools.combinations(range(len(words)), 2)
+    return max((transposition_test(state, words, i, j, mode) for i, j in pairs), default=0.0)

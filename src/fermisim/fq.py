@@ -32,8 +32,8 @@ from fermisim.antisym import (
     RegisterBank,
     antisymmetrize,
     collapse_ancillas,
+    exchange_violation,
     prepare_ordered_input,
-    transposition_test,
 )
 from fermisim.state import (
     QuantumState, RegisterLayout, check_layout, inject_state, support_pairs, validation_enabled, value_class,
@@ -223,11 +223,7 @@ def exchange_symmetry_violation(
     state: QuantumState, layout: FirstQuantizedLayout, mode: str = "fermi"
 ) -> float:
     """Worst transposition-test violation over all particle pairs."""
-    slices = layout.word_slices()
-    worst = 0.0
-    for i, j in combinations(range(layout.n), 2):
-        worst = max(worst, transposition_test(state, slices, i, j, mode))
-    return worst
+    return exchange_violation(state, layout.word_slices(), mode)
 
 
 def op_count_fq(layout: FirstQuantizedLayout, plan: TrotterPlan) -> dict[str, int]:

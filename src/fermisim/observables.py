@@ -39,26 +39,12 @@ from fermisim import oracle
 from fermisim.fq import FirstQuantizedLayout
 from fermisim.sq import UP, HubbardParams, ModeLayout
 from fermisim.state import (
-    MAX_TRIALS, InvariantViolation, QuantumState, check_layout, validation_enabled, value_class,
+    InvariantViolation, QuantumState, SamplingPlan, check_layout, validation_enabled, value_class,
 )
 
 MAX_CORRELATION_POINTS = 3
 FREQUENCY_TOL = 1e-12
 ENERGY_SPLIT_TOL = 1e-8
-
-
-@value_class
-class SamplingPlan:
-    """Seed and shot count of a reproducible measurement run (required_trials plans the count)."""
-
-    seed: int
-    n_trials: int
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if not isinstance(self.n_trials, int) or not 1 <= self.n_trials <= MAX_TRIALS:
-            raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {self.n_trials!r}")
 
 
 @value_class

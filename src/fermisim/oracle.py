@@ -20,6 +20,7 @@ first-quantized state.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import combinations, permutations
 
 import numpy as np
@@ -251,7 +252,7 @@ def pack_words(words, word_bits: int) -> int:
     for k, wv in enumerate(words):
         if not 0 <= wv < (1 << word_bits):
             raise ValueError(f"word value {wv} does not fit in {word_bits} bits")
-        basis |= wv << (k * word_bits)
+        basis |= operator.index(wv) << (k * word_bits)  # a numpy int would wrap past bit 63
     return basis
 
 

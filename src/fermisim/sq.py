@@ -43,7 +43,7 @@ import weakref
 
 import numpy as np
 
-from fermisim.state import QuantumState, RegisterLayout, check_layout, support_pairs, value_class
+from fermisim.state import QuantumState, RegisterLayout, check_layout, support_pairs, unit_phase, value_class
 
 UP = 0
 DOWN = 1
@@ -146,14 +146,6 @@ def jw_parity(bits, mode_a: int, mode_b: int):
     return np.bitwise_count(bits & between) & 1
 
 
-def _phase_factor(params: HubbardParams, dt: float) -> complex:
-    """exp(-i*dt*V0), the phase of one doubly occupied site."""
-    theta = -params.v0 * dt
-    if not math.isfinite(theta):
-        raise ValueError(f"phase angle must be finite, got {theta}")
-    return complex(math.cos(theta), math.sin(theta))
-
-
 def evolve_potential(state: QuantumState, layout: ModeLayout, params: HubbardParams, dt: float) -> None:
     """exp(-i*dt*V), V = V0 * sum_s n(s,up) n(s,down): `terms[0]`, a phase per doubly occupied site."""
     check_layout(state, layout)
@@ -193,7 +185,7 @@ def _hop_gate(params: HubbardParams, dt: float, parity: np.ndarray):
 def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
     """Apply one term; returns what it wrote: positions per potential level, or a mix's pairs and parities.
 
-    The potential's count c turns a string by `_phase_factor` c times, level j
+    The potential's count c turns a string by exp(-i*dt*V0) c times, level j
     taking the strings whose count exceeds j, as a phase per doubly occupied
     site would; a unit factor zeroes no amplitude, so the levels share one
     support.  A mix term's pairs are mixed by `_hop_gate` at the positions the
@@ -215,7 +207,7 @@ def _apply(state: QuantumState, term, record, params: HubbardParams, dt: float):
         pos, parity = record
         state._mix_at(None, pos, _hop_gate(params, dt, parity))
     else:
-        factor = _phase_factor(params, dt)  # raises on a non-finite angle, even with no level
+        factor = unit_phase(-params.v0 * dt)  # raises on a non-finite angle, even with no level
         for pos in record:
             state._scale_at(pos, factor)
     return record

@@ -20,11 +20,12 @@ form at given positions (`_scale_at`, `_mix_at`, which mixes in the buffer it
 read), so a caller that knows the positions skips the lookup: a replayed
 Trotter step, and any mix whose pairs `support_pairs` reads off the sorted
 support, as the controlled gate's and every Trotter step's are.  `_replace`,
-which swaps the whole support, and the constructor sort the new entries once,
-reject a repeated key before the store is touched, and make the nonzero
-entries the store, with no search or insert.  `copy` shares the read-only
-`_keys` and copies `_vals`.  The norm check after every primitive is one dot
-product over `_vals`, so no primitive touches all 2**Q strings.
+which swaps the whole support, and the constructor take the new keys through
+`RegisterLayout.keys`, sort the new entries once, reject a repeated key before
+the store is touched, and make the nonzero entries the store, with no search
+or insert.  `copy` shares the read-only `_keys` and copies `_vals`.  The norm
+check after every primitive is one dot product over `_vals`, so no primitive
+touches all 2**Q strings.
 
 Memo.  Work derived from one store state is kept on the state, in one dict
 that `_write`, `_fill` and `copy` empty: `_memo(key, build)` runs `build()`
@@ -43,7 +44,9 @@ bit-reversal only relabels the output keys.
 
 Key dtype.  Keys are int64 arrays while the layout is at most KEY_BITS (62)
 qubits wide; wider layouts use object arrays of Python ints, under the same
-code.
+code.  Every key array from outside the store (the constructor's, `gather`'s,
+a map's targets, a mix's pairs) enters through `RegisterLayout.keys`, which
+refuses a key that is not an int in [0, 2**width).
 
 Exact zeros.  An entry leaves the support only when its amplitude is exactly
 zero; small amplitudes are never thresholded away.  In validation mode every
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from contextlib import contextmanager
 
@@ -204,20 +208,21 @@ class RegisterLayout:
         """int64 up to KEY_BITS qubits, Python-int objects above."""
         return np.int64 if self._width <= KEY_BITS else object
 
-    def keys(self, values) -> np.ndarray:
-        """Basis strings as a key array of this layout's key dtype."""
+    def keys(self, values, what: str = "basis string") -> np.ndarray:
+        """Basis strings as a key array of this layout's key dtype: the one gate of every key array.
+
+        ValueError, naming `what` and the first bad key, unless each is an int in [0, 2**width).
+        """
         keys = np.asarray(values)
-        if keys.dtype.kind in "uf" and not isinstance(values, np.ndarray):
-            keys = np.asarray(values, dtype=object)  # Python ints past int64 infer as uint64 or float64
-        if keys.dtype == object:
-            if (np.frompyfunc(type, 1, 1)(keys) == int).all():  # plain Python ints: one range test
-                out = (keys < 0) | (keys >= (1 << self.width))
-                if out.any():
-                    self.check_basis(keys[out][0])  # raises the out-of-range error
-            else:
-                keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # np.integer elements, or rejects
-        elif keys.size and keys.dtype.kind not in "iu":
-            raise ValueError(f"basis strings must be ints, got {keys.dtype}")
+        if keys.dtype.kind not in "ib" and not isinstance(values, np.ndarray):
+            keys = np.asarray(values, dtype=object)  # judged one by one: Python ints past int64 infer as uint64
+        if keys.dtype == object and not (np.frompyfunc(type, 1, 1)(keys) == int).all():
+            keys = np.frompyfunc(self.check_basis, 1, 1)(keys)  # np.integer elements, or rejects
+        elif keys.size and keys.dtype.kind not in "iuO":
+            raise ValueError(f"basis strings must be ints, got {keys.dtype}: {what} {keys.flat[0]}")
+        if keys.size and (keys.min() < 0 or keys.max() >= (1 << self.width)):
+            raise ValueError(f"{what} {keys[(keys < 0) | (keys >= (1 << self.width))][0]} "
+                             f"out of range for {self.width} qubits")
         return keys.astype(self.key_dtype, copy=False)
 
     def names(self) -> tuple[str, ...]:
@@ -254,9 +259,9 @@ class RegisterLayout:
             bad = value[(value < 0) | (value >= (1 << width))]
             if bad.size:
                 raise ValueError(f"value {bad[0]} does not fit register {name!r} ({width} bits)")
-            if getattr(basis, "dtype", None) == object:
+            if self.key_dtype is object:  # int64 values would wrap past bit 63, whatever the basis
                 value = value.astype(object)
-        elif not 0 <= value < (1 << width):
+        elif not 0 <= (value := operator.index(value)) < (1 << width):  # a numpy int would wrap past bit 63
             raise ValueError(f"value {value} does not fit register {name!r} ({width} bits)")
         mask = ((1 << width) - 1) << off
         return (basis & ~mask) | (value << off)
@@ -264,10 +269,25 @@ class RegisterLayout:
     def check_basis(self, basis: int) -> int:
         """`basis` as a Python int; ValueError unless it is an int within the layout."""
         if not isinstance(basis, (int, np.integer)):
-            raise ValueError(f"basis string must be an int, got {type(basis).__name__}")
+            raise ValueError(f"basis string must be an int, got {type(basis).__name__} {basis!r}")
         if not 0 <= basis < (1 << self.width):
             raise ValueError(f"basis string {basis} out of range for {self.width} qubits")
         return int(basis)
+
+
+@value_class
+class SamplingPlan:
+    """Seed and shot count of a reproducible measurement run, as Python ints (required_trials plans the count)."""
+
+    seed: int
+    n_trials: int
+
+    def __post_init__(self):
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < (1 << 64):
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        if not isinstance(self.n_trials, (int, np.integer)) or not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {self.n_trials!r}")
+        self.__dict__.update(seed=int(self.seed), n_trials=int(self.n_trials))
 
 
 def positions(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -378,6 +398,13 @@ def count_shots(cdf: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.stack((rows, counts[rows]))
 
 
+def unit_phase(theta: float) -> complex:
+    """exp(i*theta) as complex(cos, sin); ValueError unless `theta` is finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"phase angle must be finite, got {theta}")
+    return complex(math.cos(theta), math.sin(theta))
+
+
 def _register_qft(layout: RegisterLayout, name: str, keys: np.ndarray, amps: np.ndarray):
     """QFT of register `name` over the entries (keys, amps): (keys, amplitudes) of every output string.
 
@@ -405,12 +432,12 @@ def _register_qft(layout: RegisterLayout, name: str, keys: np.ndarray, amps: np.
         np.subtract(low, scaled, out=high)
         low += scaled
         for l in range(j - 1, -1, -1):
-            angle = 2.0 * math.pi / (1 << (j - l + 1))
+            phase = np.complex128(unit_phase(2.0 * math.pi / (1 << (j - l + 1))))
             both = block.reshape(-1, 2, 1 << (j - l - 1), 2, len(groups) << l)[:, 1, :, 1]
             # The phase goes first, as the gate's entry does in the gate's
             # product: numpy's complex product can round differently with its
             # operands swapped.
-            np.multiply(np.complex128(complex(math.cos(angle), math.sin(angle))), both, out=both)
+            np.multiply(phase, both, out=both)
     row = np.arange(1 << width)
     reverse = np.zeros_like(row)
     for bit in range(width):
@@ -453,10 +480,9 @@ class QuantumState:
     __slots__ = ("layout", "_keys", "_vals", "_derived")
 
     def __init__(self, layout: RegisterLayout, entries=None):
-        """|0...0>, or the (keys, amplitudes) arrays of `entries` (keys distinct)."""
+        """|0...0>, or the (keys, amplitudes) arrays of `entries`: distinct keys, through `RegisterLayout.keys`."""
         self.layout = layout
-        self._keys = layout.keys([])
-        keys, amps = (layout.keys([0]), np.ones(1, dtype=complex)) if entries is None else entries
+        keys, amps = ([0], [1.0]) if entries is None else entries
         self._fill(keys, amps)
 
     # ------------------------------------------------------------------ storage
@@ -465,13 +491,14 @@ class QuantumState:
         """(keys, amplitudes at those keys); without keys, the support in ascending order.
 
         Without keys the arrays are read-only views of the store, valid until
-        the state's next write.
+        the state's next write.  Given keys enter through `RegisterLayout.keys`
+        and are returned as it returns them.
         """
         if keys is None:
             vals = self._vals.view()
             vals.flags.writeable = False
             return self._keys, vals
-        self._check_keys(keys, "basis string")
+        keys = self.layout.keys(keys)
         return keys, self._read(self._lookup(keys))
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
@@ -524,14 +551,16 @@ class QuantumState:
         keep = vals != 0
         self._store(keys[keep], vals[keep])
 
-    def _fill(self, keys: np.ndarray, amps) -> None:
+    def _fill(self, keys, amps, what: str = "basis string") -> None:
         """Make the entries (keys, amps) the whole store: one sort, then the nonzero entries.
 
-        A repeated key raises ValueError before the store is touched.
+        The keys enter through `RegisterLayout.keys(keys, what)`; a bad or
+        repeated key raises ValueError before the store is touched.
         """
+        keys = self.layout.keys(keys, what)
         self._derived = {}
         order = np.argsort(keys, kind="stable")
-        keys = keys[order].astype(self.layout.key_dtype, copy=False)
+        keys = keys[order]
         amps = np.asarray(amps, dtype=complex)[order]
         if (keys[1:] == keys[:-1]).any():
             raise ValueError("the new support repeats a basis string (a map not injective on the support)")
@@ -552,8 +581,7 @@ class QuantumState:
     # ------------------------------------------------------------------ access
 
     def amplitude(self, basis: int) -> complex:
-        self.layout.check_basis(basis)
-        return complex(self.gather(self.layout.keys([basis]))[1][0])
+        return complex(self.gather([basis])[1][0])
 
     def support_keys(self) -> np.ndarray:
         """The support as a key array in ascending order, without reading amplitudes.
@@ -636,9 +664,7 @@ class QuantumState:
 
     def apply_phase_where(self, mask_fn: Callable[[np.ndarray], np.ndarray], theta: float) -> None:
         """Multiply amplitudes by exp(i*theta) where mask_fn(keys) is true."""
-        if not math.isfinite(theta):
-            raise ValueError(f"phase angle must be finite, got {theta}")
-        self._scale_where(mask_fn, complex(math.cos(theta), math.sin(theta)))
+        self._scale_where(mask_fn, unit_phase(theta))
 
     def apply_phase_if(self, predicate: Callable[[int], bool], theta: float) -> None:
         """Multiply amplitudes of basis strings satisfying `predicate` by exp(i*theta)."""
@@ -694,9 +720,8 @@ class QuantumState:
         gate = _as_gate(matrix)
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
-        k0, k1 = self.layout.keys(pairs).reshape(-1, 2).T
-        self._check_pairs(k0, k1)
-        keys = np.concatenate((k0, k1))
+        keys = self.layout.keys(pairs).reshape(-1, 2).T.reshape(-1)  # the low members, then the high ones
+        self._check_pairs(keys)
         self._mix_at(keys, self._lookup(keys), gate)
 
     def qft_register(self, name: str) -> None:
@@ -731,14 +756,11 @@ class QuantumState:
     def _sample_counts(self, seed: int, n_trials: int) -> np.ndarray:
         """`sample` as a read-only (2, D) array [rows; shots] over `gather()` (`count_shots`).
 
-        Memoized under (seed, n_trials), so another readout of the same store
+        The seed and shot count are checked by the `SamplingPlan` they make,
+        and the counts memoized under it, so another readout of the same store
         state and batch returns the same array.
         """
-        if not isinstance(seed, (int, np.integer)) or not 0 <= seed < (1 << 64):
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        if not isinstance(n_trials, (int, np.integer)) or not 1 <= n_trials <= MAX_TRIALS:
-            raise ValueError(f"n_trials must be an integer in [1, {MAX_TRIALS}], got {n_trials!r}")
-        batch = (int(seed), int(n_trials))
+        plan = SamplingPlan(seed, n_trials)
 
         def count():
             born = self._born()
@@ -749,9 +771,9 @@ class QuantumState:
             cdf = born / total
             np.cumsum(cdf, out=cdf)
             cdf /= cdf[-1]
-            return count_shots(cdf, _sorted_uniforms(*batch))
+            return count_shots(cdf, _sorted_uniforms(plan.seed, plan.n_trials))
 
-        return self._memo(batch, count)
+        return self._memo(plan, count)
 
     def inner_product(self, other: QuantumState) -> complex:
         """<self|other>; both states must share the same register layout."""
@@ -765,18 +787,11 @@ class QuantumState:
         if not isinstance(q, (int, np.integer)) or not 0 <= q < self.layout.width:
             raise ValueError(f"qubit index {q} out of range for {self.layout.width} qubits")
 
-    def _check_keys(self, keys: np.ndarray, what: str) -> None:
-        bad = keys[(keys < 0) | (keys >= (1 << self.layout.width))]
-        if bad.size:
-            raise ValueError(f"{what} {bad[0]} out of range for {self.layout.width} qubits")
-
-    def _check_pairs(self, k0: np.ndarray, k1: np.ndarray) -> None:
-        """ValueError unless the pairs (k0[i], k1[i]) are disjoint and every key is in range."""
-        flat = np.sort(np.concatenate((k0, k1)))
+    def _check_pairs(self, keys: np.ndarray) -> None:
+        """ValueError unless the pair members `keys` (the low members, then the high ones) are distinct."""
+        flat = np.sort(keys)
         if (flat[1:] == flat[:-1]).any():
             raise ValueError("two-level pairs overlap")
-        self._check_keys(k0, "basis string")
-        self._check_keys(k1, "basis string")
 
     def _check_norm(self) -> None:
         total = float(np.vdot(self._vals, self._vals).real)
@@ -800,7 +815,7 @@ class QuantumState:
         half = len(pos) // 2
         if keys is not None and validation_enabled():
             _check_unitary(np.stack(np.broadcast_arrays(g00, g01, g10, g11), axis=-1).reshape(-1, 2, 2))
-            self._check_pairs(keys[:half], keys[half:])
+            self._check_pairs(self.layout.keys(keys))
         amps = self._read(pos) if keys is not None else self._vals.take(pos)
         a0, a1 = amps[:half], amps[half:]
         # In the buffer read, g10*a0 first; each product keeps its gate entry first, and sums commute exactly.
@@ -813,35 +828,30 @@ class QuantumState:
         self._write(keys, amps, pos)
         self._check_norm()
 
-    def _replace(self, keys: np.ndarray, amps: np.ndarray) -> None:
+    def _replace(self, keys: np.ndarray, amps: np.ndarray, what: str = "basis string") -> None:
         """Swap the whole support for distinct (keys, amps) (`_fill`), then check the norm."""
-        self._fill(keys, amps)
+        self._fill(keys, amps, what)
         self._check_norm()
 
     def _move_keys(self, map_fn) -> None:
         """Relocate amplitudes along map_fn; `_replace` rejects a map not injective on the support."""
         keys, amps = self.gather()
-        targets = self.layout.keys(map_fn(keys))
-        self._check_keys(targets, "mapping sent a basis string to")
-        self._replace(targets, amps)
+        self._replace(map_fn(keys), amps, "mapping sent a basis string to")
 
 
 def init_basis_state(layout: RegisterLayout, bits: int) -> QuantumState:
     """State with amplitude 1 on the given basis string and 0 elsewhere."""
     layout.check_basis(bits)
-    return QuantumState(layout, (layout.keys([bits]), np.ones(1, dtype=complex)))
+    return QuantumState(layout, ([bits], [1.0]))
 
 
 def inject_state(layout: RegisterLayout, amplitudes: Mapping[int, complex]) -> QuantumState:
     """Build a state from an explicit amplitude map, which must be normalized."""
-    total = 0.0
-    for b, a in amplitudes.items():
-        layout.check_basis(b)
-        total += abs(a) ** 2
+    state = QuantumState(layout, (list(amplitudes), list(amplitudes.values())))
+    total = sum((abs(a) ** 2 for a in amplitudes.values()), 0.0)
     if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"amplitude map has squared norm {total}, expected 1 within 1e-10")
-    keys = layout.keys(list(amplitudes))
-    return QuantumState(layout, (keys, np.array(list(amplitudes.values()), dtype=complex)))
+    return state
 
 
 def check_layout(state: QuantumState, encoding) -> None:

@@ -17,8 +17,8 @@ import numpy as np
 from fermisim.antisym import (
     RegisterBank,
     antisymmetrize,
+    exchange_violation,
     prepare_ordered_input,
-    transposition_test,
 )
 from fermisim.fq import (
     FirstQuantizedLayout,
@@ -100,14 +100,7 @@ def _pipeline_case(labels, mode):
     clear = bank.ancillas_clear(keys)
     rows = list(zip(*((w + 1).tolist() for w in bank.get_words(keys[clear], "A"))))
     overlap = slater_overlap(labels, mode, rows, amps[clear])
-    violation = 0.0
-    if n > 1:
-        words = bank.word_slices("A")
-        violation = max(
-            transposition_test(state, words, i, j, mode)
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+    violation = exchange_violation(state, bank.word_slices("A"), mode)
     return abs(overlap) ** 2, int((~clear).sum()), math.sqrt(norm_sq), violation
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,9 @@ from conftest import (
     traced,
 )
 
+from fermisim.antisym import encode_labels
+from fermisim.observables import SamplingPlan
+from fermisim.oracle import pack_words
 from fermisim.state import (
     MAX_TRIALS,
     InvariantViolation,
@@ -31,6 +35,7 @@ H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 TWO = RegisterLayout.of(("q", 2))
 THREE = RegisterLayout.of(("q", 3))
+WIDE = RegisterLayout.of(("q", 65))
 
 
 class TestRegisterLayout:
@@ -58,6 +63,58 @@ class TestRegisterLayout:
         layout = RegisterLayout.of(("a", 2))
         with pytest.raises(ValueError):
             layout.with_field(0, "a", 4)
+
+    def test_packers_give_numpy_and_python_words_one_key(self):
+        """A numpy word shifted past bit 63 must not wrap: each packer makes the key the Python ints make."""
+        words = (4, 5, 6, 7, 4000)
+        want = sum(w << (13 * k) for k, w in enumerate(words))
+        assert want == 18014402358175375364
+        assert pack_words(np.array(words), 13) == pack_words(words, 13) == want
+        assert encode_labels(np.array(words) + 1, 13) == encode_labels([w + 1 for w in words], 13) == want
+        layout = RegisterLayout.of(("a", 60), ("b", 13))
+        assert layout.with_field(0, "b", np.int64(4000)) == layout.with_field(0, "b", 4000) == 4000 << 60
+        assert layout.with_field(0, "b", np.array([4000])).tolist() == [4000 << 60]
+
+
+def _refuse_map(state):
+    state.apply_basis_map(lambda keys: keys + 8)
+
+
+# Each entry point that takes keys, one key it must refuse, and the error it must name that key in.
+KEY_GATE_CASES = {
+    "constructor-7": (lambda state: QuantumState(TWO, (np.array([7]), np.ones(1))), "basis string 7 out of range"),
+    "constructor-minus-1": (lambda state: QuantumState(TWO, (np.array([-1]), np.ones(1))),
+                            "basis string -1 out of range"),
+    "constructor-float": (lambda state: QuantumState(TWO, (np.array([1.7]), np.ones(1))), "basis string 1.7"),
+    "keys-list": (lambda state: THREE.keys([9]), "basis string 9 out of range for 3 qubits"),
+    "keys-array": (lambda state: THREE.keys(np.array([9])), "basis string 9 out of range for 3 qubits"),
+    "keys-wide-int64": (lambda state: WIDE.keys(np.array([-5], dtype=np.int64)),
+                        "basis string -5 out of range for 65 qubits"),
+    "gather-float": (lambda state: state.gather(np.array([1.5])), "basis string 1.5"),
+    "basis-map": (_refuse_map, "mapping sent a basis string to 10 out of range for 3 qubits"),
+    "two-level-mix": (lambda state: state.apply_two_level_mix([(2, 9)], X), "basis string 9 out of range"),
+    "inject-state": (lambda state: inject_state(THREE, {2: 0.6, 9: 0.8}), "basis string 9 out of range"),
+}
+
+
+class TestKeyGate:
+    """Every key array enters through `RegisterLayout.keys`, so no key outside the layout reaches a store."""
+
+    @pytest.mark.parametrize("case", KEY_GATE_CASES)
+    def test_every_entry_point_refuses_a_key_outside_the_layout(self, case):
+        # Production mode: validation mode refuses the map earlier, as no bijection of the basis.
+        call, message = KEY_GATE_CASES[case]
+        state = init_basis_state(THREE, 2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(state)
+        assert state.to_map() == {2: 1.0}
+
+    def test_a_wide_layout_keeps_keys_past_64_bits(self, checks):
+        key = (1 << 64) + 1
+        assert WIDE.keys([key]).tolist() == [key]
+        state = QuantumState(WIDE, (WIDE.keys([key]), np.ones(1, dtype=complex)))
+        assert state.support() == [key]
+        assert state.gather(WIDE.keys([key, 0]))[1].tolist() == [1, 0]
 
 
 class TestInit:
@@ -372,6 +429,25 @@ class TestSampling:
             state.sample(seed=0, n_trials=0)
         with pytest.raises(ValueError):
             state.sample(seed=0, n_trials=MAX_TRIALS + 1)
+
+    @pytest.mark.parametrize("seed, n_trials, message", [
+        (-1, 10, "seed must be an unsigned 64-bit integer"),
+        (1 << 64, 10, "seed must be an unsigned 64-bit integer"),
+        (0, 0, f"n_trials must be an integer in [1, {MAX_TRIALS}], got 0"),
+        (0, MAX_TRIALS + 1, f"n_trials must be an integer in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}"),
+    ])
+    def test_sample_and_plan_refuse_with_one_message(self, seed, n_trials, message):
+        state = init_basis_state(TWO, 0)
+        for make in (state.sample, SamplingPlan):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                make(seed, n_trials)
+
+    def test_sample_and_plan_take_a_numpy_seed(self):
+        s = 1 / math.sqrt(2)
+        state = inject_state(TWO, {0: s, 3: s})
+        assert state.sample(np.int64(7), 300) == state.sample(7, 300)
+        plan = SamplingPlan(np.int64(7), np.int64(300))
+        assert plan == SamplingPlan(7, 300) and type(plan.seed) is int and type(plan.n_trials) is int
 
     def test_deterministic_for_backend(self, checks):
         rng = np.random.default_rng(5)

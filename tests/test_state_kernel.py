@@ -254,7 +254,7 @@ class TestMixChecks:
         if case == "overlap":
             k1 = self.LAYOUT.keys([3, 2])
         elif case == "key out of range":
-            k1 = self.LAYOUT.keys([3, 8])
+            k1 = np.array([3, 8])
         elif case == "scalar gate":
             gate = np.array([[1.0, 0.0], [0.0, 2.0]])
         elif case == "per-pair gate":
